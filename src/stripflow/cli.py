@@ -85,11 +85,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    data = np.loadtxt(args.results)
-    if data.ndim == 1:
-        data = data[None, :]
-    mus = data[:, 0]
-    errs = data[:, 5] + data[:, 6]
+    from .io import RESULTS_HEADER
+
+    data = np.loadtxt(args.results, ndmin=2)
+    col = RESULTS_HEADER.lstrip("#").split().index
+    mus = data[:, col("mu")]
+    errs = data[:, col("err_V")] + data[:, col("err_eta")]
     last = {}
     for m, e in zip(mus, errs):
         if np.isfinite(e):

@@ -188,12 +188,15 @@ def solve_state_pressure(
     return solve_pressure(problem, info=info)
 
 
-def euler_rhs(state: StripState, bathymetry: Bathymetry, params: PhysParams) -> Tendencies:
-    """Full tendencies; solves the pressure problem as part of the evaluation."""
+def euler_rhs(
+    state: StripState, bathymetry: Bathymetry, params: PhysParams, x0: np.ndarray | None = None
+) -> Tendencies:
+    """Full tendencies; solves the pressure problem (from the initial guess
+    x0, when given) as part of the evaluation."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
     problem, aux = assemble_pressure_problem(state, diffeo, params)
     info = SolveInfo(0, 0.0)
-    P = solve_pressure(problem, info=info)
+    P = solve_pressure(problem, info=info, x0=x0)
 
     ops = diffeo.ops
     nu = aux["nu"]
@@ -285,15 +288,16 @@ def step_rk4(
     project: bool = True,
     enforce_cfl: bool = True,
 ) -> StripState:
-    """Classical four-stage step followed by the divergence projection."""
+    """Classical four-stage step followed by the divergence projection; each
+    stage's pressure solve starts from the previous stage's pressure."""
     if enforce_cfl:
         limit = cfl_dt(state, bathymetry, params, factor=0.5)
         if dt > limit:
             raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
     k1 = euler_rhs(state, bathymetry, params)
-    k2 = euler_rhs(state.shifted(k1, 0.5 * dt), bathymetry, params)
-    k3 = euler_rhs(state.shifted(k2, 0.5 * dt), bathymetry, params)
-    k4 = euler_rhs(state.shifted(k3, dt), bathymetry, params)
+    k2 = euler_rhs(state.shifted(k1, 0.5 * dt), bathymetry, params, x0=k1.P)
+    k3 = euler_rhs(state.shifted(k2, 0.5 * dt), bathymetry, params, x0=k2.P)
+    k4 = euler_rhs(state.shifted(k3, dt), bathymetry, params, x0=k3.P)
     new = StripState(
         state.V + (dt / 6.0) * (k1.dV + 2.0 * k2.dV + 2.0 * k3.dV + k4.dV),
         state.w + (dt / 6.0) * (k1.dw + 2.0 * k2.dw + 2.0 * k3.dw + k4.dw),

@@ -102,7 +102,7 @@ def run_single(cfg: ExperimentConfig, out_dir, seed: int, verbose: bool = False)
         traj = run_moll(slag, moll, bath, params, cfg["run.T"], s=cfg["run.s"])
         with io.ResultsWriter(out / "results.txt") as w:
             for t, E in zip(traj.times, traj.energies):
-                w.row(params, t)
+                w.row(params, t, energy=E)
         io.write_manifest(
             out / "manifest.txt", cfg.dump(), seed, traj.status,
             {"scheme": "mollified", "final_t": traj.final.t},

@@ -94,12 +94,17 @@ class ResultsWriter:
         self._fh = open(self.path, "w")
         self._fh.write(RESULTS_HEADER + "\n")
 
-    def row(self, params: PhysParams, t, report=None, comparison=None):
+    def row(self, params: PhysParams, t, report=None, comparison=None, energy=None):
+        """One row; ``energy`` fills the E_s column of runs that have a scheme
+        energy but no EnergyReport (the mollified integrator)."""
+
         def f(x):
             return "%.17e" % x
 
         err_V = err_eta = err_w = shear = rho_norm = float("nan")
         E_s = taylor = float("nan")
+        if energy is not None:
+            E_s = energy
         if comparison is not None:
             err_V, err_eta, err_w = comparison.err_V, comparison.err_eta, comparison.err_w
             shear, rho_norm = comparison.shear, comparison.rho_norm

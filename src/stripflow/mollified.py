@@ -109,11 +109,13 @@ def from_strip_state(state: StripState, bathymetry: Bathymetry, params: PhysPara
 
 
 def slag_rhs(
-    state: SlagState, moll: MollParams, bathymetry: Bathymetry, params: PhysParams
+    state: SlagState, moll: MollParams, bathymetry: Bathymetry, params: PhysParams,
+    x0: np.ndarray | None = None,
 ) -> SlagTendencies:
     """Mollified tendencies; the pressure is defined through the elliptic
     problem assembled, as in the production solver, so that the tendencies
-    keep the discrete divergence and bottom impermeability stationary."""
+    keep the discrete divergence and bottom impermeability stationary.  x0 is
+    the initial guess of the pressure solve."""
     grid = bathymetry.grid
     metric = SlagMetric(grid, state.H)
     ops = metric.ops
@@ -186,7 +188,7 @@ def slag_rhs(
         bottom_data=bottom,
     )
     info = SolveInfo(0, 0.0)
-    P = solve_pressure(problem, info=info)
+    P = solve_pressure(problem, info=info, x0=x0)
     gradP = ops.grad_phi(P)
     dV = np.stack([B_V[i] - nu * gradP[i] for i in range(grid.d)])
     dw = B_w - nu * ops.dr_phi(P) / mu
@@ -202,9 +204,9 @@ def step_rk4_slag(
     state: SlagState, dt: float, moll: MollParams, bathymetry: Bathymetry, params: PhysParams
 ) -> SlagState:
     k1 = slag_rhs(state, moll, bathymetry, params)
-    k2 = slag_rhs(state.shifted(k1, 0.5 * dt), moll, bathymetry, params)
-    k3 = slag_rhs(state.shifted(k2, 0.5 * dt), moll, bathymetry, params)
-    k4 = slag_rhs(state.shifted(k3, dt), moll, bathymetry, params)
+    k2 = slag_rhs(state.shifted(k1, 0.5 * dt), moll, bathymetry, params, x0=k1.P)
+    k3 = slag_rhs(state.shifted(k2, 0.5 * dt), moll, bathymetry, params, x0=k2.P)
+    k4 = slag_rhs(state.shifted(k3, dt), moll, bathymetry, params, x0=k3.P)
     return SlagState(
         state.V + (dt / 6.0) * (k1.dV + 2 * k2.dV + 2 * k3.dV + k4.dV),
         state.w + (dt / 6.0) * (k1.dw + 2 * k2.dw + 2 * k3.dw + k4.dw),

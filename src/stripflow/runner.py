@@ -1,6 +1,6 @@
 """Time-marching driver: advances a strip state, records energy and
 comparison series at a fixed cadence, and halts with a structured status when
-a blow-up flag fires."""
+a blow-up flag fires or a step or measurement raises a package error."""
 
 from __future__ import annotations
 
@@ -12,12 +12,7 @@ import numpy as np
 from . import shallow
 from .diagnostics import EnergyReport, blowup_monitor, energy
 from .dynamics import StripState, cfl_dt, solve_state_pressure, step_rk4
-from .errors import (
-    BlowUpSuspected,
-    DegenerateDensity,
-    DegenerateDepth,
-    NoConvergence,
-)
+from .errors import StripflowError
 from .geometry import Bathymetry, PhysParams, build_diffeo
 from .pressure import taylor_coefficient
 from .shallow import SWState
@@ -95,22 +90,26 @@ def simulate(
                 sub = max(1, sw_dt_ratio)
                 for _ in range(sub):
                     sw = shallow.sw_step_rk4(sw, dt / sub, bathymetry, params)
-        except (BlowUpSuspected, DegenerateDepth, DegenerateDensity, NoConvergence) as exc:
-            rec.status = type(exc).__name__
-            rec.halted_at = rec.times[-1]
-            break
-        if (step + 1) % cadence == 0 or step == n_steps - 1:
+            if (step + 1) % cadence != 0 and step != n_steps - 1:
+                continue
             report = measure(state, bathymetry, params, s, s0)
-            rec.times.append(state.t)
-            rec.reports.append(report)
-            if sw is not None:
-                rec.comparisons.append(shallow.compare(state, sw, s, bathymetry, params))
+            comparison = None if sw is None else shallow.compare(state, sw, s, bathymetry, params)
             diffeo = build_diffeo(bathymetry, state.eta0, params)
             status = blowup_monitor(state, report, initial_norm, params, diffeo, norm_factor)
-            if status != "Continue":
-                rec.status = status
-                rec.halted_at = state.t
-                break
+        except StripflowError as exc:
+            # state is the last one reached: the start of a failed step, or
+            # the state whose measurement failed
+            rec.status = type(exc).__name__
+            rec.halted_at = state.t
+            break
+        rec.times.append(state.t)
+        rec.reports.append(report)
+        if comparison is not None:
+            rec.comparisons.append(comparison)
+        if status != "Continue":
+            rec.status = status
+            rec.halted_at = state.t
+            break
 
     rec.final = state
     rec.wall_time = time.perf_counter() - t0

@@ -6,7 +6,9 @@ from stripflow.cli import main
 from stripflow.config import ExperimentConfig, parse_config_text
 from stripflow.dynamics import StripState
 from stripflow.errors import ConfigError
-from stripflow.io import ResultsWriter, load_snapshot, save_snapshot, write_manifest
+from stripflow import experiments
+from stripflow.io import RESULTS_HEADER, ResultsWriter, load_snapshot, save_snapshot, write_manifest
+from stripflow.shallow import ComparisonReport
 
 from conftest import random_band_limited
 
@@ -132,14 +134,25 @@ class TestCLI:
         with ResultsWriter(path) as w:
             for mu, err in params_by_mu:
                 p = PhysParams(eps=0.3, beta=0.4, mu=mu)
-                from stripflow.shallow import ComparisonReport
-
                 comp = ComparisonReport(err / 2, err / 2, 0, 0, 0, 0, 1.0)
                 w.row(p, 1.0, None, comp)
         code = main(["rate", "--results", str(path), "--window", "0.3", "0.7"])
         assert code == 0
         code = main(["rate", "--results", str(path), "--window", "0.9", "1.1"])
         assert code == 4
+
+    def test_rate_fits_named_columns(self, tmp_path, capsys):
+        # err_V + err_eta = 2 mu^0.75 at the last time of each member; the
+        # earlier rows and the other columns must not enter the fit
+        path = tmp_path / "results.txt"
+        with ResultsWriter(path) as w:
+            for mu in (1e-1, 1e-2, 1e-3, 1e-4):
+                p = PhysParams(eps=0.3, beta=0.4, mu=mu, delta=0.5 * mu)
+                w.row(p, 0.0, None, ComparisonReport(5.0, 5.0, 7.0, 0.1, 0.2, 0.3, 1.0))
+                err = mu**0.75
+                w.row(p, 1.0, None, ComparisonReport(err, err, 3.0, 0.4, 0.5, 0.6, 1.0))
+        assert main(["rate", "--results", str(path), "--window", "0.74", "0.76"]) == 0
+        assert "slope = 0.7500" in capsys.readouterr().out
 
     def test_sweep_small(self, tmp_path):
         extra = """
@@ -188,6 +201,23 @@ rate.max = 1.5
         out = tmp_path / "moll"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert "scheme = mollified" in (out / "manifest.txt").read_text()
+
+    def test_mollified_run_writes_scheme_energies(self, tmp_path, monkeypatch):
+        trajectories = []
+
+        def recording_run_moll(*args, **kwargs):
+            trajectories.append(run_moll(*args, **kwargs))
+            return trajectories[-1]
+
+        run_moll = experiments.run_moll
+        monkeypatch.setattr(experiments, "run_moll", recording_run_moll)
+        extra = "\nscheme.kind = mollified\nscheme.iota3 = 0.01\nrun.T = 0.02\n"
+        out = tmp_path / "moll"
+        assert main(["run", "--config", str(self._write(tmp_path, extra)), "--out", str(out)]) == 0
+        data = np.loadtxt(out / "results.txt", ndmin=2)
+        E_s = data[:, RESULTS_HEADER.lstrip("#").split().index("E_s")]
+        assert np.isfinite(E_s).all()
+        assert E_s.tolist() == trajectories[0].energies
 
     def test_sweep_iota3_axis(self, tmp_path):
         extra = """

@@ -13,6 +13,8 @@ from stripflow.diagnostics import (
 )
 from stripflow.dynamics import StripState, solve_state_pressure
 from stripflow.pressure import TaylorCoefficient, taylor_coefficient
+from stripflow import runner
+from stripflow.errors import IllConditioned
 from stripflow.runner import measure, simulate
 
 from conftest import random_band_limited
@@ -156,6 +158,30 @@ class TestBlowupMonitor:
         params, st, rep, diffeo = self._setup(grid)
         spiked = type(rep)(**{**rep.__dict__, "state_norm": 20.0 * rep.state_norm})
         assert blowup_monitor(st, spiked, rep.state_norm, params, diffeo) == "NormBlowup"
+
+
+class TestSimulateHalts:
+    def test_package_error_becomes_status_at_failing_step(self, grid, monkeypatch):
+        params = PhysParams(eps=0.3, beta=0.3, mu=1e-2)
+        bath = Bathymetry.cosine(grid, 0.2)
+        st = StripState.rest(grid)
+        st.eta0 = 0.05 * np.cos(grid.x)
+        real_step = runner.step_rk4
+        started = []
+
+        def step_failing_on_third(state, dt, *args, **kwargs):
+            started.append(state.t)
+            if len(started) == 3:
+                raise IllConditioned("synthetic loss of positivity")
+            return real_step(state, dt, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "step_rk4", step_failing_on_third)
+        rec = simulate(st, bath, params, 0.01, dt=1e-3, cadence=10)
+        assert rec.status == "IllConditioned"
+        assert rec.halted_at == started[-1]
+        assert rec.halted_at == pytest.approx(2e-3)
+        assert rec.final.t == rec.halted_at
+        assert rec.times == [0.0]
 
 
 class TestFitRate:

@@ -4,12 +4,14 @@ import sympy as sp
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
-from stripflow.dynamics import StripState, assemble_pressure_problem
+from stripflow.dynamics import StripState, assemble_pressure_problem, euler_rhs
 from stripflow.errors import IllConditioned, InsufficientHistory
 from stripflow.pressure import (
     EllipticProblem,
     SolveInfo,
     TaylorCoefficient,
+    _apply_flat_inverse,
+    _flat_inverse,
     problem_from_divergence_form,
     solve_pressure,
     taylor_coefficient,
@@ -249,3 +251,85 @@ class TestTaylor:
         assert np.allclose(taylor_time_derivative(hist, 0.1), c, atol=1e-12)
         with pytest.raises(InsufficientHistory):
             taylor_time_derivative([a0], 0.1)
+
+
+# -- hot path: batched preconditioner, fused matvec, warm start -------------------
+
+
+def _einsum_flat_inverse(grid, inv, v):
+    """Reference apply: complex per-mode contraction of the real inverses."""
+    axes = tuple(range(-grid.d, 0))
+    vh = np.fft.rfftn(v, axes=axes)
+    uh = np.einsum("mij,jm->im", inv, vh.reshape(grid.n_r, -1)).reshape(vh.shape)
+    return np.fft.irfftn(uh, s=grid.xshape, axes=axes)
+
+
+def _sheared_state(grid, rng):
+    """Smooth state with velocity, density and surface perturbations."""
+    state = StripState.rest(grid)
+    if grid.d == 1:
+        state.eta0 = 0.06 * np.cos(grid.x) + 0.02 * np.sin(2 * grid.x)
+        state.V[0] = random_band_limited(grid, rng, kmax=4, amp=0.2)
+        state.w = random_band_limited(grid, rng, kmax=4, amp=0.1)
+        state.rho = random_band_limited(grid, rng, kmax=4, amp=0.3)
+    else:
+        X, Y = np.meshgrid(grid.x, grid.x, indexing="ij")
+        r = grid.r_column(grid.r)
+        state.eta0 = 0.05 * np.cos(X) * np.cos(Y)
+        state.V[0] = 0.2 * np.sin(X) * np.cos(2 * Y) * (1 + r)
+        state.V[1] = 0.1 * np.cos(X + Y) * r
+        state.w = 0.1 * np.cos(X) * np.sin(Y) * r
+        state.rho = 0.3 * np.cos(X - Y) * np.cos(np.pi * r / 2)
+    return state
+
+
+class TestHotPath:
+    @pytest.mark.parametrize("n_x,n_r,d", [(64, 16, 1), (16, 12, 2)])
+    def test_batched_flat_inverse_matches_einsum(self, n_x, n_r, d, rng):
+        grid = StripGrid(n_x=n_x, n_r=n_r, d=d)
+        inv = _flat_inverse(grid, 0.04, 1.1)
+        v = rng.standard_normal((n_r,) + grid.xshape)
+        ref = _einsum_flat_inverse(grid, inv, v)
+        got = _apply_flat_inverse(grid, inv, v)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n_x,n_r,d", [(64, 16, 1), (16, 12, 2)])
+    def test_fused_apply_matches_composed_form(self, n_x, n_r, d, rng):
+        grid = StripGrid(n_x=n_x, n_r=n_r, d=d)
+        params = PhysParams(eps=0.3, beta=0.4, mu=0.04, delta=0.04, g=1.2, rho_bar=1.1)
+        bath = Bathymetry.cosine(grid, 0.2)
+        state = _sheared_state(grid, rng)
+        diffeo = build_diffeo(bath, state.eta0, params)
+        problem, _ = assemble_pressure_problem(state, diffeo, params)
+        P = problem.nu * _sheared_state(grid, rng).rho
+        P[-1] = 0.0
+        ops = problem.ops
+        Qx, Qr = problem.nu * ops.grad_phi(P), problem.nu * ops.dr_phi(P)
+        interior_ref = params.mu * ops.div_phi(Qx, np.zeros_like(Qr)) + ops.dr_phi(Qr)
+        bottom_ref = Qr[0] - params.mu * np.sum(problem.bottom_slope * Qx[:, 0], axis=0)
+        interior, bottom = problem.apply(P)
+        scale = np.abs(interior_ref).max()
+        assert np.abs(interior - interior_ref).max() <= 1e-12 * scale
+        assert np.abs(bottom - bottom_ref).max() <= 1e-12 * np.abs(bottom_ref).max()
+
+    def test_converged_initial_guess_returns_at_once(self, grid, params, rng):
+        bath = Bathymetry.cosine(grid, 0.2)
+        state = _sheared_state(grid, rng)
+        diffeo = build_diffeo(bath, state.eta0, params)
+        problem, _ = assemble_pressure_problem(state, diffeo, params)
+        P = solve_pressure(problem)
+        info = SolveInfo(0, 0.0)
+        P2 = solve_pressure(problem, info=info, x0=P)
+        assert info.iterations <= 2
+        assert np.abs(P2 - P).max() <= 1e-10 * np.abs(P).max()
+
+    def test_warm_started_stage_needs_fewer_iterations(self, grid, params, rng):
+        bath = Bathymetry.cosine(grid, 0.2)
+        state = _sheared_state(grid, rng)
+        k1 = euler_rhs(state, bath, params)
+        stage = state.shifted(k1, 0.5 * 2e-3)
+        cold = euler_rhs(stage, bath, params)
+        warm = euler_rhs(stage, bath, params, x0=k1.P)
+        assert warm.solve_info.iterations < cold.solve_info.iterations
+        assert warm.solve_info.residual <= 1e-10
+        assert np.abs(warm.P - cold.P).max() <= 1e-8 * np.abs(cold.P).max()
