@@ -30,7 +30,7 @@ def cmd_run(args) -> int:
     from .experiments import run_single
 
     cfg = _load_config(args.config)
-    code, _ = run_single(cfg, args.out, args.seed, args.verbose)
+    code, _ = run_single(cfg, args.out, args.verbose)
     return code
 
 
@@ -40,7 +40,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     if not cfg["sweep.axis"]:
         raise ConfigError("sweep requires sweep.axis")
-    code, summary = sweep(cfg, args.out, args.jobs, args.seed, args.verbose)
+    code, summary = sweep(cfg, args.out, args.jobs, args.verbose)
     fit = summary.get("fit")
     if fit is not None:
         print(f"slope = {fit.slope:.4f}  intercept = {fit.intercept:.4f}  "
@@ -54,6 +54,8 @@ def cmd_check(args) -> int:
     from .dynamics import StripState, divergence_report, step_rk4
     from .geometry import Bathymetry, PhysParams, build_diffeo
     from .grid import StripGrid
+    from .mollified import MollParams, from_strip_state, step_rk4_slag
+    from .shallow import SWState, sw_step_rk4
 
     grid = StripGrid(n_x=32, n_r=12)
     params = PhysParams(eps=0.3, beta=0.5, mu=1e-2)
@@ -78,6 +80,11 @@ def cmd_check(args) -> int:
     s1 = step_rk4(state, 1e-3, bath, params)
     delta = max(np.abs(s1.V).max(), np.abs(s1.w).max(), np.abs(s1.eta0).max())
     check("rest state is a fixpoint", delta < 1e-13)
+    m1 = step_rk4_slag(from_strip_state(state, bath, params), 1e-3, MollParams(), bath, params)
+    delta = max(np.abs(m1.V).max(), np.abs(m1.w).max(), np.abs(m1.eta0).max())
+    check("rest state is a fixpoint of the mollified scheme", delta < 1e-13)
+    sw1 = sw_step_rk4(SWState.rest(grid), 1e-3, bath, params)
+    check("rest state is a fixpoint of Saint-Venant", max(np.abs(sw1.V).max(), np.abs(sw1.eta).max()) < 1e-13)
     state.eta0 = 0.05 * np.cos(grid.x)
     s2 = step_rk4(state, 1e-3, bath, params)
     check("divergence under control", divergence_report(s2, bath, params)["div_l2"] < 1e-10)
@@ -109,8 +116,6 @@ def main(argv=None) -> int:
     def common(p):
         p.add_argument("--config", type=Path, required=True)
         p.add_argument("--out", type=Path, default=Path("out"))
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=20260809)
         p.add_argument("--verbose", action="store_true")
 
     p_run = sub.add_parser("run", help="execute a single experiment")
@@ -119,6 +124,7 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep and fit the rate")
     common(p_sweep)
+    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_check = sub.add_parser("check", help="run the fast invariant suite")

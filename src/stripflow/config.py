@@ -35,7 +35,6 @@ _DEFAULTS = {
     "initial.rho_amp": 0.0,
     "initial.psi_amplitude": 0.0,
     "initial.psi_mode": 1,
-    "initial.seed": 20260809,
     "scheme.kind": "direct",
     "scheme.iota1": 0.0,
     "scheme.iota2": 0.0,
@@ -46,9 +45,7 @@ _DEFAULTS = {
     "run.cadence": 10,
     "run.s": 4.0,
     "run.s0": 2.0,
-    "output.dir": "out",
     "output.format": "npz",
-    "output.debug_solver": 0,
     "sweep.axis": "",
     "sweep.values": (),
     "sweep.delta_tracks_mu": False,
@@ -59,6 +56,8 @@ _DEFAULTS = {
 _PRESETS = ("flat", "cosine", "gaussian", "file")
 _RECIPES = ("rest", "streamfunction", "well_prepared")
 _SCHEMES = ("direct", "mollified")
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
 
 
 def _coerce(key: str, raw: str):
@@ -69,7 +68,10 @@ def _coerce(key: str, raw: str):
             return ()
         return tuple(float(v) for v in raw.replace(",", " ").split())
     if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes")
+        word = raw.lower()
+        if word not in _TRUE + _FALSE:
+            raise ValueError(f"{key} needs a boolean ({'/'.join(_TRUE + _FALSE)}), got {raw!r}")
+        return word in _TRUE
     if isinstance(default, int):
         return int(float(raw))
     if isinstance(default, float):

@@ -44,6 +44,18 @@ def state_norm(state: StripState, grid, params: PhysParams, s: float) -> float:
     return spectral.stack_norm(grid, fields, s) + spectral.surface_norm(grid, state.eta0, s)
 
 
+def good_unknown_energy(state, metric, params: PhysParams, s: float) -> float:
+    """Weighted good-unknown sum
+    ||sqrt(h rho) V^(s)||^2 + ||sqrt(mu h rho) w^(s)||^2 + ||sqrt(mu h) rho^(s)||^2
+    on the coordinate map ``metric`` (a DiffeoFields or the mollified scheme's
+    transported map)."""
+    h, mu = metric.h_tot, params.mu
+    rho_tot = params.rho_bar + params.eps * params.delta * state.rho
+    terms = [(np.sqrt(h * rho_tot), V_i) for V_i in state.V]
+    terms += [(np.sqrt(mu * h * rho_tot), state.w), (np.sqrt(mu * h), state.rho)]
+    return sum(spectral.l2_strip(metric.grid, wt * alinhac_unknown(f, s, metric)) ** 2 for wt, f in terms)
+
+
 def energy(
     state: StripState,
     taylor: TaylorCoefficient,
@@ -56,18 +68,8 @@ def energy(
     Taylor-weighted surface term (square-root weighting), the low-regularity
     block, and the vorticity norm."""
     grid = diffeo.grid
-    mu, sq = params.mu, params.sqrt_mu
-    h = diffeo.h_tot
-    rho_tot = params.rho_bar + params.eps * params.delta * state.rho
-
-    wV = np.sqrt(h * rho_tot)
-    ww = np.sqrt(mu * h * rho_tot)
-    wr = np.sqrt(mu * h)
-    al = 0.0
-    for i in range(grid.d):
-        al += spectral.l2_strip(grid, wV * alinhac_unknown(state.V[i], s, diffeo)) ** 2
-    al += spectral.l2_strip(grid, ww * alinhac_unknown(state.w, s, diffeo)) ** 2
-    al += spectral.l2_strip(grid, wr * alinhac_unknown(state.rho, s, diffeo)) ** 2
+    sq = params.sqrt_mu
+    al = good_unknown_energy(state, diffeo, params, s)
 
     eta_s = spectral.lambda_pow(grid, state.eta0, s, dotted=True)
     amin = taylor.minimum

@@ -1,17 +1,19 @@
 """Prognostic core: tendencies for (V, w, rho, eta0) in sigma coordinates,
-vorticity and its density source, RK4 stepping, and the divergence projection.
+vorticity and its density source, the RK4 integrator shared by every solver,
+and the divergence projection.
 
-The pressure right-hand side is assembled from the non-pressure tendencies
-(plus the time derivative of the metric coefficients, which is known before
-the solve because the kinematic surface equation does not involve P), so that
-the combined tendency keeps the discrete divergence and the bottom
-impermeability stationary.  The projection then only removes time-integration
+The tendencies go through the pressure closure of ``pressure``: the
+non-pressure tendencies plus the time derivative of the metric coefficients
+(known before the solve because the kinematic surface equation does not
+involve P) pose the problem, and the pressure correction keeps the discrete
+divergence and the bottom impermeability stationary.  The projection is the
+same closure applied to the velocity itself; it only removes time-integration
 drift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,7 +27,13 @@ from .geometry import (
     require_nondegenerate,
 )
 from .grid import StripGrid
-from .pressure import EllipticProblem, SolveInfo, solve_pressure
+from .pressure import (
+    EllipticProblem,
+    SolveInfo,
+    closure_problem,
+    solve_closure,
+    solve_pressure,
+)
 
 
 @dataclass
@@ -50,15 +58,6 @@ class StripState:
 
     def copy(self) -> "StripState":
         return StripState(self.V.copy(), self.w.copy(), self.rho.copy(), self.eta0.copy(), self.t)
-
-    def shifted(self, tend: "Tendencies", dt: float) -> "StripState":
-        return StripState(
-            self.V + dt * tend.dV,
-            self.w + dt * tend.dw,
-            self.rho + dt * tend.drho,
-            self.eta0 + dt * tend.deta0,
-            self.t + dt,
-        )
 
     def max_speed(self) -> tuple[float, float]:
         return float(np.abs(self.V).max()), float(np.abs(self.w).max())
@@ -143,40 +142,24 @@ def assemble_pressure_problem(
     for i in range(grid.d):
         metric_term -= kappa_dot[i] * spectral.dr(grid, state.V[i])
 
-    source = mu * (ops.div_phi(B_V, B_w) + metric_term)
-    bottom = mu * (B_w[0] - np.sum(diffeo.bottom_gradient * B_V[:, 0], axis=0))
+    problem = closure_problem(diffeo, params, nu, B_V, B_w, metric_term)
 
     # divergence-form source vector, for inspection and entry-wise tests:
     # R = (sqrt(mu) h G_V ; mu G_w - mu grad_sigma . G_V) with G the
     # d_t^phi-form tendencies (no metric-motion correction)
-    R = None
     if with_R:
         G_V = np.stack(
             [B_V[i] - spectral.quadratic(grid, tcorr, spectral.dr(grid, state.V[i])) for i in range(grid.d)]
         )
         G_w = B_w - spectral.quadratic(grid, tcorr, spectral.dr(grid, state.w))
-        R = np.concatenate(
+        problem.R = np.concatenate(
             [
                 np.sqrt(mu) * h * G_V,
                 (mu * G_w - mu * np.sum(diffeo.grad_sum * G_V, axis=0))[None],
             ],
             axis=0,
         )
-
-    problem = EllipticProblem(
-        grid=grid,
-        ops=ops,
-        mu=mu,
-        rho_bar=params.rho_bar,
-        nu=nu,
-        h_tot=np.broadcast_to(h, (grid.n_r + 1,) + grid.xshape),
-        grad_sum=diffeo.grad_sum,
-        bottom_slope=diffeo.bottom_gradient,
-        source=source,
-        bottom_data=bottom,
-        R=R,
-    )
-    aux = {"B_V": B_V, "B_w": B_w, "drho": drho, "deta0": deta0, "nu": nu}
+    aux = {"B_V": B_V, "B_w": B_w, "drho": drho, "deta0": deta0}
     return problem, aux
 
 
@@ -195,15 +178,7 @@ def euler_rhs(
     x0, when given) as part of the evaluation."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
     problem, aux = assemble_pressure_problem(state, diffeo, params)
-    info = SolveInfo(0, 0.0)
-    P = solve_pressure(problem, info=info, x0=x0)
-
-    ops = diffeo.ops
-    nu = aux["nu"]
-    gradP = ops.grad_phi(P)
-    dV = np.stack([aux["B_V"][i] - nu * gradP[i] for i in range(diffeo.grid.d)])
-    dw = aux["B_w"] - nu * ops.dr_phi(P) / params.mu
-
+    dV, dw, P, info = solve_closure(problem, aux["B_V"], aux["B_w"], x0=x0)
     checks = (
         float(np.abs(dV).max()) + float(np.abs(dw).max())
         + float(np.abs(aux["drho"]).max()) + float(np.abs(aux["deta0"]).max())
@@ -242,30 +217,11 @@ def divergence_report(state: StripState, bathymetry: Bathymetry, params: PhysPar
 def project_divergence_free(
     state: StripState, bathymetry: Bathymetry, params: PhysParams, rtol: float = 1e-12
 ) -> StripState:
-    """Remove the discrete divergence and restore bottom impermeability by an
-    auxiliary solve with the pressure operator (Dirichlet top)."""
+    """Remove the discrete divergence and restore bottom impermeability: the
+    pressure closure with B = (V, w), solved to rtol (Dirichlet top)."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
-    grid = diffeo.grid
-    ops = diffeo.ops
-    nu = _nu(state, params)
-    div = ops.div_phi(state.V, state.w)
-    bottom = state.w[0] - np.sum(diffeo.bottom_gradient * state.V[:, 0], axis=0)
-    problem = EllipticProblem(
-        grid=grid,
-        ops=ops,
-        mu=params.mu,
-        rho_bar=params.rho_bar,
-        nu=nu,
-        h_tot=np.broadcast_to(diffeo.h_tot, (grid.n_r + 1,) + grid.xshape),
-        grad_sum=diffeo.grad_sum,
-        bottom_slope=diffeo.bottom_gradient,
-        source=params.mu * div,
-        bottom_data=params.mu * bottom,
-    )
-    chi = solve_pressure(problem, rtol=rtol)
-    gradchi = ops.grad_phi(chi)
-    V = np.stack([state.V[i] - nu * gradchi[i] for i in range(grid.d)])
-    w = state.w - nu * ops.dr_phi(chi) / params.mu
+    problem = closure_problem(diffeo, params, _nu(state, params), state.V, state.w)
+    V, w, _, _ = solve_closure(problem, state.V, state.w, rtol=rtol)
     return StripState(V, w, state.rho.copy(), state.eta0.copy(), state.t)
 
 
@@ -294,27 +250,46 @@ def step_rk4(
         limit = cfl_dt(state, bathymetry, params, factor=0.5)
         if dt > limit:
             raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
-    k1 = euler_rhs(state, bathymetry, params)
-    k2 = euler_rhs(state.shifted(k1, 0.5 * dt), bathymetry, params, x0=k1.P)
-    k3 = euler_rhs(state.shifted(k2, 0.5 * dt), bathymetry, params, x0=k2.P)
-    k4 = euler_rhs(state.shifted(k3, dt), bathymetry, params, x0=k3.P)
-    new = StripState(
-        state.V + (dt / 6.0) * (k1.dV + 2.0 * k2.dV + 2.0 * k3.dV + k4.dV),
-        state.w + (dt / 6.0) * (k1.dw + 2.0 * k2.dw + 2.0 * k3.dw + k4.dw),
-        state.rho + (dt / 6.0) * (k1.drho + 2.0 * k2.drho + 2.0 * k3.drho + k4.drho),
-        state.eta0 + (dt / 6.0) * (k1.deta0 + 2.0 * k2.deta0 + 2.0 * k3.deta0 + k4.deta0),
-        state.t + dt,
-    )
+    new = rk4(state, dt, lambda st, k: euler_rhs(st, bathymetry, params, x0=None if k is None else k.P))
     if project:
         new = project_divergence_free(new, bathymetry, params)
     return new
 
 
+def _advanced(state) -> list:
+    """Fields an integrator advances: all but the time t."""
+    return [f.name for f in fields(state) if f.name != "t"]
+
+
+def shifted(state, k, h: float):
+    """state + h k over dataclass fields: each field f advances by the
+    tendency field df of k, and t by h."""
+    new = {f: getattr(state, f) + h * getattr(k, "d" + f) for f in _advanced(state)}
+    return replace(state, t=state.t + h, **new)
+
+
+def rk4(state, dt: float, rhs):
+    """Classical four-stage step of a dataclass state (see ``shifted``);
+    ``rhs(state, k_prev)`` also receives the previous stage's tendencies
+    (None at the first stage), from which a solve can warm-start."""
+    k1 = rhs(state, None)
+    k2 = rhs(shifted(state, k1, 0.5 * dt), k1)
+    k3 = rhs(shifted(state, k2, 0.5 * dt), k2)
+    k4 = rhs(shifted(state, k3, dt), k3)
+
+    def combined(d):
+        return getattr(k1, d) + 2.0 * getattr(k2, d) + 2.0 * getattr(k3, d) + getattr(k4, d)
+
+    new = {f: getattr(state, f) + (dt / 6.0) * combined("d" + f) for f in _advanced(state)}
+    return replace(state, t=state.t + dt, **new)
+
+
 # -- vorticity -------------------------------------------------------------------
 
 
-def vorticity(state: StripState, diffeo: DiffeoFields, params: PhysParams) -> VorticityField:
-    """Scaled curl of (V, w) in sigma coordinates."""
+def vorticity(state, diffeo, params: PhysParams) -> VorticityField:
+    """Scaled curl of (V, w) in the coordinates of ``diffeo`` (any coordinate
+    map with grid and ops: a DiffeoFields or the mollified scheme's map)."""
     ops = diffeo.ops
     sq = params.sqrt_mu
     if diffeo.grid.d == 1:

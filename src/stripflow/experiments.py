@@ -5,6 +5,7 @@ error, 3 solver halt, 4 rate-fit failure."""
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from .dynamics import StripState, init_from_streamfunction
 from .errors import StripflowError
 from .geometry import Bathymetry, PhysParams
 from .grid import StripGrid
-from .mollified import MollParams, from_strip_state, run_moll, terminal_distance
+from .mollified import MollParams, from_strip_state, run_moll
 from .runner import simulate
 
 
@@ -40,9 +41,7 @@ def sw_initial(grid: StripGrid, eta_amp: float, v_amp: float, mode: int = 1) -> 
     return sw
 
 
-def build_initial(
-    cfg: ExperimentConfig, grid: StripGrid, params: PhysParams, bath: Bathymetry, rng: np.random.Generator
-):
+def build_initial(cfg: ExperimentConfig, grid: StripGrid, params: PhysParams, bath: Bathymetry):
     """Initial strip state per the configured recipe; returns the paired
     shallow-water state for the comparison pipeline when one exists."""
     recipe = cfg["initial.recipe"]
@@ -82,54 +81,68 @@ def build_initial(
     return state, sw, achieved
 
 
-def run_single(cfg: ExperimentConfig, out_dir, seed: int, verbose: bool = False) -> tuple[int, dict]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _direct_run(cfg: ExperimentConfig, params: PhysParams, T: float):
+    """The direct-scheme run of `run` and of the mu and log-horizon sweep
+    members: build grid, bathymetry and initial data, simulate to T with the
+    run.* settings, and collect the results rows.  Returns (record, rows,
+    well-prepared sum, bathymetry); a package error before the first step
+    propagates."""
     grid = cfg.grid()
-    params = cfg.params()
     bath = build_bathymetry(cfg, grid)
-    rng = np.random.default_rng(seed)
-
-    try:
-        state, sw, achieved = build_initial(cfg, grid, params, bath, rng)
-    except StripflowError as exc:
-        io.write_manifest(out / "manifest.txt", cfg.dump(), seed, f"init-failed: {exc}")
-        return 3, {"status": f"init-failed: {exc}"}
-
-    if cfg["scheme.kind"] == "mollified":
-        moll = MollParams(cfg["scheme.iota1"], cfg["scheme.iota2"], cfg["scheme.iota3"])
-        slag = from_strip_state(state, bath, params)
-        traj = run_moll(slag, moll, bath, params, cfg["run.T"], s=cfg["run.s"])
-        with io.ResultsWriter(out / "results.txt") as w:
-            for t, E in zip(traj.times, traj.energies):
-                w.row(params, t, energy=E)
-        io.write_manifest(
-            out / "manifest.txt", cfg.dump(), seed, traj.status,
-            {"scheme": "mollified", "final_t": traj.final.t},
-        )
-        return (0 if traj.status == "Continue" else 3), {"status": traj.status}
-
+    state, sw, achieved = build_initial(cfg, grid, params, bath)
     dt = cfg["run.dt"] if cfg["run.dt"] > 0 else None
     rec = simulate(
-        state, bath, params, cfg["run.T"], dt=dt, cfl_factor=cfg["run.cfl"],
+        state, bath, params, T, dt=dt, cfl_factor=cfg["run.cfl"],
         s=cfg["run.s"], s0=cfg["run.s0"], cadence=cfg["run.cadence"], sw=sw,
         norm_factor=cfg["limits.norm_factor"],
     )
+    rows = [(params, t, rec.reports[i], rec.comparisons[i] if rec.comparisons else None)
+            for i, t in enumerate(rec.times)]
+    return rec, rows, achieved, bath
+
+
+def run_single(cfg: ExperimentConfig, out_dir, verbose: bool = False) -> tuple[int, dict]:
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    params = cfg.params()
+    try:
+        if cfg["scheme.kind"] == "mollified":
+            return _run_mollified(cfg, params, out)
+        rec, rows, achieved, bath = _direct_run(cfg, params, cfg["run.T"])
+    except StripflowError as exc:
+        io.write_manifest(out / "manifest.txt", cfg.dump(), f"init-failed: {exc}")
+        return 3, {"status": f"init-failed: {exc}"}
+
     with io.ResultsWriter(out / "results.txt") as w:
-        for i, t in enumerate(rec.times):
-            comp = rec.comparisons[i] if rec.comparisons else None
-            w.row(params, t, rec.reports[i], comp)
+        for row in rows:
+            w.row(*row)
     io.save_snapshot(out / ("final." + ("npz" if cfg["output.format"] == "npz" else "txt")),
-                     rec.final, grid, params, cfg["output.format"])
+                     rec.final, bath.grid, params, cfg["output.format"])
     extra = {"final_t": rec.final.t, "n_steps": rec.n_steps, "dt": rec.dt,
              "mean_eta0_drift": rec.mean_eta0_drift}
     if achieved is not None:
         extra["well_prepared_sum"] = achieved
-    io.write_manifest(out / "manifest.txt", cfg.dump(), seed, rec.status, extra)
+    io.write_manifest(out / "manifest.txt", cfg.dump(), rec.status, extra)
     if verbose:
         _dump_solver_debug(out / "solver_debug.txt", rec.final, bath, params)
         print(f"[run] status={rec.status} steps={rec.n_steps} wall={rec.wall_time:.1f}s")
     return (0 if rec.status == "Continue" else 3), {"status": rec.status, "record": rec}
+
+
+def _run_mollified(cfg: ExperimentConfig, params: PhysParams, out: Path) -> tuple[int, dict]:
+    grid = cfg.grid()
+    bath = build_bathymetry(cfg, grid)
+    state, _, _ = build_initial(cfg, grid, params, bath)
+    moll = MollParams(cfg["scheme.iota1"], cfg["scheme.iota2"], cfg["scheme.iota3"])
+    traj = run_moll(from_strip_state(state, bath, params), moll, bath, params, cfg["run.T"], s=cfg["run.s"])
+    with io.ResultsWriter(out / "results.txt") as w:
+        for t, E in zip(traj.times, traj.energies):
+            w.row(params, t, energy=E)
+    io.write_manifest(
+        out / "manifest.txt", cfg.dump(), traj.status,
+        {"scheme": "mollified", "final_t": traj.final.t},
+    )
+    return (0 if traj.status == "Continue" else 3), {"status": traj.status}
 
 
 def _dump_solver_debug(path, state, bath, params):
@@ -147,44 +160,21 @@ def _dump_solver_debug(path, state, bath, params):
         fh.write(f"{state.t:.6f} {problem.A_eigen_min():.6e} {info.iterations} {info.residual:.3e}\n")
 
 
-def _mu_member(args):
-    cfg_text, mu, seed, track_delta = args
-    cfg = ExperimentConfig.from_text(cfg_text)
-    grid = cfg.grid()
-    params = cfg.params(mu=mu, delta=(mu if track_delta else None))
-    bath = build_bathymetry(cfg, grid)
-    rng = np.random.default_rng(seed)
-    try:
-        state, sw, achieved = build_initial(cfg, grid, params, bath, rng)
-    except StripflowError as exc:
-        return {"mu": mu, "error": float("nan"), "status": type(exc).__name__,
-                "rows": [], "achieved": None, "drift": float("nan")}
-    dt = cfg["run.dt"] if cfg["run.dt"] > 0 else None
-    rec = simulate(
-        state, bath, params, cfg["run.T"], dt=dt, cfl_factor=cfg["run.cfl"],
-        s=cfg["run.s"], s0=cfg["run.s0"], cadence=cfg["run.cadence"], sw=sw,
-        norm_factor=cfg["limits.norm_factor"],
-    )
+def _mu_member(cfg: ExperimentConfig, mu: float) -> dict:
+    params = cfg.params(mu=mu, delta=(mu if cfg["sweep.delta_tracks_mu"] else None))
+    rec, rows, achieved, _ = _direct_run(cfg, params, cfg["run.T"])
     comp = rec.comparisons[-1] if rec.comparisons else None
-    err = comp.err_total if comp is not None else float("nan")
-    rows = []
-    for i, t in enumerate(rec.times):
-        c = rec.comparisons[i] if rec.comparisons else None
-        rows.append((params, t, rec.reports[i], c))
     return {
-        "mu": mu, "error": err, "status": rec.status, "rows": rows,
-        "achieved": achieved, "drift": rec.mean_eta0_drift,
+        "mu": mu, "error": comp.err_total if comp is not None else float("nan"),
+        "status": rec.status, "rows": rows, "achieved": achieved, "drift": rec.mean_eta0_drift,
     }
 
 
-def _iota_member(args):
-    cfg_text, iota3, seed = args
-    cfg = ExperimentConfig.from_text(cfg_text)
+def _iota_member(cfg: ExperimentConfig, iota3: float) -> dict:
     grid = cfg.grid()
     params = cfg.params()
     bath = build_bathymetry(cfg, grid)
-    rng = np.random.default_rng(seed)
-    state, _, _ = build_initial(cfg, grid, params, bath, rng)
+    state, _, _ = build_initial(cfg, grid, params, bath)
     T = cfg["run.T"]
     moll0 = MollParams(cfg["scheme.iota1"], cfg["scheme.iota2"], 0.0)
     base_dt = mollified.cfl_dt_slag(from_strip_state(state, bath, params),
@@ -196,70 +186,67 @@ def _iota_member(args):
                   MollParams(cfg["scheme.iota1"], cfg["scheme.iota2"], iota3),
                   bath, params, T, dt=dt, s=cfg["run.s"])
     dist = mollified.terminal_distance(tr.final, mollified.slag_to_sigma(ref.final, bath, params), bath, params)
-    return {"iota3": iota3, "error": dist, "status": tr.status, "rows": []}
+    status = tr.status if ref.status == "Continue" else ref.status
+    return {"iota3": iota3, "error": dist, "status": status, "rows": []}
 
 
-def _log_horizon_member(args):
-    cfg_text, eps, seed = args
-    cfg = ExperimentConfig.from_text(cfg_text)
-    grid = cfg.grid()
-    mu = eps * eps
+def _horizon(cfg: ExperimentConfig, eps: float) -> float:
+    return cfg["run.T"] * np.log(1.0 / eps)
+
+
+def _log_horizon_member(cfg: ExperimentConfig, eps: float) -> dict:
     base = cfg.params()
-    params = PhysParams(
-        eps=eps, beta=base.beta, mu=mu, delta=min(base.delta, mu), g=base.g,
-        rho_bar=base.rho_bar, h_min=base.h_min, h_max=base.h_max, c_star=base.c_star,
-    )
-    bath = build_bathymetry(cfg, grid)
-    rng = np.random.default_rng(seed)
-    horizon = cfg["run.T"] * np.log(1.0 / eps)
+    params = replace(base, eps=eps, mu=eps * eps, delta=min(base.delta, eps * eps))
+    rec, rows, _, _ = _direct_run(cfg, params, _horizon(cfg, eps))
+    return {"eps": eps, "error": float("nan"), "status": rec.status, "rows": rows, "final_t": rec.final.t}
+
+
+# sweep axis -> (member function, key of the member's axis value)
+_AXES = {
+    "mu": (_mu_member, "mu"),
+    "iota3": (_iota_member, "iota3"),
+    "log_horizon": (_log_horizon_member, "eps"),
+}
+
+
+def _member(args) -> dict:
+    """One sweep member; a package error anywhere in it becomes the member's
+    status, so one bad member cannot take down the sweep or its worker pool."""
+    axis, cfg_text, value = args
+    worker, key = _AXES[axis]
     try:
-        state, sw, achieved = build_initial(cfg, grid, params, bath, rng)
+        return worker(ExperimentConfig.from_text(cfg_text), value)
     except StripflowError as exc:
-        return {"eps": eps, "error": float("nan"), "status": type(exc).__name__,
-                "rows": [], "horizon": horizon, "final_t": 0.0}
-    rec = simulate(
-        state, bath, params, horizon, cfl_factor=cfg["run.cfl"], s=cfg["run.s"],
-        s0=cfg["run.s0"], cadence=cfg["run.cadence"], sw=sw,
-        norm_factor=cfg["limits.norm_factor"],
-    )
-    rows = [(params, t, rec.reports[i], rec.comparisons[i] if rec.comparisons else None)
-            for i, t in enumerate(rec.times)]
-    return {"eps": eps, "error": float("nan"), "status": rec.status,
-            "rows": rows, "horizon": horizon, "final_t": rec.final.t}
+        return {key: value, "error": float("nan"), "status": type(exc).__name__,
+                "rows": [], "final_t": 0.0}
 
 
-def sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1, seed: int = 0, verbose: bool = False) -> tuple[int, dict]:
+def sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1, verbose: bool = False) -> tuple[int, dict]:
     """Run the configured axis members (parallelizable), collate terminal
     errors, fit the rate, and write the summary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     axis = cfg["sweep.axis"]
-    values = sorted(cfg["sweep.values"], reverse=True)
-    if axis == "mu":
-        worker, args = _mu_member, [(cfg.text, v, seed, cfg["sweep.delta_tracks_mu"]) for v in values]
-    elif axis == "iota3":
-        worker, args = _iota_member, [(cfg.text, v, seed) for v in values]
-    elif axis == "log_horizon":
-        worker, args = _log_horizon_member, [(cfg.text, v, seed) for v in values]
-    else:
+    if axis not in _AXES:
         raise StripflowError(f"unknown sweep axis {axis!r}")
+    key = _AXES[axis][1]
+    args = [(axis, cfg.text, v) for v in sorted(cfg["sweep.values"], reverse=True)]
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            members = list(pool.map(worker, args))
+            members = list(pool.map(_member, args))
     else:
-        members = [worker(a) for a in args]
+        members = [_member(a) for a in args]
 
     with io.ResultsWriter(out / "results.txt") as w:
         for m in members:
-            for params, t, rep, comp in m.get("rows", []):
-                w.row(params, t, rep, comp)
+            for row in m["rows"]:
+                w.row(*row)
 
     ok = [m for m in members if m["status"] == "Continue"]
     failed = [m for m in members if m["status"] != "Continue"]
     summary = {"members": members, "excluded": len(failed)}
     code = 0
-    key = "iota3" if axis == "iota3" else "mu"
     if axis in ("mu", "iota3") and len(ok) >= 3:
         fit = fit_rate([(m[key], m["error"]) for m in ok])
         io.write_rate_summary(out / "rates.txt", axis, [m[key] for m in ok],
@@ -268,18 +255,17 @@ def sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1, seed: int = 0, verbose:
         if not (cfg["rate.min"] <= fit.slope <= cfg["rate.max"]) or fit.degenerate:
             code = 4
     elif axis == "log_horizon":
-        flags = [m["status"] for m in members]
         with open(out / "horizon.txt", "w") as fh:
             fh.write("# eps horizon final_t status\n")
             for m in members:
-                fh.write(f"{m['eps']} {m['horizon']:.6f} {m['final_t']:.6f} {m['status']}\n")
-        if any(f != "Continue" for f in flags):
+                fh.write(f"{m['eps']} {_horizon(cfg, m['eps']):.6f} {m['final_t']:.6f} {m['status']}\n")
+        if failed:
             code = 3
     elif failed:
         code = 3
-    io.write_manifest(out / "manifest.txt", cfg.dump(), seed, f"exit={code}",
+    io.write_manifest(out / "manifest.txt", cfg.dump(), f"exit={code}",
                       {"axis": axis, "members": len(members), "excluded": len(failed)})
     if verbose:
         for m in members:
-            print(f"[sweep] {axis}={m.get(axis, m.get('mu'))} err={m['error']:.3e} status={m['status']}")
+            print(f"[sweep] {axis}={m[key]} err={m['error']:.3e} status={m['status']}")
     return code, summary

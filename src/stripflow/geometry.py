@@ -4,7 +4,7 @@ good-unknown correction used by the high-order diagnostics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -164,7 +164,6 @@ class DiffeoFields:
     params: PhysParams
     bathymetry: Bathymetry
     eta0: np.ndarray
-    dt_eta0: np.ndarray | None = None
 
     @cached_property
     def eta_bar(self) -> np.ndarray:
@@ -213,16 +212,8 @@ class DiffeoFields:
         """Physical heights of the grid nodes, eta_bar + eps*eta."""
         return self.eta_bar + self.params.eps * self.eta
 
-    def time_shifted(self, eta0: np.ndarray, dt_eta0: np.ndarray | None = None) -> "DiffeoFields":
-        return DiffeoFields(self.grid, self.params, self.bathymetry, eta0, dt_eta0)
 
-
-def build_diffeo(
-    bathymetry: Bathymetry,
-    eta0: np.ndarray,
-    params: PhysParams,
-    dt_eta0: np.ndarray | None = None,
-) -> DiffeoFields:
+def build_diffeo(bathymetry: Bathymetry, eta0: np.ndarray, params: PhysParams) -> DiffeoFields:
     """Assemble the metric fields and enforce the depth window."""
     grid = bathymetry.grid
     if eta0.shape != grid.xshape:
@@ -230,7 +221,7 @@ def build_diffeo(
     depth = 1.0 - params.beta * bathymetry.values + params.eps * eta0
     if depth.min() <= 0.0:
         raise DegenerateDepth(f"min depth {depth.min():.3e} <= 0")
-    return DiffeoFields(grid, params, bathymetry, eta0, dt_eta0)
+    return DiffeoFields(grid, params, bathymetry, eta0)
 
 
 def sigma_grad(f: np.ndarray, diffeo: DiffeoFields) -> tuple[np.ndarray, np.ndarray]:
@@ -239,13 +230,13 @@ def sigma_grad(f: np.ndarray, diffeo: DiffeoFields) -> tuple[np.ndarray, np.ndar
     return diffeo.ops.grad_phi(f), diffeo.ops.dr_phi(f)
 
 
-def alinhac_unknown(f: np.ndarray, s: float, diffeo: DiffeoFields) -> np.ndarray:
+def alinhac_unknown(f: np.ndarray, s: float, diffeo) -> np.ndarray:
     """Good unknown f^(s): the dotted multiplier of order s applied to f,
     corrected by the metric so high-order derivatives commute with grad_phi
-    up to O(eps v beta) remainders."""
+    up to O(eps v beta) remainders.  ``diffeo`` is any coordinate map with
+    grid, h_tot and the node heights z_nodes()."""
     grid = diffeo.grid
-    sigma = diffeo.eta_bar + diffeo.params.eps * diffeo.eta
-    correction = spectral.lambda_pow(grid, sigma, s, dotted=True) / diffeo.h_tot
+    correction = spectral.lambda_pow(grid, diffeo.z_nodes(), s, dotted=True) / diffeo.h_tot
     return spectral.lambda_pow(grid, f, s, dotted=True) - correction * spectral.dr(grid, f)
 
 

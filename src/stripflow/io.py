@@ -148,12 +148,11 @@ def content_hash(*chunks) -> str:
     return h.hexdigest()[:16]
 
 
-def write_manifest(path, config_text: str, seed: int, status: str, extra: dict | None = None):
+def write_manifest(path, config_text: str, status: str, extra: dict | None = None):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(f"hash = {content_hash(config_text, seed)}\n")
-        fh.write(f"seed = {seed}\n")
+        fh.write(f"hash = {content_hash(config_text)}\n")
         fh.write(f"status = {status}\n")
         for k, v in (extra or {}).items():
             fh.write(f"{k} = {v}\n")

@@ -18,11 +18,12 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import spectral
-from .dynamics import StripState
-from .errors import BlowUpSuspected, DegenerateDiffeo, InterpolationOutOfRange
+from .diagnostics import good_unknown_energy, vorticity_norm
+from .dynamics import StripState, rk4, vorticity
+from .errors import BlowUpSuspected, DegenerateDiffeo, InterpolationOutOfRange, StripflowError
 from .geometry import Bathymetry, PhysParams, SigmaOps, build_diffeo
 from .grid import StripGrid
-from .pressure import EllipticProblem, SolveInfo, solve_pressure
+from .pressure import SolveInfo, closure_problem, solve_closure
 
 
 @dataclass
@@ -52,16 +53,6 @@ class SlagState:
             self.V.copy(), self.w.copy(), self.rho.copy(), self.H.copy(), self.eta0.copy(), self.t
         )
 
-    def shifted(self, k: "SlagTendencies", dt: float) -> "SlagState":
-        return SlagState(
-            self.V + dt * k.dV,
-            self.w + dt * k.dw,
-            self.rho + dt * k.drho,
-            self.H + dt * k.dH,
-            self.eta0 + dt * k.deta0,
-            self.t + dt,
-        )
-
 
 @dataclass
 class SlagTendencies:
@@ -84,19 +75,16 @@ class SlagMetric:
         self.h_tot = 1.0 + spectral.dr(grid, H)
         if self.h_tot.min() <= h_star:
             raise DegenerateDiffeo(f"layer thickness reached {self.h_tot.min():.3e}")
-        self.grad_H = spectral.dx(grid, H)
+        self.grad_sum = spectral.dx(grid, H)
+        self.bottom_gradient = self.grad_sum[:, 0]
 
     @cached_property
     def ops(self) -> SigmaOps:
-        return SigmaOps(self.grid, self.grad_H / self.h_tot, 1.0 / self.h_tot)
+        return SigmaOps(self.grid, self.grad_sum / self.h_tot, 1.0 / self.h_tot)
 
-    @property
-    def bottom_gradient(self) -> np.ndarray:
-        return self.grad_H[:, 0]
-
-    @property
-    def surface_gradient(self) -> np.ndarray:
-        return self.grad_H[:, -1]
+    def z_nodes(self) -> np.ndarray:
+        """Physical heights of the grid nodes, r + H."""
+        return self.grid.r_column(self.grid.r) + self.H
 
 
 def from_strip_state(state: StripState, bathymetry: Bathymetry, params: PhysParams) -> SlagState:
@@ -172,27 +160,8 @@ def slag_rhs(
     for i in range(grid.d):
         metric_term -= kappa_dot[i] * spectral.dr(grid, state.V[i])
 
-    source = mu * (ops.div_phi(B_V, B_w) + metric_term)
-    bottom = mu * (B_w[0] - np.sum(metric.bottom_gradient * B_V[:, 0], axis=0))
-
-    problem = EllipticProblem(
-        grid=grid,
-        ops=ops,
-        mu=mu,
-        rho_bar=rb,
-        nu=np.broadcast_to(nu, (grid.n_r + 1,) + grid.xshape),
-        h_tot=h,
-        grad_sum=metric.grad_H,
-        bottom_slope=metric.bottom_gradient,
-        source=source,
-        bottom_data=bottom,
-    )
-    info = SolveInfo(0, 0.0)
-    P = solve_pressure(problem, info=info, x0=x0)
-    gradP = ops.grad_phi(P)
-    dV = np.stack([B_V[i] - nu * gradP[i] for i in range(grid.d)])
-    dw = B_w - nu * ops.dr_phi(P) / mu
-
+    problem = closure_problem(metric, params, nu, B_V, B_w, metric_term)
+    dV, dw, P, info = solve_closure(problem, B_V, B_w, x0=x0)
     if not np.isfinite(
         np.abs(dV).max() + np.abs(dw).max() + np.abs(drho).max() + np.abs(deta0).max()
     ):
@@ -203,18 +172,9 @@ def slag_rhs(
 def step_rk4_slag(
     state: SlagState, dt: float, moll: MollParams, bathymetry: Bathymetry, params: PhysParams
 ) -> SlagState:
-    k1 = slag_rhs(state, moll, bathymetry, params)
-    k2 = slag_rhs(state.shifted(k1, 0.5 * dt), moll, bathymetry, params, x0=k1.P)
-    k3 = slag_rhs(state.shifted(k2, 0.5 * dt), moll, bathymetry, params, x0=k2.P)
-    k4 = slag_rhs(state.shifted(k3, dt), moll, bathymetry, params, x0=k3.P)
-    return SlagState(
-        state.V + (dt / 6.0) * (k1.dV + 2 * k2.dV + 2 * k3.dV + k4.dV),
-        state.w + (dt / 6.0) * (k1.dw + 2 * k2.dw + 2 * k3.dw + k4.dw),
-        state.rho + (dt / 6.0) * (k1.drho + 2 * k2.drho + 2 * k3.drho + k4.drho),
-        state.H + (dt / 6.0) * (k1.dH + 2 * k2.dH + 2 * k3.dH + k4.dH),
-        state.eta0 + (dt / 6.0) * (k1.deta0 + 2 * k2.deta0 + 2 * k3.deta0 + k4.deta0),
-        state.t + dt,
-    )
+    """One RK4 step; each stage's pressure solve starts from the previous
+    stage's pressure."""
+    return rk4(state, dt, lambda st, k: slag_rhs(st, moll, bathymetry, params, x0=None if k is None else k.P))
 
 
 def cfl_dt_slag(
@@ -233,40 +193,20 @@ def cfl_dt_slag(
     return dt
 
 
-def _good_unknown(grid: StripGrid, f: np.ndarray, s: float, metric: SlagMetric) -> np.ndarray:
-    corr = spectral.lambda_pow(grid, metric.H, s, dotted=True) / metric.h_tot
-    return spectral.lambda_pow(grid, f, s, dotted=True) - corr * spectral.dr(grid, f)
-
-
 def moll_energy(
     state: SlagState, moll: MollParams, bathymetry: Bathymetry, params: PhysParams, s: float
 ) -> float:
-    """Scheme energy: weighted good unknowns built from the transported map,
-    the dispersive surface weight g rho_bar + iota3 * half-derivative
-    multiplier, and the vorticity norm."""
+    """Scheme energy: the weighted good unknowns of the transported map, the
+    dispersive surface weight g rho_bar + iota3 * half-derivative multiplier,
+    and the vorticity norm."""
     grid = bathymetry.grid
     metric = SlagMetric(grid, state.H)
-    mu, sq = params.mu, params.sqrt_mu
-    rho_tot = params.rho_bar + params.eps * params.delta * state.rho
-    h = metric.h_tot
-    total = 0.0
-    for i in range(grid.d):
-        total += spectral.l2_strip(grid, np.sqrt(h * rho_tot) * _good_unknown(grid, state.V[i], s, metric)) ** 2
-    total += spectral.l2_strip(grid, np.sqrt(mu * h * rho_tot) * _good_unknown(grid, state.w, s, metric)) ** 2
-    total += spectral.l2_strip(grid, np.sqrt(mu * h) * _good_unknown(grid, state.rho, s, metric)) ** 2
+    total = good_unknown_energy(state, metric, params, s)
     eta_s = spectral.lambda_pow(grid, state.eta0, s, dotted=True)
     sym = params.g * params.rho_bar + moll.iota3 * (1.0 + grid.k_abs**2) ** 0.25
     weighted = spectral.apply_multiplier(grid, eta_s, sym)
     total += spectral.l2_surface(grid, weighted) ** 2
-    ops = metric.ops
-    if grid.d == 1:
-        om = ops.dr_phi(state.V[0]) / sq - sq * ops.grad_phi(state.w)[0]
-        total += spectral.field_norm(grid, om, s - 1) ** 2
-    else:
-        gw = ops.grad_phi(state.w)
-        omx = np.stack([-ops.dr_phi(state.V[1]) / sq + sq * gw[1], ops.dr_phi(state.V[0]) / sq - sq * gw[0]])
-        omr = ops.grad_phi(state.V[1])[0] - ops.grad_phi(state.V[0])[1]
-        total += spectral.stack_norm(grid, [omx[0], omx[1], omr], s - 1) ** 2
+    total += vorticity_norm(grid, vorticity(state, metric, params), s - 1) ** 2
     return total
 
 
@@ -288,7 +228,9 @@ def run_moll(
     s: float = 4.0,
     cadence: int = 10,
 ) -> MollTrajectory:
-    """RK4 trajectory of the mollified system, recording the scheme energy."""
+    """RK4 trajectory of the mollified system, recording the scheme energy.
+    A package error in a step or in a cadence energy halts the run with the
+    error's name as the status."""
     state = initial.copy()
     if dt is None:
         dt = cfl_dt_slag(state, moll, bathymetry, params)
@@ -300,16 +242,17 @@ def run_moll(
     for step in range(n_steps):
         try:
             state = step_rk4_slag(state, dt, moll, bathymetry, params)
-        except (BlowUpSuspected, DegenerateDiffeo) as exc:
+            if (step + 1) % cadence != 0 and step != n_steps - 1:
+                continue
+            E = moll_energy(state, moll, bathymetry, params, s)
+        except StripflowError as exc:
             status = type(exc).__name__
             break
-        if (step + 1) % cadence == 0 or step == n_steps - 1:
-            E = moll_energy(state, moll, bathymetry, params, s)
-            times.append(state.t)
-            energies.append(E)
-            if not np.isfinite(E):
-                status = "NormBlowup"
-                break
+        times.append(state.t)
+        energies.append(E)
+        if not np.isfinite(E):
+            status = "NormBlowup"
+            break
     return MollTrajectory(times, energies, state, status)
 
 

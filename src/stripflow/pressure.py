@@ -1,4 +1,4 @@
-"""Variable-coefficient anisotropic elliptic solve defining the pressure.
+"""The pressure closure: a variable-coefficient anisotropic elliptic solve.
 
 The discrete operator is the composition
 
@@ -13,12 +13,18 @@ positivity checks and the mode-wise preconditioner, while the solve itself
 uses the composed form (it is the one that makes the prognostic tendencies
 preserve the discrete divergence).
 
+Every solver closes its non-pressure tendencies (B_V, B_w) the same way:
+``closure_problem`` poses the source mu div_phi B (plus the metric motion of
+a moving map) with bottom data mu (B_w - grad b . B_V), and ``solve_closure``
+applies the correction B_V - nu grad_phi P, B_w - nu dr_phi P / mu.  The
+projection is the same closure with B = (V, w) and no metric term.
+
 Krylov: GMRES preconditioned by the exact inverse of the flat-metric
 operator: per-mode real inverses of the vertical problem, applied to the
 stacked real and imaginary parts of every horizontal Fourier mode as one
 batched matmul.  The preconditioner carries the same mu, which keeps
-iteration counts uniform in the shallow-water parameter.  The RK integrators
-warm-start each stage's solve from the previous stage's pressure; the
+iteration counts uniform in the shallow-water parameter.  The RK integrator
+warm-starts each stage's solve from the previous stage's pressure; the
 stopping test stays relative to the right-hand side, so the accuracy does not
 depend on the initial guess.
 """
@@ -126,6 +132,45 @@ def _as_strip(grid: StripGrid, f) -> np.ndarray:
     return np.broadcast_to(np.asarray(f, dtype=float), shape)
 
 
+def _problem(metric, params: PhysParams, nu, source, bottom_data, R=None) -> EllipticProblem:
+    """The problem on a coordinate map ``metric`` (anything with grid, ops,
+    h_tot, grad_sum and bottom_gradient)."""
+    grid = metric.grid
+    return EllipticProblem(
+        grid=grid,
+        ops=metric.ops,
+        mu=params.mu,
+        rho_bar=params.rho_bar,
+        nu=_as_strip(grid, nu),
+        h_tot=_as_strip(grid, metric.h_tot),
+        grad_sum=metric.grad_sum,
+        bottom_slope=metric.bottom_gradient,
+        source=source,
+        bottom_data=bottom_data,
+        R=R,
+    )
+
+
+def closure_problem(metric, params: PhysParams, nu, B_V, B_w, metric_term=0.0) -> EllipticProblem:
+    """Pressure problem that keeps B_V - nu grad_phi P, B_w - nu dr_phi P / mu
+    divergence-free and impermeable at the bottom; ``metric_term`` is the
+    time derivative of the metric coefficients of a moving coordinate map
+    acting on the current velocity."""
+    source = params.mu * (metric.ops.div_phi(B_V, B_w) + metric_term)
+    bottom = B_w[0] - np.sum(metric.bottom_gradient * B_V[:, 0], axis=0)
+    return _problem(metric, params, nu, source, params.mu * bottom)
+
+
+def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=None):
+    """Solve ``problem`` (from the initial guess x0, when given) and apply the
+    pressure correction: (corrected B_V, corrected B_w, P, SolveInfo)."""
+    info = SolveInfo(0, 0.0)
+    P = solve_pressure(problem, rtol=rtol, info=info, x0=x0)
+    dV = B_V - problem.nu * problem.ops.grad_phi(P)
+    dw = B_w - problem.nu * problem.ops.dr_phi(P) / problem.mu
+    return dV, dw, P, info
+
+
 def problem_from_divergence_form(
     diffeo: DiffeoFields, params: PhysParams, R: np.ndarray, nu: np.ndarray | None = None
 ) -> EllipticProblem:
@@ -134,25 +179,12 @@ def problem_from_divergence_form(
     component of R at r = -1 (the conormal identity e.A grad_mu P = e.R)."""
     grid = diffeo.grid
     if nu is None:
-        nu = _as_strip(grid, 1.0 / params.rho_bar)
+        nu = 1.0 / params.rho_bar
     R_x, R_r = R[:-1], R[-1]
     div = spectral.dr(grid, R_r)
     for i in range(grid.d):
         div = div + np.sqrt(params.mu) * spectral.dx(grid, R_x[i])[i]
-    source = div / diffeo.h_tot
-    return EllipticProblem(
-        grid=grid,
-        ops=diffeo.ops,
-        mu=params.mu,
-        rho_bar=params.rho_bar,
-        nu=_as_strip(grid, nu),
-        h_tot=_as_strip(grid, diffeo.h_tot),
-        grad_sum=diffeo.grad_sum,
-        bottom_slope=diffeo.bottom_gradient,
-        source=source,
-        bottom_data=R_r[0].copy(),
-        R=R,
-    )
+    return _problem(diffeo, params, nu, div / diffeo.h_tot, R_r[0].copy(), R=R)
 
 
 # -- preconditioner ------------------------------------------------------------

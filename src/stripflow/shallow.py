@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .dynamics import StripState, project_divergence_free
+from .dynamics import StripState, project_divergence_free, rk4
 from .errors import DegenerateDepth, GridMismatch, PreparationFailed
 from .geometry import Bathymetry, PhysParams
 from .grid import StripGrid
@@ -78,18 +78,7 @@ def sw_rhs(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> SWTendenc
 
 
 def sw_step_rk4(sw: SWState, dt: float, bathymetry: Bathymetry, params: PhysParams) -> SWState:
-    k1 = sw_rhs(sw, bathymetry, params)
-    s2 = SWState(sw.V + 0.5 * dt * k1.dV, sw.eta + 0.5 * dt * k1.deta, sw.t)
-    k2 = sw_rhs(s2, bathymetry, params)
-    s3 = SWState(sw.V + 0.5 * dt * k2.dV, sw.eta + 0.5 * dt * k2.deta, sw.t)
-    k3 = sw_rhs(s3, bathymetry, params)
-    s4 = SWState(sw.V + dt * k3.dV, sw.eta + dt * k3.deta, sw.t)
-    k4 = sw_rhs(s4, bathymetry, params)
-    return SWState(
-        sw.V + (dt / 6.0) * (k1.dV + 2 * k2.dV + 2 * k3.dV + k4.dV),
-        sw.eta + (dt / 6.0) * (k1.deta + 2 * k2.deta + 2 * k3.deta + k4.deta),
-        sw.t + dt,
-    )
+    return rk4(sw, dt, lambda st, _: sw_rhs(st, bathymetry, params))
 
 
 def sw_mass(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> float:

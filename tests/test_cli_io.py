@@ -5,9 +5,16 @@ from stripflow import Bathymetry, PhysParams, StripGrid
 from stripflow.cli import main
 from stripflow.config import ExperimentConfig, parse_config_text
 from stripflow.dynamics import StripState
-from stripflow.errors import ConfigError
+from stripflow.errors import ConfigError, NoConvergence
 from stripflow import experiments
-from stripflow.io import RESULTS_HEADER, ResultsWriter, load_snapshot, save_snapshot, write_manifest
+from stripflow.io import (
+    RESULTS_HEADER,
+    ResultsWriter,
+    content_hash,
+    load_snapshot,
+    save_snapshot,
+    write_manifest,
+)
 from stripflow.shallow import ComparisonReport
 
 from conftest import random_band_limited
@@ -54,6 +61,17 @@ class TestConfig:
         cfg = ExperimentConfig.from_text(text)
         assert any("delta <= mu" in p for p in cfg.validate())
 
+    @pytest.mark.parametrize("raw,value", [("true", True), ("On", True), ("1", True), ("no", False), ("OFF", False)])
+    def test_bool_words(self, raw, value):
+        assert parse_config_text(f"sweep.delta_tracks_mu = {raw}")["sweep.delta_tracks_mu"] is value
+
+    def test_bool_typo_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="line 1"):
+            parse_config_text("sweep.delta_tracks_mu = ture")
+        path = tmp_path / "typo.cfg"
+        path.write_text(BASE_CONFIG + "\nsweep.delta_tracks_mu = ture\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
     def test_value_lists(self):
         cfg = ExperimentConfig.from_text("sweep.values = 1e-1, 1e-2, 1e-3")
         assert cfg["sweep.values"] == (0.1, 0.01, 0.001)
@@ -85,9 +103,10 @@ class TestSnapshots:
         assert len(lines[1].split()) == 12
 
     def test_manifest_written(self, tmp_path):
-        write_manifest(tmp_path / "m.txt", "a = 1\nb = 2", 42, "Continue", {"k": "v"})
+        config_text = "a = 1\nb = 2"
+        write_manifest(tmp_path / "m.txt", config_text, "Continue", {"k": "v"})
         text = (tmp_path / "m.txt").read_text()
-        assert "seed = 42" in text
+        assert f"hash = {content_hash(config_text)}" in text
         assert "status = Continue" in text
         assert "# a = 1" in text
 
@@ -112,7 +131,7 @@ class TestCLI:
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
             outs.append((out / "results.txt").read_bytes())
         assert outs[0] == outs[1]
 
@@ -281,3 +300,51 @@ sweep.values = 0.3, 0.2, 0.1
         assert code == 0
         text = (out / "horizon.txt").read_text()
         assert "Continue" in text and len(text.splitlines()) == 4
+
+    def test_sweep_member_error_becomes_status(self, tmp_path, monkeypatch):
+        # an error inside a cutoff member halts that member, not the sweep
+        def failing_run_moll(*args, **kwargs):
+            raise NoConvergence("synthetic")
+
+        monkeypatch.setattr(experiments, "run_moll", failing_run_moll)
+        extra = "\nsweep.axis = iota3\nsweep.values = 1e-1, 1e-2, 1e-3\n"
+        cfg = ExperimentConfig.from_text(BASE_CONFIG + extra)
+        code, summary = experiments.sweep(cfg, tmp_path / "iota")
+        assert code == 3
+        assert [m["status"] for m in summary["members"]] == ["NoConvergence"] * 3
+        assert "excluded = 3" in (tmp_path / "iota" / "manifest.txt").read_text()
+
+    def test_sweep_member_reports_halted_reference(self, tmp_path, monkeypatch):
+        # a cutoff member whose zero-cutoff reference run halted is not a
+        # Continue member: its distance is taken against a truncated run
+        def run_moll(initial, moll, *args, **kwargs):
+            traj = real_run_moll(initial, moll, *args, **kwargs)
+            if moll.iota3 == 0.0:
+                traj.status = "NoConvergence"
+            return traj
+
+        real_run_moll = experiments.run_moll
+        monkeypatch.setattr(experiments, "run_moll", run_moll)
+        extra = "\nrun.T = 0.01\nsweep.axis = iota3\nsweep.values = 1e-1, 1e-2, 1e-3\n"
+        code, summary = experiments.sweep(ExperimentConfig.from_text(BASE_CONFIG + extra), tmp_path / "iota")
+        assert code == 3
+        assert [m["status"] for m in summary["members"]] == ["NoConvergence"] * 3
+
+    def test_sweep_verbose_prints_member_axis_value(self, tmp_path, capsys):
+        extra = """
+grid.n_x = 16
+grid.n_r = 8
+params.beta = 1.0
+bathymetry.amplitude = 0.2
+initial.recipe = well_prepared
+initial.eta0_amplitude = 0.05
+initial.sw_v_amplitude = 0.05
+run.T = 0.01
+sweep.axis = log_horizon
+sweep.values = 0.3, 0.2, 0.1
+"""
+        cfg = self._write(tmp_path, extra)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "h"), "--verbose"]) == 0
+        out = capsys.readouterr().out
+        for eps in ("0.3", "0.2", "0.1"):
+            assert f"[sweep] log_horizon={eps} " in out

@@ -3,8 +3,10 @@ import pytest
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
-from stripflow.dynamics import StripState, step_rk4
-from stripflow.errors import DegenerateDiffeo, InterpolationOutOfRange
+from stripflow import mollified
+from stripflow.diagnostics import good_unknown_energy
+from stripflow.dynamics import StripState, step_rk4, vorticity
+from stripflow.errors import DegenerateDiffeo, IllConditioned, InterpolationOutOfRange, NoConvergence
 from stripflow.mollified import (
     MollParams,
     SlagMetric,
@@ -221,3 +223,58 @@ class TestCoordinateChange:
         slag.H = slag.H - 0.2  # shifted column no longer covers the target
         with pytest.raises(InterpolationOutOfRange):
             slag_to_sigma(slag, bath, params)
+
+
+class TestSharedDiagnostics:
+    def test_energy_and_vorticity_match_production_map(self, grid, rng):
+        # on the adopted production coordinates, the good-unknown energy and
+        # the vorticity through the transported map equal the diffeo ones
+        params = PhysParams(eps=0.25, beta=0.25, mu=0.1, delta=0.1)
+        bath = Bathymetry.cosine(grid, 0.2)
+        st = wave_state(grid)
+        st.V[0] = random_band_limited(grid, rng, amp=0.2)
+        st.w = random_band_limited(grid, rng, amp=0.2)
+        st.rho = random_band_limited(grid, rng, amp=0.2)
+        slag = from_strip_state(st, bath, params)
+        diffeo = build_diffeo(bath, st.eta0, params)
+        metric = SlagMetric(grid, slag.H)
+        E_ref = good_unknown_energy(st, diffeo, params, 4.0)
+        assert abs(good_unknown_energy(slag, metric, params, 4.0) - E_ref) <= 1e-12 * E_ref
+        om_ref = vorticity(st, diffeo, params).omega_x
+        om = vorticity(slag, metric, params).omega_x
+        assert np.abs(om - om_ref).max() <= 1e-12 * np.abs(om_ref).max()
+
+
+class TestRunMollHalts:
+    def _run(self, grid):
+        params = PhysParams(eps=0.25, beta=0.25, mu=0.1)
+        bath = Bathymetry.cosine(grid, 0.2)
+        slag = from_strip_state(wave_state(grid), bath, params)
+        return run_moll(slag, MollParams(), bath, params, 3e-3, dt=1e-3, cadence=1)
+
+    def test_step_error_becomes_status(self, grid, monkeypatch):
+        step = mollified.step_rk4_slag
+
+        def failing_step(state, *args):
+            if state.t > 0.5e-3:
+                raise IllConditioned("synthetic")
+            return step(state, *args)
+
+        monkeypatch.setattr(mollified, "step_rk4_slag", failing_step)
+        traj = self._run(grid)
+        assert traj.status == "IllConditioned"
+        assert traj.final.t == pytest.approx(1e-3)
+        assert len(traj.energies) == 2
+
+    def test_energy_error_becomes_status(self, grid, monkeypatch):
+        energy = mollified.moll_energy
+
+        def failing_energy(state, *args):
+            if state.t > 1.5e-3:
+                raise NoConvergence("synthetic")
+            return energy(state, *args)
+
+        monkeypatch.setattr(mollified, "moll_energy", failing_energy)
+        traj = self._run(grid)
+        assert traj.status == "NoConvergence"
+        assert traj.times == pytest.approx([0.0, 1e-3])

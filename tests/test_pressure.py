@@ -4,15 +4,18 @@ import sympy as sp
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
-from stripflow.dynamics import StripState, assemble_pressure_problem, euler_rhs
+from stripflow.dynamics import StripState, assemble_pressure_problem, euler_rhs, shifted
 from stripflow.errors import IllConditioned, InsufficientHistory
+from stripflow.mollified import SlagMetric, from_strip_state
 from stripflow.pressure import (
     EllipticProblem,
     SolveInfo,
     TaylorCoefficient,
     _apply_flat_inverse,
     _flat_inverse,
+    closure_problem,
     problem_from_divergence_form,
+    solve_closure,
     solve_pressure,
     taylor_coefficient,
     taylor_time_derivative,
@@ -327,9 +330,32 @@ class TestHotPath:
         bath = Bathymetry.cosine(grid, 0.2)
         state = _sheared_state(grid, rng)
         k1 = euler_rhs(state, bath, params)
-        stage = state.shifted(k1, 0.5 * 2e-3)
+        stage = shifted(state, k1, 0.5 * 2e-3)
         cold = euler_rhs(stage, bath, params)
         warm = euler_rhs(stage, bath, params, x0=k1.P)
         assert warm.solve_info.iterations < cold.solve_info.iterations
         assert warm.solve_info.residual <= 1e-10
         assert np.abs(warm.P - cold.P).max() <= 1e-8 * np.abs(cold.P).max()
+
+
+class TestClosure:
+    @pytest.mark.parametrize("kind", ["diffeo", "slag"])
+    def test_corrected_tendencies_are_divergence_free(self, grid, params, rng, kind):
+        # one closure for every coordinate map: the production map and the
+        # mollified scheme's transported map (here perturbed off it)
+        bath = Bathymetry.cosine(grid, 0.2)
+        state = _sheared_state(grid, rng)
+        metric = build_diffeo(bath, state.eta0, params)
+        if kind == "slag":
+            H = from_strip_state(state, bath, params).H
+            metric = SlagMetric(grid, H + 0.02 * random_band_limited(grid, rng, kmax=3))
+        B_V = random_band_limited(grid, rng, kmax=4, amp=0.3)[None]
+        B_w = random_band_limited(grid, rng, kmax=4, amp=0.3)
+        nu = 1.0 / (params.rho_bar + params.eps * params.delta * state.rho)
+        problem = closure_problem(metric, params, nu, B_V, B_w)
+        dV, dw, P, info = solve_closure(problem, B_V, B_w)
+        assert info.residual <= 1e-10
+        scale = np.abs(metric.ops.div_phi(B_V, B_w)[1:-1]).max()
+        assert np.abs(metric.ops.div_phi(dV, dw)[1:-1]).max() <= 1e-8 * scale
+        bottom = dw[0] - np.sum(metric.bottom_gradient * dV[:, 0], axis=0)
+        assert np.abs(bottom).max() <= 1e-8 * np.abs(B_w[0]).max()

@@ -3,7 +3,7 @@ import pytest
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
-from stripflow.dynamics import divergence_report
+from stripflow.dynamics import divergence_report, rk4
 from stripflow.errors import DegenerateDepth, GridMismatch, PreparationFailed
 from stripflow.experiments import sw_initial
 from stripflow.shallow import (
@@ -43,6 +43,33 @@ class TestSWDynamics:
         sw.eta = np.full(grid.xshape, -0.6)
         with pytest.raises(DegenerateDepth):
             sw_rhs(sw, bath, params)
+
+    def test_rk4_matches_hand_written_reference(self, grid):
+        params = PhysParams(eps=0.5, beta=0.5, mu=0.1)
+        bath = Bathymetry.cosine(grid, 0.3)
+        sw = sw_initial(grid, 0.1, 0.1)
+        sw.t = 0.3
+        dt = 0.01
+        k1 = sw_rhs(sw, bath, params)
+        k2 = sw_rhs(SWState(sw.V + 0.5 * dt * k1.dV, sw.eta + 0.5 * dt * k1.deta), bath, params)
+        k3 = sw_rhs(SWState(sw.V + 0.5 * dt * k2.dV, sw.eta + 0.5 * dt * k2.deta), bath, params)
+        k4 = sw_rhs(SWState(sw.V + dt * k3.dV, sw.eta + dt * k3.deta), bath, params)
+        V = sw.V + (dt / 6.0) * (k1.dV + 2.0 * k2.dV + 2.0 * k3.dV + k4.dV)
+        eta = sw.eta + (dt / 6.0) * (k1.deta + 2.0 * k2.deta + 2.0 * k3.deta + k4.deta)
+
+        stages = []
+
+        def rhs(st, k_prev):
+            stages.append(k_prev)
+            return sw_rhs(st, bath, params)
+
+        got = rk4(sw, dt, rhs)
+        assert np.abs(got.V - V).max() <= 1e-15 * np.abs(V).max()
+        assert np.abs(got.eta - eta).max() <= 1e-15 * np.abs(eta).max()
+        assert got.t == pytest.approx(0.31)
+        # each stage sees the previous stage's tendencies
+        assert stages[0] is None
+        assert [k.deta.tolist() for k in stages[1:]] == [k.deta.tolist() for k in (k1, k2, k3)]
 
     def test_linear_dispersion(self, grid):
         # eps -> 0, flat bottom: a single mode oscillates at sqrt(g) k
