@@ -236,9 +236,13 @@ def run_moll(
         dt = cfl_dt_slag(state, moll, bathymetry, params)
     n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
     dt = T / n_steps
-    times = [0.0]
-    energies = [moll_energy(state, moll, bathymetry, params, s)]
-    status = "Continue"
+    times, energies, status = [], [], "Continue"
+    try:
+        energies.append(moll_energy(state, moll, bathymetry, params, s))
+        times.append(0.0)
+    except StripflowError as exc:
+        # a bad initial state halts before the first step
+        status, n_steps = type(exc).__name__, 0
     for step in range(n_steps):
         try:
             state = step_rk4_slag(state, dt, moll, bathymetry, params)

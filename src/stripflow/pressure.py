@@ -19,11 +19,18 @@ a moving map) with bottom data mu (B_w - grad b . B_V), and ``solve_closure``
 applies the correction B_V - nu grad_phi P, B_w - nu dr_phi P / mu.  The
 projection is the same closure with B = (V, w) and no metric term.
 
-Krylov: GMRES preconditioned by the exact inverse of the flat-metric
-operator: per-mode real inverses of the vertical problem, applied to the
-stacked real and imaginary parts of every horizontal Fourier mode as one
-batched matmul.  The preconditioner carries the same mu, which keeps
-iteration counts uniform in the shallow-water parameter.  The RK integrator
+Krylov: GMRES preconditioned by a depth-weighted inverse of the flat-strip
+operator (mu Delta_x + d_r^2)/rho_bar.  The residual is first multiplied by
+the per-node weight w = h_tot/(nu rho_bar) (sqrt(h_tot)/(nu rho_bar) on the
+bottom conormal row, which carries one derivative less), then the per-mode
+real inverses of the vertical problem are applied to the stacked real and
+imaginary parts of every horizontal Fourier mode as one batched matmul.
+Locally the operator is (nu/h^2)(d_r^2 + mu h^2 Delta_x): its vertical part
+wants the weight h^2 and its horizontal part the weight 1.  The weight h is
+their geometric mean, so both regimes are off by the same factor of h and
+the iteration counts stay uniform in the shallow-water parameter mu, which
+the flat inverse carries as well; h^2 is exact only in the column limit and
+lets the count drift with mu.  The RK integrator
 warm-starts each stage's solve from the previous stage's pressure; the
 stopping test stays relative to the right-hand side, so the accuracy does not
 depend on the initial guess.
@@ -263,9 +270,11 @@ def solve_pressure(
         return np.concatenate([bottom[None], interior[1:n]], axis=0).reshape(-1)
 
     inv = _flat_inverse(grid, problem.mu, problem.rho_bar)
+    weight = problem.h_tot[:n] / (problem.nu[:n] * problem.rho_bar)
+    weight[0] = np.sqrt(problem.h_tot[0]) / (problem.nu[0] * problem.rho_bar)
 
     def psolve(v: np.ndarray) -> np.ndarray:
-        return _apply_flat_inverse(grid, inv, v.reshape((n,) + xshape)).reshape(-1)
+        return _apply_flat_inverse(grid, inv, weight * v.reshape((n,) + xshape)).reshape(-1)
 
     A = LinearOperator((nun, nun), matvec=matvec)
     M = LinearOperator((nun, nun), matvec=psolve)

@@ -36,8 +36,10 @@ class RunRecord:
 
     @property
     def mean_eta0_drift(self) -> float:
+        """Largest deviation of the mean surface from its first recorded
+        value; 0 when nothing was recorded."""
         means = [r.mean_eta0 for r in self.reports]
-        return max(abs(m - means[0]) for m in means)
+        return max((abs(m - means[0]) for m in means), default=0.0)
 
 
 def measure(state: StripState, bathymetry: Bathymetry, params: PhysParams, s: float, s0: float) -> EnergyReport:
@@ -76,12 +78,17 @@ def simulate(
     sw = sw.copy() if sw is not None else None
 
     rec = RunRecord(status="Continue", dt=dt, n_steps=n_steps)
-    report = measure(state, bathymetry, params, s, s0)
-    initial_norm = report.state_norm
-    rec.times.append(0.0)
-    rec.reports.append(report)
-    if sw is not None:
-        rec.comparisons.append(shallow.compare(state, sw, s, bathymetry, params))
+    try:
+        report = measure(state, bathymetry, params, s, s0)
+        if sw is not None:
+            rec.comparisons.append(shallow.compare(state, sw, s, bathymetry, params))
+    except StripflowError as exc:
+        # a bad initial state halts before the first step
+        rec.status, rec.halted_at, n_steps = type(exc).__name__, 0.0, 0
+    else:
+        initial_norm = report.state_norm
+        rec.times.append(0.0)
+        rec.reports.append(report)
 
     for step in range(n_steps):
         try:

@@ -183,6 +183,19 @@ class TestSimulateHalts:
         assert rec.final.t == rec.halted_at
         assert rec.times == [0.0]
 
+    def test_bad_initial_state_halts_at_zero(self):
+        # the t = 0 measurement solves the pressure and checks the density
+        grid = StripGrid(n_x=32, n_r=8)
+        params = PhysParams(eps=1.0, beta=0.3, mu=1e-2, delta=1.0)
+        st = StripState.rest(grid)
+        st.rho[:] = -1.5
+        rec = simulate(st, Bathymetry.flat(grid), params, 0.01, dt=1e-3)
+        assert rec.status == "DegenerateDensity"
+        assert rec.halted_at == 0.0
+        assert rec.final.t == 0.0
+        assert rec.times == [] and rec.reports == []
+        assert rec.mean_eta0_drift == 0.0
+
 
 class TestFitRate:
     def test_exact_sqrt(self):

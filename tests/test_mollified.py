@@ -278,3 +278,15 @@ class TestRunMollHalts:
         traj = self._run(grid)
         assert traj.status == "NoConvergence"
         assert traj.times == pytest.approx([0.0, 1e-3])
+
+    def test_initial_energy_error_becomes_status(self, grid):
+        # the t = 0 scheme energy builds the metric of the transported map,
+        # whose layer thickness 1 + d_r H is negative here
+        params = PhysParams(eps=0.25, beta=0.25, mu=0.1)
+        bath = Bathymetry.cosine(grid, 0.2)
+        slag = from_strip_state(wave_state(grid), bath, params)
+        slag.H = -1.5 * np.broadcast_to(grid.r[:, None], slag.H.shape)
+        traj = run_moll(slag, MollParams(), bath, params, 3e-3, dt=1e-3, cadence=1)
+        assert traj.status == "DegenerateDiffeo"
+        assert traj.times == [] and traj.energies == []
+        assert traj.final.t == 0.0

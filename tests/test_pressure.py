@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
@@ -267,6 +268,40 @@ def _einsum_flat_inverse(grid, inv, v):
     return np.fft.irfftn(uh, s=grid.xshape, axes=axes)
 
 
+def _unweighted_gmres(problem, rtol=1e-10):
+    """Reference solve: the same GMRES driven by the flat inverse alone, with
+    no depth weight.  Returns (P, iterations)."""
+    grid = problem.grid
+    n, xshape = grid.n_r, grid.xshape
+    nun = n * int(np.prod(xshape))
+
+    def embed(u):
+        P = np.zeros((n + 1,) + xshape)
+        P[:n] = u.reshape((n,) + xshape)
+        return P
+
+    def matvec(u):
+        interior, bottom = problem.apply(embed(u))
+        return np.concatenate([bottom[None], interior[1:n]]).reshape(-1)
+
+    inv = _flat_inverse(grid, problem.mu, problem.rho_bar)
+    M = LinearOperator(
+        (nun, nun), matvec=lambda v: _apply_flat_inverse(grid, inv, v.reshape((n,) + xshape)).reshape(-1)
+    )
+    b = np.concatenate([problem.bottom_data[None], problem.source[1:n]]).reshape(-1)
+    count = [0]
+
+    def cb(_):
+        count[0] += 1
+
+    u, _ = gmres(
+        LinearOperator((nun, nun), matvec=matvec), b, M=M, rtol=rtol, atol=0.0,
+        restart=40, maxiter=20, callback=cb, callback_type="pr_norm",
+    )
+    assert np.linalg.norm(b - matvec(u)) <= 10 * rtol * np.linalg.norm(b)
+    return embed(u), count[0]
+
+
 def _sheared_state(grid, rng):
     """Smooth state with velocity, density and surface perturbations."""
     state = StripState.rest(grid)
@@ -325,6 +360,20 @@ class TestHotPath:
         P2 = solve_pressure(problem, info=info, x0=P)
         assert info.iterations <= 2
         assert np.abs(P2 - P).max() <= 1e-10 * np.abs(P).max()
+
+    def test_depth_weight_cuts_iterations(self, grid, rng):
+        # shallow strip over varying depth: the flat inverse alone assumes
+        # h = 1 everywhere, the weight h/(nu rho_bar) accounts for the depth
+        params = PhysParams(eps=0.3, beta=0.5, mu=1e-3, delta=0.2)
+        bath = Bathymetry.cosine(grid, 0.3)
+        state = _sheared_state(grid, rng)
+        diffeo = build_diffeo(bath, state.eta0, params)
+        problem, _ = assemble_pressure_problem(state, diffeo, params)
+        P_ref, iters_ref = _unweighted_gmres(problem)
+        info = SolveInfo(0, 0.0)
+        P = solve_pressure(problem, info=info)
+        assert info.iterations < iters_ref
+        assert np.abs(P - P_ref).max() <= 1e-8 * np.abs(P_ref).max()
 
     def test_warm_started_stage_needs_fewer_iterations(self, grid, params, rng):
         bath = Bathymetry.cosine(grid, 0.2)
