@@ -96,6 +96,19 @@ def _nu(state: StripState, params: PhysParams) -> np.ndarray:
     return 1.0 / (params.rho_bar + params.eps * params.delta * state.rho)
 
 
+def metric_motion_term(ops, h, h_dot, grad_dH, V, w) -> np.ndarray:
+    """Divergence source of a moving coordinate map with layer thickness h:
+    d_t gamma d_r w - sum_i d_t kappa_i d_r V_i for gamma = 1/h and
+    kappa = grad H / h, given h_dot = d_t h and grad_dH = grad d_t H."""
+    grid = ops.grid
+    kappa_dot = (grad_dH - ops.kappa * h_dot) / h
+    gamma_dot = -h_dot / h**2
+    out = gamma_dot * spectral.dr(grid, w)
+    for i in range(grid.d):
+        out -= kappa_dot[i] * spectral.dr(grid, V[i])
+    return out
+
+
 def assemble_pressure_problem(
     state: StripState, diffeo: DiffeoFields, params: PhysParams, with_R: bool = False
 ) -> tuple[EllipticProblem, dict]:
@@ -133,15 +146,9 @@ def assemble_pressure_problem(
         grid, tcorr, spectral.dr(grid, state.rho)
     )
 
-    # time derivative of the metric coefficients entering the divergence
-    grad_deta0 = spectral.dx(grid, deta0)
-    h = diffeo.h_tot
-    kappa_dot = (eps * rp1[None] * grad_deta0[:, None] - diffeo.ops.kappa * (eps * deta0)) / h
-    gamma_dot = -eps * deta0 / h**2
-    metric_term = gamma_dot * spectral.dr(grid, state.w)
-    for i in range(grid.d):
-        metric_term -= kappa_dot[i] * spectral.dr(grid, state.V[i])
-
+    # the map moves with d_t (eta_bar + eps eta) = eps (1+r) deta0
+    grad_dH = eps * rp1[None] * spectral.dx(grid, deta0)[:, None]
+    metric_term = metric_motion_term(ops, diffeo.h_tot, eps * deta0, grad_dH, state.V, state.w)
     problem = closure_problem(diffeo, params, nu, B_V, B_w, metric_term)
 
     # divergence-form source vector, for inspection and entry-wise tests:
@@ -154,7 +161,7 @@ def assemble_pressure_problem(
         G_w = B_w - spectral.quadratic(grid, tcorr, spectral.dr(grid, state.w))
         problem.R = np.concatenate(
             [
-                np.sqrt(mu) * h * G_V,
+                np.sqrt(mu) * diffeo.h_tot * G_V,
                 (mu * G_w - mu * np.sum(diffeo.grad_sum * G_V, axis=0))[None],
             ],
             axis=0,

@@ -177,10 +177,8 @@ def _iota_member(cfg: ExperimentConfig, iota3: float) -> dict:
     state, _, _ = build_initial(cfg, grid, params, bath)
     T = cfg["run.T"]
     moll0 = MollParams(cfg["scheme.iota1"], cfg["scheme.iota2"], 0.0)
-    base_dt = mollified.cfl_dt_slag(from_strip_state(state, bath, params),
-                                    MollParams(0, 0, max(iota3, 1e-12)), bath, params)
-    n = max(1, int(np.ceil(T / base_dt)))
-    dt = T / n
+    dt = mollified.cfl_dt_slag(from_strip_state(state, bath, params),
+                               MollParams(0, 0, max(iota3, 1e-12)), bath, params)
     ref = run_moll(from_strip_state(state, bath, params), moll0, bath, params, T, dt=dt, s=cfg["run.s"])
     tr = run_moll(from_strip_state(state, bath, params),
                   MollParams(cfg["scheme.iota1"], cfg["scheme.iota2"], iota3),

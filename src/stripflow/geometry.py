@@ -179,10 +179,6 @@ class DiffeoFields:
     def h_bar(self) -> np.ndarray:
         return 1.0 - self.params.beta * self.bathymetry.values
 
-    @property
-    def h(self) -> np.ndarray:
-        return self.eta0
-
     @cached_property
     def h_tot(self) -> np.ndarray:
         """h_bar + eps h = 1 - beta b + eps eta0 (r-independent)."""
@@ -195,10 +191,6 @@ class DiffeoFields:
         gb = -self.params.beta * self.bathymetry.gradient
         g0 = self.params.eps * spectral.dx(self.grid, self.eta0)
         return r[None] * gb[:, None] + (1.0 + r)[None] * g0[:, None]
-
-    @cached_property
-    def surface_gradient(self) -> np.ndarray:
-        return self.params.eps * spectral.dx(self.grid, self.eta0)
 
     @cached_property
     def bottom_gradient(self) -> np.ndarray:
@@ -222,12 +214,6 @@ def build_diffeo(bathymetry: Bathymetry, eta0: np.ndarray, params: PhysParams) -
     if depth.min() <= 0.0:
         raise DegenerateDepth(f"min depth {depth.min():.3e} <= 0")
     return DiffeoFields(grid, params, bathymetry, eta0)
-
-
-def sigma_grad(f: np.ndarray, diffeo: DiffeoFields) -> tuple[np.ndarray, np.ndarray]:
-    """(grad_phi f, dr_phi f) with spectral x-derivatives and 4th-order
-    vertical differences."""
-    return diffeo.ops.grad_phi(f), diffeo.ops.dr_phi(f)
 
 
 def alinhac_unknown(f: np.ndarray, s: float, diffeo) -> np.ndarray:

@@ -133,9 +133,3 @@ class StripGrid:
 
     def is_strip(self, f: np.ndarray) -> bool:
         return f.ndim == self.d + 1
-
-    def check_same(self, other: "StripGrid"):
-        if self != other:
-            from .errors import GridMismatch
-
-            raise GridMismatch(f"{self} vs {other}")

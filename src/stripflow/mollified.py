@@ -19,11 +19,12 @@ from scipy.interpolate import PchipInterpolator
 
 from . import spectral
 from .diagnostics import good_unknown_energy, vorticity_norm
-from .dynamics import StripState, rk4, vorticity
-from .errors import BlowUpSuspected, DegenerateDiffeo, InterpolationOutOfRange, StripflowError
-from .geometry import Bathymetry, PhysParams, SigmaOps, build_diffeo
+from .dynamics import StripState, _nu, metric_motion_term, rk4, vorticity
+from .errors import BlowUpSuspected, DegenerateDiffeo, InterpolationOutOfRange
+from .geometry import Bathymetry, PhysParams, SigmaOps, build_diffeo, require_nondegenerate
 from .grid import StripGrid
 from .pressure import SolveInfo, closure_problem, solve_closure
+from .runner import RunRecord, march
 
 
 @dataclass
@@ -106,9 +107,10 @@ def slag_rhs(
     the initial guess of the pressure solve."""
     grid = bathymetry.grid
     metric = SlagMetric(grid, state.H)
+    require_nondegenerate(state.rho, metric, params)
     ops = metric.ops
     mu, eps, g, rb = params.mu, params.eps, params.g, params.rho_bar
-    nu = 1.0 / (rb + eps * params.delta * state.rho)
+    nu = _nu(state, params)
 
     def J(f, iota):
         return spectral.mollify(grid, f, iota) if iota else f
@@ -149,17 +151,10 @@ def slag_rhs(
     for i in range(grid.d):
         deta0 -= eps * spectral.quadratic(grid, J(state.V[i, -1], moll.iota2), grad_eta0[i])
 
-    # metric motion entering the divergence-preservation source
-    h = metric.h_tot
-    h_dot = spectral.dr(grid, dH)
-    grad_dH = spectral.dx(grid, dH)
-    kappa = ops.kappa
-    kappa_dot = grad_dH / h - kappa * h_dot / h
-    gamma_dot = -h_dot / h**2
-    metric_term = gamma_dot * spectral.dr(grid, state.w)
-    for i in range(grid.d):
-        metric_term -= kappa_dot[i] * spectral.dr(grid, state.V[i])
-
+    # the map moves with d_t H = dH
+    metric_term = metric_motion_term(
+        ops, metric.h_tot, spectral.dr(grid, dH), spectral.dx(grid, dH), state.V, state.w
+    )
     problem = closure_problem(metric, params, nu, B_V, B_w, metric_term)
     dV, dw, P, info = solve_closure(problem, B_V, B_w, x0=x0)
     if not np.isfinite(
@@ -201,6 +196,7 @@ def moll_energy(
     and the vorticity norm."""
     grid = bathymetry.grid
     metric = SlagMetric(grid, state.H)
+    require_nondegenerate(state.rho, metric, params)
     total = good_unknown_energy(state, metric, params, s)
     eta_s = spectral.lambda_pow(grid, state.eta0, s, dotted=True)
     sym = params.g * params.rho_bar + moll.iota3 * (1.0 + grid.k_abs**2) ** 0.25
@@ -208,14 +204,6 @@ def moll_energy(
     total += spectral.l2_surface(grid, weighted) ** 2
     total += vorticity_norm(grid, vorticity(state, metric, params), s - 1) ** 2
     return total
-
-
-@dataclass
-class MollTrajectory:
-    times: list
-    energies: list
-    final: SlagState
-    status: str
 
 
 def run_moll(
@@ -227,37 +215,21 @@ def run_moll(
     dt: float | None = None,
     s: float = 4.0,
     cadence: int = 10,
-) -> MollTrajectory:
-    """RK4 trajectory of the mollified system, recording the scheme energy.
-    A package error in a step or in a cadence energy halts the run with the
-    error's name as the status."""
-    state = initial.copy()
+) -> RunRecord:
+    """RK4 trajectory of the mollified system, recording the scheme energy;
+    a non-finite energy halts the run with NormBlowup (see ``runner.march``
+    for the cadence and the halt policy)."""
     if dt is None:
-        dt = cfl_dt_slag(state, moll, bathymetry, params)
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
-    dt = T / n_steps
-    times, energies, status = [], [], "Continue"
-    try:
-        energies.append(moll_energy(state, moll, bathymetry, params, s))
-        times.append(0.0)
-    except StripflowError as exc:
-        # a bad initial state halts before the first step
-        status, n_steps = type(exc).__name__, 0
-    for step in range(n_steps):
-        try:
-            state = step_rk4_slag(state, dt, moll, bathymetry, params)
-            if (step + 1) % cadence != 0 and step != n_steps - 1:
-                continue
-            E = moll_energy(state, moll, bathymetry, params, s)
-        except StripflowError as exc:
-            status = type(exc).__name__
-            break
-        times.append(state.t)
-        energies.append(E)
-        if not np.isfinite(E):
-            status = "NormBlowup"
-            break
-    return MollTrajectory(times, energies, state, status)
+        dt = cfl_dt_slag(initial, moll, bathymetry, params)
+
+    def observe(state, rec):
+        rec.energies.append(moll_energy(state, moll, bathymetry, params, s))
+        return "Continue" if np.isfinite(rec.energies[-1]) else "NormBlowup"
+
+    def step(state, dt):
+        return step_rk4_slag(state, dt, moll, bathymetry, params)
+
+    return march(initial, T, dt, cadence, step, observe)
 
 
 # -- coordinate changes -----------------------------------------------------------

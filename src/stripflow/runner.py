@@ -1,6 +1,7 @@
-"""Time-marching driver: advances a strip state, records energy and
-comparison series at a fixed cadence, and halts with a structured status when
-a blow-up flag fires or a step or measurement raises a package error."""
+"""Time-marching driver of both integrators: advances a state in equal steps,
+observes it at t = 0, at a fixed cadence and at T, and halts with a structured
+status when an observation flags a blow-up or a step or observation raises a
+package error."""
 
 from __future__ import annotations
 
@@ -22,17 +23,14 @@ from .shallow import SWState
 class RunRecord:
     status: str
     times: list = field(default_factory=list)
+    energies: list = field(default_factory=list)
     reports: list = field(default_factory=list)
     comparisons: list = field(default_factory=list)
-    final: StripState | None = None
+    final: object = None
     dt: float = 0.0
     n_steps: int = 0
     wall_time: float = 0.0
     halted_at: float | None = None
-
-    @property
-    def energies(self):
-        return [r.E_s for r in self.reports]
 
     @property
     def mean_eta0_drift(self) -> float:
@@ -40,6 +38,40 @@ class RunRecord:
         value; 0 when nothing was recorded."""
         means = [r.mean_eta0 for r in self.reports]
         return max((abs(m - means[0]) for m in means), default=0.0)
+
+
+def march(state, T: float, dt: float, cadence: int, step, observe) -> RunRecord:
+    """Advance a copy of ``state`` to T in equal steps no longer than dt.
+
+    ``step(state, dt)`` returns the next state.  ``observe(state, rec)``
+    records its snapshot into ``rec`` and returns a status; it runs at t = 0,
+    every ``cadence`` steps and at T, and the time is recorded after it.  A
+    status other than Continue, or a package error in a step or an
+    observation, ends the run with that status; ``halted_at`` is the time of
+    the last state reached (the start of a failed step, or the state whose
+    observation failed or flagged)."""
+    t0 = time.perf_counter()
+    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    dt = T / n_steps
+    rec = RunRecord(status="Continue", dt=dt, n_steps=n_steps)
+    state = state.copy()
+    try:
+        for k in range(n_steps + 1):
+            if k > 0:
+                state = step(state, dt)
+            if k % cadence == 0 or k == n_steps:
+                status = observe(state, rec)
+                rec.times.append(state.t)
+                if status != "Continue":
+                    rec.status = status
+                    break
+    except StripflowError as exc:
+        rec.status = type(exc).__name__
+    if rec.status != "Continue":
+        rec.halted_at = state.t
+    rec.final = state
+    rec.wall_time = time.perf_counter() - t0
+    return rec
 
 
 def measure(state: StripState, bathymetry: Bathymetry, params: PhysParams, s: float, s0: float) -> EnergyReport:
@@ -61,63 +93,34 @@ def simulate(
     s0: float = 2.0,
     cadence: int = 10,
     sw: SWState | None = None,
-    sw_dt_ratio: int = 1,
     norm_factor: float = 10.0,
 ) -> RunRecord:
     """Advance to time T with fixed dt (from the initial CFL bound when not
-    given).  When a shallow-water state is supplied it is co-advanced on the
-    same clock and a ComparisonReport is recorded at each cadence."""
-    t0 = time.perf_counter()
-    state = initial.copy()
+    given); every step re-checks the stability bound.  When a shallow-water
+    state is supplied it is co-advanced on the same clock and a
+    ComparisonReport is recorded at each observation."""
     if dt is None:
-        dt = cfl_dt(state, bathymetry, params, cfl_factor)
+        dt = cfl_dt(initial, bathymetry, params, cfl_factor)
         if sw is not None:
             dt = min(dt, shallow.cfl_dt_sw(sw, bathymetry, params, cfl_factor))
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
-    dt = T / n_steps
-    sw = sw.copy() if sw is not None else None
 
-    rec = RunRecord(status="Continue", dt=dt, n_steps=n_steps)
-    try:
-        report = measure(state, bathymetry, params, s, s0)
+    def step(state, dt):
+        nonlocal sw
+        state = step_rk4(state, dt, bathymetry, params)
         if sw is not None:
-            rec.comparisons.append(shallow.compare(state, sw, s, bathymetry, params))
-    except StripflowError as exc:
-        # a bad initial state halts before the first step
-        rec.status, rec.halted_at, n_steps = type(exc).__name__, 0.0, 0
-    else:
-        initial_norm = report.state_norm
-        rec.times.append(0.0)
-        rec.reports.append(report)
+            sw = shallow.sw_step_rk4(sw, dt, bathymetry, params)
+        return state
 
-    for step in range(n_steps):
-        try:
-            state = step_rk4(state, dt, bathymetry, params, enforce_cfl=False)
-            if sw is not None:
-                sub = max(1, sw_dt_ratio)
-                for _ in range(sub):
-                    sw = shallow.sw_step_rk4(sw, dt / sub, bathymetry, params)
-            if (step + 1) % cadence != 0 and step != n_steps - 1:
-                continue
-            report = measure(state, bathymetry, params, s, s0)
-            comparison = None if sw is None else shallow.compare(state, sw, s, bathymetry, params)
-            diffeo = build_diffeo(bathymetry, state.eta0, params)
-            status = blowup_monitor(state, report, initial_norm, params, diffeo, norm_factor)
-        except StripflowError as exc:
-            # state is the last one reached: the start of a failed step, or
-            # the state whose measurement failed
-            rec.status = type(exc).__name__
-            rec.halted_at = state.t
-            break
-        rec.times.append(state.t)
+    def observe(state, rec):
+        report = measure(state, bathymetry, params, s, s0)
+        comparison = None if sw is None else shallow.compare(state, sw, s, bathymetry, params)
+        diffeo = build_diffeo(bathymetry, state.eta0, params)
+        initial_norm = (rec.reports[0] if rec.reports else report).state_norm
+        status = blowup_monitor(state, report, initial_norm, params, diffeo, norm_factor)
         rec.reports.append(report)
+        rec.energies.append(report.E_s)
         if comparison is not None:
             rec.comparisons.append(comparison)
-        if status != "Continue":
-            rec.status = status
-            rec.halted_at = state.t
-            break
+        return status
 
-    rec.final = state
-    rec.wall_time = time.perf_counter() - t0
-    return rec
+    return march(initial, T, dt, cadence, step, observe)

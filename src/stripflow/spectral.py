@@ -42,11 +42,6 @@ def dx(grid: StripGrid, f: np.ndarray) -> np.ndarray:
     return np.stack(comps)
 
 
-def dx_scalar(grid: StripGrid, f: np.ndarray) -> np.ndarray:
-    """d/dx for d = 1, without the component axis."""
-    return irfft(grid, 1j * grid.kvec[-1] * rfft(grid, f))
-
-
 def dr(grid: StripGrid, f: np.ndarray, order: int = 1) -> np.ndarray:
     """Vertical derivative of a strip field (4th-order finite differences)."""
     if f.shape[0] != grid.n_r + 1:
@@ -203,9 +198,8 @@ def ibp_residual(grid: StripGrid, F_x: np.ndarray, F_r: np.ndarray, g: np.ndarra
     gx = ops.grad_phi(g)
     gr = ops.dr_phi(g)
     vol = strip_integral(grid, h * (np.sum(F_x * gx, axis=0) + F_r * gr))
-    eps_grad_eta0 = diffeo.surface_gradient
     top = surface_integral(
-        grid, (np.sum(F_x[:, -1] * eps_grad_eta0, axis=0) - F_r[-1]) * g[-1]
+        grid, (np.sum(F_x[:, -1] * diffeo.grad_sum[:, -1], axis=0) - F_r[-1]) * g[-1]
     )
     bot = surface_integral(
         grid, (np.sum(F_x[:, 0] * diffeo.bottom_gradient, axis=0) - F_r[0]) * g[0]

@@ -11,7 +11,8 @@ from stripflow.diagnostics import (
     gronwall_slope,
     state_norm,
 )
-from stripflow.dynamics import StripState, solve_state_pressure
+from stripflow.dynamics import StripState, cfl_dt, solve_state_pressure
+from stripflow.mollified import MollParams, from_strip_state, run_moll
 from stripflow.pressure import TaylorCoefficient, taylor_coefficient
 from stripflow import runner
 from stripflow.errors import IllConditioned
@@ -184,17 +185,38 @@ class TestSimulateHalts:
         assert rec.times == [0.0]
 
     def test_bad_initial_state_halts_at_zero(self):
-        # the t = 0 measurement solves the pressure and checks the density
+        # the t = 0 observation of either driver checks the density: the
+        # direct scheme's measurement and the mollified scheme's energy
         grid = StripGrid(n_x=32, n_r=8)
         params = PhysParams(eps=1.0, beta=0.3, mu=1e-2, delta=1.0)
+        bath = Bathymetry.flat(grid)
         st = StripState.rest(grid)
         st.rho[:] = -1.5
-        rec = simulate(st, Bathymetry.flat(grid), params, 0.01, dt=1e-3)
-        assert rec.status == "DegenerateDensity"
+        drivers = {
+            "simulate": lambda: simulate(st, bath, params, 0.01, dt=1e-3),
+            "run_moll": lambda: run_moll(from_strip_state(st, bath, params), MollParams(), bath, params,
+                                         0.01, dt=1e-3),
+        }
+        for name, driver in drivers.items():
+            rec = driver()
+            assert rec.status == "DegenerateDensity", name
+            assert rec.halted_at == 0.0, name
+            assert rec.final.t == 0.0, name
+            assert rec.times == [] and rec.energies == [] and rec.reports == [], name
+            assert rec.mean_eta0_drift == 0.0, name
+
+    def test_step_beyond_stability_bound_halts(self, grid):
+        # every step re-checks the bound, so a fixed dt that exceeds it halts
+        params = PhysParams(eps=0.3, beta=0.3, mu=1e-2)
+        bath = Bathymetry.cosine(grid, 0.2)
+        st = StripState.rest(grid)
+        st.eta0 = 0.05 * np.cos(grid.x)
+        dt = 10.0 * cfl_dt(st, bath, params, factor=0.5)
+        rec = simulate(st, bath, params, 2.0 * dt, dt=dt)
+        assert rec.status == "CFLViolation"
         assert rec.halted_at == 0.0
         assert rec.final.t == 0.0
-        assert rec.times == [] and rec.reports == []
-        assert rec.mean_eta0_drift == 0.0
+        assert rec.times == [0.0]
 
 
 class TestFitRate:

@@ -161,7 +161,7 @@ class TestTransport:
         diffeo = build_diffeo(bath, st.eta0, params)
         deta0 = kinematic_deta0(st, grid, params)
         flux = diffeo.h_tot * np.sum(grid.r_weights[:, None] * st.V[0], axis=0)
-        rhs = -spectral.dx_scalar(grid, flux)
+        rhs = -spectral.dx(grid, flux)[0]
         assert np.abs(deta0 - rhs).max() < 5e-4
         assert abs(np.mean(deta0)) < 1e-9  # mass-drift rate sits at the truncation floor
 
@@ -170,7 +170,7 @@ class TestTransport:
         st = StripState.rest(grid)
         st.eta0 = 0.1 * np.cos(grid.x)
         st.w[-1] = 0.3 * np.sin(grid.x)
-        expect = st.w[-1] - params.eps * st.V[0, -1] * spectral.dx_scalar(grid, st.eta0)
+        expect = st.w[-1] - params.eps * st.V[0, -1] * spectral.dx(grid, st.eta0)[0]
         assert np.allclose(kinematic_deta0(st, grid, params), expect, atol=1e-12)
 
 

@@ -4,7 +4,7 @@ import pytest
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
 from stripflow.errors import DegenerateDepth
-from stripflow.geometry import alinhac_unknown, check_nondegeneracy, sigma_grad
+from stripflow.geometry import alinhac_unknown, check_nondegeneracy
 from stripflow.diagnostics import fit_rate
 
 
@@ -69,8 +69,8 @@ class TestBuildDiffeo:
         d = build_diffeo(bath, e0, params)
         expect = 1.0 - params.beta * bath.values + params.eps * e0
         assert np.abs(d.h_tot - expect).max() < 1e-15
-        # h_bar + eps h at every node (h is r-independent for this profile)
-        assert np.abs(d.h_bar + params.eps * d.h - expect).max() < 1e-15
+        # h_bar + eps h with h = d_r eta, the surface value of eta = (1+r) eta0
+        assert np.abs(d.h_bar + params.eps * d.eta[-1] - expect).max() < 1e-15
 
 
 class TestSigmaGrad:
@@ -78,7 +78,7 @@ class TestSigmaGrad:
         grid, params, bath = flat_setup
         d = build_diffeo(bath, np.zeros(grid.xshape), params)
         f = np.sin(grid.x)[None, :] * np.cos(grid.r)[:, None]
-        gx, gr = sigma_grad(f, d)
+        gx, gr = d.ops.grad_phi(f), d.ops.dr_phi(f)
         assert np.allclose(gx[0], np.cos(grid.x)[None, :] * np.cos(grid.r)[:, None], atol=1e-11)
         assert np.allclose(gr, -np.sin(grid.r)[:, None] * np.sin(grid.x)[None, :], atol=1e-5)
 
@@ -87,12 +87,12 @@ class TestSigmaGrad:
         bath = Bathymetry.cosine(grid, 0.3)
         d = build_diffeo(bath, 0.1 * np.cos(grid.x), params)
         f = d.eta_bar + params.eps * d.eta
-        gx, gr = sigma_grad(f, d)
+        gx, gr = d.ops.grad_phi(f), d.ops.dr_phi(f)
         assert np.abs(gx).max() < 1e-12
         assert np.abs(gr - 1.0).max() < 1e-12
 
     def test_pullback_identity_under_refinement(self, params):
-        # sigma_grad of F(x, z(x,r)) matches (grad F)(x, z(x,r))
+        # (grad_phi, dr_phi) of F(x, z(x,r)) matches (grad F)(x, z(x,r))
         errs = []
         for n_r in (16, 32):
             grid = StripGrid(n_x=64, n_r=n_r)
@@ -101,7 +101,7 @@ class TestSigmaGrad:
             z = d.z_nodes()
             x = np.broadcast_to(grid.x, z.shape)
             f = np.sin(x) * np.cos(2.0 * z)
-            gx, gr = sigma_grad(f, d)
+            gx, gr = d.ops.grad_phi(f), d.ops.dr_phi(f)
             ex = np.cos(x) * np.cos(2.0 * z)
             er = -2.0 * np.sin(x) * np.sin(2.0 * z)
             errs.append(max(np.abs(gx[0] - ex).max(), np.abs(gr - er).max()))

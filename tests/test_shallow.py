@@ -141,7 +141,7 @@ class TestLift:
         assert rep["bottom_linf"] < 1e-13
         # surface kinematic condition: the lifted w matches the sw mass flux
         deta = sw_rhs(sw, bath, params).deta
-        kin = deta + params.eps * sw.V[0] * spectral.dx_scalar(grid, sw.eta) - st.w[-1]
+        kin = deta + params.eps * sw.V[0] * spectral.dx(grid, sw.eta)[0] - st.w[-1]
         assert np.abs(kin).max() < 1e-11
 
 

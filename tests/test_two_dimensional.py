@@ -7,7 +7,6 @@ import pytest
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
 from stripflow.dynamics import StripState, euler_rhs, vorticity
-from stripflow.geometry import sigma_grad
 
 
 @pytest.fixture
@@ -35,7 +34,7 @@ def test_sigma_operators(grid2):
     diffeo = build_diffeo(bath, e0, params)
     # the height function has vanishing transformed gradient, unit vertical
     f = diffeo.eta_bar + params.eps * diffeo.eta
-    gx, gr = sigma_grad(f, diffeo)
+    gx, gr = diffeo.ops.grad_phi(f), diffeo.ops.dr_phi(f)
     assert gx.shape == (2, grid2.n_r + 1, 16, 16)
     assert np.abs(gx).max() < 1e-11
     assert np.abs(gr - 1.0).max() < 1e-11
