@@ -102,7 +102,11 @@ def cmd_rate(args) -> int:
     for m, e in zip(mus, errs):
         if np.isfinite(e):
             last[m] = e
-    fit = fit_rate(sorted(last.items()))
+    try:
+        fit = fit_rate(sorted(last.items()))
+    except ValueError as exc:
+        print(f"rate fit failed: {exc}", file=sys.stderr)
+        return 4
     print(f"slope = {fit.slope:.4f}  intercept = {fit.intercept:.4f}  "
           f"residual = {fit.residual:.3e}  degenerate = {fit.degenerate}")
     lo, hi = args.window

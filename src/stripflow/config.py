@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .diagnostics import spans_two_decades
 from .errors import ConfigError
 from .geometry import PhysParams
 from .grid import StripGrid
@@ -16,8 +17,6 @@ _DEFAULTS = {
     "params.delta": 0.0,
     "params.g": 1.0,
     "params.rho_bar": 1.0,
-    "limits.h_min": 0.1,
-    "limits.h_max": 10.0,
     "limits.c_star": 0.1,
     "limits.norm_factor": 10.0,
     "grid.d": 1,
@@ -132,10 +131,15 @@ class ExperimentConfig:
         if v["sweep.axis"] and v["sweep.axis"] not in ("mu", "iota3", "log_horizon"):
             problems.append(f"unknown sweep axis {v['sweep.axis']!r}")
         if v["sweep.axis"]:
-            if len(v["sweep.values"]) < 3:
+            axis, values = v["sweep.axis"], v["sweep.values"]
+            if len(values) < 3:
                 problems.append("sweep needs at least three values")
-            if any(val <= 0 for val in v["sweep.values"]):
+            if any(val <= 0 for val in values):
                 problems.append("sweep values must be positive")
+            elif axis in ("mu", "iota3") and values and not spans_two_decades(values):
+                problems.append("a rate fit needs sweep values spanning at least two decades")
+            if axis in ("mu", "log_horizon") and max(values, default=0.0) > 1.0:
+                problems.append(f"{axis} sweep values must not exceed 1")
         if v["initial.recipe"] == "well_prepared" and v["params.delta"] > v["params.mu"]:
             problems.append(
                 "well-prepared runs require weak density variations (delta <= mu)"
@@ -164,8 +168,6 @@ class ExperimentConfig:
             delta=v["params.delta"] if delta is None else delta,
             g=v["params.g"],
             rho_bar=v["params.rho_bar"],
-            h_min=v["limits.h_min"],
-            h_max=v["limits.h_max"],
             c_star=v["limits.c_star"],
         )
 

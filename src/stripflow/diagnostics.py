@@ -8,7 +8,7 @@ import numpy as np
 
 from . import spectral
 from .dynamics import StripState, VorticityField, vorticity
-from .geometry import DiffeoFields, PhysParams, alinhac_unknown, check_nondegeneracy
+from .geometry import DiffeoFields, PhysParams, alinhac_unknown
 from .pressure import TaylorCoefficient
 
 
@@ -129,23 +129,16 @@ def equivalence_checks(report: EnergyReport, reference: EnergyReport | None = No
 
 
 def blowup_monitor(
-    state: StripState,
-    report: EnergyReport,
-    initial_norm: float,
-    params: PhysParams,
-    diffeo: DiffeoFields,
-    norm_factor: float = 10.0,
+    report: EnergyReport, initial_norm: float, params: PhysParams, norm_factor: float = 10.0
 ) -> str:
-    """Continue / TaylorDegenerate / NormBlowup; depth and density are also
-    checked defensively although the analysis rules them out."""
+    """Continue / TaylorDegenerate / NormBlowup.  Depth and density need no
+    check here: ``runner.measure`` raises DegenerateDepth or DegenerateDensity
+    before a report of such a state exists."""
     if report.taylor_min < 0.5 * params.c_star:
         return "TaylorDegenerate"
     if not np.isfinite(report.state_norm):
         return "NormBlowup"
     if report.state_norm > norm_factor * max(initial_norm, 1e-12):
-        return "NormBlowup"
-    rep = check_nondegeneracy(state.rho, diffeo, params)
-    if rep["min_depth"] <= 0.0 or rep["min_density"] <= 0.0:
         return "NormBlowup"
     return "Continue"
 
@@ -158,6 +151,11 @@ class RateFit:
     degenerate: bool
 
 
+def spans_two_decades(values) -> bool:
+    """The sample range a rate fit needs: max/min of the positive values >= 100."""
+    return max(values) / min(values) >= 1e2
+
+
 def fit_rate(samples, floor: float = 1e-13) -> RateFit:
     """Least-squares slope of log(error) against log(mu); errors at the noise
     floor flag the fit as degenerate instead of failing."""
@@ -166,7 +164,7 @@ def fit_rate(samples, floor: float = 1e-13) -> RateFit:
         raise ValueError("need at least three samples")
     mus = np.array([m for m, _ in samples])
     errs = np.array([e for _, e in samples])
-    if mus.max() / mus.min() < 1e2:
+    if not spans_two_decades(mus):
         raise ValueError("samples must span at least two decades")
     degenerate = bool((errs < floor).any())
     errs = np.maximum(errs, floor)

@@ -1,6 +1,6 @@
 """Prognostic core: tendencies for (V, w, rho, eta0) in sigma coordinates,
-vorticity and its density source, the RK4 integrator shared by every solver,
-and the divergence projection.
+vorticity, the RK4 integrator shared by every solver, and the divergence
+projection.
 
 The tendencies go through the pressure closure of ``pressure``: the
 non-pressure tendencies plus the time derivative of the metric coefficients
@@ -70,7 +70,6 @@ class Tendencies:
     drho: np.ndarray
     deta0: np.ndarray
     P: np.ndarray
-    diffeo: DiffeoFields
     solve_info: SolveInfo
 
 
@@ -110,7 +109,7 @@ def metric_motion_term(ops, h, h_dot, grad_dH, V, w) -> np.ndarray:
 
 
 def assemble_pressure_problem(
-    state: StripState, diffeo: DiffeoFields, params: PhysParams, with_R: bool = False
+    state: StripState, diffeo: DiffeoFields, params: PhysParams
 ) -> tuple[EllipticProblem, dict]:
     """Elliptic problem for P plus the non-pressure tendencies it was built
     from (returned so the caller completes the momentum update without
@@ -150,22 +149,6 @@ def assemble_pressure_problem(
     grad_dH = eps * rp1[None] * spectral.dx(grid, deta0)[:, None]
     metric_term = metric_motion_term(ops, diffeo.h_tot, eps * deta0, grad_dH, state.V, state.w)
     problem = closure_problem(diffeo, params, nu, B_V, B_w, metric_term)
-
-    # divergence-form source vector, for inspection and entry-wise tests:
-    # R = (sqrt(mu) h G_V ; mu G_w - mu grad_sigma . G_V) with G the
-    # d_t^phi-form tendencies (no metric-motion correction)
-    if with_R:
-        G_V = np.stack(
-            [B_V[i] - spectral.quadratic(grid, tcorr, spectral.dr(grid, state.V[i])) for i in range(grid.d)]
-        )
-        G_w = B_w - spectral.quadratic(grid, tcorr, spectral.dr(grid, state.w))
-        problem.R = np.concatenate(
-            [
-                np.sqrt(mu) * diffeo.h_tot * G_V,
-                (mu * G_w - mu * np.sum(diffeo.grad_sum * G_V, axis=0))[None],
-            ],
-            axis=0,
-        )
     aux = {"B_V": B_V, "B_w": B_w, "drho": drho, "deta0": deta0}
     return problem, aux
 
@@ -192,7 +175,7 @@ def euler_rhs(
     )
     if not np.isfinite(checks):
         raise BlowUpSuspected("non-finite tendency")
-    return Tendencies(dV, dw, aux["drho"], aux["deta0"], P, diffeo, info)
+    return Tendencies(dV, dw, aux["drho"], aux["deta0"], P, info)
 
 
 def divergence_report(state: StripState, bathymetry: Bathymetry, params: PhysParams) -> dict:
@@ -248,7 +231,6 @@ def step_rk4(
     dt: float,
     bathymetry: Bathymetry,
     params: PhysParams,
-    project: bool = True,
     enforce_cfl: bool = True,
 ) -> StripState:
     """Classical four-stage step followed by the divergence projection; each
@@ -258,9 +240,7 @@ def step_rk4(
         if dt > limit:
             raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
     new = rk4(state, dt, lambda st, k: euler_rhs(st, bathymetry, params, x0=None if k is None else k.P))
-    if project:
-        new = project_divergence_free(new, bathymetry, params)
-    return new
+    return project_divergence_free(new, bathymetry, params)
 
 
 def _advanced(state) -> list:
@@ -311,45 +291,6 @@ def vorticity(state, diffeo, params: PhysParams) -> VorticityField:
     )
     omega_r = ops.grad_phi(state.V[1])[0] - ops.grad_phi(state.V[0])[1]
     return VorticityField(omega_x, omega_r)
-
-
-def vorticity_source(
-    state: StripState, P: np.ndarray, diffeo: DiffeoFields, params: PhysParams
-) -> np.ndarray:
-    """Source of the scaled-vorticity transport equation stemming from the
-    density variations: the baroclinic torque of the total pressure
-    (perturbation plus the moving hydrostatic column), divided by delta.
-
-    Derived by taking the scaled curl of the momentum equations; for d = 1,
-
-        F = eps nu^2 [dr_phi rho (grad_phi P + g rho_bar grad eta0)
-                      - grad_phi rho dr_phi P] + g rho_bar nu^2 grad_phi rho.
-    """
-    grid = diffeo.grid
-    ops = diffeo.ops
-    nu2 = _nu(state, params) ** 2
-    eps, g, rb = params.eps, params.g, params.rho_bar
-    grad_rho = ops.grad_phi(state.rho)
-    dr_rho = ops.dr_phi(state.rho)
-    gradP = ops.grad_phi(P)
-    drP = ops.dr_phi(P)
-    grad_eta0 = spectral.dx(grid, state.eta0)
-    if grid.d == 1:
-        return nu2 * (
-            eps * (dr_rho * (gradP[0] + g * rb * grad_eta0[0]) - grad_rho[0] * drP)
-            + g * rb * grad_rho[0]
-        )
-    # d = 2: horizontal pair plus the vertical component
-    def perp(v):
-        return np.stack([-v[1], v[0]])
-
-    gpe = perp(gradP + g * rb * grad_eta0[:, None])
-    gr = perp(grad_rho)
-    F_x = nu2 * (eps * (dr_rho * gpe - gr * drP) + g * rb * gr)
-    F_r = params.sqrt_mu * eps * nu2 * (
-        gr[0] * (gradP[0] + g * rb * grad_eta0[0]) + gr[1] * (gradP[1] + g * rb * grad_eta0[1])
-    )
-    return np.concatenate([F_x, F_r[None]], axis=0)
 
 
 # -- initial data ------------------------------------------------------------------

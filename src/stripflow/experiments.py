@@ -245,13 +245,18 @@ def sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1, verbose: bool = False) 
     failed = [m for m in members if m["status"] != "Continue"]
     summary = {"members": members, "excluded": len(failed)}
     code = 0
+    extra = {"axis": axis, "members": len(members), "excluded": len(failed)}
     if axis in ("mu", "iota3") and len(ok) >= 3:
-        fit = fit_rate([(m[key], m["error"]) for m in ok])
-        io.write_rate_summary(out / "rates.txt", axis, [m[key] for m in ok],
-                              [m["error"] for m in ok], fit)
-        summary["fit"] = fit
-        if not (cfg["rate.min"] <= fit.slope <= cfg["rate.max"]) or fit.degenerate:
-            code = 4
+        try:
+            fit = fit_rate([(m[key], m["error"]) for m in ok])
+        except ValueError as exc:  # the surviving members cannot be fitted
+            code, extra["fit"] = 4, f"failed: {exc}"
+        else:
+            io.write_rate_summary(out / "rates.txt", axis, [m[key] for m in ok],
+                                  [m["error"] for m in ok], fit)
+            summary["fit"] = fit
+            if not (cfg["rate.min"] <= fit.slope <= cfg["rate.max"]) or fit.degenerate:
+                code = 4
     elif axis == "log_horizon":
         with open(out / "horizon.txt", "w") as fh:
             fh.write("# eps horizon final_t status\n")
@@ -261,8 +266,7 @@ def sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1, verbose: bool = False) 
             code = 3
     elif failed:
         code = 3
-    io.write_manifest(out / "manifest.txt", cfg.dump(), f"exit={code}",
-                      {"axis": axis, "members": len(members), "excluded": len(failed)})
+    io.write_manifest(out / "manifest.txt", cfg.dump(), f"exit={code}", extra)
     if verbose:
         for m in members:
             print(f"[sweep] {axis}={m[key]} err={m['error']:.3e} status={m['status']}")

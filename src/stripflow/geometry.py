@@ -24,9 +24,8 @@ class PhysParams:
     delta: float = 0.0
     g: float = 1.0
     rho_bar: float = 1.0
-    # admissible-depth window (the analysis never pins these; config-exposed)
-    h_min: float = 0.1
-    h_max: float = 10.0
+    # the blow-up monitor flags TaylorDegenerate when the surface stability
+    # coefficient falls below c_star / 2
     c_star: float = 0.1
 
     def __post_init__(self):
@@ -226,24 +225,12 @@ def alinhac_unknown(f: np.ndarray, s: float, diffeo) -> np.ndarray:
     return spectral.lambda_pow(grid, f, s, dotted=True) - correction * spectral.dr(grid, f)
 
 
-def check_nondegeneracy(rho: np.ndarray, diffeo: DiffeoFields, params: PhysParams) -> dict:
-    """Report minima of depth and density against the standing hypotheses."""
-    depth = diffeo.h_tot
-    density = params.rho_bar + params.eps * params.delta * rho
-    report = {
-        "min_depth": float(depth.min()),
-        "max_depth": float(depth.max()),
-        "min_density": float(density.min()),
-        "depth_ok": bool(params.h_min <= depth.min() and depth.max() <= params.h_max),
-        "density_ok": bool(density.min() >= params.c_star),
-    }
-    return report
-
-
-def require_nondegenerate(rho: np.ndarray, diffeo: DiffeoFields, params: PhysParams):
-    rep = check_nondegeneracy(rho, diffeo, params)
-    if rep["min_depth"] <= 0.0:
-        raise DegenerateDepth(f"min depth {rep['min_depth']:.3e}")
-    if rep["min_density"] <= 0.0:
-        raise DegenerateDensity(f"min density {rep['min_density']:.3e}")
-    return rep
+def require_nondegenerate(rho: np.ndarray, diffeo, params: PhysParams):
+    """Raise DegenerateDepth or DegenerateDensity unless the layer thickness of
+    the coordinate map ``diffeo`` and the total density are positive."""
+    min_depth = float(diffeo.h_tot.min())
+    if min_depth <= 0.0:
+        raise DegenerateDepth(f"min depth {min_depth:.3e}")
+    min_density = float((params.rho_bar + params.eps * params.delta * rho).min())
+    if min_density <= 0.0:
+        raise DegenerateDensity(f"min density {min_density:.3e}")

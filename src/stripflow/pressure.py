@@ -8,10 +8,9 @@ The discrete operator is the composition
 with homogeneous Dirichlet data at r = 0 and the conormal row
 N_b . (mu Q_x, Q_r) imposed at r = -1.  Pointwise algebra identifies
 (mu Q_x * h, Q_r - mu grad_sigma . Q_x) with the flux A grad_mu P of the
-equivalent divergence form, so the assembled matrix field A is kept for
-positivity checks and the mode-wise preconditioner, while the solve itself
-uses the composed form (it is the one that makes the prognostic tendencies
-preserve the discrete divergence).
+equivalent divergence form; its matrix field A serves the positivity check
+and the solver diagnostics.  The solve uses the composed form, the one that
+makes the prognostic tendencies preserve the discrete divergence.
 
 Every solver closes its non-pressure tendencies (B_V, B_w) the same way:
 ``closure_problem`` poses the source mu div_phi B (plus the metric motion of
@@ -64,9 +63,7 @@ class TaylorCoefficient:
 @dataclass
 class EllipticProblem:
     """One pressure-type solve: metric operators, coefficient blocks, and the
-    right-hand side in composed form (scalar source + conormal bottom data).
-    ``R`` keeps the divergence-form vector source when the problem was posed
-    that way (manufactured solutions, inspection)."""
+    right-hand side in composed form (scalar source + conormal bottom data)."""
 
     grid: StripGrid
     ops: SigmaOps
@@ -78,7 +75,6 @@ class EllipticProblem:
     bottom_slope: np.ndarray
     source: np.ndarray
     bottom_data: np.ndarray
-    R: np.ndarray | None = None
 
     # -- coefficient matrix (divergence form), kept for diagnostics ------------
 
@@ -124,25 +120,20 @@ class EllipticProblem:
         bottom = Qr[0] - self.mu * np.sum(self.bottom_slope * Qx[:, 0], axis=0)
         return interior, bottom
 
-    def residual(self, P: np.ndarray) -> float:
-        interior, bottom = self.apply(P)
-        num = np.sqrt(
-            np.sum((interior[1:-1] - self.source[1:-1]) ** 2)
-            + np.sum((bottom - self.bottom_data) ** 2)
-        )
-        den = np.sqrt(np.sum(self.source[1:-1] ** 2) + np.sum(self.bottom_data**2))
-        return float(num / max(den, 1e-300))
-
 
 def _as_strip(grid: StripGrid, f) -> np.ndarray:
     shape = (grid.n_r + 1,) + grid.xshape
     return np.broadcast_to(np.asarray(f, dtype=float), shape)
 
 
-def _problem(metric, params: PhysParams, nu, source, bottom_data, R=None) -> EllipticProblem:
-    """The problem on a coordinate map ``metric`` (anything with grid, ops,
-    h_tot, grad_sum and bottom_gradient)."""
+def closure_problem(metric, params: PhysParams, nu, B_V, B_w, metric_term=0.0) -> EllipticProblem:
+    """Pressure problem that keeps B_V - nu grad_phi P, B_w - nu dr_phi P / mu
+    divergence-free and impermeable at the bottom; ``metric_term`` is the
+    time derivative of the metric coefficients of a moving coordinate map
+    acting on the current velocity.  ``metric`` is any coordinate map with
+    grid, ops, h_tot, grad_sum and bottom_gradient."""
     grid = metric.grid
+    bottom = B_w[0] - np.sum(metric.bottom_gradient * B_V[:, 0], axis=0)
     return EllipticProblem(
         grid=grid,
         ops=metric.ops,
@@ -152,20 +143,9 @@ def _problem(metric, params: PhysParams, nu, source, bottom_data, R=None) -> Ell
         h_tot=_as_strip(grid, metric.h_tot),
         grad_sum=metric.grad_sum,
         bottom_slope=metric.bottom_gradient,
-        source=source,
-        bottom_data=bottom_data,
-        R=R,
+        source=params.mu * (metric.ops.div_phi(B_V, B_w) + metric_term),
+        bottom_data=params.mu * bottom,
     )
-
-
-def closure_problem(metric, params: PhysParams, nu, B_V, B_w, metric_term=0.0) -> EllipticProblem:
-    """Pressure problem that keeps B_V - nu grad_phi P, B_w - nu dr_phi P / mu
-    divergence-free and impermeable at the bottom; ``metric_term`` is the
-    time derivative of the metric coefficients of a moving coordinate map
-    acting on the current velocity."""
-    source = params.mu * (metric.ops.div_phi(B_V, B_w) + metric_term)
-    bottom = B_w[0] - np.sum(metric.bottom_gradient * B_V[:, 0], axis=0)
-    return _problem(metric, params, nu, source, params.mu * bottom)
 
 
 def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=None):
@@ -176,22 +156,6 @@ def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=No
     dV = B_V - problem.nu * problem.ops.grad_phi(P)
     dw = B_w - problem.nu * problem.ops.dr_phi(P) / problem.mu
     return dV, dw, P, info
-
-
-def problem_from_divergence_form(
-    diffeo: DiffeoFields, params: PhysParams, R: np.ndarray, nu: np.ndarray | None = None
-) -> EllipticProblem:
-    """Pose ``div_mu (A grad_mu P) = div_mu R`` through the composed form:
-    the scalar source is (1/h) div_mu R and the bottom data is the vertical
-    component of R at r = -1 (the conormal identity e.A grad_mu P = e.R)."""
-    grid = diffeo.grid
-    if nu is None:
-        nu = 1.0 / params.rho_bar
-    R_x, R_r = R[:-1], R[-1]
-    div = spectral.dr(grid, R_r)
-    for i in range(grid.d):
-        div = div + np.sqrt(params.mu) * spectral.dx(grid, R_x[i])[i]
-    return _problem(diffeo, params, nu, div / diffeo.h_tot, R_r[0].copy(), R=R)
 
 
 # -- preconditioner ------------------------------------------------------------

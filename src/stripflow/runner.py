@@ -114,9 +114,8 @@ def simulate(
     def observe(state, rec):
         report = measure(state, bathymetry, params, s, s0)
         comparison = None if sw is None else shallow.compare(state, sw, s, bathymetry, params)
-        diffeo = build_diffeo(bathymetry, state.eta0, params)
         initial_norm = (rec.reports[0] if rec.reports else report).state_norm
-        status = blowup_monitor(state, report, initial_norm, params, diffeo, norm_factor)
+        status = blowup_monitor(report, initial_norm, params, norm_factor)
         rec.reports.append(report)
         rec.energies.append(report.E_s)
         if comparison is not None:

@@ -81,17 +81,6 @@ def sw_step_rk4(sw: SWState, dt: float, bathymetry: Bathymetry, params: PhysPara
     return rk4(sw, dt, lambda st, _: sw_rhs(st, bathymetry, params))
 
 
-def sw_mass(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> float:
-    return float(depth(sw, bathymetry, params).mean())
-
-
-def sw_energy(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> float:
-    h = depth(sw, bathymetry, params)
-    kin = 0.5 * h * np.sum(sw.V**2, axis=0)
-    pot = 0.5 * params.g * sw.eta**2
-    return float((kin + pot).mean() * bathymetry.grid.length ** bathymetry.grid.d)
-
-
 def cfl_dt_sw(sw: SWState, bathymetry: Bathymetry, params: PhysParams, factor: float = 0.4) -> float:
     grid = bathymetry.grid
     h = depth(sw, bathymetry, params)

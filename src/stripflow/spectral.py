@@ -1,5 +1,5 @@
 """Fourier multipliers, mollifiers, harmonic extension, anisotropic Sobolev
-norms, traces and quadrature on the strip.
+norms and quadrature on the strip.
 
 All operators act slab-by-slab on strip fields (leading r-axis) and directly
 on surface fields; the horizontal transform is a real FFT over the trailing
@@ -163,45 +163,3 @@ def field_norm(grid: StripGrid, f: np.ndarray, s: float) -> float:
 def stack_norm(grid: StripGrid, fields, s: float) -> float:
     """Norm of a tuple of fields: sqrt of the sum of squared norms."""
     return float(np.sqrt(sum(field_norm(grid, f, s) ** 2 for f in fields)))
-
-
-def trace(grid: StripGrid, f: np.ndarray, at: str) -> np.ndarray:
-    if at == "bottom":
-        return f[0].copy()
-    if at == "surface":
-        return f[-1].copy()
-    raise ValueError("at must be 'bottom' or 'surface'")
-
-
-def strip_integral(grid: StripGrid, f: np.ndarray) -> float:
-    w = grid.r_column(grid.r_weights)
-    return float(grid.cell_volume * np.sum(w * f))
-
-
-def surface_integral(grid: StripGrid, f: np.ndarray) -> float:
-    return float(grid.cell_volume * np.sum(f))
-
-
-def ibp_residual(grid: StripGrid, F_x: np.ndarray, F_r: np.ndarray, g: np.ndarray, diffeo) -> float:
-    """Absolute defect of the sigma-coordinate integration-by-parts identity
-
-        int_S h (grad_phi . F) g  =  surface term - bottom term
-                                     - int_S h F . grad_phi g,
-
-    computed with the package's own quadrature and derivatives.  The residual
-    vanishes at the discretization rate for smooth data.
-    """
-    ops = diffeo.ops
-    h = diffeo.h_tot
-    div = ops.div_phi(F_x, F_r)
-    lhs = strip_integral(grid, h * div * g)
-    gx = ops.grad_phi(g)
-    gr = ops.dr_phi(g)
-    vol = strip_integral(grid, h * (np.sum(F_x * gx, axis=0) + F_r * gr))
-    top = surface_integral(
-        grid, (np.sum(F_x[:, -1] * diffeo.grad_sum[:, -1], axis=0) - F_r[-1]) * g[-1]
-    )
-    bot = surface_integral(
-        grid, (np.sum(F_x[:, 0] * diffeo.bottom_gradient, axis=0) - F_r[0]) * g[0]
-    )
-    return abs(lhs - (-top + bot - vol))

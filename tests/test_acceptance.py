@@ -320,7 +320,7 @@ def test_criterion_10_blowup_machinery():
 
     rep = _measure(st, bath, params, 4.0, 2.0)
     synthetic = type(rep)(**{**rep.__dict__, "taylor_min": a.minimum})
-    trig = blowup_monitor(st, synthetic, rep.state_norm, params, diffeo)
+    trig = blowup_monitor(synthetic, rep.state_norm, params)
 
     # (b) a strongly sheared layer either completes or halts cleanly
     grid2 = StripGrid(n_x=64, n_r=32)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,20 @@ class TestConfig:
     def test_sweep_validation(self):
         cfg = ExperimentConfig.from_text(BASE_CONFIG + "\nsweep.axis = mu\nsweep.values = 0.1, 0.01\n")
         assert any("three values" in p for p in cfg.validate())
+
+    @pytest.mark.parametrize("axis, values", [("mu", "2, 0.1, 0.01"), ("log_horizon", "2, 0.2, 0.1")])
+    def test_sweep_values_out_of_range(self, axis, values):
+        cfg = ExperimentConfig.from_text(BASE_CONFIG + f"\nsweep.axis = {axis}\nsweep.values = {values}\n")
+        assert any("must not exceed 1" in p for p in cfg.validate())
+
+    @pytest.mark.parametrize("axis", ["mu", "iota3"])
+    def test_sweep_span_below_two_decades(self, axis):
+        cfg = ExperimentConfig.from_text(BASE_CONFIG + f"\nsweep.axis = {axis}\nsweep.values = 0.1, 0.05, 0.02\n")
+        assert any("two decades" in p for p in cfg.validate())
+
+    @pytest.mark.parametrize("path", sorted(Path(__file__).parent.parent.glob("configs/*.cfg")))
+    def test_shipped_configs_are_valid(self, path):
+        assert ExperimentConfig.from_file(path).validate() == []
 
     def test_weak_density_guard(self):
         text = BASE_CONFIG + "\ninitial.recipe = well_prepared\nparams.delta = 0.5\n"
@@ -159,6 +175,14 @@ class TestCLI:
         assert code == 0
         code = main(["rate", "--results", str(path), "--window", "0.9", "1.1"])
         assert code == 4
+
+    def test_rate_on_too_few_samples_is_a_failed_fit(self, tmp_path, capsys):
+        path = tmp_path / "results.txt"
+        with ResultsWriter(path) as w:
+            for mu in (1e-1, 1e-3):
+                w.row(PhysParams(eps=0.3, beta=0.4, mu=mu), 1.0, None, ComparisonReport(mu, mu, 0, 0, 0, 0, 1.0))
+        assert main(["rate", "--results", str(path)]) == 4
+        assert "three samples" in capsys.readouterr().err
 
     def test_rate_fits_named_columns(self, tmp_path, capsys):
         # err_V + err_eta = 2 mu^0.75 at the last time of each member; the
@@ -329,6 +353,34 @@ sweep.values = 0.3, 0.2, 0.1
         code, summary = experiments.sweep(ExperimentConfig.from_text(BASE_CONFIG + extra), tmp_path / "iota")
         assert code == 3
         assert [m["status"] for m in summary["members"]] == ["NoConvergence"] * 3
+
+    def test_sweep_rejects_unusable_values_before_running(self, tmp_path, monkeypatch):
+        # mu > 1 made the first member raise from PhysParams; a span below
+        # two decades ran every member and then failed the fit
+        def member(cfg, mu):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setitem(experiments._AXES, "mu", (member, "mu"))
+        for values in ("2, 0.1, 0.01", "0.1, 0.05, 0.02"):
+            cfg = self._write(tmp_path, f"\nsweep.axis = mu\nsweep.values = {values}\n")
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"), "--jobs", "2"]) == 2
+        assert not (tmp_path / "s").exists()
+
+    def test_sweep_unfittable_survivors_exit_4(self, tmp_path, monkeypatch):
+        # the smallest member halts and the survivors span less than two
+        # decades: the fit cannot be made, which is a fit failure (exit 4)
+        def member(cfg, mu):
+            status = "NoConvergence" if mu < 1e-2 else "Continue"
+            return {"mu": mu, "error": mu, "status": status, "rows": [], "achieved": 0.0, "drift": 0.0}
+
+        monkeypatch.setitem(experiments._AXES, "mu", (member, "mu"))
+        cfg = self._write(tmp_path, "\nsweep.axis = mu\nsweep.values = 1e-1, 5e-2, 2e-2, 1e-3\n")
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 4
+        manifest = (out / "manifest.txt").read_text()
+        assert "status = exit=4" in manifest and "excluded = 1" in manifest
+        assert "fit = failed: samples must span at least two decades" in manifest
+        assert not (out / "rates.txt").exists()
 
     def test_sweep_verbose_prints_member_axis_value(self, tmp_path, capsys):
         extra = """

@@ -138,12 +138,12 @@ class TestBlowupMonitor:
 
     def test_healthy_run_continues(self, grid):
         params, st, rep, diffeo = self._setup(grid)
-        assert blowup_monitor(st, rep, rep.state_norm, params, diffeo) == "Continue"
+        assert blowup_monitor(rep, rep.state_norm, params) == "Continue"
 
     def test_taylor_degenerate(self, grid):
         params, st, rep, diffeo = self._setup(grid)
         bad = type(rep)(**{**rep.__dict__, "taylor_min": 0.01})
-        assert blowup_monitor(st, bad, rep.state_norm, params, diffeo) == "TaylorDegenerate"
+        assert blowup_monitor(bad, rep.state_norm, params) == "TaylorDegenerate"
 
     def test_taylor_degenerate_from_synthetic_pressure(self, grid):
         # a synthetic pressure with a strong vertical gradient drives the
@@ -153,12 +153,12 @@ class TestBlowupMonitor:
         a = taylor_coefficient(P, diffeo, params)
         bad = type(rep)(**{**rep.__dict__, "taylor_min": a.minimum})
         assert a.minimum < 0.5 * params.c_star
-        assert blowup_monitor(st, bad, rep.state_norm, params, diffeo) == "TaylorDegenerate"
+        assert blowup_monitor(bad, rep.state_norm, params) == "TaylorDegenerate"
 
     def test_norm_spike(self, grid):
         params, st, rep, diffeo = self._setup(grid)
         spiked = type(rep)(**{**rep.__dict__, "state_norm": 20.0 * rep.state_norm})
-        assert blowup_monitor(st, spiked, rep.state_norm, params, diffeo) == "NormBlowup"
+        assert blowup_monitor(spiked, rep.state_norm, params) == "NormBlowup"
 
 
 class TestSimulateHalts:

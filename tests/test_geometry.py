@@ -3,8 +3,8 @@ import pytest
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
-from stripflow.errors import DegenerateDepth
-from stripflow.geometry import alinhac_unknown, check_nondegeneracy
+from stripflow.errors import DegenerateDensity, DegenerateDepth
+from stripflow.geometry import DiffeoFields, alinhac_unknown, require_nondegenerate
 from stripflow.diagnostics import fit_rate
 
 
@@ -162,21 +162,19 @@ class TestNondegeneracy:
     def test_rest_passes(self, flat_setup):
         grid, params, bath = flat_setup
         d = build_diffeo(bath, np.zeros(grid.xshape), params)
-        rep = check_nondegeneracy(np.zeros((grid.n_r + 1,) + grid.xshape), d, params)
-        assert rep["depth_ok"] and rep["density_ok"]
-        assert rep["min_depth"] == 1.0 and rep["min_density"] == params.rho_bar
+        require_nondegenerate(np.zeros((grid.n_r + 1,) + grid.xshape), d, params)
+        assert d.h_tot.min() == 1.0
 
     def test_density_cancellation_flagged(self, grid):
         params = PhysParams(eps=0.5, beta=0.0, mu=0.1, delta=0.5)
         bath = Bathymetry.flat(grid)
         d = build_diffeo(bath, np.zeros(grid.xshape), params)
         rho = np.full((grid.n_r + 1,) + grid.xshape, -params.rho_bar / (params.eps * params.delta))
-        rep = check_nondegeneracy(rho, d, params)
-        assert not rep["density_ok"]
-        assert rep["min_density"] <= 0.0
+        with pytest.raises(DegenerateDensity):
+            require_nondegenerate(rho, d, params)
 
     def test_trough_over_bump_depth_scan(self, grid):
-        # aligned bump and trough: the pointwise depth minimum drives the flag
+        # aligned bump and trough: the pointwise depth minimum drives the check
         params = PhysParams(eps=1.0, beta=1.0, mu=0.1)
         bump = 0.25 * (1 + np.cos(grid.x))
         trough = -0.45 * 0.5 * (1 + np.cos(grid.x))
@@ -184,11 +182,11 @@ class TestNondegeneracy:
         d = build_diffeo(bath, trough, params)
         depth = 1.0 - bump + trough
         assert np.isclose(d.h_tot.min(), depth.min())
-        rep = check_nondegeneracy(np.zeros((grid.n_r + 1,) + grid.xshape), d, params)
-        assert depth.min() < params.h_min
-        assert not rep["depth_ok"]
+        rho = np.zeros((grid.n_r + 1,) + grid.xshape)
+        require_nondegenerate(rho, d, params)
         # shifting the trough away from the bump restores the margin
         shifted = np.roll(trough, grid.n_x // 2)
-        d2 = build_diffeo(bath, shifted, params)
-        rep2 = check_nondegeneracy(np.zeros((grid.n_r + 1,) + grid.xshape), d2, params)
-        assert rep2["depth_ok"]
+        assert build_diffeo(bath, shifted, params).h_tot.min() > d.h_tot.min()
+        # a trough deeper than the water over the bump is rejected
+        with pytest.raises(DegenerateDepth):
+            require_nondegenerate(rho, DiffeoFields(grid, params, bath, 2.0 * trough), params)

@@ -10,13 +10,23 @@ from stripflow.shallow import (
     SWState,
     cfl_dt_sw,
     compare,
+    depth,
     lift_sw,
-    sw_energy,
-    sw_mass,
     sw_rhs,
     sw_step_rk4,
     well_prepared_init,
 )
+
+
+def sw_mass(sw, bath, params):
+    return float(depth(sw, bath, params).mean())
+
+
+def sw_energy(sw, bath, params):
+    h = depth(sw, bath, params)
+    kin = 0.5 * h * np.sum(sw.V**2, axis=0)
+    pot = 0.5 * params.g * sw.eta**2
+    return float((kin + pot).mean() * bath.grid.length ** bath.grid.d)
 
 
 class TestSWDynamics:

@@ -47,7 +47,7 @@ def test_rest_tendencies_and_vorticity(grid2):
     t = euler_rhs(state, bath, params)
     assert np.abs(t.dV).max() == 0.0
     assert np.abs(t.dw).max() == 0.0
-    om = vorticity(state, t.diffeo, params)
+    om = vorticity(state, build_diffeo(bath, state.eta0, params), params)
     assert om.omega_x.shape == (2, grid2.n_r + 1, 16, 16)
     assert om.omega_r is not None
     assert np.abs(om.omega_r).max() == 0.0
