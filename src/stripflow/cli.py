@@ -18,29 +18,17 @@ from .diagnostics import fit_rate
 from .errors import ConfigError, StripflowError
 
 
-def _load_config(path) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(path)
-    problems = cfg.validate()
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return cfg
-
-
 def cmd_run(args) -> int:
     from .experiments import run_single
 
-    cfg = _load_config(args.config)
-    code, _ = run_single(cfg, args.out, args.verbose)
+    code, _ = run_single(ExperimentConfig.from_file(args.config), args.out, args.verbose)
     return code
 
 
 def cmd_sweep(args) -> int:
     from .experiments import sweep
 
-    cfg = _load_config(args.config)
-    if not cfg["sweep.axis"]:
-        raise ConfigError("sweep requires sweep.axis")
-    code, summary = sweep(cfg, args.out, args.jobs, args.verbose)
+    code, summary = sweep(ExperimentConfig.from_file(args.config), args.out, args.jobs, args.verbose)
     fit = summary.get("fit")
     if fit is not None:
         print(f"slope = {fit.slope:.4f}  intercept = {fit.intercept:.4f}  "
@@ -71,11 +59,9 @@ def cmd_check(args) -> int:
     g2 = spectral.lambda_pow(grid, spectral.lambda_pow(grid, f, 1.25), 0.75)
     check("multiplier composition", np.allclose(g2, spectral.lambda_pow(grid, f, 2.0), atol=1e-12))
     check("mollifier is identity at 0", np.allclose(spectral.mollify(grid, f, 0.0), f))
-    diffeo = build_diffeo(bath, 0.05 * np.cos(grid.x), params)
-    check(
-        "depth identity",
-        np.allclose(diffeo.h_tot, 1 - params.beta * bath.values + params.eps * diffeo.eta0),
-    )
+    eta0 = 0.05 * np.cos(grid.x)
+    diffeo = build_diffeo(bath, eta0, params)
+    check("depth identity", np.allclose(diffeo.h_tot, 1 - params.beta * bath.values + params.eps * eta0))
     state = StripState.rest(grid)
     s1 = step_rk4(state, 1e-3, bath, params)
     delta = max(np.abs(s1.V).max(), np.abs(s1.w).max(), np.abs(s1.eta0).max())

@@ -44,11 +44,10 @@ def state_norm(state: StripState, grid, params: PhysParams, s: float) -> float:
     return spectral.stack_norm(grid, fields, s) + spectral.surface_norm(grid, state.eta0, s)
 
 
-def good_unknown_energy(state, metric, params: PhysParams, s: float) -> float:
+def good_unknown_energy(state, metric: DiffeoFields, params: PhysParams, s: float) -> float:
     """Weighted good-unknown sum
     ||sqrt(h rho) V^(s)||^2 + ||sqrt(mu h rho) w^(s)||^2 + ||sqrt(mu h) rho^(s)||^2
-    on the coordinate map ``metric`` (a DiffeoFields or the mollified scheme's
-    transported map)."""
+    on the coordinate map ``metric``."""
     h, mu = metric.h_tot, params.mu
     rho_tot = params.rho_bar + params.eps * params.delta * state.rho
     terms = [(np.sqrt(h * rho_tot), V_i) for V_i in state.V]

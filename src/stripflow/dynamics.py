@@ -115,7 +115,7 @@ def assemble_pressure_problem(
     from (returned so the caller completes the momentum update without
     re-deriving them)."""
     grid = diffeo.grid
-    require_nondegenerate(state.rho, diffeo, params)
+    require_nondegenerate(state.rho, params)
     ops = diffeo.ops
     mu, eps = params.mu, params.eps
     nu = _nu(state, params)
@@ -226,19 +226,13 @@ def cfl_dt(state: StripState, bathymetry: Bathymetry, params: PhysParams, factor
     return factor * min(dt_x, dt_r)
 
 
-def step_rk4(
-    state: StripState,
-    dt: float,
-    bathymetry: Bathymetry,
-    params: PhysParams,
-    enforce_cfl: bool = True,
-) -> StripState:
+def step_rk4(state: StripState, dt: float, bathymetry: Bathymetry, params: PhysParams) -> StripState:
     """Classical four-stage step followed by the divergence projection; each
-    stage's pressure solve starts from the previous stage's pressure."""
-    if enforce_cfl:
-        limit = cfl_dt(state, bathymetry, params, factor=0.5)
-        if dt > limit:
-            raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
+    stage's pressure solve starts from the previous stage's pressure.  Raises
+    CFLViolation when dt exceeds the 0.5-factor stability bound."""
+    limit = cfl_dt(state, bathymetry, params, factor=0.5)
+    if dt > limit:
+        raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
     new = rk4(state, dt, lambda st, k: euler_rhs(st, bathymetry, params, x0=None if k is None else k.P))
     return project_divergence_free(new, bathymetry, params)
 
@@ -274,9 +268,8 @@ def rk4(state, dt: float, rhs):
 # -- vorticity -------------------------------------------------------------------
 
 
-def vorticity(state, diffeo, params: PhysParams) -> VorticityField:
-    """Scaled curl of (V, w) in the coordinates of ``diffeo`` (any coordinate
-    map with grid and ops: a DiffeoFields or the mollified scheme's map)."""
+def vorticity(state, diffeo: DiffeoFields, params: PhysParams) -> VorticityField:
+    """Scaled curl of (V, w) in the coordinates of ``diffeo``."""
     ops = diffeo.ops
     sq = params.sqrt_mu
     if diffeo.grid.d == 1:
@@ -312,8 +305,7 @@ def init_from_streamfunction(
     grid = bathymetry.grid
     if grid.d != 1:
         raise ValueError("streamfunction initialization is d = 1 only")
-    diffeo = build_diffeo(bathymetry, eta0_init, params)
-    z = diffeo.z_nodes()
+    z = build_diffeo(bathymetry, eta0_init, params).z
     x = np.broadcast_to(grid.x, z.shape)
     psi_bottom = np.asarray(psi(grid.x, -1.0 + params.beta * bathymetry.values))
     if np.ptp(psi_bottom) > bottom_tol * max(1.0, np.abs(psi_bottom).max()):

@@ -14,7 +14,7 @@ from . import io, mollified, shallow
 from .config import ExperimentConfig
 from .diagnostics import fit_rate
 from .dynamics import StripState, init_from_streamfunction
-from .errors import StripflowError
+from .errors import ConfigError, StripflowError
 from .geometry import Bathymetry, PhysParams
 from .grid import StripGrid
 from .mollified import MollParams, from_strip_state, run_moll
@@ -101,7 +101,16 @@ def _direct_run(cfg: ExperimentConfig, params: PhysParams, T: float):
     return rec, rows, achieved, bath
 
 
+def _require_valid(cfg: ExperimentConfig):
+    """Raise ConfigError naming every problem of ``cfg``, before anything is
+    run or written."""
+    problems = cfg.validate()
+    if problems:
+        raise ConfigError("; ".join(problems))
+
+
 def run_single(cfg: ExperimentConfig, out_dir, verbose: bool = False) -> tuple[int, dict]:
+    _require_valid(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = cfg.params()
@@ -222,11 +231,12 @@ def _member(args) -> dict:
 def sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1, verbose: bool = False) -> tuple[int, dict]:
     """Run the configured axis members (parallelizable), collate terminal
     errors, fit the rate, and write the summary."""
+    _require_valid(cfg)
+    axis = cfg["sweep.axis"]
+    if not axis:
+        raise ConfigError("sweep requires sweep.axis")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    axis = cfg["sweep.axis"]
-    if axis not in _AXES:
-        raise StripflowError(f"unknown sweep axis {axis!r}")
     key = _AXES[axis][1]
     args = [(axis, cfg.text, v) for v in sorted(cfg["sweep.values"], reverse=True)]
 

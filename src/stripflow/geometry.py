@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from . import spectral
-from .errors import DegenerateDensity, DegenerateDepth
+from .errors import DegenerateDensity, DegenerateDepth, DegenerateDiffeo
 from .grid import StripGrid
 
 
@@ -151,86 +151,77 @@ class SigmaOps:
         return out
 
 
-# -- the barycentric-profile diffeomorphism ------------------------------------------
+# -- the coordinate map of the strip onto the fluid domain ----------------------------
+
+# the transported map halts with DegenerateDiffeo once its layer thickness
+# falls to this value
+MIN_THICKNESS = 1e-3
 
 
 @dataclass(frozen=True)
 class DiffeoFields:
-    """Metric data of the map (x, r) -> (x, eta_bar + eps*eta) with the
-    linear-in-r profiles eta_bar = r(1 - beta b), eta = (1+r) eta0."""
+    """Metric data of a map (x, r) -> (x, z) of the flat strip onto the fluid
+    domain: the node heights z, the layer thickness h_tot = d_r z (a surface
+    field when r-independent) and the horizontal gradient grad_sum of z
+    (components leading).  ``build_diffeo`` fills it from the barycentric
+    profile of the direct scheme, ``transported`` from the deformation carried
+    by the mollified scheme."""
 
     grid: StripGrid
-    params: PhysParams
-    bathymetry: Bathymetry
-    eta0: np.ndarray
+    z: np.ndarray
+    h_tot: np.ndarray
+    grad_sum: np.ndarray
 
-    @cached_property
-    def eta_bar(self) -> np.ndarray:
-        r = self.grid.r_column(self.grid.r)
-        return r * (1.0 - self.params.beta * self.bathymetry.values)
+    def __post_init__(self):
+        if self.h_tot.min() <= 0.0:
+            raise DegenerateDepth(f"min depth {self.h_tot.min():.3e} <= 0")
 
-    @cached_property
-    def eta(self) -> np.ndarray:
-        r = self.grid.r_column(self.grid.r)
-        return (1.0 + r) * self.eta0
-
-    @cached_property
-    def h_bar(self) -> np.ndarray:
-        return 1.0 - self.params.beta * self.bathymetry.values
-
-    @cached_property
-    def h_tot(self) -> np.ndarray:
-        """h_bar + eps h = 1 - beta b + eps eta0 (r-independent)."""
-        return self.h_bar + self.params.eps * self.eta0
-
-    @cached_property
-    def grad_sum(self) -> np.ndarray:
-        """Horizontal gradient of eta_bar + eps eta (components leading)."""
-        r = self.grid.r_column(self.grid.r)
-        gb = -self.params.beta * self.bathymetry.gradient
-        g0 = self.params.eps * spectral.dx(self.grid, self.eta0)
-        return r[None] * gb[:, None] + (1.0 + r)[None] * g0[:, None]
-
-    @cached_property
+    @property
     def bottom_gradient(self) -> np.ndarray:
-        return self.params.beta * self.bathymetry.gradient
+        return self.grad_sum[:, 0]
 
     @cached_property
     def ops(self) -> SigmaOps:
         return SigmaOps(self.grid, self.grad_sum / self.h_tot, 1.0 / self.h_tot)
 
-    def z_nodes(self) -> np.ndarray:
-        """Physical heights of the grid nodes, eta_bar + eps*eta."""
-        return self.eta_bar + self.params.eps * self.eta
+    @classmethod
+    def transported(cls, grid: StripGrid, H: np.ndarray) -> "DiffeoFields":
+        """The map (x, r) -> (x, r + H); its layer thickness 1 + d_r H is a
+        genuine strip field."""
+        h_tot = 1.0 + spectral.dr(grid, H)
+        if h_tot.min() <= MIN_THICKNESS:
+            raise DegenerateDiffeo(f"layer thickness reached {h_tot.min():.3e}")
+        return cls(grid, grid.r_column(grid.r) + H, h_tot, spectral.dx(grid, H))
 
 
 def build_diffeo(bathymetry: Bathymetry, eta0: np.ndarray, params: PhysParams) -> DiffeoFields:
-    """Assemble the metric fields and enforce the depth window."""
+    """The map (x, r) -> (x, eta_bar + eps*eta) with the linear-in-r profiles
+    eta_bar = r(1 - beta b), eta = (1+r) eta0; its depth
+    h_tot = 1 - beta b + eps eta0 must be positive (DegenerateDepth)."""
     grid = bathymetry.grid
     if eta0.shape != grid.xshape:
         raise ValueError("surface field sampled off-grid")
-    depth = 1.0 - params.beta * bathymetry.values + params.eps * eta0
-    if depth.min() <= 0.0:
-        raise DegenerateDepth(f"min depth {depth.min():.3e} <= 0")
-    return DiffeoFields(grid, params, bathymetry, eta0)
+    r = grid.r_column(grid.r)
+    h_bar = 1.0 - params.beta * bathymetry.values
+    z = r * h_bar + params.eps * ((1.0 + r) * eta0)
+    gb = -params.beta * bathymetry.gradient
+    g0 = params.eps * spectral.dx(grid, eta0)
+    grad_sum = r[None] * gb[:, None] + (1.0 + r)[None] * g0[:, None]
+    return DiffeoFields(grid, z, h_bar + params.eps * eta0, grad_sum)
 
 
-def alinhac_unknown(f: np.ndarray, s: float, diffeo) -> np.ndarray:
+def alinhac_unknown(f: np.ndarray, s: float, diffeo: DiffeoFields) -> np.ndarray:
     """Good unknown f^(s): the dotted multiplier of order s applied to f,
-    corrected by the metric so high-order derivatives commute with grad_phi
-    up to O(eps v beta) remainders.  ``diffeo`` is any coordinate map with
-    grid, h_tot and the node heights z_nodes()."""
+    corrected by the metric of ``diffeo`` so high-order derivatives commute
+    with grad_phi up to O(eps v beta) remainders."""
     grid = diffeo.grid
-    correction = spectral.lambda_pow(grid, diffeo.z_nodes(), s, dotted=True) / diffeo.h_tot
+    correction = spectral.lambda_pow(grid, diffeo.z, s, dotted=True) / diffeo.h_tot
     return spectral.lambda_pow(grid, f, s, dotted=True) - correction * spectral.dr(grid, f)
 
 
-def require_nondegenerate(rho: np.ndarray, diffeo, params: PhysParams):
-    """Raise DegenerateDepth or DegenerateDensity unless the layer thickness of
-    the coordinate map ``diffeo`` and the total density are positive."""
-    min_depth = float(diffeo.h_tot.min())
-    if min_depth <= 0.0:
-        raise DegenerateDepth(f"min depth {min_depth:.3e}")
+def require_nondegenerate(rho: np.ndarray, params: PhysParams):
+    """Raise DegenerateDensity unless the total density is positive (a
+    DiffeoFields has a positive layer thickness by construction)."""
     min_density = float((params.rho_bar + params.eps * params.delta * rho).min())
     if min_density <= 0.0:
         raise DegenerateDensity(f"min density {min_density:.3e}")

@@ -4,15 +4,15 @@ Fourier mollifiers, and the dispersive surface regularization weighted by the
 third cutoff parameter.
 
 The vertical map is carried as the full deformation H(t, x, r) (physical
-height = r + H); its initial value reproduces the production solver's
-coordinates, H = -r beta b + eps (1+r) eta0.  The surface elevation eta0 is
+height = r + H, metric data from ``DiffeoFields.transported``); its initial
+value reproduces the production solver's coordinates,
+H = -r beta b + eps (1+r) eta0.  The surface elevation eta0 is
 carried as its own prognostic so the zero-amplitude limit stays well-defined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -21,8 +21,7 @@ from . import spectral
 from .diagnostics import good_unknown_energy, vorticity_norm
 from .dynamics import StripState, _nu, metric_motion_term, rk4, vorticity
 from .errors import BlowUpSuspected, DegenerateDiffeo, InterpolationOutOfRange
-from .geometry import Bathymetry, PhysParams, SigmaOps, build_diffeo, require_nondegenerate
-from .grid import StripGrid
+from .geometry import Bathymetry, DiffeoFields, PhysParams, build_diffeo, require_nondegenerate
 from .pressure import SolveInfo, closure_problem, solve_closure
 from .runner import RunRecord, march
 
@@ -66,34 +65,10 @@ class SlagTendencies:
     solve_info: SolveInfo
 
 
-class SlagMetric:
-    """Metric data of the map (x, r) -> (x, r + H); the layer thickness
-    1 + d_r H is a genuine strip field here."""
-
-    def __init__(self, grid: StripGrid, H: np.ndarray, h_star: float = 1e-3):
-        self.grid = grid
-        self.H = H
-        self.h_tot = 1.0 + spectral.dr(grid, H)
-        if self.h_tot.min() <= h_star:
-            raise DegenerateDiffeo(f"layer thickness reached {self.h_tot.min():.3e}")
-        self.grad_sum = spectral.dx(grid, H)
-        self.bottom_gradient = self.grad_sum[:, 0]
-
-    @cached_property
-    def ops(self) -> SigmaOps:
-        return SigmaOps(self.grid, self.grad_sum / self.h_tot, 1.0 / self.h_tot)
-
-    def z_nodes(self) -> np.ndarray:
-        """Physical heights of the grid nodes, r + H."""
-        return self.grid.r_column(self.grid.r) + self.H
-
-
 def from_strip_state(state: StripState, bathymetry: Bathymetry, params: PhysParams) -> SlagState:
     """Adopt the production coordinates as the initial transported map."""
     grid = bathymetry.grid
-    diffeo = build_diffeo(bathymetry, state.eta0, params)
-    r = grid.r_column(grid.r)
-    H = diffeo.eta_bar + params.eps * diffeo.eta - r
+    H = build_diffeo(bathymetry, state.eta0, params).z - grid.r_column(grid.r)
     return SlagState(state.V.copy(), state.w.copy(), state.rho.copy(), H, state.eta0.copy(), state.t)
 
 
@@ -106,8 +81,8 @@ def slag_rhs(
     keep the discrete divergence and bottom impermeability stationary.  x0 is
     the initial guess of the pressure solve."""
     grid = bathymetry.grid
-    metric = SlagMetric(grid, state.H)
-    require_nondegenerate(state.rho, metric, params)
+    metric = DiffeoFields.transported(grid, state.H)
+    require_nondegenerate(state.rho, params)
     ops = metric.ops
     mu, eps, g, rb = params.mu, params.eps, params.g, params.rho_bar
     nu = _nu(state, params)
@@ -195,8 +170,8 @@ def moll_energy(
     dispersive surface weight g rho_bar + iota3 * half-derivative multiplier,
     and the vorticity norm."""
     grid = bathymetry.grid
-    metric = SlagMetric(grid, state.H)
-    require_nondegenerate(state.rho, metric, params)
+    metric = DiffeoFields.transported(grid, state.H)
+    require_nondegenerate(state.rho, params)
     total = good_unknown_energy(state, metric, params, s)
     eta_s = spectral.lambda_pow(grid, state.eta0, s, dotted=True)
     sym = params.g * params.rho_bar + moll.iota3 * (1.0 + grid.k_abs**2) ** 0.25
@@ -247,8 +222,7 @@ def slag_to_sigma(
     grid = bathymetry.grid
     if grid.d != 1:
         raise NotImplementedError("coordinate resampling is d = 1 only")
-    diffeo = build_diffeo(bathymetry, state.eta0, params)
-    z_target = diffeo.z_nodes()
+    z_target = build_diffeo(bathymetry, state.eta0, params).z
     r = grid.r_column(grid.r)
     z_source = r + state.H
     tol = clamp_tol * (1.0 + np.abs(z_source).max())

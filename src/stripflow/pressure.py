@@ -45,7 +45,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import spectral
 from .errors import IllConditioned, InsufficientHistory, NoConvergence
-from .geometry import DiffeoFields, PhysParams, SigmaOps
+from .geometry import DiffeoFields, PhysParams
 from .grid import StripGrid
 
 
@@ -62,17 +62,14 @@ class TaylorCoefficient:
 
 @dataclass
 class EllipticProblem:
-    """One pressure-type solve: metric operators, coefficient blocks, and the
-    right-hand side in composed form (scalar source + conormal bottom data)."""
+    """One pressure-type solve: the coordinate map, the coefficient nu, and
+    the right-hand side in composed form (scalar source + conormal bottom
+    data)."""
 
-    grid: StripGrid
-    ops: SigmaOps
+    diffeo: DiffeoFields
     mu: float
     rho_bar: float
     nu: np.ndarray
-    h_tot: np.ndarray
-    grad_sum: np.ndarray
-    bottom_slope: np.ndarray
     source: np.ndarray
     bottom_data: np.ndarray
 
@@ -80,11 +77,12 @@ class EllipticProblem:
 
     def A_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(horizontal block, off-diagonal column, vertical entry) of A."""
-        shape = (self.grid.n_r + 1,) + self.grid.xshape
-        alpha = np.broadcast_to(self.nu * self.h_tot, shape)
-        off = -np.sqrt(self.mu) * self.nu * self.grad_sum
-        gs2 = np.sum(self.grad_sum**2, axis=0)
-        beta = self.nu * (1.0 + self.mu * gs2) / self.h_tot
+        grid, h, grad_sum = self.diffeo.grid, self.diffeo.h_tot, self.diffeo.grad_sum
+        shape = (grid.n_r + 1,) + grid.xshape
+        alpha = np.broadcast_to(self.nu * h, shape)
+        off = -np.sqrt(self.mu) * self.nu * grad_sum
+        gs2 = np.sum(grad_sum**2, axis=0)
+        beta = self.nu * (1.0 + self.mu * gs2) / h
         return alpha, off, np.broadcast_to(beta, shape)
 
     def A_eigen_min(self) -> float:
@@ -97,7 +95,7 @@ class EllipticProblem:
         return float((half_tr - disc).min())
 
     def check_spd(self):
-        if np.min(self.nu) <= 0.0 or np.min(self.h_tot) <= 0.0:
+        if np.min(self.nu) <= 0.0:
             raise IllConditioned("coefficient matrix lost positivity")
         if self.A_eigen_min() <= 0.0:
             raise IllConditioned("A is not positive definite nodewise")
@@ -109,7 +107,7 @@ class EllipticProblem:
 
         The composition of the module docstring, with d_r P taken once and
         only the i-th horizontal derivative of Q_x[i] transformed."""
-        grid, kappa, gamma = self.grid, self.ops.kappa, self.ops.gamma
+        grid, kappa, gamma = self.diffeo.grid, self.diffeo.ops.kappa, self.diffeo.ops.gamma
         dP = spectral.dr(grid, P)
         Qx = self.nu * (spectral.dx(grid, P) - kappa * dP)
         Qr = self.nu * gamma * dP
@@ -117,7 +115,7 @@ class EllipticProblem:
         for i in range(grid.d):
             dxi = spectral.irfft(grid, 1j * grid.kvec[i] * spectral.rfft(grid, Qx[i]))
             interior += self.mu * (dxi - kappa[i] * spectral.dr(grid, Qx[i]))
-        bottom = Qr[0] - self.mu * np.sum(self.bottom_slope * Qx[:, 0], axis=0)
+        bottom = Qr[0] - self.mu * np.sum(self.diffeo.bottom_gradient * Qx[:, 0], axis=0)
         return interior, bottom
 
 
@@ -126,24 +124,20 @@ def _as_strip(grid: StripGrid, f) -> np.ndarray:
     return np.broadcast_to(np.asarray(f, dtype=float), shape)
 
 
-def closure_problem(metric, params: PhysParams, nu, B_V, B_w, metric_term=0.0) -> EllipticProblem:
-    """Pressure problem that keeps B_V - nu grad_phi P, B_w - nu dr_phi P / mu
-    divergence-free and impermeable at the bottom; ``metric_term`` is the
-    time derivative of the metric coefficients of a moving coordinate map
-    acting on the current velocity.  ``metric`` is any coordinate map with
-    grid, ops, h_tot, grad_sum and bottom_gradient."""
-    grid = metric.grid
-    bottom = B_w[0] - np.sum(metric.bottom_gradient * B_V[:, 0], axis=0)
+def closure_problem(
+    diffeo: DiffeoFields, params: PhysParams, nu, B_V, B_w, metric_term=0.0
+) -> EllipticProblem:
+    """Pressure problem on the coordinate map ``diffeo`` that keeps
+    B_V - nu grad_phi P, B_w - nu dr_phi P / mu divergence-free and impermeable
+    at the bottom; ``metric_term`` is the time derivative of the metric
+    coefficients of a moving map acting on the current velocity."""
+    bottom = B_w[0] - np.sum(diffeo.bottom_gradient * B_V[:, 0], axis=0)
     return EllipticProblem(
-        grid=grid,
-        ops=metric.ops,
+        diffeo=diffeo,
         mu=params.mu,
         rho_bar=params.rho_bar,
-        nu=_as_strip(grid, nu),
-        h_tot=_as_strip(grid, metric.h_tot),
-        grad_sum=metric.grad_sum,
-        bottom_slope=metric.bottom_gradient,
-        source=params.mu * (metric.ops.div_phi(B_V, B_w) + metric_term),
+        nu=_as_strip(diffeo.grid, nu),
+        source=params.mu * (diffeo.ops.div_phi(B_V, B_w) + metric_term),
         bottom_data=params.mu * bottom,
     )
 
@@ -153,8 +147,9 @@ def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=No
     pressure correction: (corrected B_V, corrected B_w, P, SolveInfo)."""
     info = SolveInfo(0, 0.0)
     P = solve_pressure(problem, rtol=rtol, info=info, x0=x0)
-    dV = B_V - problem.nu * problem.ops.grad_phi(P)
-    dw = B_w - problem.nu * problem.ops.dr_phi(P) / problem.mu
+    ops = problem.diffeo.ops
+    dV = B_V - problem.nu * ops.grad_phi(P)
+    dw = B_w - problem.nu * ops.dr_phi(P) / problem.mu
     return dV, dw, P, info
 
 
@@ -210,7 +205,7 @@ def solve_pressure(
     """Solve for P with P(r=0) = 0; raises NoConvergence past the iteration
     cap 10 sqrt(n_x^d n_r) and IllConditioned if A fails the positivity check."""
     problem.check_spd()
-    grid = problem.grid
+    grid = problem.diffeo.grid
     n, xshape = grid.n_r, grid.xshape
     nun = int(n * np.prod(xshape))
     cap = max(60, int(10.0 * np.sqrt(np.prod(xshape) * n)))
@@ -234,8 +229,9 @@ def solve_pressure(
         return np.concatenate([bottom[None], interior[1:n]], axis=0).reshape(-1)
 
     inv = _flat_inverse(grid, problem.mu, problem.rho_bar)
-    weight = problem.h_tot[:n] / (problem.nu[:n] * problem.rho_bar)
-    weight[0] = np.sqrt(problem.h_tot[0]) / (problem.nu[0] * problem.rho_bar)
+    h = _as_strip(grid, problem.diffeo.h_tot)
+    weight = h[:n] / (problem.nu[:n] * problem.rho_bar)
+    weight[0] = np.sqrt(h[0]) / (problem.nu[0] * problem.rho_bar)
 
     def psolve(v: np.ndarray) -> np.ndarray:
         return _apply_flat_inverse(grid, inv, weight * v.reshape((n,) + xshape)).reshape(-1)
@@ -248,21 +244,14 @@ def solve_pressure(
     def cb(_):
         count[0] += 1
 
-    u = np.zeros(nun) if x0 is None else x0[:n].reshape(-1).copy()
-    target = rtol
-    for _ in range(4):
-        u, _ = gmres(
-            A, b, x0=u, M=M, rtol=target, atol=0.0, restart=40,
-            maxiter=max(1, cap // 40), callback=cb, callback_type="pr_norm",
-        )
-        true_res = np.linalg.norm(b - matvec(u)) / bnorm
-        if true_res <= rtol:
-            break
-        target *= 0.1
-        if count[0] >= cap:
-            break
-    else:
-        true_res = np.linalg.norm(b - matvec(u)) / bnorm
+    # scipy's restart loop re-checks the true residual ||b - A u|| <= rtol ||b||
+    # after every cycle and tightens its inner tolerance until it holds
+    u0 = np.zeros(nun) if x0 is None else x0[:n].reshape(-1).copy()
+    u, _ = gmres(
+        A, b, x0=u0, M=M, rtol=rtol, atol=0.0, restart=40,
+        maxiter=max(1, cap // 40), callback=cb, callback_type="pr_norm",
+    )
+    true_res = np.linalg.norm(b - matvec(u)) / bnorm
     if true_res > 100 * rtol:
         raise NoConvergence(f"pressure solve stalled at residual {true_res:.2e}")
     if info is not None:

@@ -137,7 +137,7 @@ def test_criterion_01_rest_fixpoint():
     state = StripState.rest(grid)
     t0 = time.perf_counter()
     for _ in range(1000):
-        state = step_rk4(state, 1e-3, bath, params, enforce_cfl=False)
+        state = step_rk4(state, 1e-3, bath, params)
     wall = time.perf_counter() - t0
     change = max(
         np.abs(state.V).max(), np.abs(state.w).max(),
@@ -177,10 +177,8 @@ def test_criterion_02_pressure_manufactured_convergence():
         X = np.broadcast_to(grid.x, (grid.n_r + 1,) + grid.xshape)
         Rm = np.broadcast_to(grid.r[:, None], X.shape)
         problem = EllipticProblem(
-            grid=grid, ops=diffeo.ops, mu=mu, rho_bar=1.0,
+            diffeo=diffeo, mu=mu, rho_bar=1.0,
             nu=1.0 / (1.0 + eps_v * delta_v * frho(X, Rm)),
-            h_tot=np.broadcast_to(diffeo.h_tot, X.shape),
-            grad_sum=diffeo.grad_sum, bottom_slope=diffeo.bottom_gradient,
             source=fS(X, Rm, mu), bottom_data=fbot(grid.x, mu),
         )
         info = SolveInfo(0, 0.0)
@@ -266,7 +264,7 @@ def test_criterion_08_mollified_consistency():
 
     direct = state0.copy()
     for _ in range(int(round(T / dt))):
-        direct = step_rk4(direct, dt, bath, params, enforce_cfl=False)
+        direct = step_rk4(direct, dt, bath, params)
     base = run_moll(from_strip_state(state0, bath, params), MollParams(), bath, params, T, dt=dt)
     agree = terminal_distance(base.final, direct, bath, params)
 

@@ -366,6 +366,23 @@ sweep.values = 0.3, 0.2, 0.1
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"), "--jobs", "2"]) == 2
         assert not (tmp_path / "s").exists()
 
+    def test_api_calls_validate_before_running(self, tmp_path, monkeypatch):
+        # the API entry points reject an invalid config themselves, before
+        # any member runs or the output directory exists
+        def member(args):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(experiments, "_member", member)
+        cfg = ExperimentConfig.from_text(BASE_CONFIG + "\nsweep.axis = mu\nsweep.values = 2, 0.1, 0.01\n")
+        with pytest.raises(ConfigError, match="must not exceed 1"):
+            experiments.sweep(cfg, tmp_path / "s")
+        with pytest.raises(ConfigError, match="sweep requires sweep.axis"):
+            experiments.sweep(ExperimentConfig.from_text(BASE_CONFIG), tmp_path / "s")
+        with pytest.raises(ConfigError, match="unknown bathymetry preset"):
+            experiments.run_single(ExperimentConfig.from_text(BASE_CONFIG + "\nbathymetry.preset = volcano\n"),
+                                   tmp_path / "r")
+        assert not (tmp_path / "s").exists() and not (tmp_path / "r").exists()
+
     def test_sweep_unfittable_survivors_exit_4(self, tmp_path, monkeypatch):
         # the smallest member halts and the survivors span less than two
         # decades: the fit cannot be made, which is a fit failure (exit 4)

@@ -63,7 +63,7 @@ class TestRestState:
         bath = Bathymetry.gaussian_ridge(grid, 0.25)
         state = StripState.rest(grid)
         for _ in range(10):
-            state = step_rk4(state, 1e-3, bath, params, enforce_cfl=False)
+            state = step_rk4(state, 1e-3, bath, params)
         assert np.abs(state.V).max() < 1e-14
         assert np.abs(state.eta0).max() < 1e-14
 
@@ -295,7 +295,7 @@ class TestVorticity:
             bath = Bathymetry.cosine(grid, 0.25)
             e0 = 0.1 * np.cos(grid.x)
             diffeo = build_diffeo(bath, e0, params)
-            z = diffeo.z_nodes()
+            z = diffeo.z
             x = np.broadcast_to(grid.x, z.shape)
             st = StripState.rest(grid)
             st.eta0 = e0
@@ -467,7 +467,7 @@ class TestStepGuards:
         st.eta0 = 0.1 * np.cos(grid.x)
         dt = 0.5 * cfl_dt(st, bath, params)
         for _ in range(20):
-            st = step_rk4(st, dt, bath, params, enforce_cfl=False)
+            st = step_rk4(st, dt, bath, params)
             rep = divergence_report(st, bath, params)
             assert rep["div_interior_rel"] < 1e-9
             assert rep["div_rel"] < 3e-8

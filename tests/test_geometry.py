@@ -44,8 +44,7 @@ class TestBuildDiffeo:
     def test_flat_configuration(self, flat_setup):
         grid, params, bath = flat_setup
         d = build_diffeo(bath, np.zeros(grid.xshape), params)
-        assert np.allclose(d.eta_bar, grid.r[:, None])
-        assert np.abs(d.eta).max() == 0.0
+        assert np.allclose(d.z, grid.r[:, None])
         assert np.allclose(d.h_tot, 1.0)
 
     def test_cosine_bottom_depth(self):
@@ -69,8 +68,9 @@ class TestBuildDiffeo:
         d = build_diffeo(bath, e0, params)
         expect = 1.0 - params.beta * bath.values + params.eps * e0
         assert np.abs(d.h_tot - expect).max() < 1e-15
-        # h_bar + eps h with h = d_r eta, the surface value of eta = (1+r) eta0
-        assert np.abs(d.h_bar + params.eps * d.eta[-1] - expect).max() < 1e-15
+        # h_tot = d_r z, and the surface node sits at height eps eta0
+        assert np.abs(spectral.dr(grid, d.z) - expect).max() < 1e-12
+        assert np.abs(d.z[-1] - params.eps * e0).max() < 1e-15
 
 
 class TestSigmaGrad:
@@ -86,7 +86,7 @@ class TestSigmaGrad:
         # f = height function: grad_phi f = 0 and dr_phi f = 1 exactly
         bath = Bathymetry.cosine(grid, 0.3)
         d = build_diffeo(bath, 0.1 * np.cos(grid.x), params)
-        f = d.eta_bar + params.eps * d.eta
+        f = d.z
         gx, gr = d.ops.grad_phi(f), d.ops.dr_phi(f)
         assert np.abs(gx).max() < 1e-12
         assert np.abs(gr - 1.0).max() < 1e-12
@@ -98,7 +98,7 @@ class TestSigmaGrad:
             grid = StripGrid(n_x=64, n_r=n_r)
             bath = Bathymetry.cosine(grid, 0.3)
             d = build_diffeo(bath, 0.1 * np.cos(grid.x), params)
-            z = d.z_nodes()
+            z = d.z
             x = np.broadcast_to(grid.x, z.shape)
             f = np.sin(x) * np.cos(2.0 * z)
             gx, gr = d.ops.grad_phi(f), d.ops.dr_phi(f)
@@ -162,7 +162,7 @@ class TestNondegeneracy:
     def test_rest_passes(self, flat_setup):
         grid, params, bath = flat_setup
         d = build_diffeo(bath, np.zeros(grid.xshape), params)
-        require_nondegenerate(np.zeros((grid.n_r + 1,) + grid.xshape), d, params)
+        require_nondegenerate(np.zeros((grid.n_r + 1,) + grid.xshape), params)
         assert d.h_tot.min() == 1.0
 
     def test_density_cancellation_flagged(self, grid):
@@ -171,7 +171,7 @@ class TestNondegeneracy:
         d = build_diffeo(bath, np.zeros(grid.xshape), params)
         rho = np.full((grid.n_r + 1,) + grid.xshape, -params.rho_bar / (params.eps * params.delta))
         with pytest.raises(DegenerateDensity):
-            require_nondegenerate(rho, d, params)
+            require_nondegenerate(rho, params)
 
     def test_trough_over_bump_depth_scan(self, grid):
         # aligned bump and trough: the pointwise depth minimum drives the check
@@ -183,10 +183,10 @@ class TestNondegeneracy:
         depth = 1.0 - bump + trough
         assert np.isclose(d.h_tot.min(), depth.min())
         rho = np.zeros((grid.n_r + 1,) + grid.xshape)
-        require_nondegenerate(rho, d, params)
+        require_nondegenerate(rho, params)
         # shifting the trough away from the bump restores the margin
         shifted = np.roll(trough, grid.n_x // 2)
         assert build_diffeo(bath, shifted, params).h_tot.min() > d.h_tot.min()
-        # a trough deeper than the water over the bump is rejected
+        # a trough deeper than the water over the bump is rejected by the map
         with pytest.raises(DegenerateDepth):
-            require_nondegenerate(rho, DiffeoFields(grid, params, bath, 2.0 * trough), params)
+            DiffeoFields(grid, d.z, 1.0 - bump + 2.0 * trough, d.grad_sum)

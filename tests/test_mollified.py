@@ -6,10 +6,10 @@ from stripflow import spectral
 from stripflow import mollified
 from stripflow.diagnostics import good_unknown_energy
 from stripflow.dynamics import StripState, step_rk4, vorticity
+from stripflow.geometry import DiffeoFields
 from stripflow.errors import DegenerateDiffeo, IllConditioned, InterpolationOutOfRange, NoConvergence
 from stripflow.mollified import (
     MollParams,
-    SlagMetric,
     SlagState,
     from_strip_state,
     moll_energy,
@@ -41,15 +41,20 @@ class TestSlagSetup:
         bath = Bathymetry.cosine(grid, 0.2)
         st = wave_state(grid)
         slag = from_strip_state(st, bath, params)
-        # physical height r + H equals the production map
+        # the transported map of r + H is the production map
         diffeo = build_diffeo(bath, st.eta0, params)
-        z = grid.r[:, None] + slag.H
-        assert np.allclose(z, diffeo.z_nodes(), atol=1e-14)
+        metric = DiffeoFields.transported(grid, slag.H)
+        assert np.allclose(grid.r[:, None] + slag.H, diffeo.z, atol=1e-14)
+        assert np.allclose(metric.z, diffeo.z, atol=1e-14)
+        for name in ("h_tot", "grad_sum", "bottom_gradient"):
+            assert np.allclose(getattr(metric, name), getattr(diffeo, name), rtol=0.0, atol=1e-12), name
+        assert np.allclose(metric.ops.kappa, diffeo.ops.kappa, rtol=0.0, atol=1e-12)
+        assert np.allclose(metric.ops.gamma, diffeo.ops.gamma, rtol=0.0, atol=1e-12)
 
     def test_metric_monotonicity_guard(self, grid):
         H = -1.5 * np.broadcast_to(grid.r[:, None], (grid.n_r + 1,) + grid.xshape)
         with pytest.raises(DegenerateDiffeo):
-            SlagMetric(grid, H.copy())
+            DiffeoFields.transported(grid, H.copy())
 
     def test_semi_lagrangian_identity(self, grid, rng):
         # with d_t H from its transport equation, the coordinate-time
@@ -60,7 +65,7 @@ class TestSlagSetup:
         slag = from_strip_state(st, bath, params)
         slag.V[0] = random_band_limited(grid, rng, amp=0.2)
         slag.w = random_band_limited(grid, rng, amp=0.2)
-        metric = SlagMetric(grid, slag.H)
+        metric = DiffeoFields.transported(grid, slag.H)
         ops = metric.ops
         f = random_band_limited(grid, rng)
         dtH = -params.eps * (slag.V[0] * spectral.dx(grid, slag.H)[0]) + params.eps * slag.w
@@ -120,7 +125,7 @@ class TestSlagDynamics:
         dt = 2e-3
         for _ in range(10):
             slag = step_rk4_slag(slag, dt, moll, bath, params)
-        metric = SlagMetric(grid, slag.H)
+        metric = DiffeoFields.transported(grid, slag.H)
         div = metric.ops.div_phi(slag.V, slag.w)
         assert np.abs(div[1:-1]).max() < 1e-10
 
@@ -147,7 +152,7 @@ class TestSchemeConsistency:
         n = int(round(T / dt))
         st = st0.copy()
         for _ in range(n):
-            st = step_rk4(st, dt, bath, params, enforce_cfl=False)
+            st = step_rk4(st, dt, bath, params)
         traj = run_moll(from_strip_state(st0, bath, params), MollParams(), bath, params, T, dt=dt)
         assert terminal_distance(traj.final, st, bath, params) < 1e-9
 
@@ -206,7 +211,7 @@ class TestCoordinateChange:
             from scipy.interpolate import PchipInterpolator
 
             diffeo = build_diffeo(bath, st.eta0, params)
-            z_sigma = diffeo.z_nodes()
+            z_sigma = diffeo.z
             z_slag = grid.r[:, None] + slag.H
             back = np.empty_like(sig.V[0])
             for j in range(grid.n_x):
@@ -237,7 +242,7 @@ class TestSharedDiagnostics:
         st.rho = random_band_limited(grid, rng, amp=0.2)
         slag = from_strip_state(st, bath, params)
         diffeo = build_diffeo(bath, st.eta0, params)
-        metric = SlagMetric(grid, slag.H)
+        metric = DiffeoFields.transported(grid, slag.H)
         E_ref = good_unknown_energy(st, diffeo, params, 4.0)
         assert abs(good_unknown_energy(slag, metric, params, 4.0) - E_ref) <= 1e-12 * E_ref
         om_ref = vorticity(st, diffeo, params).omega_x

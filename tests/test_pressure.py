@@ -7,7 +7,8 @@ from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
 from stripflow.dynamics import StripState, assemble_pressure_problem, euler_rhs, shifted
 from stripflow.errors import IllConditioned, InsufficientHistory
-from stripflow.mollified import SlagMetric, from_strip_state
+from stripflow.geometry import DiffeoFields
+from stripflow.mollified import from_strip_state
 from stripflow.pressure import (
     EllipticProblem,
     SolveInfo,
@@ -54,9 +55,7 @@ def problem_from_divergence_form(diffeo, params, R):
         div = div + np.sqrt(params.mu) * spectral.dx(grid, R_x[i])[i]
     shape = strip_shape(grid)
     return EllipticProblem(
-        grid=grid, ops=diffeo.ops, mu=params.mu, rho_bar=params.rho_bar,
-        nu=np.full(shape, 1.0 / params.rho_bar), h_tot=np.broadcast_to(diffeo.h_tot, shape),
-        grad_sum=diffeo.grad_sum, bottom_slope=diffeo.bottom_gradient,
+        diffeo=diffeo, mu=params.mu, rho_bar=params.rho_bar, nu=np.full(shape, 1.0 / params.rho_bar),
         source=div / diffeo.h_tot, bottom_data=R_r[0].copy(),
     )
 
@@ -157,9 +156,7 @@ class TestAssembly:
         diffeo = build_diffeo(bath, np.zeros(grid.xshape), params)
         shape = strip_shape(grid)
         problem = EllipticProblem(
-            grid=grid, ops=diffeo.ops, mu=params.mu, rho_bar=1.0,
-            nu=-np.ones(shape), h_tot=np.ones(shape), grad_sum=diffeo.grad_sum,
-            bottom_slope=diffeo.bottom_gradient,
+            diffeo=diffeo, mu=params.mu, rho_bar=1.0, nu=-np.ones(shape),
             source=np.zeros(shape), bottom_data=np.zeros(grid.xshape),
         )
         with pytest.raises(IllConditioned):
@@ -218,10 +215,8 @@ class TestSolve:
             X = np.broadcast_to(grid.x, strip_shape(grid))
             Rm = np.broadcast_to(grid.r[:, None], strip_shape(grid))
             problem = EllipticProblem(
-                grid=grid, ops=diffeo.ops, mu=mu, rho_bar=1.0,
+                diffeo=diffeo, mu=mu, rho_bar=1.0,
                 nu=1.0 / (1.0 + eps_v * delta_v * frho(X, Rm)),
-                h_tot=np.broadcast_to(diffeo.h_tot, X.shape),
-                grad_sum=diffeo.grad_sum, bottom_slope=diffeo.bottom_gradient,
                 source=fS(X, Rm, mu), bottom_data=fbot(grid.x, mu),
             )
             info = SolveInfo(0, 0.0)
@@ -315,7 +310,7 @@ def _einsum_flat_inverse(grid, inv, v):
 def _unweighted_gmres(problem, rtol=1e-10):
     """Reference solve: the same GMRES driven by the flat inverse alone, with
     no depth weight.  Returns (P, iterations)."""
-    grid = problem.grid
+    grid = problem.diffeo.grid
     n, xshape = grid.n_r, grid.xshape
     nun = n * int(np.prod(xshape))
 
@@ -385,10 +380,10 @@ class TestHotPath:
         problem, _ = assemble_pressure_problem(state, diffeo, params)
         P = problem.nu * _sheared_state(grid, rng).rho
         P[-1] = 0.0
-        ops = problem.ops
+        ops = problem.diffeo.ops
         Qx, Qr = problem.nu * ops.grad_phi(P), problem.nu * ops.dr_phi(P)
         interior_ref = params.mu * ops.div_phi(Qx, np.zeros_like(Qr)) + ops.dr_phi(Qr)
-        bottom_ref = Qr[0] - params.mu * np.sum(problem.bottom_slope * Qx[:, 0], axis=0)
+        bottom_ref = Qr[0] - params.mu * np.sum(problem.diffeo.bottom_gradient * Qx[:, 0], axis=0)
         interior, bottom = problem.apply(P)
         scale = np.abs(interior_ref).max()
         assert np.abs(interior - interior_ref).max() <= 1e-12 * scale
@@ -441,7 +436,7 @@ class TestClosure:
         metric = build_diffeo(bath, state.eta0, params)
         if kind == "slag":
             H = from_strip_state(state, bath, params).H
-            metric = SlagMetric(grid, H + 0.02 * random_band_limited(grid, rng, kmax=3))
+            metric = DiffeoFields.transported(grid, H + 0.02 * random_band_limited(grid, rng, kmax=3))
         B_V = random_band_limited(grid, rng, kmax=4, amp=0.3)[None]
         B_w = random_band_limited(grid, rng, kmax=4, amp=0.3)
         nu = 1.0 / (params.rho_bar + params.eps * params.delta * state.rho)

@@ -32,7 +32,7 @@ def test_taylor_derivative_envelope_during_run():
     taylors, envelopes = [], []
     s0 = 2.0
     for i in range(30):
-        state = step_rk4(state, dt, bath, params, enforce_cfl=False)
+        state = step_rk4(state, dt, bath, params)
         diffeo = build_diffeo(bath, state.eta0, params)
         P = solve_state_pressure(state, diffeo, params)
         taylors.append(taylor_coefficient(P, diffeo, params))
@@ -59,7 +59,7 @@ def test_irrotational_homogeneous_flow_stays_irrotational():
     state.eta0 = 0.08 * np.cos(grid.x)
     dt = 0.5 * cfl_dt(state, bath, params)
     for _ in range(40):
-        state = step_rk4(state, dt, bath, params, enforce_cfl=False)
+        state = step_rk4(state, dt, bath, params)
     diffeo = build_diffeo(bath, state.eta0, params)
     om = vorticity(state, diffeo, params)
     floor = spectral.field_norm(grid, om.omega_x, 3.0)
