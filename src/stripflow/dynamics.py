@@ -23,6 +23,7 @@ from .geometry import (
     Bathymetry,
     DiffeoFields,
     PhysParams,
+    barycentric_heights,
     build_diffeo,
     require_nondegenerate,
 )
@@ -305,7 +306,7 @@ def init_from_streamfunction(
     grid = bathymetry.grid
     if grid.d != 1:
         raise ValueError("streamfunction initialization is d = 1 only")
-    z = build_diffeo(bathymetry, eta0_init, params).z
+    z = barycentric_heights(bathymetry, eta0_init, params)
     x = np.broadcast_to(grid.x, z.shape)
     psi_bottom = np.asarray(psi(grid.x, -1.0 + params.beta * bathymetry.values))
     if np.ptp(psi_bottom) > bottom_tol * max(1.0, np.abs(psi_bottom).max()):

@@ -194,20 +194,27 @@ class DiffeoFields:
         return cls(grid, grid.r_column(grid.r) + H, h_tot, spectral.dx(grid, H))
 
 
-def build_diffeo(bathymetry: Bathymetry, eta0: np.ndarray, params: PhysParams) -> DiffeoFields:
-    """The map (x, r) -> (x, eta_bar + eps*eta) with the linear-in-r profiles
-    eta_bar = r(1 - beta b), eta = (1+r) eta0; its depth
-    h_tot = 1 - beta b + eps eta0 must be positive (DegenerateDepth)."""
+def barycentric_heights(bathymetry: Bathymetry, eta0: np.ndarray, params: PhysParams) -> np.ndarray:
+    """Node heights z = eta_bar + eps*eta of the linear-in-r profiles
+    eta_bar = r(1 - beta b), eta = (1+r) eta0, without the rest of the map."""
     grid = bathymetry.grid
     if eta0.shape != grid.xshape:
         raise ValueError("surface field sampled off-grid")
     r = grid.r_column(grid.r)
-    h_bar = 1.0 - params.beta * bathymetry.values
-    z = r * h_bar + params.eps * ((1.0 + r) * eta0)
+    return r * (1.0 - params.beta * bathymetry.values) + params.eps * ((1.0 + r) * eta0)
+
+
+def build_diffeo(bathymetry: Bathymetry, eta0: np.ndarray, params: PhysParams) -> DiffeoFields:
+    """The map (x, r) -> (x, ``barycentric_heights``); its depth
+    h_tot = 1 - beta b + eps eta0 must be positive (DegenerateDepth)."""
+    grid = bathymetry.grid
+    z = barycentric_heights(bathymetry, eta0, params)
+    r = grid.r_column(grid.r)
     gb = -params.beta * bathymetry.gradient
     g0 = params.eps * spectral.dx(grid, eta0)
     grad_sum = r[None] * gb[:, None] + (1.0 + r)[None] * g0[:, None]
-    return DiffeoFields(grid, z, h_bar + params.eps * eta0, grad_sum)
+    h_tot = 1.0 - params.beta * bathymetry.values + params.eps * eta0
+    return DiffeoFields(grid, z, h_tot, grad_sum)
 
 
 def alinhac_unknown(f: np.ndarray, s: float, diffeo: DiffeoFields) -> np.ndarray:

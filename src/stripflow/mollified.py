@@ -21,7 +21,7 @@ from . import spectral
 from .diagnostics import good_unknown_energy, vorticity_norm
 from .dynamics import StripState, _nu, metric_motion_term, rk4, vorticity
 from .errors import BlowUpSuspected, DegenerateDiffeo, InterpolationOutOfRange
-from .geometry import Bathymetry, DiffeoFields, PhysParams, build_diffeo, require_nondegenerate
+from .geometry import Bathymetry, DiffeoFields, PhysParams, barycentric_heights, require_nondegenerate
 from .pressure import SolveInfo, closure_problem, solve_closure
 from .runner import RunRecord, march
 
@@ -68,7 +68,7 @@ class SlagTendencies:
 def from_strip_state(state: StripState, bathymetry: Bathymetry, params: PhysParams) -> SlagState:
     """Adopt the production coordinates as the initial transported map."""
     grid = bathymetry.grid
-    H = build_diffeo(bathymetry, state.eta0, params).z - grid.r_column(grid.r)
+    H = barycentric_heights(bathymetry, state.eta0, params) - grid.r_column(grid.r)
     return SlagState(state.V.copy(), state.w.copy(), state.rho.copy(), H, state.eta0.copy(), state.t)
 
 
@@ -222,7 +222,7 @@ def slag_to_sigma(
     grid = bathymetry.grid
     if grid.d != 1:
         raise NotImplementedError("coordinate resampling is d = 1 only")
-    z_target = build_diffeo(bathymetry, state.eta0, params).z
+    z_target = barycentric_heights(bathymetry, state.eta0, params)
     r = grid.r_column(grid.r)
     z_source = r + state.H
     tol = clamp_tol * (1.0 + np.abs(z_source).max())

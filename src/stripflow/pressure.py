@@ -18,8 +18,14 @@ a moving map) with bottom data mu (B_w - grad b . B_V), and ``solve_closure``
 applies the correction B_V - nu grad_phi P, B_w - nu dr_phi P / mu.  The
 projection is the same closure with B = (V, w) and no metric term.
 
-Krylov: GMRES preconditioned by a depth-weighted inverse of the flat-strip
-operator (mu Delta_x + d_r^2)/rho_bar.  The residual is first multiplied by
+Krylov: restarted GMRES (``gmres``), preconditioned from the right, so the
+residual it minimises is the true residual b - A x of the unpreconditioned
+rows.  Each iteration orthogonalises by classical Gram-Schmidt applied twice
+(two matrix-vector products over the basis), and the stopping test
+||b - A x|| <= rtol ||b|| is read on the true residual, recomputed with one
+matvec at the end of every restart cycle.  The preconditioner is a
+depth-weighted inverse of the flat-strip operator
+(mu Delta_x + d_r^2)/rho_bar.  The residual is first multiplied by
 the per-node weight w = h_tot/(nu rho_bar) (sqrt(h_tot)/(nu rho_bar) on the
 bottom conormal row, which carries one derivative less), then the per-mode
 real inverses of the vertical problem are applied to the stacked real and
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg import solve_triangular
 
 from . import spectral
 from .errors import IllConditioned, InsufficientHistory, NoConvergence
@@ -178,13 +184,71 @@ def _apply_flat_inverse(grid: StripGrid, inv: np.ndarray, v: np.ndarray) -> np.n
     """Per-mode inverse applied as one real batched matmul: the rFFT of v is
     laid out mode-major, (modes, n_r, 2) with real and imaginary parts
     interleaved, which is the float view of the transposed complex array."""
-    axes = tuple(range(-grid.d, 0))
-    vh = np.fft.rfftn(v, axes=axes)
+    vh = np.fft.rfft(v) if grid.d == 1 else np.fft.rfftn(v, axes=(-2, -1))
     spec_shape = vh.shape[1:]
     X = np.ascontiguousarray(vh.reshape(grid.n_r, -1).T).view(float)
     U = np.matmul(inv, X.reshape(-1, grid.n_r, 2))
     uh = U.view(complex).reshape(-1, grid.n_r).T.reshape((grid.n_r,) + spec_shape)
-    return np.fft.irfftn(uh, s=grid.xshape, axes=axes)
+    if grid.d == 1:
+        return np.fft.irfft(uh, n=grid.n_x)
+    return np.fft.irfftn(uh, s=grid.xshape, axes=(-2, -1))
+
+
+# -- Krylov solver ----------------------------------------------------------------
+
+# GMRES restart length: the Krylov basis holds at most this many directions
+RESTART = 40
+
+
+def gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
+    """Right-preconditioned restarted GMRES for A x = b: (x, iterations,
+    ||b - A x||).
+
+    Each iteration applies M^-1 and A once and orthogonalises A M^-1 v
+    against the basis by classical Gram-Schmidt run twice; Givens rotations
+    keep the least-squares residual of the Hessenberg system, which is the
+    residual of A x up to round-off.  A cycle ends at RESTART iterations,
+    at that residual <= tol, or at ``maxiter`` iterations in all; it then
+    forms x with one more M^-1 and one matvec gives the true residual, which
+    decides whether to restart.  A zero x0 costs no initial matvec."""
+    V = np.empty((RESTART + 1, b.size))
+    R = np.zeros((RESTART, RESTART))  # the Hessenberg matrix after the rotations
+    cs, sn, g = np.empty(RESTART), np.empty(RESTART), np.empty(RESTART + 1)
+    x = x0.copy()
+    r = b - matvec(x) if x.any() else b
+    res = float(np.linalg.norm(r))
+    iterations = 0
+    while res > tol and iterations < maxiter:
+        V[0] = r / res
+        g[0] = res
+        j = 0
+        while j < RESTART and iterations < maxiter:
+            w = matvec(psolve(V[j]))
+            basis = V[: j + 1]
+            h = basis @ w
+            w -= h @ basis
+            h2 = basis @ w
+            w -= h2 @ basis
+            h += h2
+            hn = float(np.linalg.norm(w))
+            for i in range(j):
+                h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], cs[i] * h[i + 1] - sn[i] * h[i]
+            rho = np.hypot(h[j], hn)
+            cs[j], sn[j] = h[j] / rho, hn / rho
+            h[j] = rho
+            R[: j + 1, j] = h
+            g[j + 1] = -sn[j] * g[j]
+            g[j] *= cs[j]
+            j += 1
+            iterations += 1
+            if abs(g[j]) <= tol:
+                break
+            V[j] = w / hn
+        y = solve_triangular(R[:j, :j], g[:j], check_finite=False)
+        x += psolve(y @ V[:j])
+        r = b - matvec(x)
+        res = float(np.linalg.norm(r))
+    return x, iterations, res
 
 
 # -- driver ---------------------------------------------------------------------
@@ -236,26 +300,13 @@ def solve_pressure(
     def psolve(v: np.ndarray) -> np.ndarray:
         return _apply_flat_inverse(grid, inv, weight * v.reshape((n,) + xshape)).reshape(-1)
 
-    A = LinearOperator((nun, nun), matvec=matvec)
-    M = LinearOperator((nun, nun), matvec=psolve)
-
-    count = [0]
-
-    def cb(_):
-        count[0] += 1
-
-    # scipy's restart loop re-checks the true residual ||b - A u|| <= rtol ||b||
-    # after every cycle and tightens its inner tolerance until it holds
-    u0 = np.zeros(nun) if x0 is None else x0[:n].reshape(-1).copy()
-    u, _ = gmres(
-        A, b, x0=u0, M=M, rtol=rtol, atol=0.0, restart=40,
-        maxiter=max(1, cap // 40), callback=cb, callback_type="pr_norm",
-    )
-    true_res = np.linalg.norm(b - matvec(u)) / bnorm
+    u0 = np.zeros(nun) if x0 is None else x0[:n].reshape(-1)
+    u, iterations, res = gmres(matvec, psolve, b, u0, rtol * bnorm, cap)
+    true_res = res / bnorm
     if true_res > 100 * rtol:
         raise NoConvergence(f"pressure solve stalled at residual {true_res:.2e}")
     if info is not None:
-        info.iterations, info.residual = count[0], float(true_res)
+        info.iterations, info.residual = iterations, true_res
     return embed(u)
 
 

@@ -14,16 +14,16 @@ from .errors import InsufficientResolution
 from .grid import StripGrid
 
 
-def _axes(grid: StripGrid) -> tuple:
-    return tuple(range(-grid.d, 0))
-
-
 def rfft(grid: StripGrid, f: np.ndarray) -> np.ndarray:
-    return np.fft.rfftn(f, axes=_axes(grid))
+    if grid.d == 1:
+        return np.fft.rfft(f)
+    return np.fft.rfftn(f, axes=(-2, -1))
 
 
 def irfft(grid: StripGrid, F: np.ndarray) -> np.ndarray:
-    return np.fft.irfftn(F, s=grid.xshape, axes=_axes(grid))
+    if grid.d == 1:
+        return np.fft.irfft(F, n=grid.n_x)
+    return np.fft.irfftn(F, s=grid.xshape, axes=(-2, -1))
 
 
 def apply_multiplier(grid: StripGrid, f: np.ndarray, symbol: np.ndarray) -> np.ndarray:
@@ -48,7 +48,7 @@ def dr(grid: StripGrid, f: np.ndarray, order: int = 1) -> np.ndarray:
         raise ValueError("not a strip field")
     out = f
     for _ in range(order):
-        out = np.tensordot(grid.Dr, out, axes=(1, 0))
+        out = (grid.Dr @ out.reshape(grid.n_r + 1, -1)).reshape(f.shape)
     return out
 
 

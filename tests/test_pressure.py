@@ -4,9 +4,9 @@ import sympy as sp
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
-from stripflow import spectral
+from stripflow import pressure, spectral
 from stripflow.dynamics import StripState, assemble_pressure_problem, euler_rhs, shifted
-from stripflow.errors import IllConditioned, InsufficientHistory
+from stripflow.errors import IllConditioned, InsufficientHistory, NoConvergence
 from stripflow.geometry import DiffeoFields
 from stripflow.mollified import from_strip_state
 from stripflow.pressure import (
@@ -252,6 +252,52 @@ class TestSolve:
         # must not grow as mu -> 0 (here it decays, the gravity part is O(mu))
         assert max(vals) <= 2.0 * vals[0]
 
+    def test_stalled_solve_raises_and_leaves_info_unfilled(self, grid, params, rng, monkeypatch):
+        bath = Bathymetry.cosine(grid, 0.2)
+        state = _sheared_state(grid, rng)
+        diffeo = build_diffeo(bath, state.eta0, params)
+        problem, _ = assemble_pressure_problem(state, diffeo, params)
+        krylov = pressure.gmres
+
+        def two_iterations(matvec, psolve, b, x0, tol, maxiter):
+            return krylov(matvec, psolve, b, x0, tol, 2)
+
+        monkeypatch.setattr(pressure, "gmres", two_iterations)
+        info = SolveInfo(-1, -1.0)
+        with pytest.raises(NoConvergence):
+            solve_pressure(problem, info=info)
+        assert info == SolveInfo(-1, -1.0)
+
+
+class TestGmres:
+    """The Krylov routine alone, on a dense nonsymmetric matrix with no
+    preconditioner: diag(1..1000) plus a small random part needs several
+    restart cycles."""
+
+    @pytest.fixture
+    def system(self):
+        rng = np.random.default_rng(7)
+        n = 300
+        A = np.diag(np.linspace(1.0, 1000.0, n)) + 0.5 * rng.standard_normal((n, n))
+        b = rng.standard_normal(n)
+        return A, b
+
+    def test_restarted_solve_returns_its_true_residual(self, system):
+        A, b = system
+        tol = 1e-10 * np.linalg.norm(b)
+        x, iterations, res = pressure.gmres(lambda v: A @ v, lambda v: v, b, np.zeros(b.size), tol, 2000)
+        assert iterations > 3 * pressure.RESTART
+        assert res == pytest.approx(np.linalg.norm(b - A @ x), rel=1e-12)
+        assert res <= tol
+
+    def test_iteration_cap_stops_early(self, system):
+        A, b = system
+        tol = 1e-10 * np.linalg.norm(b)
+        x, iterations, res = pressure.gmres(lambda v: A @ v, lambda v: v, b, np.zeros(b.size), tol, 5)
+        assert iterations == 5
+        assert res == pytest.approx(np.linalg.norm(b - A @ x), rel=1e-12)
+        assert res > tol
+
 
 class TestTaylor:
     def test_rest(self, flat_setup):
@@ -413,6 +459,37 @@ class TestHotPath:
         P = solve_pressure(problem, info=info)
         assert info.iterations < iters_ref
         assert np.abs(P - P_ref).max() <= 1e-8 * np.abs(P_ref).max()
+
+    def test_solve_makes_no_surplus_operator_applications(self, params, rng, monkeypatch):
+        # one matvec and one preconditioner apply per Krylov iteration, one
+        # more apply to form the solution and one matvec for its true
+        # residual; a warm start adds the matvec of the initial residual
+        grid = StripGrid(n_x=32, n_r=16)
+        bath = Bathymetry.cosine(grid, 0.2)
+        state = _sheared_state(grid, rng)
+        k1 = euler_rhs(state, bath, params)
+        stage = shifted(state, k1, 1e-3)
+        problem, _ = assemble_pressure_problem(stage, build_diffeo(bath, stage.eta0, params), params)
+        counts = {"matvec": 0, "precond": 0}
+        apply, flat_inverse = EllipticProblem.apply, pressure._apply_flat_inverse
+
+        def counted_apply(self, P):
+            counts["matvec"] += 1
+            return apply(self, P)
+
+        def counted_flat_inverse(*args):
+            counts["precond"] += 1
+            return flat_inverse(*args)
+
+        monkeypatch.setattr(EllipticProblem, "apply", counted_apply)
+        monkeypatch.setattr(pressure, "_apply_flat_inverse", counted_flat_inverse)
+        for x0 in (None, k1.P):
+            counts.update(matvec=0, precond=0)
+            info = SolveInfo(0, 0.0)
+            solve_pressure(problem, info=info, x0=x0)
+            assert info.iterations > 0
+            assert counts["matvec"] <= info.iterations + 2
+            assert counts["precond"] <= info.iterations + 1
 
     def test_warm_started_stage_needs_fewer_iterations(self, grid, params, rng):
         bath = Bathymetry.cosine(grid, 0.2)

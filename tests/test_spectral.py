@@ -259,3 +259,24 @@ class TestDealias:
     def test_quadratic_of_zero(self, grid, rng):
         f = random_surface(grid, rng)
         assert np.abs(spectral.quadratic(grid, f, np.zeros_like(f))).max() == 0.0
+
+
+class TestTransforms:
+    """The one-axis transforms and the matrix-product stencil give the same
+    bits as the generic N-d transforms and the tensor contraction."""
+
+    @pytest.mark.parametrize("n_x,n_r", [(256, 48), (64, 32)])
+    def test_one_axis_fft_matches_generic(self, n_x, n_r, rng):
+        grid = StripGrid(n_x=n_x, n_r=n_r)
+        f = rng.standard_normal((n_r + 1, n_x))
+        F = np.fft.rfftn(f, axes=(-1,))
+        assert np.array_equal(spectral.rfft(grid, f), F)
+        assert np.array_equal(spectral.irfft(grid, F), np.fft.irfftn(F, s=grid.xshape, axes=(-1,)))
+
+    @pytest.mark.parametrize("n_x,n_r,d", [(256, 48, 1), (16, 12, 2)])
+    def test_dr_matches_tensor_contraction(self, n_x, n_r, d, rng):
+        grid = StripGrid(n_x=n_x, n_r=n_r, d=d)
+        f = rng.standard_normal((n_r + 1,) + grid.xshape)
+        once = np.tensordot(grid.Dr, f, axes=(1, 0))
+        assert np.array_equal(spectral.dr(grid, f), once)
+        assert np.array_equal(spectral.dr(grid, f, order=2), np.tensordot(grid.Dr, once, axes=(1, 0)))
