@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .diagnostics import spans_two_decades
@@ -100,7 +100,6 @@ def parse_config_text(text: str) -> dict:
 class ExperimentConfig:
     values: dict
     text: str = ""
-    problems: list = field(default_factory=list)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -152,7 +151,6 @@ class ExperimentConfig:
             self.params()
         except ValueError as exc:
             problems.append(str(exc))
-        self.problems = problems
         return problems
 
     def grid(self) -> StripGrid:

@@ -155,9 +155,13 @@ def spans_two_decades(values) -> bool:
     return max(values) / min(values) >= 1e2
 
 
-def fit_rate(samples, floor: float = 1e-13) -> RateFit:
-    """Least-squares slope of log(error) against log(mu); errors at the noise
-    floor flag the fit as degenerate instead of failing."""
+# errors below this are round-off, not discretization or model error
+RATE_FLOOR = 1e-13
+
+
+def fit_rate(samples) -> RateFit:
+    """Least-squares slope of log(error) against log(mu); errors below
+    RATE_FLOOR flag the fit as degenerate instead of failing."""
     samples = [(float(m), float(e)) for m, e in samples]
     if len(samples) < 3:
         raise ValueError("need at least three samples")
@@ -165,8 +169,8 @@ def fit_rate(samples, floor: float = 1e-13) -> RateFit:
     errs = np.array([e for _, e in samples])
     if not spans_two_decades(mus):
         raise ValueError("samples must span at least two decades")
-    degenerate = bool((errs < floor).any())
-    errs = np.maximum(errs, floor)
+    degenerate = bool((errs < RATE_FLOOR).any())
+    errs = np.maximum(errs, RATE_FLOOR)
     coeffs, res = np.polyfit(np.log(mus), np.log(errs), 1, full=True)[:2]
     residual = float(res[0]) if len(res) else 0.0
     return RateFit(float(coeffs[0]), float(coeffs[1]), residual, degenerate)

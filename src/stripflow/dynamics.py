@@ -205,14 +205,15 @@ def divergence_report(state: StripState, bathymetry: Bathymetry, params: PhysPar
     }
 
 
-def project_divergence_free(
-    state: StripState, bathymetry: Bathymetry, params: PhysParams, rtol: float = 1e-12
-) -> StripState:
+PROJECT_RTOL = 1e-12
+
+
+def project_divergence_free(state: StripState, bathymetry: Bathymetry, params: PhysParams) -> StripState:
     """Remove the discrete divergence and restore bottom impermeability: the
-    pressure closure with B = (V, w), solved to rtol (Dirichlet top)."""
+    pressure closure with B = (V, w), solved to PROJECT_RTOL (Dirichlet top)."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
     problem = closure_problem(diffeo, params, _nu(state, params), state.V, state.w)
-    V, w, _, _ = solve_closure(problem, state.V, state.w, rtol=rtol)
+    V, w, _, _ = solve_closure(problem, state.V, state.w, rtol=PROJECT_RTOL)
     return StripState(V, w, state.rho.copy(), state.eta0.copy(), state.t)
 
 
@@ -290,6 +291,9 @@ def vorticity(state, diffeo: DiffeoFields, params: PhysParams) -> VorticityField
 # -- initial data ------------------------------------------------------------------
 
 
+PSI_BOTTOM_TOL = 1e-8
+
+
 def init_from_streamfunction(
     psi,
     dpsi_dx,
@@ -298,18 +302,18 @@ def init_from_streamfunction(
     eta0_init: np.ndarray,
     bathymetry: Bathymetry,
     params: PhysParams,
-    bottom_tol: float = 1e-8,
 ) -> StripState:
     """Build (V, w) = (d_z psi, -d_x psi) from callables on the physical
     domain, pulled back to the sigma grid, then projected so the discrete
-    invariants hold.  d = 1 only; psi must be constant along the bottom."""
+    invariants hold.  d = 1 only; psi must be constant along the bottom, to
+    PSI_BOTTOM_TOL relative to its size there."""
     grid = bathymetry.grid
     if grid.d != 1:
         raise ValueError("streamfunction initialization is d = 1 only")
     z = barycentric_heights(bathymetry, eta0_init, params)
     x = np.broadcast_to(grid.x, z.shape)
     psi_bottom = np.asarray(psi(grid.x, -1.0 + params.beta * bathymetry.values))
-    if np.ptp(psi_bottom) > bottom_tol * max(1.0, np.abs(psi_bottom).max()):
+    if np.ptp(psi_bottom) > PSI_BOTTOM_TOL * max(1.0, np.abs(psi_bottom).max()):
         raise InvalidStreamfunction(
             f"psi varies by {np.ptp(psi_bottom):.2e} along the bottom"
         )

@@ -17,7 +17,7 @@ from .dynamics import StripState, init_from_streamfunction
 from .errors import ConfigError, StripflowError
 from .geometry import Bathymetry, PhysParams
 from .grid import StripGrid
-from .mollified import MollParams, from_strip_state, run_moll
+from .mollified import MollParams, cfl_dt_slag, from_strip_state, run_moll
 from .runner import simulate
 
 
@@ -81,23 +81,34 @@ def build_initial(cfg: ExperimentConfig, grid: StripGrid, params: PhysParams, ba
     return state, sw, achieved
 
 
-def _direct_run(cfg: ExperimentConfig, params: PhysParams, T: float):
-    """The direct-scheme run of `run` and of the mu and log-horizon sweep
-    members: build grid, bathymetry and initial data, simulate to T with the
-    run.* settings, and collect the results rows.  Returns (record, rows,
-    well-prepared sum, bathymetry); a package error before the first step
-    propagates."""
+def _run(cfg: ExperimentConfig, params: PhysParams, T: float, moll: MollParams | None = None,
+         dt: float | None = None):
+    """The one run of `run` and of every sweep member: build grid, bathymetry
+    and initial data, march to T with the run.* settings, and collect the
+    results rows.  ``moll`` None runs the direct scheme (co-advancing the
+    paired shallow-water state, if any), else the mollified scheme with those
+    cutoffs; the step is ``dt``, else run.dt, else the scheme's CFL step.
+    Returns (record, rows, well-prepared sum, bathymetry); a package error
+    before the first step propagates."""
     grid = cfg.grid()
     bath = build_bathymetry(cfg, grid)
     state, sw, achieved = build_initial(cfg, grid, params, bath)
-    dt = cfg["run.dt"] if cfg["run.dt"] > 0 else None
-    rec = simulate(
-        state, bath, params, T, dt=dt, cfl_factor=cfg["run.cfl"],
-        s=cfg["run.s"], s0=cfg["run.s0"], cadence=cfg["run.cadence"], sw=sw,
-        norm_factor=cfg["limits.norm_factor"],
-    )
-    rows = [(params, t, rec.reports[i], rec.comparisons[i] if rec.comparisons else None)
-            for i, t in enumerate(rec.times)]
+    if dt is None and cfg["run.dt"] > 0:
+        dt = cfg["run.dt"]
+    if moll is None:
+        rec = simulate(
+            state, bath, params, T, dt=dt, cfl_factor=cfg["run.cfl"],
+            s=cfg["run.s"], s0=cfg["run.s0"], cadence=cfg["run.cadence"], sw=sw,
+            norm_factor=cfg["limits.norm_factor"],
+        )
+        rows = [(params, t, rec.reports[i], rec.comparisons[i] if rec.comparisons else None)
+                for i, t in enumerate(rec.times)]
+        return rec, rows, achieved, bath
+    slag = from_strip_state(state, bath, params)
+    if dt is None:
+        dt = cfl_dt_slag(slag, moll, bath, params, cfg["run.cfl"])
+    rec = run_moll(slag, moll, bath, params, T, dt, s=cfg["run.s"], cadence=cfg["run.cadence"])
+    rows = [(params, t, None, None, E) for t, E in zip(rec.times, rec.energies)]
     return rec, rows, achieved, bath
 
 
@@ -114,10 +125,11 @@ def run_single(cfg: ExperimentConfig, out_dir, verbose: bool = False) -> tuple[i
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = cfg.params()
+    moll = None
+    if cfg["scheme.kind"] == "mollified":
+        moll = MollParams(cfg["scheme.iota1"], cfg["scheme.iota2"], cfg["scheme.iota3"])
     try:
-        if cfg["scheme.kind"] == "mollified":
-            return _run_mollified(cfg, params, out)
-        rec, rows, achieved, bath = _direct_run(cfg, params, cfg["run.T"])
+        rec, rows, achieved, bath = _run(cfg, params, cfg["run.T"], moll)
     except StripflowError as exc:
         io.write_manifest(out / "manifest.txt", cfg.dump(), f"init-failed: {exc}")
         return 3, {"status": f"init-failed: {exc}"}
@@ -125,33 +137,21 @@ def run_single(cfg: ExperimentConfig, out_dir, verbose: bool = False) -> tuple[i
     with io.ResultsWriter(out / "results.txt") as w:
         for row in rows:
             w.row(*row)
-    io.save_snapshot(out / ("final." + ("npz" if cfg["output.format"] == "npz" else "txt")),
-                     rec.final, bath.grid, params, cfg["output.format"])
-    extra = {"final_t": rec.final.t, "n_steps": rec.n_steps, "dt": rec.dt,
-             "mean_eta0_drift": rec.mean_eta0_drift}
+    extra = {"final_t": rec.final.t, "n_steps": rec.n_steps, "dt": rec.dt}
+    if moll is None:
+        io.save_snapshot(out / ("final." + ("npz" if cfg["output.format"] == "npz" else "txt")),
+                         rec.final, bath.grid, params, cfg["output.format"])
+        extra["mean_eta0_drift"] = rec.mean_eta0_drift
+    else:
+        extra["scheme"] = "mollified"
     if achieved is not None:
         extra["well_prepared_sum"] = achieved
     io.write_manifest(out / "manifest.txt", cfg.dump(), rec.status, extra)
-    if verbose:
+    if verbose and moll is None:
         _dump_solver_debug(out / "solver_debug.txt", rec.final, bath, params)
+    if verbose:
         print(f"[run] status={rec.status} steps={rec.n_steps} wall={rec.wall_time:.1f}s")
     return (0 if rec.status == "Continue" else 3), {"status": rec.status, "record": rec}
-
-
-def _run_mollified(cfg: ExperimentConfig, params: PhysParams, out: Path) -> tuple[int, dict]:
-    grid = cfg.grid()
-    bath = build_bathymetry(cfg, grid)
-    state, _, _ = build_initial(cfg, grid, params, bath)
-    moll = MollParams(cfg["scheme.iota1"], cfg["scheme.iota2"], cfg["scheme.iota3"])
-    traj = run_moll(from_strip_state(state, bath, params), moll, bath, params, cfg["run.T"], s=cfg["run.s"])
-    with io.ResultsWriter(out / "results.txt") as w:
-        for t, E in zip(traj.times, traj.energies):
-            w.row(params, t, energy=E)
-    io.write_manifest(
-        out / "manifest.txt", cfg.dump(), traj.status,
-        {"scheme": "mollified", "final_t": traj.final.t},
-    )
-    return (0 if traj.status == "Continue" else 3), {"status": traj.status}
 
 
 def _dump_solver_debug(path, state, bath, params):
@@ -171,7 +171,7 @@ def _dump_solver_debug(path, state, bath, params):
 
 def _mu_member(cfg: ExperimentConfig, mu: float) -> dict:
     params = cfg.params(mu=mu, delta=(mu if cfg["sweep.delta_tracks_mu"] else None))
-    rec, rows, achieved, _ = _direct_run(cfg, params, cfg["run.T"])
+    rec, rows, achieved, _ = _run(cfg, params, cfg["run.T"])
     comp = rec.comparisons[-1] if rec.comparisons else None
     return {
         "mu": mu, "error": comp.err_total if comp is not None else float("nan"),
@@ -180,18 +180,13 @@ def _mu_member(cfg: ExperimentConfig, mu: float) -> dict:
 
 
 def _iota_member(cfg: ExperimentConfig, iota3: float) -> dict:
-    grid = cfg.grid()
+    """Terminal distance between the cutoff run and the zero-cutoff reference,
+    which marches with the cutoff run's step."""
     params = cfg.params()
-    bath = build_bathymetry(cfg, grid)
-    state, _, _ = build_initial(cfg, grid, params, bath)
     T = cfg["run.T"]
-    moll0 = MollParams(cfg["scheme.iota1"], cfg["scheme.iota2"], 0.0)
-    dt = mollified.cfl_dt_slag(from_strip_state(state, bath, params),
-                               MollParams(0, 0, max(iota3, 1e-12)), bath, params)
-    ref = run_moll(from_strip_state(state, bath, params), moll0, bath, params, T, dt=dt, s=cfg["run.s"])
-    tr = run_moll(from_strip_state(state, bath, params),
-                  MollParams(cfg["scheme.iota1"], cfg["scheme.iota2"], iota3),
-                  bath, params, T, dt=dt, s=cfg["run.s"])
+    moll = MollParams(cfg["scheme.iota1"], cfg["scheme.iota2"], iota3)
+    tr, _, _, bath = _run(cfg, params, T, moll)
+    ref, _, _, _ = _run(cfg, params, T, replace(moll, iota3=0.0), dt=tr.dt)
     dist = mollified.terminal_distance(tr.final, mollified.slag_to_sigma(ref.final, bath, params), bath, params)
     status = tr.status if ref.status == "Continue" else ref.status
     return {"iota3": iota3, "error": dist, "status": status, "rows": []}
@@ -204,7 +199,7 @@ def _horizon(cfg: ExperimentConfig, eps: float) -> float:
 def _log_horizon_member(cfg: ExperimentConfig, eps: float) -> dict:
     base = cfg.params()
     params = replace(base, eps=eps, mu=eps * eps, delta=min(base.delta, eps * eps))
-    rec, rows, _, _ = _direct_run(cfg, params, _horizon(cfg, eps))
+    rec, rows, _, _ = _run(cfg, params, _horizon(cfg, eps))
     return {"eps": eps, "error": float("nan"), "status": rec.status, "rows": rows, "final_t": rec.final.t}
 
 

@@ -48,6 +48,9 @@ class PhysParams:
 
 # -- bathymetry ------------------------------------------------------------------
 
+# standard deviation of the gaussian preset's ridge, as a fraction of the length
+RIDGE_WIDTH = 0.1
+
 
 @dataclass(frozen=True)
 class Bathymetry:
@@ -69,17 +72,17 @@ class Bathymetry:
         return cls(grid, np.zeros(grid.xshape))
 
     @classmethod
-    def cosine(cls, grid: StripGrid, amplitude: float = 0.3, mode: int = 1) -> "Bathymetry":
-        phase = 2.0 * np.pi * mode * grid.x / grid.length
+    def cosine(cls, grid: StripGrid, amplitude: float = 0.3) -> "Bathymetry":
+        phase = 2.0 * np.pi * grid.x / grid.length
         vals = amplitude * np.cos(phase)
         if grid.d == 2:
             vals = vals[:, None] * np.cos(phase)[None, :]
         return cls(grid, vals)
 
     @classmethod
-    def gaussian_ridge(cls, grid: StripGrid, amplitude: float = 0.3, width: float = 0.1) -> "Bathymetry":
+    def gaussian_ridge(cls, grid: StripGrid, amplitude: float = 0.3) -> "Bathymetry":
         xc = 0.5 * grid.length
-        prof = amplitude * np.exp(-((grid.x - xc) ** 2) / (2.0 * (width * grid.length) ** 2))
+        prof = amplitude * np.exp(-((grid.x - xc) ** 2) / (2.0 * (RIDGE_WIDTH * grid.length) ** 2))
         prof = prof - prof.mean()
         if grid.d == 2:
             prof = prof[:, None] + prof[None, :]

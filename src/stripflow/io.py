@@ -17,9 +17,9 @@ RESULTS_HEADER = (
 )
 
 
-def save_snapshot(path, state: StripState, grid: StripGrid, params: PhysParams, fmt: str = "npz", scheme: str = "direct"):
-    """Self-describing snapshot: header (grid, params, t, scheme tag) then the
-    fields in fixed order V, w, rho, eta0."""
+def save_snapshot(path, state: StripState, grid: StripGrid, params: PhysParams, fmt: str = "npz"):
+    """Self-describing snapshot of a direct-scheme state: header (grid,
+    params, t, scheme tag) then the fields in fixed order V, w, rho, eta0."""
     path = Path(path)
     header = {
         "d": grid.d,
@@ -33,7 +33,7 @@ def save_snapshot(path, state: StripState, grid: StripGrid, params: PhysParams, 
         "g": params.g,
         "rho_bar": params.rho_bar,
         "t": state.t,
-        "scheme": scheme,
+        "scheme": "direct",
     }
     if fmt == "npz":
         np.savez(
@@ -141,11 +141,8 @@ def write_rate_summary(path, axis: str, values, errors, fit):
         )
 
 
-def content_hash(*chunks) -> str:
-    h = hashlib.sha256()
-    for c in chunks:
-        h.update(c if isinstance(c, bytes) else str(c).encode())
-    return h.hexdigest()[:16]
+def content_hash(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def write_manifest(path, config_text: str, status: str, extra: dict | None = None):

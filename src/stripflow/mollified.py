@@ -20,7 +20,7 @@ from scipy.interpolate import PchipInterpolator
 from . import spectral
 from .diagnostics import good_unknown_energy, vorticity_norm
 from .dynamics import StripState, _nu, metric_motion_term, rk4, vorticity
-from .errors import BlowUpSuspected, DegenerateDiffeo, InterpolationOutOfRange
+from .errors import BlowUpSuspected, CFLViolation, DegenerateDiffeo, InterpolationOutOfRange
 from .geometry import Bathymetry, DiffeoFields, PhysParams, barycentric_heights, require_nondegenerate
 from .pressure import SolveInfo, closure_problem, solve_closure
 from .runner import RunRecord, march
@@ -143,12 +143,16 @@ def step_rk4_slag(
     state: SlagState, dt: float, moll: MollParams, bathymetry: Bathymetry, params: PhysParams
 ) -> SlagState:
     """One RK4 step; each stage's pressure solve starts from the previous
-    stage's pressure."""
+    stage's pressure.  Raises CFLViolation when dt exceeds the 0.5-factor
+    stability bound."""
+    limit = cfl_dt_slag(state, moll, bathymetry, params, factor=0.5)
+    if dt > limit:
+        raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
     return rk4(state, dt, lambda st, k: slag_rhs(st, moll, bathymetry, params, x0=None if k is None else k.P))
 
 
 def cfl_dt_slag(
-    state: SlagState, moll: MollParams, bathymetry: Bathymetry, params: PhysParams, factor: float = 0.4
+    state: SlagState, moll: MollParams, bathymetry: Bathymetry, params: PhysParams, factor: float
 ) -> float:
     grid = bathymetry.grid
     depth = 1.0 - params.beta * bathymetry.values + params.eps * state.eta0
@@ -187,16 +191,13 @@ def run_moll(
     bathymetry: Bathymetry,
     params: PhysParams,
     T: float,
-    dt: float | None = None,
+    dt: float,
     s: float = 4.0,
     cadence: int = 10,
 ) -> RunRecord:
     """RK4 trajectory of the mollified system, recording the scheme energy;
     a non-finite energy halts the run with NormBlowup (see ``runner.march``
     for the cadence and the halt policy)."""
-    if dt is None:
-        dt = cfl_dt_slag(initial, moll, bathymetry, params)
-
     def observe(state, rec):
         rec.energies.append(moll_energy(state, moll, bathymetry, params, s))
         return "Continue" if np.isfinite(rec.energies[-1]) else "NormBlowup"
@@ -210,13 +211,14 @@ def run_moll(
 # -- coordinate changes -----------------------------------------------------------
 
 
-def slag_to_sigma(
-    state: SlagState, bathymetry: Bathymetry, params: PhysParams, clamp_tol: float = 1e-3
-) -> StripState:
+CLAMP_TOL = 1e-3
+
+
+def slag_to_sigma(state: SlagState, bathymetry: Bathymetry, params: PhysParams) -> StripState:
     """Resample (V, w, rho) from the transported vertical map onto the
     production sigma levels (monotone cubic per column, spectral in x is not
     needed because both maps share the horizontal nodes).  Target levels may
-    exceed the source column by up to clamp_tol (the mollified surface trace
+    exceed the source column by up to CLAMP_TOL (the mollified surface trace
     and the transported map decouple at the cutoff scale); they are clamped.
     """
     grid = bathymetry.grid
@@ -225,7 +227,7 @@ def slag_to_sigma(
     z_target = barycentric_heights(bathymetry, state.eta0, params)
     r = grid.r_column(grid.r)
     z_source = r + state.H
-    tol = clamp_tol * (1.0 + np.abs(z_source).max())
+    tol = CLAMP_TOL * (1.0 + np.abs(z_source).max())
     fields = [state.V[0], state.w, state.rho]
     out = [np.empty_like(f) for f in fields]
     for j in range(grid.n_x):

@@ -184,14 +184,12 @@ def _apply_flat_inverse(grid: StripGrid, inv: np.ndarray, v: np.ndarray) -> np.n
     """Per-mode inverse applied as one real batched matmul: the rFFT of v is
     laid out mode-major, (modes, n_r, 2) with real and imaginary parts
     interleaved, which is the float view of the transposed complex array."""
-    vh = np.fft.rfft(v) if grid.d == 1 else np.fft.rfftn(v, axes=(-2, -1))
+    vh = spectral.rfft(grid, v)
     spec_shape = vh.shape[1:]
     X = np.ascontiguousarray(vh.reshape(grid.n_r, -1).T).view(float)
     U = np.matmul(inv, X.reshape(-1, grid.n_r, 2))
     uh = U.view(complex).reshape(-1, grid.n_r).T.reshape((grid.n_r,) + spec_shape)
-    if grid.d == 1:
-        return np.fft.irfft(uh, n=grid.n_x)
-    return np.fft.irfftn(uh, s=grid.xshape, axes=(-2, -1))
+    return spectral.irfft(grid, uh)
 
 
 # -- Krylov solver ----------------------------------------------------------------

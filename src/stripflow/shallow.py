@@ -150,12 +150,10 @@ def well_prepared_init(
     s: float,
     shear_amp: float = 0.0,
     rho_amp: float = 0.0,
-    rho_mode: int = 1,
-    tolerance_factor: float = 1.0,
 ) -> tuple[StripState, float]:
     """Columnar lift plus a mu-scaled shear and a unit-norm-scaled density
-    pattern, re-projected; verifies that the closeness sum is at most
-    sqrt(mu) and returns the achieved value."""
+    pattern of horizontal mode 1, re-projected; verifies that the closeness
+    sum is at most sqrt(mu) and returns the achieved value."""
     if params.delta > params.mu:
         raise PreparationFailed(
             f"weak-density regime requires delta <= mu (got {params.delta} > {params.mu})"
@@ -165,7 +163,7 @@ def well_prepared_init(
     if shear_amp:
         state.V[0] = state.V[0] + shear_streamfunction_profile(grid, shear_amp, params)
     if rho_amp:
-        phase = 2.0 * np.pi * rho_mode * grid.x / grid.length
+        phase = 2.0 * np.pi * grid.x / grid.length
         pattern = np.cos(phase)
         if grid.d == 2:
             pattern = pattern[:, None] * np.cos(phase)[None, :]
@@ -175,7 +173,7 @@ def well_prepared_init(
         state.rho = rho_amp * raw / nrm
     state = project_divergence_free(state, bathymetry, params)
     achieved = compare(state, sw, s, bathymetry, params).hypE0
-    if achieved > tolerance_factor * params.sqrt_mu:
+    if achieved > params.sqrt_mu:
         raise PreparationFailed(
             f"closeness sum {achieved:.3e} exceeds sqrt(mu) = {params.sqrt_mu:.3e}"
         )

@@ -262,6 +262,41 @@ rate.max = 1.5
         assert np.isfinite(E_s).all()
         assert E_s.tolist() == trajectories[0].energies
 
+    def test_mollified_run_honours_run_keys(self, tmp_path):
+        # the mollified run takes its step from run.dt and observes every
+        # run.cadence steps and at T, as the direct run does
+        extra = "\nscheme.kind = mollified\nscheme.iota3 = 0.01\nrun.T = 0.05\nrun.dt = 0.01\nrun.cadence = 2\n"
+        out = tmp_path / "moll"
+        assert main(["run", "--config", str(self._write(tmp_path, extra)), "--out", str(out)]) == 0
+        data = np.loadtxt(out / "results.txt", ndmin=2)
+        t = data[:, RESULTS_HEADER.lstrip("#").split().index("t")]
+        assert t.shape == (4,) and np.allclose(t, [0.0, 0.02, 0.04, 0.05], rtol=0, atol=1e-12)
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "n_steps = 5" in manifest and "dt = 0.01" in manifest
+
+    def test_sweep_iota3_runs_share_one_step(self, tmp_path, monkeypatch):
+        # each cutoff member marches its cutoff run and its zero-cutoff
+        # reference with one step (run.dt when set) and at run.cadence
+        calls = []
+
+        def recording_run_moll(initial, moll, bathymetry, params, T, dt, **kwargs):
+            rec = real_run_moll(initial, moll, bathymetry, params, T, dt, **kwargs)
+            calls.append((moll.iota3, dt, kwargs.get("cadence"), rec))
+            return rec
+
+        real_run_moll = experiments.run_moll
+        monkeypatch.setattr(experiments, "run_moll", recording_run_moll)
+        text = BASE_CONFIG + "\nrun.T = 0.01\nsweep.axis = iota3\nsweep.values = 1e-1, 1e-2, 1e-3\n"
+        experiments.sweep(ExperimentConfig.from_text(text + "run.dt = 0.005\n"), tmp_path / "fixed")
+        assert [(dt, cadence) for _, dt, cadence, _ in calls] == [(0.005, 5)] * 6
+        assert [c[0] == 0.0 for c in calls] == [False, True] * 3  # cutoff run, then its reference
+
+        calls.clear()
+        experiments.sweep(ExperimentConfig.from_text(text), tmp_path / "cfl")
+        assert len(calls) == 6
+        for cutoff, reference in zip(calls[::2], calls[1::2]):
+            assert cutoff[3].dt == reference[3].dt
+
     def test_sweep_iota3_axis(self, tmp_path):
         extra = """
 grid.n_x = 32
