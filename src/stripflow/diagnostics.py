@@ -155,8 +155,7 @@ def spans_two_decades(values) -> bool:
     return max(values) / min(values) >= 1e2
 
 
-# errors below this are round-off, not discretization or model error
-RATE_FLOOR = 1e-13
+RATE_FLOOR = 1e-13  # errors below this are round-off, not discretization or model error
 
 
 def fit_rate(samples) -> RateFit:

@@ -290,7 +290,6 @@ def vorticity(state, diffeo: DiffeoFields, params: PhysParams) -> VorticityField
 
 # -- initial data ------------------------------------------------------------------
 
-
 PSI_BOTTOM_TOL = 1e-8
 
 

@@ -41,9 +41,12 @@ def sw_initial(grid: StripGrid, eta_amp: float, v_amp: float, mode: int = 1) -> 
     return sw
 
 
-def build_initial(cfg: ExperimentConfig, grid: StripGrid, params: PhysParams, bath: Bathymetry):
-    """Initial strip state per the configured recipe; returns the paired
-    shallow-water state for the comparison pipeline when one exists."""
+def build_initial(cfg: ExperimentConfig, params: PhysParams):
+    """Bathymetry and initial strip state per the configured recipe:
+    (bathymetry, state, paired shallow-water state for the comparison
+    pipeline or None, well-prepared sum or None)."""
+    grid = cfg.grid()
+    bath = build_bathymetry(cfg, grid)
     recipe = cfg["initial.recipe"]
     if recipe == "rest":
         state = StripState.rest(grid)
@@ -52,7 +55,7 @@ def build_initial(cfg: ExperimentConfig, grid: StripGrid, params: PhysParams, ba
         )
         if grid.d == 2:
             state.eta0 = state.eta0[:, None] * np.ones(grid.n_x)
-        return state, None, None
+        return bath, state, None, None
     if recipe == "streamfunction":
         amp, mode = cfg["initial.psi_amplitude"], cfg["initial.psi_mode"]
         kx = 2.0 * np.pi * mode / grid.length
@@ -72,27 +75,22 @@ def build_initial(cfg: ExperimentConfig, grid: StripGrid, params: PhysParams, ba
         )
         rho0 = np.zeros((grid.n_r + 1,) + grid.xshape)
         state = init_from_streamfunction(psi, dpsi_dx, dpsi_dz, rho0, eta0, bath, params)
-        return state, None, None
+        return bath, state, None, None
     # well-prepared from a shallow-water state
     sw = sw_initial(grid, cfg["initial.eta0_amplitude"], cfg["initial.sw_v_amplitude"], cfg["initial.eta0_mode"])
     state, achieved = shallow.well_prepared_init(
         sw, bath, params, s=cfg["run.s"], shear_amp=cfg["initial.shear_amp"], rho_amp=cfg["initial.rho_amp"]
     )
-    return state, sw, achieved
+    return bath, state, sw, achieved
 
 
-def _run(cfg: ExperimentConfig, params: PhysParams, T: float, moll: MollParams | None = None,
-         dt: float | None = None):
-    """The one run of `run` and of every sweep member: build grid, bathymetry
-    and initial data, march to T with the run.* settings, and collect the
-    results rows.  ``moll`` None runs the direct scheme (co-advancing the
-    paired shallow-water state, if any), else the mollified scheme with those
-    cutoffs; the step is ``dt``, else run.dt, else the scheme's CFL step.
-    Returns (record, rows, well-prepared sum, bathymetry); a package error
-    before the first step propagates."""
-    grid = cfg.grid()
-    bath = build_bathymetry(cfg, grid)
-    state, sw, achieved = build_initial(cfg, grid, params, bath)
+def _march(cfg: ExperimentConfig, params: PhysParams, T: float, bath: Bathymetry, state: StripState,
+           sw: shallow.SWState | None, moll: MollParams | None, dt: float | None = None):
+    """The one march of `run` and of every sweep member: advance built initial
+    data to T with the run.* settings and collect the results rows.  ``moll``
+    None runs the direct scheme (co-advancing ``sw``, if any), else the
+    mollified scheme with those cutoffs; the step is ``dt``, else run.dt, else
+    the scheme's CFL step.  Returns (record, rows)."""
     if dt is None and cfg["run.dt"] > 0:
         dt = cfg["run.dt"]
     if moll is None:
@@ -103,13 +101,12 @@ def _run(cfg: ExperimentConfig, params: PhysParams, T: float, moll: MollParams |
         )
         rows = [(params, t, rec.reports[i], rec.comparisons[i] if rec.comparisons else None)
                 for i, t in enumerate(rec.times)]
-        return rec, rows, achieved, bath
+        return rec, rows
     slag = from_strip_state(state, bath, params)
     if dt is None:
         dt = cfl_dt_slag(slag, moll, bath, params, cfg["run.cfl"])
     rec = run_moll(slag, moll, bath, params, T, dt, s=cfg["run.s"], cadence=cfg["run.cadence"])
-    rows = [(params, t, None, None, E) for t, E in zip(rec.times, rec.energies)]
-    return rec, rows, achieved, bath
+    return rec, [(params, t, None, None, E) for t, E in zip(rec.times, rec.energies)]
 
 
 def _require_valid(cfg: ExperimentConfig):
@@ -129,7 +126,8 @@ def run_single(cfg: ExperimentConfig, out_dir, verbose: bool = False) -> tuple[i
     if cfg["scheme.kind"] == "mollified":
         moll = MollParams(cfg["scheme.iota1"], cfg["scheme.iota2"], cfg["scheme.iota3"])
     try:
-        rec, rows, achieved, bath = _run(cfg, params, cfg["run.T"], moll)
+        bath, state, sw, achieved = build_initial(cfg, params)
+        rec, rows = _march(cfg, params, cfg["run.T"], bath, state, sw, moll)
     except StripflowError as exc:
         io.write_manifest(out / "manifest.txt", cfg.dump(), f"init-failed: {exc}")
         return 3, {"status": f"init-failed: {exc}"}
@@ -171,7 +169,8 @@ def _dump_solver_debug(path, state, bath, params):
 
 def _mu_member(cfg: ExperimentConfig, mu: float) -> dict:
     params = cfg.params(mu=mu, delta=(mu if cfg["sweep.delta_tracks_mu"] else None))
-    rec, rows, achieved, _ = _run(cfg, params, cfg["run.T"])
+    bath, state, sw, achieved = build_initial(cfg, params)
+    rec, rows = _march(cfg, params, cfg["run.T"], bath, state, sw, None)
     comp = rec.comparisons[-1] if rec.comparisons else None
     return {
         "mu": mu, "error": comp.err_total if comp is not None else float("nan"),
@@ -181,12 +180,13 @@ def _mu_member(cfg: ExperimentConfig, mu: float) -> dict:
 
 def _iota_member(cfg: ExperimentConfig, iota3: float) -> dict:
     """Terminal distance between the cutoff run and the zero-cutoff reference,
-    which marches with the cutoff run's step."""
+    both marched from one built state with the cutoff run's step."""
     params = cfg.params()
     T = cfg["run.T"]
     moll = MollParams(cfg["scheme.iota1"], cfg["scheme.iota2"], iota3)
-    tr, _, _, bath = _run(cfg, params, T, moll)
-    ref, _, _, _ = _run(cfg, params, T, replace(moll, iota3=0.0), dt=tr.dt)
+    bath, state, _, _ = build_initial(cfg, params)
+    tr, _ = _march(cfg, params, T, bath, state, None, moll)
+    ref, _ = _march(cfg, params, T, bath, state, None, replace(moll, iota3=0.0), dt=tr.dt)
     dist = mollified.terminal_distance(tr.final, mollified.slag_to_sigma(ref.final, bath, params), bath, params)
     status = tr.status if ref.status == "Continue" else ref.status
     return {"iota3": iota3, "error": dist, "status": status, "rows": []}
@@ -199,7 +199,8 @@ def _horizon(cfg: ExperimentConfig, eps: float) -> float:
 def _log_horizon_member(cfg: ExperimentConfig, eps: float) -> dict:
     base = cfg.params()
     params = replace(base, eps=eps, mu=eps * eps, delta=min(base.delta, eps * eps))
-    rec, rows, _, _ = _run(cfg, params, _horizon(cfg, eps))
+    bath, state, sw, _ = build_initial(cfg, params)
+    rec, rows = _march(cfg, params, _horizon(cfg, eps), bath, state, sw, None)
     return {"eps": eps, "error": float("nan"), "status": rec.status, "rows": rows, "final_t": rec.final.t}
 
 

@@ -48,8 +48,7 @@ class PhysParams:
 
 # -- bathymetry ------------------------------------------------------------------
 
-# standard deviation of the gaussian preset's ridge, as a fraction of the length
-RIDGE_WIDTH = 0.1
+RIDGE_WIDTH = 0.1  # standard deviation of the gaussian preset's ridge, as a fraction of the length
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from scipy.interpolate import PchipInterpolator
 from . import spectral
 from .diagnostics import good_unknown_energy, vorticity_norm
 from .dynamics import StripState, _nu, metric_motion_term, rk4, vorticity
-from .errors import BlowUpSuspected, CFLViolation, DegenerateDiffeo, InterpolationOutOfRange
+from .errors import BlowUpSuspected, DegenerateDiffeo, InterpolationOutOfRange
 from .geometry import Bathymetry, DiffeoFields, PhysParams, barycentric_heights, require_nondegenerate
 from .pressure import SolveInfo, closure_problem, solve_closure
 from .runner import RunRecord, march
@@ -143,11 +143,7 @@ def step_rk4_slag(
     state: SlagState, dt: float, moll: MollParams, bathymetry: Bathymetry, params: PhysParams
 ) -> SlagState:
     """One RK4 step; each stage's pressure solve starts from the previous
-    stage's pressure.  Raises CFLViolation when dt exceeds the 0.5-factor
-    stability bound."""
-    limit = cfl_dt_slag(state, moll, bathymetry, params, factor=0.5)
-    if dt > limit:
-        raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
+    stage's pressure."""
     return rk4(state, dt, lambda st, k: slag_rhs(st, moll, bathymetry, params, x0=None if k is None else k.P))
 
 
@@ -209,7 +205,6 @@ def run_moll(
 
 
 # -- coordinate changes -----------------------------------------------------------
-
 
 CLAMP_TOL = 1e-3
 

@@ -284,18 +284,6 @@ class TestRunMollHalts:
         assert traj.status == "NoConvergence"
         assert traj.times == pytest.approx([0.0, 1e-3])
 
-    def test_step_beyond_stability_bound_halts(self, grid):
-        # every step checks the bound, as the direct scheme's does, so a
-        # fixed dt that exceeds it halts before the first step
-        params = PhysParams(eps=0.25, beta=0.25, mu=0.1)
-        bath = Bathymetry.cosine(grid, 0.2)
-        slag = from_strip_state(wave_state(grid), bath, params)
-        dt = 10.0 * mollified.cfl_dt_slag(slag, MollParams(), bath, params, factor=0.5)
-        traj = run_moll(slag, MollParams(), bath, params, 2.0 * dt, dt=dt)
-        assert traj.status == "CFLViolation"
-        assert traj.halted_at == 0.0 and traj.final.t == 0.0
-        assert traj.times == [0.0]
-
     def test_initial_energy_error_becomes_status(self, grid):
         # the t = 0 scheme energy builds the metric of the transported map,
         # whose layer thickness 1 + d_r H is negative here
