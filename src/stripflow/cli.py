@@ -43,6 +43,7 @@ def cmd_check(args) -> int:
     from .geometry import Bathymetry, PhysParams, build_diffeo
     from .grid import StripGrid
     from .mollified import MollParams, from_strip_state, step_rk4_slag
+    from .runner import simulate
     from .shallow import SWState, sw_step_rk4
 
     grid = StripGrid(n_x=32, n_r=12)
@@ -74,6 +75,9 @@ def cmd_check(args) -> int:
     state.eta0 = 0.05 * np.cos(grid.x)
     s2 = step_rk4(state, 1e-3, bath, params)
     check("divergence under control", divergence_report(s2, bath, params)["div_l2"] < 1e-10)
+    rec = simulate(state, bath, params, 2e-3, dt=1e-3, cadence=2)
+    div = divergence_report(rec.final, bath, params)["div_interior_linf"]
+    check("observed final state is divergence-free", len(rec.times) == 2 and div < 1e-10)
     return 3 if failures else 0
 
 

@@ -6,9 +6,11 @@ The tendencies go through the pressure closure of ``pressure``: the
 non-pressure tendencies plus the time derivative of the metric coefficients
 (known before the solve because the kinematic surface equation does not
 involve P) pose the problem, and the pressure correction keeps the discrete
-divergence and the bottom impermeability stationary.  The projection is the
-same closure applied to the velocity itself; it only removes time-integration
-drift.
+divergence and the bottom impermeability stationary, so a step makes four
+solves and no projection.  The projection is the same closure applied to the
+velocity itself; it only removes the time-integration drift, which is read
+only where a state is observed, so the initial-state constructors and
+``runner.simulate`` (before each observation after t = 0) apply it.
 """
 
 from __future__ import annotations
@@ -229,14 +231,14 @@ def cfl_dt(state: StripState, bathymetry: Bathymetry, params: PhysParams, factor
 
 
 def step_rk4(state: StripState, dt: float, bathymetry: Bathymetry, params: PhysParams) -> StripState:
-    """Classical four-stage step followed by the divergence projection; each
-    stage's pressure solve starts from the previous stage's pressure.  Raises
+    """Classical four-stage step, four pressure solves, no projection (the
+    stage solves keep the divergence stationary to solver tolerance); each
+    stage's solve starts from the previous stage's pressure.  Raises
     CFLViolation when dt exceeds the 0.5-factor stability bound."""
     limit = cfl_dt(state, bathymetry, params, factor=0.5)
     if dt > limit:
         raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
-    new = rk4(state, dt, lambda st, k: euler_rhs(st, bathymetry, params, x0=None if k is None else k.P))
-    return project_divergence_free(new, bathymetry, params)
+    return rk4(state, dt, lambda st, k: euler_rhs(st, bathymetry, params, x0=None if k is None else k.P))
 
 
 def _advanced(state) -> list:

@@ -4,8 +4,9 @@ good-unknown correction used by the high-order diagnostics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -163,20 +164,25 @@ MIN_THICKNESS = 1e-3
 @dataclass(frozen=True)
 class DiffeoFields:
     """Metric data of a map (x, r) -> (x, z) of the flat strip onto the fluid
-    domain: the node heights z, the layer thickness h_tot = d_r z (a surface
-    field when r-independent) and the horizontal gradient grad_sum of z
-    (components leading).  ``build_diffeo`` fills it from the barycentric
-    profile of the direct scheme, ``transported`` from the deformation carried
-    by the mollified scheme."""
+    domain: the layer thickness h_tot = d_r z (a surface field when
+    r-independent), the horizontal gradient grad_sum of z (components
+    leading), and the node heights z, computed by ``heights`` on first read
+    (only the good unknowns read them, not a time step).  ``build_diffeo``
+    fills it from the barycentric profile of the direct scheme,
+    ``transported`` from the deformation carried by the mollified scheme."""
 
     grid: StripGrid
-    z: np.ndarray
     h_tot: np.ndarray
     grad_sum: np.ndarray
+    heights: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.h_tot.min() <= 0.0:
             raise DegenerateDepth(f"min depth {self.h_tot.min():.3e} <= 0")
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        return self.heights()
 
     @property
     def bottom_gradient(self) -> np.ndarray:
@@ -193,7 +199,7 @@ class DiffeoFields:
         h_tot = 1.0 + spectral.dr(grid, H)
         if h_tot.min() <= MIN_THICKNESS:
             raise DegenerateDiffeo(f"layer thickness reached {h_tot.min():.3e}")
-        return cls(grid, grid.r_column(grid.r) + H, h_tot, spectral.dx(grid, H))
+        return cls(grid, h_tot, spectral.dx(grid, H), lambda: grid.r_column(grid.r) + H)
 
 
 def barycentric_heights(bathymetry: Bathymetry, eta0: np.ndarray, params: PhysParams) -> np.ndarray:
@@ -210,13 +216,14 @@ def build_diffeo(bathymetry: Bathymetry, eta0: np.ndarray, params: PhysParams) -
     """The map (x, r) -> (x, ``barycentric_heights``); its depth
     h_tot = 1 - beta b + eps eta0 must be positive (DegenerateDepth)."""
     grid = bathymetry.grid
-    z = barycentric_heights(bathymetry, eta0, params)
+    if eta0.shape != grid.xshape:
+        raise ValueError("surface field sampled off-grid")
     r = grid.r_column(grid.r)
     gb = -params.beta * bathymetry.gradient
     g0 = params.eps * spectral.dx(grid, eta0)
     grad_sum = r[None] * gb[:, None] + (1.0 + r)[None] * g0[:, None]
     h_tot = 1.0 - params.beta * bathymetry.values + params.eps * eta0
-    return DiffeoFields(grid, z, h_tot, grad_sum)
+    return DiffeoFields(grid, h_tot, grad_sum, lambda: barycentric_heights(bathymetry, eta0, params))
 
 
 def alinhac_unknown(f: np.ndarray, s: float, diffeo: DiffeoFields) -> np.ndarray:

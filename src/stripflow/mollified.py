@@ -20,7 +20,7 @@ from scipy.interpolate import PchipInterpolator
 from . import spectral
 from .diagnostics import good_unknown_energy, vorticity_norm
 from .dynamics import StripState, _nu, metric_motion_term, rk4, vorticity
-from .errors import BlowUpSuspected, DegenerateDiffeo, InterpolationOutOfRange
+from .errors import BlowUpSuspected, CFLViolation, DegenerateDiffeo, InterpolationOutOfRange
 from .geometry import Bathymetry, DiffeoFields, PhysParams, barycentric_heights, require_nondegenerate
 from .pressure import SolveInfo, closure_problem, solve_closure
 from .runner import RunRecord, march
@@ -143,13 +143,20 @@ def step_rk4_slag(
     state: SlagState, dt: float, moll: MollParams, bathymetry: Bathymetry, params: PhysParams
 ) -> SlagState:
     """One RK4 step; each stage's pressure solve starts from the previous
-    stage's pressure."""
+    stage's pressure.  Raises CFLViolation when dt exceeds the 0.5-factor
+    stability bound, as ``dynamics.step_rk4`` does."""
+    limit = cfl_dt_slag(state, moll, bathymetry, params, factor=0.5)
+    if dt > limit:
+        raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
     return rk4(state, dt, lambda st, k: slag_rhs(st, moll, bathymetry, params, x0=None if k is None else k.P))
 
 
 def cfl_dt_slag(
     state: SlagState, moll: MollParams, bathymetry: Bathymetry, params: PhysParams, factor: float
 ) -> float:
+    """Advective/gravity-wave step bound, capped when iota3 > 0 by the
+    dispersive bound 1.5/omega of the fastest resolved surface mode; both
+    scale with ``factor``, the dispersive one relative to the default 0.4."""
     grid = bathymetry.grid
     depth = 1.0 - params.beta * bathymetry.values + params.eps * state.eta0
     vmax = float(np.abs(state.V).max())
@@ -159,7 +166,7 @@ def cfl_dt_slag(
         kmax = 2.0 * np.pi * (grid.n_x // 3) / grid.length
         geff = params.g + moll.iota3 * np.sqrt(1.0 + kmax**2) / params.rho_bar
         omega = kmax * np.sqrt(geff * depth.max())
-        dt = min(dt, 1.5 / omega)
+        dt = min(dt, (factor / 0.4) * 1.5 / omega)
     return dt
 
 
@@ -196,7 +203,7 @@ def run_moll(
     for the cadence and the halt policy)."""
     def observe(state, rec):
         rec.energies.append(moll_energy(state, moll, bathymetry, params, s))
-        return "Continue" if np.isfinite(rec.energies[-1]) else "NormBlowup"
+        return state, ("Continue" if np.isfinite(rec.energies[-1]) else "NormBlowup")
 
     def step(state, dt):
         return step_rk4_slag(state, dt, moll, bathymetry, params)

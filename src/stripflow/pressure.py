@@ -281,14 +281,18 @@ def solve_pressure(
             info.iterations, info.residual = 0, 0.0
         return np.zeros((n + 1,) + xshape)
 
-    def embed(u: np.ndarray) -> np.ndarray:
-        P = np.zeros((n + 1,) + xshape)
-        P[:n] = u.reshape((n,) + xshape)
-        return P
+    # one padded buffer whose Dirichlet slab n stays zero, and one output
+    # vector (bottom row, then the interior rows); every matvec overwrites both
+    padded = np.zeros((n + 1,) + xshape)
+    out = np.empty(nun)
+    out_rows = out.reshape((n,) + xshape)
 
     def matvec(u: np.ndarray) -> np.ndarray:
-        interior, bottom = problem.apply(embed(u))
-        return np.concatenate([bottom[None], interior[1:n]], axis=0).reshape(-1)
+        padded[:n] = u.reshape((n,) + xshape)
+        interior, bottom = problem.apply(padded)
+        out_rows[0] = bottom
+        out_rows[1:] = interior[1:n]
+        return out
 
     inv = _flat_inverse(grid, problem.mu, problem.rho_bar)
     h = _as_strip(grid, problem.diffeo.h_tot)
@@ -305,7 +309,8 @@ def solve_pressure(
         raise NoConvergence(f"pressure solve stalled at residual {true_res:.2e}")
     if info is not None:
         info.iterations, info.residual = iterations, true_res
-    return embed(u)
+    padded[:n] = u.reshape((n,) + xshape)
+    return padded
 
 
 # -- Rayleigh-Taylor coefficient --------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import shallow
 from .diagnostics import EnergyReport, blowup_monitor, energy
-from .dynamics import StripState, cfl_dt, solve_state_pressure, step_rk4
+from .dynamics import StripState, cfl_dt, project_divergence_free, solve_state_pressure, step_rk4
 from .errors import StripflowError
 from .geometry import Bathymetry, PhysParams, build_diffeo
 from .pressure import taylor_coefficient
@@ -44,8 +44,9 @@ def march(state, T: float, dt: float, cadence: int, step, observe) -> RunRecord:
     """Advance a copy of ``state`` to T in equal steps no longer than dt.
 
     ``step(state, dt)`` returns the next state.  ``observe(state, rec)``
-    records its snapshot into ``rec`` and returns a status; it runs at t = 0,
-    every ``cadence`` steps and at T, and the time is recorded after it.  A
+    records its snapshot into ``rec`` and returns ``(state, status)``, the run
+    continuing from that state; it runs at t = 0, every ``cadence`` steps and
+    at T, and the time is recorded after it.  A
     status other than Continue, or a package error in a step or an
     observation, ends the run with that status; ``halted_at`` is the time of
     the last state reached (the start of a failed step, or the state whose
@@ -60,7 +61,7 @@ def march(state, T: float, dt: float, cadence: int, step, observe) -> RunRecord:
             if k > 0:
                 state = step(state, dt)
             if k % cadence == 0 or k == n_steps:
-                status = observe(state, rec)
+                state, status = observe(state, rec)
                 rec.times.append(state.t)
                 if status != "Continue":
                     rec.status = status
@@ -96,7 +97,10 @@ def simulate(
     norm_factor: float = 10.0,
 ) -> RunRecord:
     """Advance to time T with fixed dt (from the initial CFL bound when not
-    given); every step re-checks the stability bound.  When a shallow-water
+    given); every step re-checks the stability bound.  Each observation after
+    t = 0 projects the state first (the initial-state constructors project or
+    build a rest state) and the run continues from the projected state, so
+    every recorded state and ``final`` are projected.  When a shallow-water
     state is supplied it is co-advanced on the same clock and a
     ComparisonReport is recorded at each observation."""
     if dt is None:
@@ -112,6 +116,8 @@ def simulate(
         return state
 
     def observe(state, rec):
+        if rec.times:
+            state = project_divergence_free(state, bathymetry, params)
         report = measure(state, bathymetry, params, s, s0)
         comparison = None if sw is None else shallow.compare(state, sw, s, bathymetry, params)
         initial_norm = (rec.reports[0] if rec.reports else report).state_norm
@@ -120,6 +126,6 @@ def simulate(
         rec.energies.append(report.E_s)
         if comparison is not None:
             rec.comparisons.append(comparison)
-        return status
+        return state, status
 
     return march(initial, T, dt, cadence, step, observe)

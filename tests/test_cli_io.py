@@ -274,6 +274,14 @@ rate.max = 1.5
         manifest = (out / "manifest.txt").read_text().splitlines()
         assert "n_steps = 5" in manifest and "dt = 0.01" in manifest
 
+    def test_mollified_run_beyond_stability_bound_halts(self, tmp_path):
+        # run.dt = 0.5 is 6.6 times the 0.4-factor CFL step of this run
+        extra = "\nscheme.kind = mollified\nrun.T = 2\nrun.dt = 0.5\n"
+        out = tmp_path / "moll"
+        assert main(["run", "--config", str(self._write(tmp_path, extra)), "--out", str(out)]) == 3
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "status = CFLViolation" in manifest and "final_t = 0.0" in manifest
+
     def test_sweep_iota3_runs_share_one_step(self, tmp_path, monkeypatch):
         # each cutoff member marches its cutoff run and its zero-cutoff
         # reference with one step (run.dt when set) and at run.cadence

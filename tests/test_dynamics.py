@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
-from stripflow import spectral
+from stripflow import pressure, spectral
 from stripflow.dynamics import (
     StripState,
     cfl_dt,
@@ -22,12 +22,6 @@ from conftest import random_band_limited
 
 def shape(grid):
     return (grid.n_r + 1,) + grid.xshape
-
-
-def unprojected_step(state, dt, bath, params):
-    """The RK4 step of ``step_rk4`` without its divergence projection and
-    stability check."""
-    return rk4(state, dt, lambda st, k: euler_rhs(st, bath, params, x0=None if k is None else k.P))
 
 
 def vorticity_source(state, P, diffeo, params):
@@ -124,8 +118,8 @@ class TestLinearizedDynamics:
         for nsteps in (16, 32):
             st = st0.copy()
             dt = period / nsteps
-            for _ in range(nsteps):
-                st = unprojected_step(st, dt, bath, params)
+            for _ in range(nsteps):  # beyond the CFL bound of step_rk4
+                st = rk4(st, dt, lambda x, k: euler_rhs(x, bath, params, x0=None if k is None else k.P))
             errs.append(np.abs(st.eta0 - st0.eta0).max())
         assert np.log2(errs[0] / errs[1]) > 3.7
 
@@ -136,8 +130,8 @@ class TestLinearizedDynamics:
         st0 = StripState.rest(grid)
         st0.eta0 = 0.01 * np.sin(grid.x)
         dt = 0.05
-        fwd = unprojected_step(st0, dt, bath, params)
-        back = unprojected_step(fwd, -dt, bath, params)
+        fwd = step_rk4(st0, dt, bath, params)
+        back = step_rk4(fwd, -dt, bath, params)
         assert np.abs(back.eta0 - st0.eta0).max() < 10 * dt**5
         assert np.abs(back.V - st0.V).max() < 10 * dt**5
 
@@ -381,8 +375,8 @@ class TestVorticity:
         st = project_divergence_free(st, bath, params)
 
         dt = 1e-4
-        plus = unprojected_step(st, dt, bath, params)
-        minus = unprojected_step(st, -dt, bath, params)
+        plus = step_rk4(st, dt, bath, params)
+        minus = step_rk4(st, -dt, bath, params)
         dif_p = build_diffeo(bath, plus.eta0, params)
         dif_m = build_diffeo(bath, minus.eta0, params)
         dom_dt = (vorticity(plus, dif_p, params).omega_x - vorticity(minus, dif_m, params).omega_x) / (2 * dt)
@@ -456,6 +450,23 @@ class TestStepGuards:
         limit = cfl_dt(st, bath, params)
         with pytest.raises(CFLViolation):
             step_rk4(st, 10 * limit, bath, params)
+
+    def test_step_makes_four_pressure_solves(self, grid, monkeypatch):
+        # one solve per RK4 stage; the drift projection is left to simulate
+        calls = []
+        solve = pressure.solve_pressure
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(pressure, "solve_pressure", counting_solve)
+        params = PhysParams(eps=0.3, beta=0.5, mu=1e-2)
+        bath = Bathymetry.cosine(grid, 0.3)
+        st = StripState.rest(grid)
+        st.eta0 = 0.05 * np.cos(grid.x)
+        step_rk4(st, 1e-3, bath, params)
+        assert len(calls) == 4
 
     def test_divergence_invariant_over_run(self, fine_grid):
         # interior rows hold at solver tolerance throughout; the boundary

@@ -189,4 +189,4 @@ class TestNondegeneracy:
         assert build_diffeo(bath, shifted, params).h_tot.min() > d.h_tot.min()
         # a trough deeper than the water over the bump is rejected by the map
         with pytest.raises(DegenerateDepth):
-            DiffeoFields(grid, d.z, 1.0 - bump + 2.0 * trough, d.grad_sum)
+            DiffeoFields(grid, 1.0 - bump + 2.0 * trough, d.grad_sum, d.heights)

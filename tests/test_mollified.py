@@ -11,6 +11,7 @@ from stripflow.errors import DegenerateDiffeo, IllConditioned, InterpolationOutO
 from stripflow.mollified import (
     MollParams,
     SlagState,
+    cfl_dt_slag,
     from_strip_state,
     moll_energy,
     run_moll,
@@ -283,6 +284,17 @@ class TestRunMollHalts:
         traj = self._run(grid)
         assert traj.status == "NoConvergence"
         assert traj.times == pytest.approx([0.0, 1e-3])
+
+    def test_step_beyond_stability_bound_halts(self, grid):
+        # a step beyond the 0.5-factor bound halts before it is taken
+        params = PhysParams(eps=0.25, beta=0.25, mu=0.1)
+        bath = Bathymetry.cosine(grid, 0.2)
+        slag = from_strip_state(wave_state(grid), bath, params)
+        moll = MollParams(0.0, 0.0, 0.01)
+        dt = 1.01 * cfl_dt_slag(slag, moll, bath, params, factor=0.5)
+        traj = run_moll(slag, moll, bath, params, 10 * dt, dt=dt, cadence=1)
+        assert traj.status == "CFLViolation"
+        assert traj.halted_at == 0.0 and traj.times == [0.0]
 
     def test_initial_energy_error_becomes_status(self, grid):
         # the t = 0 scheme energy builds the metric of the transported map,

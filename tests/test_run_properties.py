@@ -1,15 +1,17 @@
 """Slower property checks that need short real runs: the surface-coefficient
-time-derivative envelope, the irrotational reduction, and the equivalence
-ratios monitored along a trajectory."""
+time-derivative envelope, the irrotational reduction, the equivalence ratios
+monitored along a trajectory, and the projection of every observed state."""
 
 import numpy as np
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
-from stripflow import spectral
+from stripflow import runner, spectral
 from stripflow.diagnostics import equivalence_checks
 from stripflow.dynamics import (
     StripState,
     cfl_dt,
+    divergence_report,
+    project_divergence_free,
     solve_state_pressure,
     step_rk4,
     vorticity,
@@ -81,3 +83,37 @@ def test_equivalence_ratios_stable_over_run():
     for rep in rec.reports[1:]:
         out = equivalence_checks(rep, reference=ref, factor=4.0)
         assert out["ok"], out["ratios"]
+
+
+def test_simulate_projects_every_observed_state(monkeypatch):
+    # the steps do not project (their drift grows by about 2e-13 relative per
+    # step here); simulate projects before each observation after t = 0, the
+    # observations see the projected states and the run continues from them
+    grid = StripGrid(n_x=64, n_r=16)
+    params = PhysParams(eps=0.3, beta=0.3, mu=1e-2, delta=1e-2)
+    bath = Bathymetry.cosine(grid, 0.25)
+    state, _ = well_prepared_init(sw_initial(grid, 0.08, 0.08), bath, params, 4.0, shear_amp=0.04, rho_amp=0.2)
+    observed, projected = [], []
+    measure, project = runner.measure, runner.project_divergence_free
+
+    def recording_measure(st, *args):
+        observed.append(st)
+        return measure(st, *args)
+
+    def recording_project(st, *args):
+        projected.append(project(st, *args))
+        return projected[-1]
+
+    monkeypatch.setattr(runner, "measure", recording_measure)
+    monkeypatch.setattr(runner, "project_divergence_free", recording_project)
+    dt = 0.5 * cfl_dt(state, bath, params)
+    rec = simulate(state, bath, params, 5 * dt, dt=dt, cadence=2)
+    assert rec.status == "Continue" and len(rec.times) == 4  # t = 0, 2 dt, 4 dt, 5 dt
+    assert all(a is b for a, b in zip(observed[1:], projected))
+    assert len(projected) == 3 and rec.final is projected[-1]
+    for st in observed:
+        assert divergence_report(st, bath, params)["div_interior_rel"] < 5e-14
+    again = project_divergence_free(rec.final, bath, params)
+    for f in ("V", "w"):
+        a, b = getattr(again, f), getattr(rec.final, f)
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
