@@ -7,7 +7,7 @@ from pathlib import Path
 
 from .diagnostics import spans_two_decades
 from .errors import ConfigError
-from .geometry import PhysParams
+from .geometry import Bathymetry, PhysParams
 from .grid import StripGrid
 
 _DEFAULTS = {
@@ -127,6 +127,10 @@ class ExperimentConfig:
             problems.append(f"unknown scheme {v['scheme.kind']!r}")
         if v["run.T"] <= 0:
             problems.append("run.T must be positive")
+        if v["run.cfl"] <= 0:
+            problems.append("run.cfl must be positive")
+        if v["run.cadence"] < 1:
+            problems.append("run.cadence must be at least 1")
         if v["sweep.axis"] and v["sweep.axis"] not in ("mu", "iota3", "log_horizon"):
             problems.append(f"unknown sweep axis {v['sweep.axis']!r}")
         if v["sweep.axis"]:
@@ -144,9 +148,15 @@ class ExperimentConfig:
                 "well-prepared runs require weak density variations (delta <= mu)"
             )
         try:
-            self.grid()
+            grid = self.grid()
         except ValueError as exc:
             problems.append(str(exc))
+        else:
+            if v["bathymetry.preset"] == "file" and v["bathymetry.path"]:
+                try:
+                    Bathymetry.from_file(grid, v["bathymetry.path"])
+                except ConfigError as exc:
+                    problems.append(str(exc))
         try:
             self.params()
         except ValueError as exc:

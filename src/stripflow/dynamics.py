@@ -77,6 +77,14 @@ class Tendencies:
 
 
 @dataclass
+class PressureGuess:
+    """Initial guess of a step's first pressure solve, carried from step to
+    step by the caller that owns the time loop; P None starts cold."""
+
+    P: np.ndarray | None = None
+
+
+@dataclass
 class VorticityField:
     """Scaled curl; omega_x is scalar for d = 1, two components for d = 2;
     omega_r only exists for d = 2."""
@@ -132,21 +140,17 @@ def assemble_pressure_problem(
 
     grad_eta0 = spectral.dx(grid, state.eta0)
 
+    def tendency(f, force=0.0):
+        """-eps (advection of f) + force + tcorr d_r f: raw products summed,
+        then one 2/3-rule dealias (the rule is linear)."""
+        raw = -eps * ops.advect(state.V, state.w, f) + force + tcorr * spectral.dr(grid, f)
+        return spectral.dealias(grid, raw)
+
     B_V = np.empty_like(state.V)
     for i in range(grid.d):
-        B_V[i] = (
-            -eps * ops.advect(state.V, state.w, state.V[i])
-            - params.g * params.rho_bar * spectral.quadratic(grid, nu, grad_eta0[i])
-            + spectral.quadratic(grid, tcorr, spectral.dr(grid, state.V[i]))
-        )
-    B_w = (
-        -eps * ops.advect(state.V, state.w, state.w)
-        - (params.g * params.delta / mu) * spectral.quadratic(grid, nu, state.rho)
-        + spectral.quadratic(grid, tcorr, spectral.dr(grid, state.w))
-    )
-    drho = -eps * ops.advect(state.V, state.w, state.rho) + spectral.quadratic(
-        grid, tcorr, spectral.dr(grid, state.rho)
-    )
+        B_V[i] = tendency(state.V[i], -params.g * params.rho_bar * nu * grad_eta0[i])
+    B_w = tendency(state.w, -(params.g * params.delta / mu) * nu * state.rho)
+    drho = tendency(state.rho)
 
     # the map moves with d_t (eta_bar + eps eta) = eps (1+r) deta0
     grad_dH = eps * rp1[None] * spectral.dx(grid, deta0)[:, None]
@@ -230,15 +234,20 @@ def cfl_dt(state: StripState, bathymetry: Bathymetry, params: PhysParams, factor
     return factor * min(dt_x, dt_r)
 
 
-def step_rk4(state: StripState, dt: float, bathymetry: Bathymetry, params: PhysParams) -> StripState:
+def step_rk4(
+    state: StripState, dt: float, bathymetry: Bathymetry, params: PhysParams,
+    guess: PressureGuess | None = None,
+) -> StripState:
     """Classical four-stage step, four pressure solves, no projection (the
     stage solves keep the divergence stationary to solver tolerance); each
-    stage's solve starts from the previous stage's pressure.  Raises
-    CFLViolation when dt exceeds the 0.5-factor stability bound."""
+    stage's solve starts from the previous stage's pressure, and stage 1 from
+    the previous step's last-stage pressure carried in ``guess`` (a cold
+    start without one; see ``warm_started``).  Raises CFLViolation when dt
+    exceeds the 0.5-factor stability bound."""
     limit = cfl_dt(state, bathymetry, params, factor=0.5)
     if dt > limit:
         raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
-    return rk4(state, dt, lambda st, k: euler_rhs(st, bathymetry, params, x0=None if k is None else k.P))
+    return rk4(state, dt, warm_started(lambda st, x0: euler_rhs(st, bathymetry, params, x0=x0), guess))
 
 
 def _advanced(state) -> list:
@@ -253,14 +262,30 @@ def shifted(state, k, h: float):
     return replace(state, t=state.t + h, **new)
 
 
+def warm_started(solve, guess: PressureGuess | None = None):
+    """``solve(state, x0)``, tendencies whose pressure solve starts from x0,
+    as an ``rk4`` right-hand side: each solve starts from the last pressure
+    solved, stage 1 from the one ``guess`` carries from the previous step
+    (Fischer 1998: guesses for successive right-hand sides).  The stopping
+    test is relative to the right-hand side, so the guess changes the cost
+    of a solve, not its accuracy."""
+    guess = PressureGuess() if guess is None else guess
+
+    def rhs(state):
+        tend = solve(state, guess.P)
+        guess.P = tend.P
+        return tend
+
+    return rhs
+
+
 def rk4(state, dt: float, rhs):
-    """Classical four-stage step of a dataclass state (see ``shifted``);
-    ``rhs(state, k_prev)`` also receives the previous stage's tendencies
-    (None at the first stage), from which a solve can warm-start."""
-    k1 = rhs(state, None)
-    k2 = rhs(shifted(state, k1, 0.5 * dt), k1)
-    k3 = rhs(shifted(state, k2, 0.5 * dt), k2)
-    k4 = rhs(shifted(state, k3, dt), k3)
+    """Classical four-stage step of a dataclass state (see ``shifted``) with
+    tendencies ``rhs(state)``."""
+    k1 = rhs(state)
+    k2 = rhs(shifted(state, k1, 0.5 * dt))
+    k3 = rhs(shifted(state, k2, 0.5 * dt))
+    k4 = rhs(shifted(state, k3, dt))
 
     def combined(d):
         return getattr(k1, d) + 2.0 * getattr(k2, d) + 2.0 * getattr(k3, d) + getattr(k4, d)

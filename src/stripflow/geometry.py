@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from . import spectral
-from .errors import DegenerateDensity, DegenerateDepth, DegenerateDiffeo
+from .errors import ConfigError, DegenerateDensity, DegenerateDepth, DegenerateDiffeo
 from .grid import StripGrid
 
 
@@ -90,10 +90,14 @@ class Bathymetry:
 
     @classmethod
     def from_file(cls, grid: StripGrid, path) -> "Bathymetry":
-        """Columnar text file with x and b samples, interpolated periodically."""
-        data = np.loadtxt(path)
-        if data.ndim != 2 or data.shape[1] < 2:
-            raise ValueError("bathymetry file needs two columns (x, b)")
+        """Columnar text file with x and b samples, interpolated periodically;
+        ConfigError when it cannot be read or has fewer than two columns."""
+        try:
+            data = np.loadtxt(path, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"bathymetry file {path}: {exc}") from exc
+        if data.shape[1] < 2:
+            raise ConfigError(f"bathymetry file {path} needs two columns (x, b)")
         xs, bs = data[:, 0], data[:, 1]
         order = np.argsort(xs)
         xs, bs = xs[order], bs[order]
@@ -146,11 +150,12 @@ class SigmaOps:
         return out
 
     def advect(self, V: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """Dealiased V . grad_phi f + w dr_phi f."""
+        """V . grad_phi f + w dr_phi f as raw products, not dealiased: the
+        caller dealiases the tendency field they enter, once."""
         gx = self.grad_phi(f)
-        out = spectral.quadratic(self.grid, w, self.dr_phi(f))
+        out = w * self.dr_phi(f)
         for i in range(self.grid.d):
-            out = out + spectral.quadratic(self.grid, V[i], gx[i])
+            out = out + V[i] * gx[i]
         return out
 
 

@@ -19,7 +19,7 @@ from scipy.interpolate import PchipInterpolator
 
 from . import spectral
 from .diagnostics import good_unknown_energy, vorticity_norm
-from .dynamics import StripState, _nu, metric_motion_term, rk4, vorticity
+from .dynamics import PressureGuess, StripState, _nu, metric_motion_term, rk4, vorticity, warm_started
 from .errors import BlowUpSuspected, CFLViolation, DegenerateDiffeo, InterpolationOutOfRange
 from .geometry import Bathymetry, DiffeoFields, PhysParams, barycentric_heights, require_nondegenerate
 from .pressure import SolveInfo, closure_problem, solve_closure
@@ -100,6 +100,13 @@ def slag_rhs(
             out += spectral.quadratic(grid, V2[i], gx[i])
         return J(out, moll.iota1)
 
+    def momentum(f, force):
+        """-eps J(V2 . grad J f) + force: raw products summed, then one
+        2/3-rule dealias (J commutes with the dealias mask)."""
+        gx = spectral.dx(grid, J(f, moll.iota1))
+        adv = J(np.sum(V2 * gx, axis=0), moll.iota1)
+        return spectral.dealias(grid, -eps * adv + force)
+
     grad_eta0 = spectral.dx(grid, state.eta0)
     if moll.iota3:
         ext = spectral.harmonic_extension(grid, spectral.lambda_pow(grid, state.eta0, 1.0))
@@ -112,14 +119,10 @@ def slag_rhs(
     B_V = np.empty_like(state.V)
     for i in range(grid.d):
         B_V[i] = (
-            -eps * moll_advect(state.V[i])
-            - g * rb * spectral.quadratic(grid, nu, J(grad_eta0[i], moll.iota2))
+            momentum(state.V[i], -g * rb * nu * J(grad_eta0[i], moll.iota2))
             + moll.iota3 * nu * disp_x[i]
         )
-    B_w = (
-        -eps * moll_advect(state.w)
-        + (-g * params.delta * spectral.quadratic(grid, nu, state.rho) + moll.iota3 * nu * disp_r) / mu
-    )
+    B_w = momentum(state.w, -(g * params.delta / mu) * nu * state.rho) + moll.iota3 * nu * disp_r / mu
     drho = -eps * moll_advect(state.rho)
     dH = -eps * moll_advect(state.H) + eps * J(state.w, moll.iota2)
     deta0 = J(state.w[-1], moll.iota2).copy()
@@ -140,15 +143,18 @@ def slag_rhs(
 
 
 def step_rk4_slag(
-    state: SlagState, dt: float, moll: MollParams, bathymetry: Bathymetry, params: PhysParams
+    state: SlagState, dt: float, moll: MollParams, bathymetry: Bathymetry, params: PhysParams,
+    guess: PressureGuess | None = None,
 ) -> SlagState:
     """One RK4 step; each stage's pressure solve starts from the previous
-    stage's pressure.  Raises CFLViolation when dt exceeds the 0.5-factor
-    stability bound, as ``dynamics.step_rk4`` does."""
+    stage's pressure, and stage 1 from the previous step's last-stage
+    pressure carried in ``guess`` (a cold start without one; see
+    ``dynamics.warm_started``).  Raises CFLViolation when dt exceeds the
+    0.5-factor stability bound, as ``dynamics.step_rk4`` does."""
     limit = cfl_dt_slag(state, moll, bathymetry, params, factor=0.5)
     if dt > limit:
         raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
-    return rk4(state, dt, lambda st, k: slag_rhs(st, moll, bathymetry, params, x0=None if k is None else k.P))
+    return rk4(state, dt, warm_started(lambda st, x0: slag_rhs(st, moll, bathymetry, params, x0=x0), guess))
 
 
 def cfl_dt_slag(
@@ -199,14 +205,17 @@ def run_moll(
     cadence: int = 10,
 ) -> RunRecord:
     """RK4 trajectory of the mollified system, recording the scheme energy;
-    a non-finite energy halts the run with NormBlowup (see ``runner.march``
-    for the cadence and the halt policy)."""
+    each step warm-starts its first pressure solve from the previous step's
+    last stage, and a non-finite energy halts the run with NormBlowup (see
+    ``runner.march`` for the cadence and the halt policy)."""
     def observe(state, rec):
         rec.energies.append(moll_energy(state, moll, bathymetry, params, s))
         return state, ("Continue" if np.isfinite(rec.energies[-1]) else "NormBlowup")
 
+    guess = PressureGuess()
+
     def step(state, dt):
-        return step_rk4_slag(state, dt, moll, bathymetry, params)
+        return step_rk4_slag(state, dt, moll, bathymetry, params, guess)
 
     return march(initial, T, dt, cadence, step, observe)
 

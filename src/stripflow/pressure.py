@@ -36,9 +36,10 @@ their geometric mean, so both regimes are off by the same factor of h and
 the iteration counts stay uniform in the shallow-water parameter mu, which
 the flat inverse carries as well; h^2 is exact only in the column limit and
 lets the count drift with mu.  The RK integrator
-warm-starts each stage's solve from the previous stage's pressure; the
-stopping test stays relative to the right-hand side, so the accuracy does not
-depend on the initial guess.
+warm-starts each stage's solve from the previous stage's pressure, and stage 1
+from the previous step's last-stage pressure; the stopping test stays
+relative to the right-hand side, so the accuracy does not depend on the
+initial guess.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import shallow
 from .diagnostics import EnergyReport, blowup_monitor, energy
-from .dynamics import StripState, cfl_dt, project_divergence_free, solve_state_pressure, step_rk4
+from .dynamics import PressureGuess, StripState, cfl_dt, project_divergence_free, solve_state_pressure, step_rk4
 from .errors import StripflowError
 from .geometry import Bathymetry, PhysParams, build_diffeo
 from .pressure import taylor_coefficient
@@ -97,20 +97,23 @@ def simulate(
     norm_factor: float = 10.0,
 ) -> RunRecord:
     """Advance to time T with fixed dt (from the initial CFL bound when not
-    given); every step re-checks the stability bound.  Each observation after
-    t = 0 projects the state first (the initial-state constructors project or
-    build a rest state) and the run continues from the projected state, so
-    every recorded state and ``final`` are projected.  When a shallow-water
-    state is supplied it is co-advanced on the same clock and a
-    ComparisonReport is recorded at each observation."""
+    given); every step re-checks the stability bound and warm-starts its
+    first pressure solve from the previous step's last stage.  Each
+    observation after t = 0 projects the state first (the initial-state
+    constructors project or build a rest state) and the run continues from
+    the projected state, so every recorded state and ``final`` are
+    projected.  When a shallow-water state is supplied it is co-advanced on
+    the same clock and a ComparisonReport is recorded at each observation."""
     if dt is None:
         dt = cfl_dt(initial, bathymetry, params, cfl_factor)
         if sw is not None:
             dt = min(dt, shallow.cfl_dt_sw(sw, bathymetry, params, cfl_factor))
 
+    guess = PressureGuess()
+
     def step(state, dt):
         nonlocal sw
-        state = step_rk4(state, dt, bathymetry, params)
+        state = step_rk4(state, dt, bathymetry, params, guess)
         if sw is not None:
             sw = shallow.sw_step_rk4(sw, dt, bathymetry, params)
         return state

@@ -78,7 +78,7 @@ def sw_rhs(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> SWTendenc
 
 
 def sw_step_rk4(sw: SWState, dt: float, bathymetry: Bathymetry, params: PhysParams) -> SWState:
-    return rk4(sw, dt, lambda st, _: sw_rhs(st, bathymetry, params))
+    return rk4(sw, dt, lambda st: sw_rhs(st, bathymetry, params))
 
 
 def cfl_dt_sw(sw: SWState, bathymetry: Bathymetry, params: PhysParams, factor: float = 0.4) -> float:

@@ -160,6 +160,21 @@ class TestCLI:
         cfg = self._write(tmp_path, "\ninitial.recipe = well_prepared\nparams.delta = 0.9\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("setting", ["run.cadence = 0", "run.cfl = 0", "run.cfl = -1"])
+    def test_unusable_run_setting_exit_code(self, tmp_path, setting):
+        cfg = self._write(tmp_path, f"\n{setting}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content", [None, "0.0\n1.0\n2.0\n"], ids=["missing", "one-column"])
+    def test_unreadable_bathymetry_file_exit_code(self, tmp_path, content):
+        bottom = tmp_path / "bottom.txt"
+        if content is not None:
+            bottom.write_text(content)
+        cfg = self._write(tmp_path, f"\nbathymetry.preset = file\nbathymetry.path = {bottom}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_check_command(self):
         assert main(["check"]) == 0
 

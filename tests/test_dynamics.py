@@ -14,6 +14,7 @@ from stripflow.dynamics import (
     rk4,
     step_rk4,
     vorticity,
+    warm_started,
 )
 from stripflow.errors import CFLViolation, InvalidStreamfunction
 
@@ -119,7 +120,7 @@ class TestLinearizedDynamics:
             st = st0.copy()
             dt = period / nsteps
             for _ in range(nsteps):  # beyond the CFL bound of step_rk4
-                st = rk4(st, dt, lambda x, k: euler_rhs(x, bath, params, x0=None if k is None else k.P))
+                st = rk4(st, dt, warm_started(lambda x, x0: euler_rhs(x, bath, params, x0=x0)))
             errs.append(np.abs(st.eta0 - st0.eta0).max())
         assert np.log2(errs[0] / errs[1]) > 3.7
 
@@ -387,7 +388,7 @@ class TestVorticity:
         F = vorticity_source(st, tend.P, diffeo, params)
         tcorr = params.eps * (1 + grid.r)[:, None] * tend.deta0[None, :] / diffeo.h_tot
         rhs = (
-            -params.eps * diffeo.ops.advect(st.V, st.w, om)
+            -params.eps * spectral.dealias(grid, diffeo.ops.advect(st.V, st.w, om))
             + spectral.quadratic(grid, tcorr, spectral.dr(grid, om))
             + (params.delta / np.sqrt(params.mu)) * F
         )

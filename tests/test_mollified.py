@@ -5,7 +5,7 @@ from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
 from stripflow import mollified
 from stripflow.diagnostics import good_unknown_energy
-from stripflow.dynamics import StripState, step_rk4, vorticity
+from stripflow.dynamics import PressureGuess, StripState, step_rk4, vorticity
 from stripflow.geometry import DiffeoFields
 from stripflow.errors import DegenerateDiffeo, IllConditioned, InterpolationOutOfRange, NoConvergence
 from stripflow.mollified import (
@@ -129,6 +129,21 @@ class TestSlagDynamics:
         metric = DiffeoFields.transported(grid, slag.H)
         div = metric.ops.div_phi(slag.V, slag.w)
         assert np.abs(div[1:-1]).max() < 1e-10
+
+    def test_carried_guess_matches_cold_steps(self, grid):
+        # stage 1 of step 2 starts from the last-stage pressure of step 1;
+        # every solve stops on the same relative residual
+        params = PhysParams(eps=0.25, beta=0.25, mu=0.1)
+        bath = Bathymetry.cosine(grid, 0.2)
+        slag = from_strip_state(wave_state(grid), bath, params)
+        moll, dt = MollParams(0.1, 0.1, 0.01), 2e-3
+        cold = step_rk4_slag(step_rk4_slag(slag, dt, moll, bath, params), dt, moll, bath, params)
+        guess = PressureGuess()
+        warm = step_rk4_slag(step_rk4_slag(slag, dt, moll, bath, params, guess), dt, moll, bath, params, guess)
+        for name in ("V", "w", "rho", "H", "eta0"):
+            ref = getattr(cold, name)
+            scale = max(np.abs(ref).max(), 1e-300)
+            assert np.abs(getattr(warm, name) - ref).max() <= 1e-8 * scale, name
 
     def test_energy_near_conservation_small_amplitude(self, grid):
         # the dispersive surface term pairs to a total derivative: for weak

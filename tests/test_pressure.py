@@ -5,7 +5,14 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import pressure, spectral
-from stripflow.dynamics import StripState, assemble_pressure_problem, euler_rhs, shifted
+from stripflow.dynamics import (
+    PressureGuess,
+    StripState,
+    assemble_pressure_problem,
+    euler_rhs,
+    shifted,
+    step_rk4,
+)
 from stripflow.errors import IllConditioned, InsufficientHistory, NoConvergence
 from stripflow.geometry import DiffeoFields
 from stripflow.mollified import from_strip_state
@@ -126,8 +133,8 @@ class TestAssembly:
         # R against a hand-assembled version of the same tendencies
         ops = diffeo.ops
         eps, mu, g, rb = params.eps, params.mu, params.g, params.rho_bar
-        adv_V = ops.advect(state.V, state.w, state.V[0])
-        adv_w = ops.advect(state.V, state.w, state.w)
+        adv_V = spectral.dealias(grid, ops.advect(state.V, state.w, state.V[0]))
+        adv_w = spectral.dealias(grid, ops.advect(state.V, state.w, state.w))
         G_V = -eps * adv_V - g * rb * spectral.quadratic(grid, nu, spectral.dx(grid, state.eta0)[0])
         G_w = -eps * adv_w - (g * params.delta / mu) * spectral.quadratic(grid, nu, state.rho)
         expect_Rx = np.sqrt(mu) * h * G_V
@@ -501,6 +508,37 @@ class TestHotPath:
         assert warm.solve_info.iterations < cold.solve_info.iterations
         assert warm.solve_info.residual <= 1e-10
         assert np.abs(warm.P - cold.P).max() <= 1e-8 * np.abs(cold.P).max()
+
+    def test_carried_guess_matches_cold_steps(self, grid, params, rng):
+        # stage 1 of step 2 starts from the last-stage pressure of step 1;
+        # every solve stops on the same relative residual
+        bath = Bathymetry.cosine(grid, 0.2)
+        state, dt = _sheared_state(grid, rng), 2e-3
+        cold = step_rk4(step_rk4(state, dt, bath, params), dt, bath, params)
+        guess = PressureGuess()
+        warm = step_rk4(step_rk4(state, dt, bath, params, guess), dt, bath, params, guess)
+        for name in ("V", "w", "rho", "eta0"):
+            ref = getattr(cold, name)
+            assert np.abs(getattr(warm, name) - ref).max() <= 1e-8 * np.abs(ref).max(), name
+
+    def test_carried_guess_cuts_first_stage_iterations(self, grid, params, rng, monkeypatch):
+        bath = Bathymetry.cosine(grid, 0.2)
+        state, dt = _sheared_state(grid, rng), 2e-3
+        iterations = []
+        solve = pressure.solve_pressure
+
+        def counted_solve(problem, rtol=1e-10, info=None, x0=None):
+            P = solve(problem, rtol=rtol, info=info, x0=x0)
+            iterations.append(info.iterations)
+            return P
+
+        monkeypatch.setattr(pressure, "solve_pressure", counted_solve)
+        step_rk4(step_rk4(state, dt, bath, params), dt, bath, params)
+        guess = PressureGuess()
+        step_rk4(step_rk4(state, dt, bath, params, guess), dt, bath, params, guess)
+        assert len(iterations) == 16
+        cold_stage1, warm_stage1 = iterations[4], iterations[12]
+        assert warm_stage1 < cold_stage1
 
 
 class TestClosure:
