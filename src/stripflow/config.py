@@ -127,6 +127,8 @@ class ExperimentConfig:
             problems.append(f"unknown scheme {v['scheme.kind']!r}")
         if v["run.T"] <= 0:
             problems.append("run.T must be positive")
+        if v["run.dt"] < 0:
+            problems.append("run.dt must not be negative (0 takes the CFL step)")
         if v["run.cfl"] <= 0:
             problems.append("run.cfl must be positive")
         if v["run.cadence"] < 1:
@@ -143,6 +145,10 @@ class ExperimentConfig:
                 problems.append("a rate fit needs sweep values spanning at least two decades")
             if axis in ("mu", "log_horizon") and max(values, default=0.0) > 1.0:
                 problems.append(f"{axis} sweep values must not exceed 1")
+        if v["grid.d"] == 2 and v["initial.recipe"] == "streamfunction":
+            problems.append("streamfunction initial data is d = 1 only")
+        if v["grid.d"] == 2 and v["sweep.axis"] == "iota3":
+            problems.append("an iota3 sweep is d = 1 only (its distance resamples columns)")
         if v["initial.recipe"] == "well_prepared" and v["params.delta"] > v["params.mu"]:
             problems.append(
                 "well-prepared runs require weak density variations (delta <= mu)"

@@ -15,7 +15,8 @@ only where a state is observed, so the initial-state constructors and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from collections import deque
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -76,12 +77,26 @@ class Tendencies:
     solve_info: SolveInfo
 
 
+# pressures a PressureGuess holds: the four stages of one step plus one more
+GUESS_HISTORY = 5
+
+
 @dataclass
 class PressureGuess:
-    """Initial guess of a step's first pressure solve, carried from step to
-    step by the caller that owns the time loop; P None starts cold."""
+    """The last GUESS_HISTORY pressures solved, oldest first, carried from
+    step to step by the caller that owns the time loop.  With four solves per
+    step, P[-4] - P[-5] is the increment the coming solve's RK stage added one
+    step earlier; ``initial`` adds it to P[-1]."""
 
-    P: np.ndarray | None = None
+    history: deque = field(default_factory=lambda: deque(maxlen=GUESS_HISTORY))
+
+    def initial(self) -> np.ndarray | None:
+        """P[-1] + (P[-4] - P[-5]); P[-1] while fewer are held, None (a cold
+        start) while none is."""
+        P = self.history
+        if len(P) < GUESS_HISTORY:
+            return P[-1] if P else None
+        return P[-1] + (P[-4] - P[-5])
 
 
 @dataclass
@@ -106,16 +121,16 @@ def _nu(state: StripState, params: PhysParams) -> np.ndarray:
     return 1.0 / (params.rho_bar + params.eps * params.delta * state.rho)
 
 
-def metric_motion_term(ops, h, h_dot, grad_dH, V, w) -> np.ndarray:
+def metric_motion_term(ops, h, h_dot, grad_dH, drV, drw) -> np.ndarray:
     """Divergence source of a moving coordinate map with layer thickness h:
     d_t gamma d_r w - sum_i d_t kappa_i d_r V_i for gamma = 1/h and
-    kappa = grad H / h, given h_dot = d_t h and grad_dH = grad d_t H."""
-    grid = ops.grid
+    kappa = grad H / h, given h_dot = d_t h, grad_dH = grad d_t H and the
+    vertical derivatives drV[i] = d_r V_i, drw = d_r w."""
     kappa_dot = (grad_dH - ops.kappa * h_dot) / h
     gamma_dot = -h_dot / h**2
-    out = gamma_dot * spectral.dr(grid, w)
-    for i in range(grid.d):
-        out -= kappa_dot[i] * spectral.dr(grid, V[i])
+    out = gamma_dot * drw
+    for i in range(ops.grid.d):
+        out -= kappa_dot[i] * drV[i]
     return out
 
 
@@ -139,22 +154,25 @@ def assemble_pressure_problem(
     tcorr = eps * dt_eta / diffeo.h_tot
 
     grad_eta0 = spectral.dx(grid, state.eta0)
+    # d_r of each field once, shared by its advection, tcorr and metric terms
+    drV = [spectral.dr(grid, c) for c in state.V]
+    drw = spectral.dr(grid, state.w)
 
-    def tendency(f, force=0.0):
-        """-eps (advection of f) + force + tcorr d_r f: raw products summed,
-        then one 2/3-rule dealias (the rule is linear)."""
-        raw = -eps * ops.advect(state.V, state.w, f) + force + tcorr * spectral.dr(grid, f)
+    def tendency(f, df, force=0.0):
+        """-eps (advection of f) + force + tcorr d_r f, given df = d_r f: raw
+        products summed, then one 2/3-rule dealias (the rule is linear)."""
+        raw = -eps * ops.advect(state.V, state.w, f, df) + force + tcorr * df
         return spectral.dealias(grid, raw)
 
     B_V = np.empty_like(state.V)
     for i in range(grid.d):
-        B_V[i] = tendency(state.V[i], -params.g * params.rho_bar * nu * grad_eta0[i])
-    B_w = tendency(state.w, -(params.g * params.delta / mu) * nu * state.rho)
-    drho = tendency(state.rho)
+        B_V[i] = tendency(state.V[i], drV[i], -params.g * params.rho_bar * nu * grad_eta0[i])
+    B_w = tendency(state.w, drw, -(params.g * params.delta / mu) * nu * state.rho)
+    drho = tendency(state.rho, spectral.dr(grid, state.rho))
 
     # the map moves with d_t (eta_bar + eps eta) = eps (1+r) deta0
     grad_dH = eps * rp1[None] * spectral.dx(grid, deta0)[:, None]
-    metric_term = metric_motion_term(ops, diffeo.h_tot, eps * deta0, grad_dH, state.V, state.w)
+    metric_term = metric_motion_term(ops, diffeo.h_tot, eps * deta0, grad_dH, drV, drw)
     problem = closure_problem(diffeo, params, nu, B_V, B_w, metric_term)
     aux = {"B_V": B_V, "B_w": B_w, "drho": drho, "deta0": deta0}
     return problem, aux
@@ -240,10 +258,11 @@ def step_rk4(
 ) -> StripState:
     """Classical four-stage step, four pressure solves, no projection (the
     stage solves keep the divergence stationary to solver tolerance); each
-    stage's solve starts from the previous stage's pressure, and stage 1 from
-    the previous step's last-stage pressure carried in ``guess`` (a cold
-    start without one; see ``warm_started``).  Raises CFLViolation when dt
-    exceeds the 0.5-factor stability bound."""
+    stage's solve starts from the last pressure in ``guess`` plus the
+    increment the same stage saw one step earlier (from the previous stage's
+    pressure, and stage 1 cold, without a carried guess; see
+    ``warm_started``).  Raises CFLViolation when dt exceeds the 0.5-factor
+    stability bound."""
     limit = cfl_dt(state, bathymetry, params, factor=0.5)
     if dt > limit:
         raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
@@ -265,15 +284,18 @@ def shifted(state, k, h: float):
 def warm_started(solve, guess: PressureGuess | None = None):
     """``solve(state, x0)``, tendencies whose pressure solve starts from x0,
     as an ``rk4`` right-hand side: each solve starts from the last pressure
-    solved, stage 1 from the one ``guess`` carries from the previous step
-    (Fischer 1998: guesses for successive right-hand sides).  The stopping
-    test is relative to the right-hand side, so the guess changes the cost
-    of a solve, not its accuracy."""
+    solved plus the increment the same RK stage saw one step earlier
+    (``PressureGuess.initial``; Fischer 1998: guesses for successive
+    right-hand sides), and keeps its pressure in ``guess``.  A fresh guess
+    (the default) holds fewer than five pressures, so each stage starts from
+    the previous stage's pressure and stage 1 cold.  The stopping test is
+    relative to the right-hand side, so the guess changes the cost of a
+    solve, not its accuracy."""
     guess = PressureGuess() if guess is None else guess
 
     def rhs(state):
-        tend = solve(state, guess.P)
-        guess.P = tend.P
+        tend = solve(state, guess.initial())
+        guess.history.append(tend.P)
         return tend
 
     return rhs

@@ -149,11 +149,17 @@ class SigmaOps:
             out = out + spectral.dx(self.grid, F_x[i])[i] - self.kappa[i] * spectral.dr(self.grid, F_x[i])
         return out
 
-    def advect(self, V: np.ndarray, w: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """V . grad_phi f + w dr_phi f as raw products, not dealiased: the
-        caller dealiases the tendency field they enter, once."""
-        gx = self.grad_phi(f)
-        out = w * self.dr_phi(f)
+    def gradients(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(grad_phi f, dr_phi f) from one d_r f."""
+        df = spectral.dr(self.grid, f)
+        return spectral.dx(self.grid, f) - self.kappa * df, self.gamma * df
+
+    def advect(self, V: np.ndarray, w: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
+        """V . grad_phi f + w dr_phi f, given df = d_r f (taken once by the
+        caller, which reuses it), as raw products, not dealiased: the caller
+        dealiases the tendency field they enter, once."""
+        gx = spectral.dx(self.grid, f) - self.kappa * df
+        out = w * (self.gamma * df)
         for i in range(self.grid.d):
             out = out + V[i] * gx[i]
         return out

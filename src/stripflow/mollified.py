@@ -110,8 +110,9 @@ def slag_rhs(
     grad_eta0 = spectral.dx(grid, state.eta0)
     if moll.iota3:
         ext = spectral.harmonic_extension(grid, spectral.lambda_pow(grid, state.eta0, 1.0))
-        disp_x = np.stack([J(c, moll.iota2) for c in ops.grad_phi(ext)])
-        disp_r = J(ops.dr_phi(ext), moll.iota2)
+        grad_ext, dr_ext = ops.gradients(ext)
+        disp_x = np.stack([J(c, moll.iota2) for c in grad_ext])
+        disp_r = J(dr_ext, moll.iota2)
     else:
         disp_x = np.zeros_like(state.V)
         disp_r = np.zeros_like(state.w)
@@ -131,7 +132,8 @@ def slag_rhs(
 
     # the map moves with d_t H = dH
     metric_term = metric_motion_term(
-        ops, metric.h_tot, spectral.dr(grid, dH), spectral.dx(grid, dH), state.V, state.w
+        ops, metric.h_tot, spectral.dr(grid, dH), spectral.dx(grid, dH),
+        [spectral.dr(grid, c) for c in state.V], spectral.dr(grid, state.w),
     )
     problem = closure_problem(metric, params, nu, B_V, B_w, metric_term)
     dV, dw, P, info = solve_closure(problem, B_V, B_w, x0=x0)
@@ -146,11 +148,12 @@ def step_rk4_slag(
     state: SlagState, dt: float, moll: MollParams, bathymetry: Bathymetry, params: PhysParams,
     guess: PressureGuess | None = None,
 ) -> SlagState:
-    """One RK4 step; each stage's pressure solve starts from the previous
-    stage's pressure, and stage 1 from the previous step's last-stage
-    pressure carried in ``guess`` (a cold start without one; see
-    ``dynamics.warm_started``).  Raises CFLViolation when dt exceeds the
-    0.5-factor stability bound, as ``dynamics.step_rk4`` does."""
+    """One RK4 step; each stage's pressure solve starts from the last
+    pressure in ``guess`` plus the increment the same stage saw one step
+    earlier (from the previous stage's pressure, and stage 1 cold, without a
+    carried guess; see ``dynamics.warm_started``).  Raises CFLViolation when
+    dt exceeds the 0.5-factor stability bound, as ``dynamics.step_rk4``
+    does."""
     limit = cfl_dt_slag(state, moll, bathymetry, params, factor=0.5)
     if dt > limit:
         raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
@@ -205,9 +208,10 @@ def run_moll(
     cadence: int = 10,
 ) -> RunRecord:
     """RK4 trajectory of the mollified system, recording the scheme energy;
-    each step warm-starts its first pressure solve from the previous step's
-    last stage, and a non-finite energy halts the run with NormBlowup (see
-    ``runner.march`` for the cadence and the halt policy)."""
+    one ``PressureGuess`` carries the last pressures across steps, so each
+    stage's solve starts from the last pressure plus the increment the same
+    stage saw one step earlier, and a non-finite energy halts the run with
+    NormBlowup (see ``runner.march`` for the cadence and the halt policy)."""
     def observe(state, rec):
         rec.energies.append(moll_energy(state, moll, bathymetry, params, s))
         return state, ("Continue" if np.isfinite(rec.energies[-1]) else "NormBlowup")

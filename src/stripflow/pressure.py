@@ -36,10 +36,11 @@ their geometric mean, so both regimes are off by the same factor of h and
 the iteration counts stay uniform in the shallow-water parameter mu, which
 the flat inverse carries as well; h^2 is exact only in the column limit and
 lets the count drift with mu.  The RK integrator
-warm-starts each stage's solve from the previous stage's pressure, and stage 1
-from the previous step's last-stage pressure; the stopping test stays
-relative to the right-hand side, so the accuracy does not depend on the
-initial guess.
+warm-starts each stage's solve from the last pressure solved plus the
+increment the same stage added one step earlier, P[-1] + (P[-4] - P[-5])
+over the last five solves (``dynamics.PressureGuess``; from P[-1] while
+fewer are held); the stopping test stays relative to the right-hand side,
+so the accuracy does not depend on the initial guess.
 """
 
 from __future__ import annotations
@@ -154,9 +155,9 @@ def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=No
     pressure correction: (corrected B_V, corrected B_w, P, SolveInfo)."""
     info = SolveInfo(0, 0.0)
     P = solve_pressure(problem, rtol=rtol, info=info, x0=x0)
-    ops = problem.diffeo.ops
-    dV = B_V - problem.nu * ops.grad_phi(P)
-    dw = B_w - problem.nu * ops.dr_phi(P) / problem.mu
+    grad_P, dr_P = problem.diffeo.ops.gradients(P)
+    dV = B_V - problem.nu * grad_P
+    dw = B_w - problem.nu * dr_P / problem.mu
     return dV, dw, P, info
 
 

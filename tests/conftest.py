@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stripflow import Bathymetry, PhysParams, StripGrid
+from stripflow import Bathymetry, PhysParams, StripGrid, pressure
 
 
 @pytest.fixture
@@ -48,3 +48,18 @@ def random_surface(grid, rng, kmax=6, amp=1.0):
         a, b = rng.standard_normal(2) / (1 + k**2)
         f += a * np.cos(k * grid.x) + b * np.sin(k * grid.x)
     return amp * f
+
+
+def count_solve_iterations(monkeypatch) -> list:
+    """The GMRES iterations of every pressure solve from here on, in order
+    (``pressure.solve_pressure`` monkeypatched to record them)."""
+    iterations = []
+    solve = pressure.solve_pressure
+
+    def counted_solve(problem, rtol=1e-10, info=None, x0=None):
+        P = solve(problem, rtol=rtol, info=info, x0=x0)
+        iterations.append(info.iterations)
+        return P
+
+    monkeypatch.setattr(pressure, "solve_pressure", counted_solve)
+    return iterations

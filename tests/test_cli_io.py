@@ -160,11 +160,24 @@ class TestCLI:
         cfg = self._write(tmp_path, "\ninitial.recipe = well_prepared\nparams.delta = 0.9\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("setting", ["run.cadence = 0", "run.cfl = 0", "run.cfl = -1"])
+    @pytest.mark.parametrize("setting", ["run.cadence = 0", "run.cfl = 0", "run.cfl = -1", "run.dt = -1"])
     def test_unusable_run_setting_exit_code(self, tmp_path, setting):
         cfg = self._write(tmp_path, f"\n{setting}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+    def test_two_dimensional_streamfunction_run_exit_code(self, tmp_path):
+        # init_from_streamfunction is d = 1 only: ValueError, exit 1
+        cfg = self._write(tmp_path, "\ngrid.d = 2\ngrid.n_x = 16\ngrid.n_r = 8\ninitial.recipe = streamfunction\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_two_dimensional_iota3_sweep_exit_code(self, tmp_path):
+        # slag_to_sigma is d = 1 only: NotImplementedError, exit 1, no manifest
+        extra = "\ngrid.d = 2\ngrid.n_x = 16\ngrid.n_r = 8\nsweep.axis = iota3\nsweep.values = 1e-1, 1e-2, 1e-3\n"
+        cfg = self._write(tmp_path, extra)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("content", [None, "0.0\n1.0\n2.0\n"], ids=["missing", "one-column"])
     def test_unreadable_bathymetry_file_exit_code(self, tmp_path, content):

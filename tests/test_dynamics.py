@@ -150,7 +150,7 @@ class TestTransport:
         rho = np.cos(2 * grid.x)[None, :] * (1 + grid.r)[:, None]
 
         def drho(r):
-            return -params.eps * diffeo.ops.advect(V, w, r)
+            return -params.eps * diffeo.ops.advect(V, w, r, spectral.dr(grid, r))
 
         T, n = 0.5, 200
         dt = T / n
@@ -388,7 +388,7 @@ class TestVorticity:
         F = vorticity_source(st, tend.P, diffeo, params)
         tcorr = params.eps * (1 + grid.r)[:, None] * tend.deta0[None, :] / diffeo.h_tot
         rhs = (
-            -params.eps * spectral.dealias(grid, diffeo.ops.advect(st.V, st.w, om))
+            -params.eps * spectral.dealias(grid, diffeo.ops.advect(st.V, st.w, om, spectral.dr(grid, om)))
             + spectral.quadratic(grid, tcorr, spectral.dr(grid, om))
             + (params.delta / np.sqrt(params.mu)) * F
         )

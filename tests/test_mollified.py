@@ -21,7 +21,7 @@ from stripflow.mollified import (
     terminal_distance,
 )
 
-from conftest import random_band_limited
+from conftest import count_solve_iterations, random_band_limited
 
 
 def wave_state(grid, amp=0.05):
@@ -131,19 +131,37 @@ class TestSlagDynamics:
         assert np.abs(div[1:-1]).max() < 1e-10
 
     def test_carried_guess_matches_cold_steps(self, grid):
-        # stage 1 of step 2 starts from the last-stage pressure of step 1;
-        # every solve stops on the same relative residual
+        # stage 1 of step 2 starts from the last-stage pressure of step 1, and
+        # from step 2 stage 2 on every stage adds the increment the same stage
+        # saw one step earlier (stage 1 first at step 3); every solve stops on
+        # the same relative residual
         params = PhysParams(eps=0.25, beta=0.25, mu=0.1)
         bath = Bathymetry.cosine(grid, 0.2)
-        slag = from_strip_state(wave_state(grid), bath, params)
-        moll, dt = MollParams(0.1, 0.1, 0.01), 2e-3
-        cold = step_rk4_slag(step_rk4_slag(slag, dt, moll, bath, params), dt, moll, bath, params)
-        guess = PressureGuess()
-        warm = step_rk4_slag(step_rk4_slag(slag, dt, moll, bath, params, guess), dt, moll, bath, params, guess)
+        cold = warm = from_strip_state(wave_state(grid), bath, params)
+        moll, dt, guess = MollParams(0.1, 0.1, 0.01), 2e-3, PressureGuess()
+        for _ in range(3):
+            cold = step_rk4_slag(cold, dt, moll, bath, params)
+            warm = step_rk4_slag(warm, dt, moll, bath, params, guess)
         for name in ("V", "w", "rho", "H", "eta0"):
             ref = getattr(cold, name)
             scale = max(np.abs(ref).max(), 1e-300)
             assert np.abs(getattr(warm, name) - ref).max() <= 1e-8 * scale, name
+
+    def test_stage_increment_cuts_iterations(self, grid, monkeypatch):
+        # step 3 from the carried history against step 3 from the last
+        # pressure alone (each stage then starts from the previous one)
+        params = PhysParams(eps=0.25, beta=0.25, mu=0.1)
+        bath = Bathymetry.cosine(grid, 0.2)
+        slag = from_strip_state(wave_state(grid), bath, params)
+        moll, dt, guess = MollParams(0.1, 0.1, 0.01), 2e-3, PressureGuess()
+        slag = step_rk4_slag(step_rk4_slag(slag, dt, moll, bath, params, guess), dt, moll, bath, params, guess)
+        last = PressureGuess()
+        last.history.append(guess.history[-1])
+        iterations = count_solve_iterations(monkeypatch)
+        step_rk4_slag(slag, dt, moll, bath, params, last)
+        step_rk4_slag(slag, dt, moll, bath, params, guess)
+        assert len(iterations) == 8
+        assert sum(iterations[4:]) < sum(iterations[:4])
 
     def test_energy_near_conservation_small_amplitude(self, grid):
         # the dispersive surface term pairs to a total derivative: for weak

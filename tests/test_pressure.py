@@ -29,7 +29,7 @@ from stripflow.pressure import (
     taylor_time_derivative,
 )
 
-from conftest import random_band_limited
+from conftest import count_solve_iterations, random_band_limited
 
 
 def strip_shape(grid):
@@ -133,8 +133,8 @@ class TestAssembly:
         # R against a hand-assembled version of the same tendencies
         ops = diffeo.ops
         eps, mu, g, rb = params.eps, params.mu, params.g, params.rho_bar
-        adv_V = spectral.dealias(grid, ops.advect(state.V, state.w, state.V[0]))
-        adv_w = spectral.dealias(grid, ops.advect(state.V, state.w, state.w))
+        adv_V = spectral.dealias(grid, ops.advect(state.V, state.w, state.V[0], spectral.dr(grid, state.V[0])))
+        adv_w = spectral.dealias(grid, ops.advect(state.V, state.w, state.w, spectral.dr(grid, state.w)))
         G_V = -eps * adv_V - g * rb * spectral.quadratic(grid, nu, spectral.dx(grid, state.eta0)[0])
         G_w = -eps * adv_w - (g * params.delta / mu) * spectral.quadratic(grid, nu, state.rho)
         expect_Rx = np.sqrt(mu) * h * G_V
@@ -510,13 +510,16 @@ class TestHotPath:
         assert np.abs(warm.P - cold.P).max() <= 1e-8 * np.abs(cold.P).max()
 
     def test_carried_guess_matches_cold_steps(self, grid, params, rng):
-        # stage 1 of step 2 starts from the last-stage pressure of step 1;
-        # every solve stops on the same relative residual
+        # stage 1 of step 2 starts from the last-stage pressure of step 1, and
+        # from step 2 stage 2 on every stage adds the increment the same stage
+        # saw one step earlier (stage 1 first at step 3); every solve stops on
+        # the same relative residual
         bath = Bathymetry.cosine(grid, 0.2)
-        state, dt = _sheared_state(grid, rng), 2e-3
-        cold = step_rk4(step_rk4(state, dt, bath, params), dt, bath, params)
-        guess = PressureGuess()
-        warm = step_rk4(step_rk4(state, dt, bath, params, guess), dt, bath, params, guess)
+        cold = warm = _sheared_state(grid, rng)
+        dt, guess = 2e-3, PressureGuess()
+        for _ in range(3):
+            cold = step_rk4(cold, dt, bath, params)
+            warm = step_rk4(warm, dt, bath, params, guess)
         for name in ("V", "w", "rho", "eta0"):
             ref = getattr(cold, name)
             assert np.abs(getattr(warm, name) - ref).max() <= 1e-8 * np.abs(ref).max(), name
@@ -524,21 +527,27 @@ class TestHotPath:
     def test_carried_guess_cuts_first_stage_iterations(self, grid, params, rng, monkeypatch):
         bath = Bathymetry.cosine(grid, 0.2)
         state, dt = _sheared_state(grid, rng), 2e-3
-        iterations = []
-        solve = pressure.solve_pressure
-
-        def counted_solve(problem, rtol=1e-10, info=None, x0=None):
-            P = solve(problem, rtol=rtol, info=info, x0=x0)
-            iterations.append(info.iterations)
-            return P
-
-        monkeypatch.setattr(pressure, "solve_pressure", counted_solve)
+        iterations = count_solve_iterations(monkeypatch)
         step_rk4(step_rk4(state, dt, bath, params), dt, bath, params)
         guess = PressureGuess()
         step_rk4(step_rk4(state, dt, bath, params, guess), dt, bath, params, guess)
         assert len(iterations) == 16
         cold_stage1, warm_stage1 = iterations[4], iterations[12]
         assert warm_stage1 < cold_stage1
+
+    def test_stage_increment_cuts_iterations(self, grid, params, rng, monkeypatch):
+        # step 3 from the carried history against step 3 from the last
+        # pressure alone (each stage then starts from the previous one)
+        bath = Bathymetry.cosine(grid, 0.2)
+        state, dt, guess = _sheared_state(grid, rng), 2e-3, PressureGuess()
+        state = step_rk4(step_rk4(state, dt, bath, params, guess), dt, bath, params, guess)
+        last = PressureGuess()
+        last.history.append(guess.history[-1])
+        iterations = count_solve_iterations(monkeypatch)
+        step_rk4(state, dt, bath, params, last)
+        step_rk4(state, dt, bath, params, guess)
+        assert len(iterations) == 8
+        assert sum(iterations[4:]) < sum(iterations[:4])
 
 
 class TestClosure:
