@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .diagnostics import spans_two_decades
 from .errors import ConfigError
 from .geometry import Bathymetry, PhysParams
@@ -91,7 +93,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             values[key] = _coerce(key, raw)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
     return values
 
@@ -116,7 +118,10 @@ class ExperimentConfig:
     def validate(self) -> list:
         """Collect violations; empty list means the config is runnable."""
         v = self.values
-        problems = []
+        problems = [
+            f"{key} must be finite" for key, default in _DEFAULTS.items()
+            if isinstance(default, (float, tuple)) and not np.isfinite(v[key]).all()
+        ]
         if v["bathymetry.preset"] not in _PRESETS:
             problems.append(f"unknown bathymetry preset {v['bathymetry.preset']!r}")
         if v["bathymetry.preset"] == "file" and not v["bathymetry.path"]:

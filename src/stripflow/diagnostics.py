@@ -8,7 +8,7 @@ import numpy as np
 
 from . import spectral
 from .dynamics import StripState, VorticityField, vorticity
-from .geometry import DiffeoFields, PhysParams, alinhac_unknown
+from .geometry import DiffeoFields, PhysParams, alinhac_unknown, total_density
 from .pressure import TaylorCoefficient
 
 
@@ -49,7 +49,7 @@ def good_unknown_energy(state, metric: DiffeoFields, params: PhysParams, s: floa
     ||sqrt(h rho) V^(s)||^2 + ||sqrt(mu h rho) w^(s)||^2 + ||sqrt(mu h) rho^(s)||^2
     on the coordinate map ``metric``."""
     h, mu = metric.h_tot, params.mu
-    rho_tot = params.rho_bar + params.eps * params.delta * state.rho
+    rho_tot = total_density(state.rho, params)
     terms = [(np.sqrt(h * rho_tot), V_i) for V_i in state.V]
     terms += [(np.sqrt(mu * h * rho_tot), state.w), (np.sqrt(mu * h), state.rho)]
     return sum(spectral.l2_strip(metric.grid, wt * alinhac_unknown(f, s, metric)) ** 2 for wt, f in terms)

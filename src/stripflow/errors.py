@@ -33,10 +33,6 @@ class NoConvergence(StripflowError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
 
 
-class IllConditioned(StripflowError):
-    """Elliptic coefficient matrix failed the positivity check."""
-
-
 class CFLViolation(StripflowError):
     """Requested time step exceeds the advective/wave stability bound."""
 

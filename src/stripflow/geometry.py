@@ -1,6 +1,7 @@
 """Physical parameters, bathymetry, the sigma-coordinate map of the strip
-onto the fluid domain, the transformed differential operators, and the
-good-unknown correction used by the high-order diagnostics."""
+onto the fluid domain, the transformed differential operators, the
+good-unknown correction used by the high-order diagnostics, and the rules
+every scheme shares: the total density, the depth and the wave speed."""
 
 from __future__ import annotations
 
@@ -233,7 +234,7 @@ def build_diffeo(bathymetry: Bathymetry, eta0: np.ndarray, params: PhysParams) -
     gb = -params.beta * bathymetry.gradient
     g0 = params.eps * spectral.dx(grid, eta0)
     grad_sum = r[None] * gb[:, None] + (1.0 + r)[None] * g0[:, None]
-    h_tot = 1.0 - params.beta * bathymetry.values + params.eps * eta0
+    h_tot = water_depth(bathymetry, eta0, params)
     return DiffeoFields(grid, h_tot, grad_sum, lambda: barycentric_heights(bathymetry, eta0, params))
 
 
@@ -246,9 +247,22 @@ def alinhac_unknown(f: np.ndarray, s: float, diffeo: DiffeoFields) -> np.ndarray
     return spectral.lambda_pow(grid, f, s, dotted=True) - correction * spectral.dr(grid, f)
 
 
-def require_nondegenerate(rho: np.ndarray, params: PhysParams):
-    """Raise DegenerateDensity unless the total density is positive (a
-    DiffeoFields has a positive layer thickness by construction)."""
-    min_density = float((params.rho_bar + params.eps * params.delta * rho).min())
+def total_density(rho: np.ndarray, params: PhysParams) -> np.ndarray:
+    """rho_bar + eps delta rho; DegenerateDensity unless it is positive
+    everywhere (the pressure problem is elliptic only then)."""
+    rho_tot = params.rho_bar + params.eps * params.delta * rho
+    min_density = float(rho_tot.min())
     if min_density <= 0.0:
         raise DegenerateDensity(f"min density {min_density:.3e}")
+    return rho_tot
+
+
+def water_depth(bathymetry: Bathymetry, eta: np.ndarray, params: PhysParams) -> np.ndarray:
+    """Depth 1 - beta b + eps eta under the surface eta (positive unless the
+    water column cavitates)."""
+    return 1.0 - params.beta * bathymetry.values + params.eps * eta
+
+
+def wave_speed(depth: np.ndarray, V: np.ndarray, params: PhysParams) -> float:
+    """Fastest signal speed sqrt(g max depth) + eps max|V| of the step bounds."""
+    return np.sqrt(params.g * depth.max()) + params.eps * float(np.abs(V).max())

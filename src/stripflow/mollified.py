@@ -19,10 +19,11 @@ from scipy.interpolate import PchipInterpolator
 
 from . import spectral
 from .diagnostics import good_unknown_energy, vorticity_norm
-from .dynamics import PressureGuess, StripState, _nu, metric_motion_term, rk4, vorticity, warm_started
-from .errors import BlowUpSuspected, CFLViolation, DegenerateDiffeo, InterpolationOutOfRange
-from .geometry import Bathymetry, DiffeoFields, PhysParams, barycentric_heights, require_nondegenerate
-from .pressure import SolveInfo, closure_problem, solve_closure
+from .dynamics import PressureGuess, StripState, Tendencies, metric_motion_term, rk4, vorticity, warm_started
+from .errors import CFLViolation, DegenerateDiffeo, InterpolationOutOfRange
+from .geometry import (Bathymetry, DiffeoFields, PhysParams, barycentric_heights, total_density, water_depth,
+                       wave_speed)
+from .pressure import closure_problem, solve_closure
 from .runner import RunRecord, march
 
 
@@ -54,17 +55,6 @@ class SlagState:
         )
 
 
-@dataclass
-class SlagTendencies:
-    dV: np.ndarray
-    dw: np.ndarray
-    drho: np.ndarray
-    dH: np.ndarray
-    deta0: np.ndarray
-    P: np.ndarray
-    solve_info: SolveInfo
-
-
 def from_strip_state(state: StripState, bathymetry: Bathymetry, params: PhysParams) -> SlagState:
     """Adopt the production coordinates as the initial transported map."""
     grid = bathymetry.grid
@@ -75,17 +65,16 @@ def from_strip_state(state: StripState, bathymetry: Bathymetry, params: PhysPara
 def slag_rhs(
     state: SlagState, moll: MollParams, bathymetry: Bathymetry, params: PhysParams,
     x0: np.ndarray | None = None,
-) -> SlagTendencies:
+) -> Tendencies:
     """Mollified tendencies; the pressure is defined through the elliptic
     problem assembled, as in the production solver, so that the tendencies
     keep the discrete divergence and bottom impermeability stationary.  x0 is
     the initial guess of the pressure solve."""
     grid = bathymetry.grid
     metric = DiffeoFields.transported(grid, state.H)
-    require_nondegenerate(state.rho, params)
     ops = metric.ops
     mu, eps, g, rb = params.mu, params.eps, params.g, params.rho_bar
-    nu = _nu(state, params)
+    nu = 1.0 / total_density(state.rho, params)
 
     def J(f, iota):
         return spectral.mollify(grid, f, iota) if iota else f
@@ -137,11 +126,7 @@ def slag_rhs(
     )
     problem = closure_problem(metric, params, nu, B_V, B_w, metric_term)
     dV, dw, P, info = solve_closure(problem, B_V, B_w, x0=x0)
-    if not np.isfinite(
-        np.abs(dV).max() + np.abs(dw).max() + np.abs(drho).max() + np.abs(deta0).max()
-    ):
-        raise BlowUpSuspected("non-finite tendency in the mollified scheme")
-    return SlagTendencies(dV, dw, drho, dH, deta0, P, info)
+    return Tendencies(dV, dw, drho, deta0, P, info, dH)
 
 
 def step_rk4_slag(
@@ -167,10 +152,8 @@ def cfl_dt_slag(
     dispersive bound 1.5/omega of the fastest resolved surface mode; both
     scale with ``factor``, the dispersive one relative to the default 0.4."""
     grid = bathymetry.grid
-    depth = 1.0 - params.beta * bathymetry.values + params.eps * state.eta0
-    vmax = float(np.abs(state.V).max())
-    c = np.sqrt(params.g * depth.max()) + params.eps * vmax
-    dt = factor * grid.dx / c
+    depth = water_depth(bathymetry, state.eta0, params)
+    dt = factor * grid.dx / wave_speed(depth, state.V, params)
     if moll.iota3:
         kmax = 2.0 * np.pi * (grid.n_x // 3) / grid.length
         geff = params.g + moll.iota3 * np.sqrt(1.0 + kmax**2) / params.rho_bar
@@ -187,7 +170,6 @@ def moll_energy(
     and the vorticity norm."""
     grid = bathymetry.grid
     metric = DiffeoFields.transported(grid, state.H)
-    require_nondegenerate(state.rho, params)
     total = good_unknown_energy(state, metric, params, s)
     eta_s = spectral.lambda_pow(grid, state.eta0, s, dotted=True)
     sym = params.g * params.rho_bar + moll.iota3 * (1.0 + grid.k_abs**2) ** 0.25

@@ -8,9 +8,12 @@ The discrete operator is the composition
 with homogeneous Dirichlet data at r = 0 and the conormal row
 N_b . (mu Q_x, Q_r) imposed at r = -1.  Pointwise algebra identifies
 (mu Q_x * h, Q_r - mu grad_sigma . Q_x) with the flux A grad_mu P of the
-equivalent divergence form; its matrix field A serves the positivity check
-and the solver diagnostics.  The solve uses the composed form, the one that
-makes the prognostic tendencies preserve the discrete divergence.
+equivalent divergence form.  Its horizontal block nu h I and the Schur
+complement nu/h of that block are positive wherever nu > 0 and h > 0, which
+``geometry.total_density`` and ``DiffeoFields`` enforce, so A is positive
+definite by construction and serves only the solver diagnostics.  The solve
+uses the composed form, the one that makes the prognostic tendencies preserve
+the discrete divergence.
 
 Every solver closes its non-pressure tendencies (B_V, B_w) the same way:
 ``closure_problem`` poses the source mu div_phi B (plus the metric motion of
@@ -52,7 +55,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import spectral
-from .errors import IllConditioned, InsufficientHistory, NoConvergence
+from .errors import InsufficientHistory, NoConvergence
 from .geometry import DiffeoFields, PhysParams
 from .grid import StripGrid
 
@@ -101,12 +104,6 @@ class EllipticProblem:
         half_tr = 0.5 * (alpha + beta)
         disc = np.sqrt(0.25 * (alpha - beta) ** 2 + c2)
         return float((half_tr - disc).min())
-
-    def check_spd(self):
-        if np.min(self.nu) <= 0.0:
-            raise IllConditioned("coefficient matrix lost positivity")
-        if self.A_eigen_min() <= 0.0:
-            raise IllConditioned("A is not positive definite nodewise")
 
     # -- the composed operator --------------------------------------------------
 
@@ -267,8 +264,7 @@ def solve_pressure(
     x0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve for P with P(r=0) = 0; raises NoConvergence past the iteration
-    cap 10 sqrt(n_x^d n_r) and IllConditioned if A fails the positivity check."""
-    problem.check_spd()
+    cap 10 sqrt(n_x^d n_r).  The problem is elliptic by construction (module docstring)."""
     grid = problem.diffeo.grid
     n, xshape = grid.n_r, grid.xshape
     nun = int(n * np.prod(xshape))

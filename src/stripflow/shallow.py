@@ -10,7 +10,7 @@ import numpy as np
 from . import spectral
 from .dynamics import StripState, project_divergence_free, rk4
 from .errors import DegenerateDepth, GridMismatch, PreparationFailed
-from .geometry import Bathymetry, PhysParams
+from .geometry import Bathymetry, PhysParams, water_depth, wave_speed
 from .grid import StripGrid
 
 
@@ -53,14 +53,10 @@ class ComparisonReport:
         return self.err_V + self.err_eta
 
 
-def depth(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> np.ndarray:
-    return 1.0 - params.beta * bathymetry.values + params.eps * sw.eta
-
-
 def sw_rhs(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> SWTendencies:
     """d_t eta = -div((1 - beta b + eps eta) V);  d_t V = -eps V.grad V - g grad eta."""
     grid = bathymetry.grid
-    h = depth(sw, bathymetry, params)
+    h = water_depth(bathymetry, sw.eta, params)
     if h.min() <= 0.0:
         raise DegenerateDepth(f"shallow-water depth {h.min():.3e}")
     deta = np.zeros(grid.xshape)
@@ -82,10 +78,8 @@ def sw_step_rk4(sw: SWState, dt: float, bathymetry: Bathymetry, params: PhysPara
 
 
 def cfl_dt_sw(sw: SWState, bathymetry: Bathymetry, params: PhysParams, factor: float = 0.4) -> float:
-    grid = bathymetry.grid
-    h = depth(sw, bathymetry, params)
-    c = np.sqrt(params.g * h.max()) + params.eps * float(np.abs(sw.V).max())
-    return factor * grid.dx / c
+    depth = water_depth(bathymetry, sw.eta, params)
+    return factor * bathymetry.grid.dx / wave_speed(depth, sw.V, params)
 
 
 def lift_sw(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> StripState:
@@ -99,7 +93,7 @@ def lift_sw(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> StripSta
     grid = bathymetry.grid
     shape = (grid.n_r + 1,) + grid.xshape
     V = np.broadcast_to(sw.V[:, None], (grid.d,) + shape).copy()
-    h = depth(sw, bathymetry, params)
+    h = water_depth(bathymetry, sw.eta, params)
     divV = np.zeros(grid.xshape)
     slope = np.zeros(grid.xshape)
     for i in range(grid.d):

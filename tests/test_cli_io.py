@@ -63,6 +63,10 @@ class TestConfig:
         cfg = ExperimentConfig.from_text(BASE_CONFIG + f"\nsweep.axis = {axis}\nsweep.values = {values}\n")
         assert any("must not exceed 1" in p for p in cfg.validate())
 
+    def test_non_finite_sweep_value(self):
+        cfg = ExperimentConfig.from_text(BASE_CONFIG + "\nsweep.axis = mu\nsweep.values = 0.1, nan, 0.001\n")
+        assert "sweep.values must be finite" in cfg.validate()
+
     @pytest.mark.parametrize("axis", ["mu", "iota3"])
     def test_sweep_span_below_two_decades(self, axis):
         cfg = ExperimentConfig.from_text(BASE_CONFIG + f"\nsweep.axis = {axis}\nsweep.values = 0.1, 0.05, 0.02\n")
@@ -160,7 +164,11 @@ class TestCLI:
         cfg = self._write(tmp_path, "\ninitial.recipe = well_prepared\nparams.delta = 0.9\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("setting", ["run.cadence = 0", "run.cfl = 0", "run.cfl = -1", "run.dt = -1"])
+    @pytest.mark.parametrize("setting", [
+        "run.cadence = 0", "run.cfl = 0", "run.cfl = -1", "run.dt = -1",
+        "run.T = nan", "run.T = inf", "run.cfl = nan", "initial.eta0_amplitude = nan", "run.dt = nan",
+        "run.cadence = inf",
+    ])
     def test_unusable_run_setting_exit_code(self, tmp_path, setting):
         cfg = self._write(tmp_path, f"\n{setting}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

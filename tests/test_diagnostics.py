@@ -15,7 +15,7 @@ from stripflow.dynamics import StripState, cfl_dt, solve_state_pressure
 from stripflow.mollified import MollParams, from_strip_state, run_moll
 from stripflow.pressure import TaylorCoefficient, taylor_coefficient
 from stripflow import runner
-from stripflow.errors import IllConditioned
+from stripflow.errors import NoConvergence
 from stripflow.runner import measure, simulate
 
 from conftest import random_band_limited
@@ -173,12 +173,12 @@ class TestSimulateHalts:
         def step_failing_on_third(state, dt, *args, **kwargs):
             started.append(state.t)
             if len(started) == 3:
-                raise IllConditioned("synthetic loss of positivity")
+                raise NoConvergence("synthetic stalled solve")
             return real_step(state, dt, *args, **kwargs)
 
         monkeypatch.setattr(runner, "step_rk4", step_failing_on_third)
         rec = simulate(st, bath, params, 0.01, dt=1e-3, cadence=10)
-        assert rec.status == "IllConditioned"
+        assert rec.status == "NoConvergence"
         assert rec.halted_at == started[-1]
         assert rec.halted_at == pytest.approx(2e-3)
         assert rec.final.t == rec.halted_at

@@ -7,7 +7,7 @@ from stripflow import mollified
 from stripflow.diagnostics import good_unknown_energy
 from stripflow.dynamics import PressureGuess, StripState, step_rk4, vorticity
 from stripflow.geometry import DiffeoFields
-from stripflow.errors import DegenerateDiffeo, IllConditioned, InterpolationOutOfRange, NoConvergence
+from stripflow.errors import DegenerateDiffeo, InterpolationOutOfRange, NoConvergence
 from stripflow.mollified import (
     MollParams,
     SlagState,
@@ -296,12 +296,12 @@ class TestRunMollHalts:
 
         def failing_step(state, *args):
             if state.t > 0.5e-3:
-                raise IllConditioned("synthetic")
+                raise NoConvergence("synthetic")
             return step(state, *args)
 
         monkeypatch.setattr(mollified, "step_rk4_slag", failing_step)
         traj = self._run(grid)
-        assert traj.status == "IllConditioned"
+        assert traj.status == "NoConvergence"
         assert traj.final.t == pytest.approx(1e-3)
         assert len(traj.energies) == 2
 

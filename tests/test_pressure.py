@@ -10,10 +10,11 @@ from stripflow.dynamics import (
     StripState,
     assemble_pressure_problem,
     euler_rhs,
+    project_divergence_free,
     shifted,
     step_rk4,
 )
-from stripflow.errors import IllConditioned, InsufficientHistory, NoConvergence
+from stripflow.errors import DegenerateDensity, InsufficientHistory, NoConvergence
 from stripflow.geometry import DiffeoFields
 from stripflow.mollified import from_strip_state
 from stripflow.pressure import (
@@ -158,16 +159,18 @@ class TestAssembly:
         assert eig > 0.0
         assert eig >= bound
 
-    def test_ill_conditioned_rejected(self, flat_setup):
-        grid, params, bath = flat_setup
-        diffeo = build_diffeo(bath, np.zeros(grid.xshape), params)
-        shape = strip_shape(grid)
-        problem = EllipticProblem(
-            diffeo=diffeo, mu=params.mu, rho_bar=1.0, nu=-np.ones(shape),
-            source=np.zeros(shape), bottom_data=np.zeros(grid.xshape),
-        )
-        with pytest.raises(IllConditioned):
-            solve_pressure(problem)
+    @pytest.mark.parametrize("rho_node", [-1.0, -2.0], ids=["zero", "negative"])
+    def test_nonpositive_density_rejected(self, rho_node):
+        # rho_bar + eps delta rho vanishes (or turns negative) at one node:
+        # the pressure problem is no longer elliptic there
+        grid = StripGrid(n_x=32, n_r=12)
+        params = PhysParams(eps=1.0, beta=0.3, mu=0.1, delta=1.0)
+        bath = Bathymetry.cosine(grid, 0.3)
+        state = StripState.rest(grid)
+        state.V[0] = 0.1 * np.cos(grid.x)
+        state.rho[4, 7] = rho_node
+        with pytest.raises(DegenerateDensity):
+            project_divergence_free(state, bath, params)
 
 
 class TestSolve:

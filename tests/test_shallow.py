@@ -3,14 +3,15 @@ import pytest
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
-from stripflow.dynamics import divergence_report, rk4
-from stripflow.errors import DegenerateDepth, GridMismatch, PreparationFailed
+from stripflow.dynamics import StripState, divergence_report, rk4
+from stripflow.errors import BlowUpSuspected, DegenerateDepth, GridMismatch, PreparationFailed
 from stripflow.experiments import sw_initial
+from stripflow.geometry import water_depth
+from stripflow.runner import simulate
 from stripflow.shallow import (
     SWState,
     cfl_dt_sw,
     compare,
-    depth,
     lift_sw,
     sw_rhs,
     sw_step_rk4,
@@ -19,11 +20,11 @@ from stripflow.shallow import (
 
 
 def sw_mass(sw, bath, params):
-    return float(depth(sw, bath, params).mean())
+    return float(water_depth(bath, sw.eta, params).mean())
 
 
 def sw_energy(sw, bath, params):
-    h = depth(sw, bath, params)
+    h = water_depth(bath, sw.eta, params)
     kin = 0.5 * h * np.sum(sw.V**2, axis=0)
     pot = 0.5 * params.g * sw.eta**2
     return float((kin + pot).mean() * bath.grid.length ** bath.grid.d)
@@ -53,6 +54,20 @@ class TestSWDynamics:
         sw.eta = np.full(grid.xshape, -0.6)
         with pytest.raises(DegenerateDepth):
             sw_rhs(sw, bath, params)
+
+    def test_non_finite_state_halts(self):
+        # a NaN in the Saint-Venant velocity makes a non-finite stage tendency,
+        # which halts the co-advanced run instead of comparing against NaN
+        grid = StripGrid(n_x=32, n_r=12)
+        params = PhysParams(eps=0.5, beta=0.5, mu=0.1)
+        bath = Bathymetry.cosine(grid, 0.3)
+        sw = SWState.rest(grid)
+        sw.V[0, 5] = np.nan
+        with pytest.raises(BlowUpSuspected):
+            sw_step_rk4(sw, 1e-3, bath, params)
+        rec = simulate(StripState.rest(grid), bath, params, 4e-3, dt=1e-3, sw=sw)
+        assert rec.status == "BlowUpSuspected"
+        assert rec.halted_at == 0.0
 
     def test_rk4_matches_hand_written_reference(self, grid):
         params = PhysParams(eps=0.5, beta=0.5, mu=0.1)
