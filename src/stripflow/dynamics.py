@@ -176,10 +176,13 @@ def assemble_pressure_problem(
     return problem, aux
 
 
-def solve_state_pressure(state: StripState, diffeo: DiffeoFields, params: PhysParams) -> np.ndarray:
-    """Pressure of the given state (used standalone by the diagnostics)."""
+def solve_state_pressure(
+    state: StripState, diffeo: DiffeoFields, params: PhysParams, x0: np.ndarray | None = None
+) -> np.ndarray:
+    """Pressure of the given state (used standalone by the diagnostics),
+    solved from the initial guess x0, when given."""
     problem, _ = assemble_pressure_problem(state, diffeo, params)
-    return solve_pressure(problem)
+    return solve_pressure(problem, x0=x0)
 
 
 def euler_rhs(

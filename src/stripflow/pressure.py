@@ -30,9 +30,19 @@ matvec at the end of every restart cycle.  The preconditioner is a
 depth-weighted inverse of the flat-strip operator
 (mu Delta_x + d_r^2)/rho_bar.  The residual is first multiplied by
 the per-node weight w = h_tot/(nu rho_bar) (sqrt(h_tot)/(nu rho_bar) on the
-bottom conormal row, which carries one derivative less), then the per-mode
-real inverses of the vertical problem are applied to the stacked real and
-imaginary parts of every horizontal Fourier mode as one batched matmul.
+bottom conormal row, which carries one derivative less), then the flat
+inverse is applied by fast diagonalisation (Lynch, Rice & Thomas, Numer.
+Math. 6, 1964): the bottom conormal row is eliminated, which leaves a
+vertical operator B' independent of the mode and of mu; B' is
+eigendecomposed once, in a real basis (a complex-conjugate eigenpair
+becomes one 2 x 2 block), and every horizontal mode is solved at once by
+one matrix product into that basis, the scale 1/(lambda - mu |k|^2) and
+one product back.  The preconditioner hands the operator the spectrum of
+its output and ``EllipticProblem.apply`` takes P as a spectrum, so a
+Krylov iteration makes no inverse-then-forward transform of the same
+field; the Krylov solution is itself kept as a spectrum and transformed
+back once per solve.  The operator's last call in ``gmres`` is on the
+returned iterate, so ``solve_closure`` applies the fluxes of that call.
 Locally the operator is (nu/h^2)(d_r^2 + mu h^2 Delta_x): its vertical part
 wants the weight h^2 and its horizontal part the weight 1.  The weight h is
 their geometric mean, so both regimes are off by the same factor of h and
@@ -48,7 +58,7 @@ so the accuracy does not depend on the initial guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -83,6 +93,8 @@ class EllipticProblem:
     nu: np.ndarray
     source: np.ndarray
     bottom_data: np.ndarray
+    # (nu grad_phi P, nu dr_phi P) of the last ``apply``; those of P = 0 before
+    fluxes: tuple = field(default=(0.0, 0.0), repr=False, compare=False)
 
     # -- coefficient matrix (divergence form), kept for diagnostics ------------
 
@@ -107,20 +119,38 @@ class EllipticProblem:
 
     # -- the composed operator --------------------------------------------------
 
-    def apply(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(interior rows mu grad_phi.Q_x + dr_phi Q_r, bottom conormal row).
+    def apply(self, P_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(interior rows mu grad_phi.Q_x + dr_phi Q_r, bottom conormal row)
+        of the pressure whose horizontal rFFT is ``P_hat``.
 
-        The composition of the module docstring, with d_r P taken once and
-        only the i-th horizontal derivative of Q_x[i] transformed."""
+        The composition of the module docstring: d_r P is taken on the
+        spectrum (it commutes with the horizontal transform), d_x P and d_r P
+        come back in one batched inverse transform, and the divergence of
+        Q_x in one forward and one inverse transform.  The fluxes
+        (Q_x, Q_r) of the call are kept as ``fluxes``."""
         grid, kappa, gamma = self.diffeo.grid, self.diffeo.ops.kappa, self.diffeo.ops.gamma
-        dP = spectral.dr(grid, P)
-        Qx = self.nu * (spectral.dx(grid, P) - kappa * dP)
-        Qr = self.nu * gamma * dP
-        interior = gamma * spectral.dr(grid, Qr)
-        for i in range(grid.d):
-            dxi = spectral.irfft(grid, 1j * grid.kvec[i] * spectral.rfft(grid, Qx[i]))
-            interior += self.mu * (dxi - kappa[i] * spectral.dr(grid, Qx[i]))
+        d = grid.d
+        # the arithmetic runs in place on the two transformed stacks: fewer
+        # strip-sized temporaries for the allocator to trim and regrow
+        spec = np.empty((d + 1,) + P_hat.shape, dtype=complex)
+        for i, k in enumerate(grid.kvec):
+            np.multiply(1j * k, P_hat, out=spec[i])
+        spec[d] = spectral.dr(grid, P_hat.view(float)).view(complex)
+        grads = spectral.irfft(grid, spec)
+        Qx, Qr = grads[:d], grads[d]
+        Qx -= kappa * Qr
+        Qx *= self.nu
+        Qr *= gamma
+        Qr *= self.nu
+        Qx_hat = spectral.rfft(grid, Qx)
+        for i, k in enumerate(grid.kvec):
+            Qx_hat[i] *= 1j * self.mu * k
+        interior = spectral.irfft(grid, Qx_hat.sum(axis=0))
+        interior += gamma * spectral.dr(grid, Qr)
+        for i in range(d):
+            interior -= self.mu * kappa[i] * spectral.dr(grid, Qx[i])
         bottom = Qr[0] - self.mu * np.sum(self.diffeo.bottom_gradient * Qx[:, 0], axis=0)
+        self.fluxes = (Qx, Qr)
         return interior, bottom
 
 
@@ -152,43 +182,80 @@ def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=No
     pressure correction: (corrected B_V, corrected B_w, P, SolveInfo)."""
     info = SolveInfo(0, 0.0)
     P = solve_pressure(problem, rtol=rtol, info=info, x0=x0)
-    grad_P, dr_P = problem.diffeo.ops.gradients(P)
-    dV = B_V - problem.nu * grad_P
-    dw = B_w - problem.nu * dr_P / problem.mu
-    return dV, dw, P, info
+    # the solve's last operator call was on P: its fluxes are the correction
+    Qx, Qr = problem.fluxes
+    return B_V - Qx, B_w - Qr / problem.mu, P, info
 
 
 # -- preconditioner ------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class FastDiagonalisation:
+    """Factors of the flat inverse on the float view of a spectrum (n_r
+    rows, real and imaginary parts interleaved along the modes):
+    ``analysis`` eliminates the bottom row and maps the other n_r - 1 rows
+    onto the real eigenbasis of B', row j is scaled by ``diag`` and coupled
+    to row ``partner[j]`` (its complex-conjugate partner, or itself) by
+    ``cross``, ``synthesis`` maps back onto the n_r unknown rows, and the
+    bottom row adds ``bottom`` times its own datum."""
+
+    analysis: np.ndarray
+    diag: np.ndarray
+    cross: np.ndarray
+    partner: np.ndarray
+    synthesis: np.ndarray
+    bottom: float
+
+
 @lru_cache(maxsize=32)
-def _flat_inverse(grid: StripGrid, mu: float, rho_bar: float) -> np.ndarray:
-    """Dense inverses, one per horizontal mode, of the flat-strip operator
+def _flat_inverse(grid: StripGrid, mu: float, rho_bar: float) -> FastDiagonalisation:
+    """Fast-diagonalisation factors of the flat-strip operator
     (mu Delta_x + d_r^2)/rho_bar with the same boundary-row structure as the
-    full problem (unknown slabs 0..n_r-1; Dirichlet slab n_r eliminated)."""
+    full problem (unknown slabs 0..n_r-1; Dirichlet slab n_r eliminated).
+
+    The bottom row D[0] u = rho_bar f_0 gives u_0; eliminating it leaves
+    (B' - mu |k|^2) u' = rho_bar (f' - c f_0) on the other rows, with B' and
+    c independent of k and mu.  A conjugate pair lambda = a +- ib of B' with
+    eigenvectors v, conj(v) spans the real basis (Re v, Im v), in which B'
+    acts as [[a, b], [-b, a]] and the inverse of B' - m as [[p, q], [-q, p]]
+    with p + iq = 1/(lambda - m).  LAPACK lists each conjugate pair
+    consecutively, the eigenvalue with positive imaginary part first."""
     n = grid.n_r
     D = grid.Dr
     DD = D @ D
-    k2 = (grid.k_abs**2).reshape(-1)
-    mats = np.empty((k2.size, n, n))
-    base = DD[:, :n]
-    for j, kk in enumerate(k2):
-        M = (base - mu * kk * np.eye(n + 1, n)) / rho_bar
-        M[0, :] = D[0, :n] / rho_bar
-        mats[j] = M[:n, :]
-    return np.linalg.inv(mats)
+    c = DD[1:n, 0] / D[0, 0]
+    lam, vecs = np.linalg.eig(DD[1:n, 1:n] - np.outer(c, D[0, 1:n]))
+    basis = np.where(lam.imag < 0, -vecs.imag, vecs.real)
+    to_eigen = np.linalg.inv(basis)
+    scale = 1.0 / (lam[:, None] - mu * grid.k_abs.reshape(1, -1) ** 2)
+    bottom_row = -D[0, 1:n] / D[0, 0]
+    return FastDiagonalisation(
+        analysis=np.hstack([-(to_eigen @ c)[:, None], to_eigen]),
+        diag=np.repeat(scale.real, 2, axis=1),
+        cross=np.repeat(scale.imag, 2, axis=1),
+        partner=np.arange(n - 1) + np.sign(lam.imag).astype(int),
+        synthesis=rho_bar * np.vstack([bottom_row @ basis, basis]),
+        bottom=rho_bar / D[0, 0],
+    )
 
 
-def _apply_flat_inverse(grid: StripGrid, inv: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-mode inverse applied as one real batched matmul: the rFFT of v is
-    laid out mode-major, (modes, n_r, 2) with real and imaginary parts
-    interleaved, which is the float view of the transposed complex array."""
-    vh = spectral.rfft(grid, v)
-    spec_shape = vh.shape[1:]
-    X = np.ascontiguousarray(vh.reshape(grid.n_r, -1).T).view(float)
-    U = np.matmul(inv, X.reshape(-1, grid.n_r, 2))
-    uh = U.view(complex).reshape(-1, grid.n_r).T.reshape((grid.n_r,) + spec_shape)
-    return spectral.irfft(grid, uh)
+def _apply_flat_inverse(grid: StripGrid, fd: FastDiagonalisation, v: np.ndarray) -> np.ndarray:
+    """The flat inverse of v (n_r rows) as a spectrum of n_r + 1 rows whose
+    Dirichlet row is zero: one forward transform, then two real matrix
+    products along r on the float view and the scaling between them."""
+    n = grid.n_r
+    F = spectral.rfft(grid, v).reshape(n, -1).view(float)
+    Y = fd.analysis @ F
+    coupled = Y[fd.partner]
+    coupled *= fd.cross
+    Y *= fd.diag
+    Y += coupled
+    uh = np.zeros((n + 1,) + grid.k_abs.shape, dtype=complex)
+    U = uh.reshape(n + 1, -1).view(float)
+    np.matmul(fd.synthesis, Y, out=U[:n])
+    U[0] += fd.bottom * F[0]
+    return uh
 
 
 # -- Krylov solver ----------------------------------------------------------------
@@ -207,7 +274,9 @@ def gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, tol: float, maxiter: in
     residual of A x up to round-off.  A cycle ends at RESTART iterations,
     at that residual <= tol, or at ``maxiter`` iterations in all; it then
     forms x with one more M^-1 and one matvec gives the true residual, which
-    decides whether to restart.  A zero x0 costs no initial matvec."""
+    decides whether to restart.  A zero x0 costs no initial matvec.  x0 and
+    x live where M^-1 maps to (``solve_pressure``: a spectrum), so the last
+    matvec is always on the returned x."""
     V = np.empty((RESTART + 1, b.size))
     R = np.zeros((RESTART, RESTART))  # the Hessenberg matrix after the rotations
     cs, sn, g = np.empty(RESTART), np.empty(RESTART), np.empty(RESTART + 1)
@@ -279,36 +348,38 @@ def solve_pressure(
             info.iterations, info.residual = 0, 0.0
         return np.zeros((n + 1,) + xshape)
 
-    # one padded buffer whose Dirichlet slab n stays zero, and one output
-    # vector (bottom row, then the interior rows); every matvec overwrites both
-    padded = np.zeros((n + 1,) + xshape)
+    # one output vector (bottom row, then the interior rows), which every
+    # matvec overwrites; the Krylov solution is a spectrum of n + 1 rows whose
+    # Dirichlet row stays zero
     out = np.empty(nun)
     out_rows = out.reshape((n,) + xshape)
 
-    def matvec(u: np.ndarray) -> np.ndarray:
-        padded[:n] = u.reshape((n,) + xshape)
-        interior, bottom = problem.apply(padded)
+    def matvec(u_hat: np.ndarray) -> np.ndarray:
+        interior, bottom = problem.apply(u_hat)
         out_rows[0] = bottom
         out_rows[1:] = interior[1:n]
         return out
 
-    inv = _flat_inverse(grid, problem.mu, problem.rho_bar)
+    fd = _flat_inverse(grid, problem.mu, problem.rho_bar)
     h = _as_strip(grid, problem.diffeo.h_tot)
     weight = h[:n] / (problem.nu[:n] * problem.rho_bar)
     weight[0] = np.sqrt(h[0]) / (problem.nu[0] * problem.rho_bar)
 
     def psolve(v: np.ndarray) -> np.ndarray:
-        return _apply_flat_inverse(grid, inv, weight * v.reshape((n,) + xshape)).reshape(-1)
+        return _apply_flat_inverse(grid, fd, weight * v.reshape((n,) + xshape))
 
-    u0 = np.zeros(nun) if x0 is None else x0[:n].reshape(-1)
+    if x0 is None:
+        u0 = np.zeros((n + 1,) + grid.k_abs.shape, dtype=complex)
+    else:
+        u0 = spectral.rfft(grid, x0)
+        u0[n] = 0.0
     u, iterations, res = gmres(matvec, psolve, b, u0, rtol * bnorm, cap)
     true_res = res / bnorm
     if true_res > 100 * rtol:
         raise NoConvergence(f"pressure solve stalled at residual {true_res:.2e}")
     if info is not None:
         info.iterations, info.residual = iterations, true_res
-    padded[:n] = u.reshape((n,) + xshape)
-    return padded
+    return spectral.irfft(grid, u)
 
 
 # -- Rayleigh-Taylor coefficient --------------------------------------------------

@@ -75,10 +75,14 @@ def march(state, T: float, dt: float, cadence: int, step, observe) -> RunRecord:
     return rec
 
 
-def measure(state: StripState, bathymetry: Bathymetry, params: PhysParams, s: float, s0: float) -> EnergyReport:
-    """One diagnostic snapshot: solves the pressure for the Taylor weight."""
+def measure(
+    state: StripState, bathymetry: Bathymetry, params: PhysParams, s: float, s0: float,
+    x0: np.ndarray | None = None,
+) -> EnergyReport:
+    """One diagnostic snapshot: solves the pressure for the Taylor weight
+    (from the initial guess x0, when given)."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
-    P = solve_state_pressure(state, diffeo, params)
+    P = solve_state_pressure(state, diffeo, params, x0)
     taylor = taylor_coefficient(P, diffeo, params)
     return energy(state, taylor, s, s0, params, diffeo)
 
@@ -104,8 +108,10 @@ def simulate(
     observation after t = 0 projects the state first (the initial-state
     constructors project or build a rest state) and the run continues from
     the projected state, so every recorded state and ``final`` are
-    projected.  When a shallow-water state is supplied it is co-advanced on
-    the same clock and a ComparisonReport is recorded at each observation."""
+    projected; its pressure solve starts from the last stage pressure (the
+    projection's pressure is another quantity and starts cold).  When a
+    shallow-water state is supplied it is co-advanced on the same clock and
+    a ComparisonReport is recorded at each observation."""
     if dt is None:
         dt = cfl_dt(initial, bathymetry, params, cfl_factor)
         if sw is not None:
@@ -123,7 +129,8 @@ def simulate(
     def observe(state, rec):
         if rec.times:
             state = project_divergence_free(state, bathymetry, params)
-        report = measure(state, bathymetry, params, s, s0)
+        last = guess.history[-1] if guess.history else None
+        report = measure(state, bathymetry, params, s, s0, last)
         comparison = None if sw is None else shallow.compare(state, sw, s, bathymetry, params)
         initial_norm = (rec.reports[0] if rec.reports else report).state_norm
         status = blowup_monitor(report, initial_norm, params, norm_factor)

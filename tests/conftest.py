@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stripflow import Bathymetry, PhysParams, StripGrid, pressure
+from stripflow import Bathymetry, PhysParams, StripGrid, dynamics, pressure
 
 
 @pytest.fixture
@@ -52,14 +52,17 @@ def random_surface(grid, rng, kmax=6, amp=1.0):
 
 def count_solve_iterations(monkeypatch) -> list:
     """The GMRES iterations of every pressure solve from here on, in order
-    (``pressure.solve_pressure`` monkeypatched to record them)."""
+    (``solve_pressure`` monkeypatched to record them where ``pressure``
+    defines it and where ``dynamics`` imports it)."""
     iterations = []
     solve = pressure.solve_pressure
 
     def counted_solve(problem, rtol=1e-10, info=None, x0=None):
+        info = pressure.SolveInfo(0, 0.0) if info is None else info
         P = solve(problem, rtol=rtol, info=info, x0=x0)
         iterations.append(info.iterations)
         return P
 
-    monkeypatch.setattr(pressure, "solve_pressure", counted_solve)
+    for module in (pressure, dynamics):
+        monkeypatch.setattr(module, "solve_pressure", counted_solve)
     return iterations

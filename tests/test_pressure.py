@@ -70,7 +70,7 @@ def problem_from_divergence_form(diffeo, params, R):
 
 def relative_residual(problem, P):
     """Residual of the composed rows (interior and bottom) relative to the data."""
-    interior, bottom = problem.apply(P)
+    interior, bottom = problem.apply(spectral.rfft(problem.diffeo.grid, P))
     num = np.sqrt(
         np.sum((interior[1:-1] - problem.source[1:-1]) ** 2) + np.sum((bottom - problem.bottom_data) ** 2)
     )
@@ -355,12 +355,31 @@ class TestTaylor:
 # -- hot path: batched preconditioner, fused matvec, warm start -------------------
 
 
-def _einsum_flat_inverse(grid, inv, v):
-    """Reference apply: complex per-mode contraction of the real inverses."""
-    axes = tuple(range(-grid.d, 0))
-    vh = np.fft.rfftn(v, axes=axes)
-    uh = np.einsum("mij,jm->im", inv, vh.reshape(grid.n_r, -1)).reshape(vh.shape)
-    return np.fft.irfftn(uh, s=grid.xshape, axes=axes)
+def _dense_flat_inverse(grid, mu, rho_bar):
+    """Oracle: dense inverses, one per horizontal mode, of the flat-strip
+    operator (mu Delta_x + d_r^2)/rho_bar with the bottom conormal row and
+    the Dirichlet slab n_r eliminated."""
+    n = grid.n_r
+    D = grid.Dr
+    DD = D @ D
+    k2 = (grid.k_abs**2).reshape(-1)
+    mats = np.empty((k2.size, n, n))
+    for j, kk in enumerate(k2):
+        M = (DD[:, :n] - mu * kk * np.eye(n + 1, n)) / rho_bar
+        M[0, :] = D[0, :n] / rho_bar
+        mats[j] = M[:n, :]
+    return np.linalg.inv(mats)
+
+
+def _dense_apply(grid, inv, v):
+    """The dense per-mode inverses applied to v (n_r rows), returned as
+    ``_apply_flat_inverse`` returns it: a spectrum of n_r + 1 rows whose
+    Dirichlet row is zero."""
+    n = grid.n_r
+    vh = spectral.rfft(grid, v)
+    uh = np.zeros((n + 1,) + vh.shape[1:], dtype=complex)
+    uh[:n] = np.einsum("mij,jm->im", inv, vh.reshape(n, -1)).reshape(vh.shape)
+    return uh
 
 
 def _unweighted_gmres(problem, rtol=1e-10):
@@ -376,13 +395,15 @@ def _unweighted_gmres(problem, rtol=1e-10):
         return P
 
     def matvec(u):
-        interior, bottom = problem.apply(embed(u))
+        interior, bottom = problem.apply(spectral.rfft(grid, embed(u)))
         return np.concatenate([bottom[None], interior[1:n]]).reshape(-1)
 
-    inv = _flat_inverse(grid, problem.mu, problem.rho_bar)
-    M = LinearOperator(
-        (nun, nun), matvec=lambda v: _apply_flat_inverse(grid, inv, v.reshape((n,) + xshape)).reshape(-1)
-    )
+    fd = _flat_inverse(grid, problem.mu, problem.rho_bar)
+
+    def precondition(v):
+        return spectral.irfft(grid, _apply_flat_inverse(grid, fd, v.reshape((n,) + xshape)))[:n].reshape(-1)
+
+    M = LinearOperator((nun, nun), matvec=precondition)
     b = np.concatenate([problem.bottom_data[None], problem.source[1:n]]).reshape(-1)
     count = [0]
 
@@ -417,14 +438,29 @@ def _sheared_state(grid, rng):
 
 
 class TestHotPath:
-    @pytest.mark.parametrize("n_x,n_r,d", [(64, 16, 1), (16, 12, 2)])
-    def test_batched_flat_inverse_matches_einsum(self, n_x, n_r, d, rng):
+    @pytest.mark.parametrize("n_x,n_r,d", [(64, 16, 1), (256, 48, 1), (16, 12, 2)])
+    def test_fast_diagonalisation_matches_dense_inverse(self, n_x, n_r, d, rng):
+        # both d = 1 grids give the eliminated vertical operator complex
+        # eigenpairs, which the real basis carries as 2 x 2 blocks
         grid = StripGrid(n_x=n_x, n_r=n_r, d=d)
-        inv = _flat_inverse(grid, 0.04, 1.1)
         v = rng.standard_normal((n_r,) + grid.xshape)
-        ref = _einsum_flat_inverse(grid, inv, v)
-        got = _apply_flat_inverse(grid, inv, v)
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        ref = spectral.irfft(grid, _dense_apply(grid, _dense_flat_inverse(grid, 0.04, 1.1), v))
+        got = spectral.irfft(grid, _apply_flat_inverse(grid, _flat_inverse(grid, 0.04, 1.1), v))
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert not got[-1].any()
+
+    def test_dense_preconditioner_solves_alike(self, grid, params, rng, monkeypatch):
+        bath = Bathymetry.cosine(grid, 0.2)
+        state = _sheared_state(grid, rng)
+        problem, _ = assemble_pressure_problem(state, build_diffeo(bath, state.eta0, params), params)
+        info = SolveInfo(0, 0.0)
+        P = solve_pressure(problem, info=info)
+        monkeypatch.setattr(pressure, "_flat_inverse", _dense_flat_inverse)
+        monkeypatch.setattr(pressure, "_apply_flat_inverse", _dense_apply)
+        dense_info = SolveInfo(0, 0.0)
+        P_dense = solve_pressure(problem, info=dense_info)
+        assert np.abs(P - P_dense).max() <= 1e-9 * np.abs(P_dense).max()
+        assert abs(info.iterations - dense_info.iterations) <= 1
 
     @pytest.mark.parametrize("n_x,n_r,d", [(64, 16, 1), (16, 12, 2)])
     def test_fused_apply_matches_composed_form(self, n_x, n_r, d, rng):
@@ -440,7 +476,7 @@ class TestHotPath:
         Qx, Qr = problem.nu * ops.grad_phi(P), problem.nu * ops.dr_phi(P)
         interior_ref = params.mu * ops.div_phi(Qx, np.zeros_like(Qr)) + ops.dr_phi(Qr)
         bottom_ref = Qr[0] - params.mu * np.sum(problem.diffeo.bottom_gradient * Qx[:, 0], axis=0)
-        interior, bottom = problem.apply(P)
+        interior, bottom = problem.apply(spectral.rfft(grid, P))
         scale = np.abs(interior_ref).max()
         assert np.abs(interior - interior_ref).max() <= 1e-12 * scale
         assert np.abs(bottom - bottom_ref).max() <= 1e-12 * np.abs(bottom_ref).max()
@@ -574,3 +610,25 @@ class TestClosure:
         assert np.abs(metric.ops.div_phi(dV, dw)[1:-1]).max() <= 1e-8 * scale
         bottom = dw[0] - np.sum(metric.bottom_gradient * dV[:, 0], axis=0)
         assert np.abs(bottom).max() <= 1e-8 * np.abs(B_w[0]).max()
+
+    @pytest.mark.parametrize("kind", ["sheared_d1", "sheared_d2", "rest"])
+    def test_correction_reuses_solve_fluxes(self, grid, params, rng, kind):
+        # the correction takes nu grad_phi P and nu dr_phi P from the solve's
+        # last operator call; a zero right-hand side leaves B unchanged
+        if kind == "sheared_d2":
+            grid = StripGrid(n_x=16, n_r=12, d=2)
+        bath = Bathymetry.cosine(grid, 0.2)
+        state = StripState.rest(grid) if kind == "rest" else _sheared_state(grid, rng)
+        if kind == "rest":
+            params, bath = PhysParams(eps=0.3, beta=0.0, mu=1e-2, delta=0.2), Bathymetry.flat(grid)
+        problem, aux = assemble_pressure_problem(state, build_diffeo(bath, state.eta0, params), params)
+        B_V, B_w = aux["B_V"], aux["B_w"]
+        dV, dw, P, _ = solve_closure(problem, B_V, B_w)
+        grad_P, dr_P = problem.diffeo.ops.gradients(P)
+        ref_V, ref_w = B_V - problem.nu * grad_P, B_w - problem.nu * dr_P / params.mu
+        assert dV.shape == B_V.shape and dw.shape == B_w.shape
+        for got, ref, B in ((dV, ref_V, B_V), (dw, ref_w, B_w)):
+            assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), np.abs(B).max())
+        if kind == "rest":
+            assert not P.any()
+            assert np.array_equal(dV, B_V) and np.array_equal(dw, B_w)

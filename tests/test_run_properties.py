@@ -1,6 +1,7 @@
 """Slower property checks that need short real runs: the surface-coefficient
 time-derivative envelope, the irrotational reduction, the equivalence ratios
-monitored along a trajectory, and the projection of every observed state."""
+monitored along a trajectory, the projection of every observed state and the
+warm start of its pressure."""
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from stripflow.experiments import sw_initial
 from stripflow.pressure import taylor_coefficient, taylor_time_derivative
 from stripflow.runner import simulate
 from stripflow.shallow import well_prepared_init
+
+from conftest import count_solve_iterations
 
 
 def test_taylor_derivative_envelope_during_run():
@@ -117,3 +120,24 @@ def test_simulate_projects_every_observed_state(monkeypatch):
     for f in ("V", "w"):
         a, b = getattr(again, f), getattr(rec.final, f)
         assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
+def test_observation_pressure_starts_from_last_stage_pressure(monkeypatch):
+    # each observation after t = 0 solves its pressure from the last stage
+    # pressure: fewer iterations than the same solve started cold, and the
+    # same energy to solver tolerance
+    grid = StripGrid(n_x=64, n_r=16)
+    params = PhysParams(eps=0.3, beta=0.3, mu=1e-2, delta=1e-2)
+    bath = Bathymetry.cosine(grid, 0.25)
+    state, _ = well_prepared_init(sw_initial(grid, 0.08, 0.08), bath, params, 4.0, shear_amp=0.04, rho_amp=0.2)
+    dt = 0.5 * cfl_dt(state, bath, params)
+    iterations = count_solve_iterations(monkeypatch)
+    rec = simulate(state, bath, params, 4 * dt, dt=dt, cadence=2)
+    # the t = 0 measure, then per observation 8 stage solves, the projection
+    # and the measure
+    assert rec.status == "Continue" and len(iterations) == 21
+    warm = iterations[20]
+    cold_report = runner.measure(rec.final, bath, params, 4.0, 2.0)
+    cold = iterations[21]
+    assert warm < cold
+    assert abs(rec.reports[-1].E_s - cold_report.E_s) <= 1e-8 * cold_report.E_s
