@@ -74,7 +74,10 @@ def _coerce(key: str, raw: str):
             raise ValueError(f"{key} needs a boolean ({'/'.join(_TRUE + _FALSE)}), got {raw!r}")
         return word in _TRUE
     if isinstance(default, int):
-        return int(float(raw))
+        value = float(raw)
+        if not value.is_integer():
+            raise ValueError(f"{key} needs an integer, got {raw!r}")
+        return int(value)
     if isinstance(default, float):
         return float(raw)
     return raw

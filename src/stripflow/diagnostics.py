@@ -9,7 +9,6 @@ import numpy as np
 from . import spectral
 from .dynamics import StripState, VorticityField, vorticity
 from .geometry import DiffeoFields, PhysParams, alinhac_unknown, total_density
-from .pressure import TaylorCoefficient
 
 
 @dataclass
@@ -57,7 +56,7 @@ def good_unknown_energy(state, metric: DiffeoFields, params: PhysParams, s: floa
 
 def energy(
     state: StripState,
-    taylor: TaylorCoefficient,
+    taylor: np.ndarray,
     s: float,
     s0: float,
     params: PhysParams,
@@ -71,8 +70,7 @@ def energy(
     al = good_unknown_energy(state, diffeo, params, s)
 
     eta_s = spectral.lambda_pow(grid, state.eta0, s, dotted=True)
-    amin = taylor.minimum
-    surface = spectral.l2_surface(grid, np.sqrt(np.maximum(taylor.values, 0.0)) * eta_s) ** 2
+    surface = spectral.l2_surface(grid, np.sqrt(np.maximum(taylor, 0.0)) * eta_s) ** 2
 
     low_fields = [state.V[i] for i in range(grid.d)] + [sq * state.w, state.rho]
     E_low = spectral.stack_norm(grid, low_fields, s0 + 1) ** 2
@@ -96,7 +94,7 @@ def energy(
         shear_ratio=shear,
         drw_norm=drw,
         w_norm=wn,
-        taylor_min=amin,
+        taylor_min=float(taylor.min()),
         mean_eta0=float(state.eta0.mean()),
         state_norm=state_norm(state, grid, params, s),
         t=state.t,

@@ -111,26 +111,23 @@ class VorticityField:
     omega_r: np.ndarray | None = None
 
 
-def kinematic_deta0(state: StripState, grid: StripGrid, params: PhysParams) -> np.ndarray:
-    """d_t eta0 = -eps V|_{r=0} . grad eta0 + w|_{r=0}."""
-    g0 = spectral.dx(grid, state.eta0)
-    out = state.w[-1].copy()
-    for i in range(grid.d):
-        out -= params.eps * spectral.quadratic(grid, state.V[i, -1], g0[i])
-    return out
+def kinematic_deta0(
+    V_top: np.ndarray, w_top: np.ndarray, grad_eta0: np.ndarray, grid: StripGrid, params: PhysParams
+) -> np.ndarray:
+    """d_t eta0 = -eps V|_{r=0} . grad eta0 + w|_{r=0}, from the surface
+    traces V_top, w_top and grad_eta0 = grad eta0 (both schemes)."""
+    return w_top - params.eps * spectral.dealias(grid, np.sum(V_top * grad_eta0, axis=0))
 
 
-def metric_motion_term(ops, h, h_dot, grad_dH, drV, drw) -> np.ndarray:
+def metric_motion_term(ops, h, h_dot, grad_dH, dF) -> np.ndarray:
     """Divergence source of a moving coordinate map with layer thickness h:
     d_t gamma d_r w - sum_i d_t kappa_i d_r V_i for gamma = 1/h and
     kappa = grad H / h, given h_dot = d_t h, grad_dH = grad d_t H and the
-    vertical derivatives drV[i] = d_r V_i, drw = d_r w."""
+    vertical derivatives dF = d_r (V_1, .., V_d, w, ..) of a stack that
+    begins with the velocity."""
+    d = ops.grid.d
     kappa_dot = (grad_dH - ops.kappa * h_dot) / h
-    gamma_dot = -h_dot / h**2
-    out = gamma_dot * drw
-    for i in range(ops.grid.d):
-        out -= kappa_dot[i] * drV[i]
-    return out
+    return -h_dot / h**2 * dF[d] - np.sum(kappa_dot * dF[:d], axis=0)
 
 
 def assemble_pressure_problem(
@@ -138,41 +135,33 @@ def assemble_pressure_problem(
 ) -> tuple[EllipticProblem, dict]:
     """Elliptic problem for P plus the non-pressure tendencies it was built
     from (returned so the caller completes the momentum update without
-    re-deriving them)."""
+    re-deriving them).  V, w and rho are transported as one stack."""
     grid = diffeo.grid
     ops = diffeo.ops
-    mu, eps = params.mu, params.eps
+    d, mu, eps = grid.d, params.mu, params.eps
     nu = 1.0 / total_density(state.rho, params)
 
-    deta0 = kinematic_deta0(state, grid, params)
+    grad_eta0 = spectral.dx(grid, state.eta0)
+    deta0 = kinematic_deta0(state.V[:, -1], state.w[-1], grad_eta0, grid, params)
 
     # d_t of the coordinate map: eta has the fixed (1+r) eta0 profile.
     rp1 = grid.r_column(grid.r + 1.0)
-    dt_eta = rp1 * deta0
-    tcorr = eps * dt_eta / diffeo.h_tot
+    tcorr = eps * (rp1 * deta0) / diffeo.h_tot
 
-    grad_eta0 = spectral.dx(grid, state.eta0)
-    # d_r of each field once, shared by its advection, tcorr and metric terms
-    drV = [spectral.dr(grid, c) for c in state.V]
-    drw = spectral.dr(grid, state.w)
-
-    def tendency(f, df, force=0.0):
-        """-eps (advection of f) + force + tcorr d_r f, given df = d_r f: raw
-        products summed, then one 2/3-rule dealias (the rule is linear)."""
-        raw = -eps * ops.advect(state.V, state.w, f, df) + force + tcorr * df
-        return spectral.dealias(grid, raw)
-
-    B_V = np.empty_like(state.V)
-    for i in range(grid.d):
-        B_V[i] = tendency(state.V[i], drV[i], -params.g * params.rho_bar * nu * grad_eta0[i])
-    B_w = tendency(state.w, drw, -(params.g * params.delta / mu) * nu * state.rho)
-    drho = tendency(state.rho, spectral.dr(grid, state.rho))
+    # F = (V_1..V_d, w, rho); d_r F once, shared by advection, tcorr and the
+    # metric term; the forces are added raw and the stack dealiased once
+    F = np.concatenate([state.V, state.w[None], state.rho[None]])
+    dF = spectral.dr(grid, F)
+    B = -eps * ops.advect(state.V, state.w, F, dF) + tcorr * dF
+    B[:d] -= params.g * params.rho_bar * nu * grad_eta0[:, None]
+    B[d] -= (params.g * params.delta / mu) * nu * state.rho
+    B = spectral.dealias(grid, B)
 
     # the map moves with d_t (eta_bar + eps eta) = eps (1+r) deta0
     grad_dH = eps * rp1[None] * spectral.dx(grid, deta0)[:, None]
-    metric_term = metric_motion_term(ops, diffeo.h_tot, eps * deta0, grad_dH, drV, drw)
-    problem = closure_problem(diffeo, params, nu, B_V, B_w, metric_term)
-    aux = {"B_V": B_V, "B_w": B_w, "drho": drho, "deta0": deta0}
+    metric_term = metric_motion_term(ops, diffeo.h_tot, eps * deta0, grad_dH, dF)
+    problem = closure_problem(diffeo, params, nu, B[:d], B[d], metric_term)
+    aux = {"B_V": B[:d], "B_w": B[d], "drho": B[d + 1], "deta0": deta0}
     return problem, aux
 
 

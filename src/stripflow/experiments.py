@@ -105,7 +105,8 @@ def _march(cfg: ExperimentConfig, params: PhysParams, T: float, bath: Bathymetry
     slag = from_strip_state(state, bath, params)
     if dt is None:
         dt = cfl_dt_slag(slag, moll, bath, params, cfg["run.cfl"])
-    rec = run_moll(slag, moll, bath, params, T, dt, s=cfg["run.s"], cadence=cfg["run.cadence"])
+    rec = run_moll(slag, moll, bath, params, T, dt, s=cfg["run.s"], cadence=cfg["run.cadence"],
+                   norm_factor=cfg["limits.norm_factor"])
     return rec, [(params, t, None, None, E) for t, E in zip(rec.times, rec.energies)]
 
 

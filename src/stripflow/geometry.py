@@ -92,13 +92,16 @@ class Bathymetry:
     @classmethod
     def from_file(cls, grid: StripGrid, path) -> "Bathymetry":
         """Columnar text file with x and b samples, interpolated periodically;
-        ConfigError when it cannot be read or has fewer than two columns."""
+        ConfigError when it cannot be read, has fewer than two columns or a
+        non-finite sample."""
         try:
             data = np.loadtxt(path, ndmin=2)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bathymetry file {path}: {exc}") from exc
         if data.shape[1] < 2:
             raise ConfigError(f"bathymetry file {path} needs two columns (x, b)")
+        if not np.isfinite(data[:, :2]).all():
+            raise ConfigError(f"bathymetry file {path} has a non-finite sample")
         xs, bs = data[:, 0], data[:, 1]
         order = np.argsort(xs)
         xs, bs = xs[order], bs[order]
@@ -155,14 +158,15 @@ class SigmaOps:
         df = spectral.dr(self.grid, f)
         return spectral.dx(self.grid, f) - self.kappa * df, self.gamma * df
 
-    def advect(self, V: np.ndarray, w: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
-        """V . grad_phi f + w dr_phi f, given df = d_r f (taken once by the
-        caller, which reuses it), as raw products, not dealiased: the caller
-        dealiases the tendency field they enter, once."""
-        gx = spectral.dx(self.grid, f) - self.kappa * df
-        out = w * (self.gamma * df)
+    def advect(self, V: np.ndarray, w: np.ndarray, F: np.ndarray, dF: np.ndarray) -> np.ndarray:
+        """V . grad_phi f + w dr_phi f for each field f of the stack F
+        (leading field axis), given dF = d_r F (taken once by the caller,
+        which reuses it): one horizontal gradient of the whole stack, and raw
+        products, not dealiased (the caller dealiases the stack once)."""
+        gx = spectral.dx(self.grid, F)
+        out = w * (self.gamma * dF)
         for i in range(self.grid.d):
-            out = out + V[i] * gx[i]
+            out += V[i] * (gx[i] - self.kappa[i] * dF)
         return out
 
 

@@ -19,7 +19,8 @@ from scipy.interpolate import PchipInterpolator
 
 from . import spectral
 from .diagnostics import good_unknown_energy, vorticity_norm
-from .dynamics import PressureGuess, StripState, Tendencies, metric_motion_term, rk4, vorticity, warm_started
+from .dynamics import (PressureGuess, StripState, Tendencies, kinematic_deta0, metric_motion_term, rk4, vorticity,
+                       warm_started)
 from .errors import CFLViolation, DegenerateDiffeo, InterpolationOutOfRange
 from .geometry import (Bathymetry, DiffeoFields, PhysParams, barycentric_heights, total_density, water_depth,
                        wave_speed)
@@ -73,60 +74,38 @@ def slag_rhs(
     grid = bathymetry.grid
     metric = DiffeoFields.transported(grid, state.H)
     ops = metric.ops
-    mu, eps, g, rb = params.mu, params.eps, params.g, params.rho_bar
+    d, mu, eps, g, rb = grid.d, params.mu, params.eps, params.g, params.rho_bar
     nu = 1.0 / total_density(state.rho, params)
 
     def J(f, iota):
         return spectral.mollify(grid, f, iota) if iota else f
 
-    V2 = np.stack([J(state.V[i], moll.iota2) for i in range(grid.d)])
-
-    def moll_advect(f):
-        f1 = J(f, moll.iota1)
-        gx = spectral.dx(grid, f1)
-        out = np.zeros_like(f)
-        for i in range(grid.d):
-            out += spectral.quadratic(grid, V2[i], gx[i])
-        return J(out, moll.iota1)
-
-    def momentum(f, force):
-        """-eps J(V2 . grad J f) + force: raw products summed, then one
-        2/3-rule dealias (J commutes with the dealias mask)."""
-        gx = spectral.dx(grid, J(f, moll.iota1))
-        adv = J(np.sum(V2 * gx, axis=0), moll.iota1)
-        return spectral.dealias(grid, -eps * adv + force)
-
+    V2, w2 = J(state.V, moll.iota2), J(state.w, moll.iota2)
     grad_eta0 = spectral.dx(grid, state.eta0)
-    if moll.iota3:
+
+    # F = (V_1..V_d, w, rho, H): -eps J1(V2 . grad J1 f) for the whole stack,
+    # the forces added raw, then one dealias (J1 commutes with the mask)
+    F = np.concatenate([state.V, state.w[None], state.rho[None], state.H[None]])
+    gx = spectral.dx(grid, J(F, moll.iota1))
+    B = -eps * J(np.sum(V2[:, None] * gx, axis=0), moll.iota1)
+    B[:d] -= g * rb * nu * J(grad_eta0, moll.iota2)[:, None]
+    B[d] -= (g * params.delta / mu) * nu * state.rho
+    B = spectral.dealias(grid, B)
+    if moll.iota3:  # the dispersive term, outside the dealias
         ext = spectral.harmonic_extension(grid, spectral.lambda_pow(grid, state.eta0, 1.0))
         grad_ext, dr_ext = ops.gradients(ext)
-        disp_x = np.stack([J(c, moll.iota2) for c in grad_ext])
-        disp_r = J(dr_ext, moll.iota2)
-    else:
-        disp_x = np.zeros_like(state.V)
-        disp_r = np.zeros_like(state.w)
-
-    B_V = np.empty_like(state.V)
-    for i in range(grid.d):
-        B_V[i] = (
-            momentum(state.V[i], -g * rb * nu * J(grad_eta0[i], moll.iota2))
-            + moll.iota3 * nu * disp_x[i]
-        )
-    B_w = momentum(state.w, -(g * params.delta / mu) * nu * state.rho) + moll.iota3 * nu * disp_r / mu
-    drho = -eps * moll_advect(state.rho)
-    dH = -eps * moll_advect(state.H) + eps * J(state.w, moll.iota2)
-    deta0 = J(state.w[-1], moll.iota2).copy()
-    for i in range(grid.d):
-        deta0 -= eps * spectral.quadratic(grid, J(state.V[i, -1], moll.iota2), grad_eta0[i])
+        B[:d] += moll.iota3 * nu * J(grad_ext, moll.iota2)
+        B[d] += moll.iota3 * nu * J(dr_ext, moll.iota2) / mu
+    dH = B[d + 2] + eps * w2
+    deta0 = kinematic_deta0(V2[:, -1], w2[-1], grad_eta0, grid, params)
 
     # the map moves with d_t H = dH
     metric_term = metric_motion_term(
-        ops, metric.h_tot, spectral.dr(grid, dH), spectral.dx(grid, dH),
-        [spectral.dr(grid, c) for c in state.V], spectral.dr(grid, state.w),
+        ops, metric.h_tot, spectral.dr(grid, dH), spectral.dx(grid, dH), spectral.dr(grid, F[: d + 1])
     )
-    problem = closure_problem(metric, params, nu, B_V, B_w, metric_term)
-    dV, dw, P, info = solve_closure(problem, B_V, B_w, x0=x0)
-    return Tendencies(dV, dw, drho, deta0, P, info, dH)
+    problem = closure_problem(metric, params, nu, B[:d], B[d], metric_term)
+    dV, dw, P, info = solve_closure(problem, B[:d], B[d], x0=x0)
+    return Tendencies(dV, dw, B[d + 1], deta0, P, info, dH)
 
 
 def step_rk4_slag(
@@ -188,15 +167,20 @@ def run_moll(
     dt: float,
     s: float = 4.0,
     cadence: int = 10,
+    norm_factor: float = 10.0,
 ) -> RunRecord:
     """RK4 trajectory of the mollified system, recording the scheme energy;
     one ``PressureGuess`` carries the last pressures across steps, so each
     stage's solve starts from the last pressure plus the increment the same
-    stage saw one step earlier, and a non-finite energy halts the run with
-    NormBlowup (see ``runner.march`` for the cadence and the halt policy)."""
+    stage saw one step earlier.  The run halts with NormBlowup when the
+    energy is non-finite or exceeds norm_factor**2 times its t = 0 value (a
+    squared norm; the floor of ``diagnostics.blowup_monitor``); see
+    ``runner.march`` for the cadence and the halt policy."""
     def observe(state, rec):
-        rec.energies.append(moll_energy(state, moll, bathymetry, params, s))
-        return state, ("Continue" if np.isfinite(rec.energies[-1]) else "NormBlowup")
+        E = moll_energy(state, moll, bathymetry, params, s)
+        rec.energies.append(E)
+        bound = norm_factor**2 * max(rec.energies[0], 1e-12)
+        return state, ("Continue" if np.isfinite(E) and E <= bound else "NormBlowup")
 
     guess = PressureGuess()
 

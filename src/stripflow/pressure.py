@@ -70,17 +70,6 @@ from .geometry import DiffeoFields, PhysParams
 from .grid import StripGrid
 
 
-@dataclass(frozen=True)
-class TaylorCoefficient:
-    """Surface field a = g rho_bar - (eps/(h_bar + eps h)) d_r P at r = 0."""
-
-    values: np.ndarray
-
-    @property
-    def minimum(self) -> float:
-        return float(self.values.min())
-
-
 @dataclass
 class EllipticProblem:
     """One pressure-type solve: the coordinate map, the coefficient nu, and
@@ -385,19 +374,18 @@ def solve_pressure(
 # -- Rayleigh-Taylor coefficient --------------------------------------------------
 
 
-def taylor_coefficient(P: np.ndarray, diffeo: DiffeoFields, params: PhysParams) -> TaylorCoefficient:
-    """a = g rho_bar - (eps/(h_bar + eps h)) d_r P evaluated at the surface
+def taylor_coefficient(P: np.ndarray, diffeo: DiffeoFields, params: PhysParams) -> np.ndarray:
+    """The surface field a = g rho_bar - (eps/(h_bar + eps h)) d_r P at r = 0
     (one-sided vertical stencil)."""
     drP_top = spectral.dr(diffeo.grid, P)[-1]
-    a = params.g * params.rho_bar - params.eps * drP_top / diffeo.h_tot
-    return TaylorCoefficient(a)
+    return params.g * params.rho_bar - params.eps * drP_top / diffeo.h_tot
 
 
 def taylor_time_derivative(history: list, dt: float) -> np.ndarray:
     """Backward finite difference of the Taylor coefficient in time."""
     if len(history) < 2:
         raise InsufficientHistory("need at least two snapshots")
-    vals = [h.values if isinstance(h, TaylorCoefficient) else np.asarray(h) for h in history]
+    vals = [np.asarray(h) for h in history]
     if len(vals) == 2:
         return (vals[-1] - vals[-2]) / dt
     return (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * dt)

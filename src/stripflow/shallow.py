@@ -59,17 +59,11 @@ def sw_rhs(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> SWTendenc
     h = water_depth(bathymetry, sw.eta, params)
     if h.min() <= 0.0:
         raise DegenerateDepth(f"shallow-water depth {h.min():.3e}")
-    deta = np.zeros(grid.xshape)
-    for i in range(grid.d):
-        deta -= spectral.dx(grid, spectral.quadratic(grid, h, sw.V[i]))[i]
-    dV = np.empty_like(sw.V)
-    geta = spectral.dx(grid, sw.eta)
-    for i in range(grid.d):
-        adv = np.zeros(grid.xshape)
-        gVi = spectral.dx(grid, sw.V[i])
-        for j in range(grid.d):
-            adv += spectral.quadratic(grid, sw.V[j], gVi[j])
-        dV[i] = -params.eps * adv - params.g * geta[i]
+    deta = -np.trace(spectral.dx(grid, spectral.dealias(grid, h * sw.V)))
+    # gV[j, i] = d_j V_i: the products V_j d_j V_i summed over j, then one dealias
+    gV = spectral.dx(grid, sw.V)
+    adv = spectral.dealias(grid, np.sum(sw.V[:, None] * gV, axis=0))
+    dV = -params.eps * adv - params.g * spectral.dx(grid, sw.eta)
     return SWTendencies(dV, deta)
 
 
@@ -94,13 +88,10 @@ def lift_sw(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> StripSta
     shape = (grid.n_r + 1,) + grid.xshape
     V = np.broadcast_to(sw.V[:, None], (grid.d,) + shape).copy()
     h = water_depth(bathymetry, sw.eta, params)
-    divV = np.zeros(grid.xshape)
-    slope = np.zeros(grid.xshape)
-    for i in range(grid.d):
-        divV += spectral.dx(grid, sw.V[i])[i]
-        slope += params.beta * spectral.quadratic(grid, sw.V[i], bathymetry.gradient[i])
+    divV = np.trace(spectral.dx(grid, sw.V))
+    slope = params.beta * spectral.dealias(grid, np.sum(sw.V * bathymetry.gradient, axis=0))
     rp1 = grid.r_column(grid.r + 1.0)
-    w = slope - rp1 * spectral.quadratic(grid, h, divV)
+    w = slope - rp1 * spectral.dealias(grid, h * divV)
     rho = np.zeros(shape)
     return StripState(V, w, rho, sw.eta.copy(), sw.t)
 

@@ -3,7 +3,8 @@ norms and quadrature on the strip.
 
 All operators act slab-by-slab on strip fields (leading r-axis) and directly
 on surface fields; the horizontal transform is a real FFT over the trailing
-d axes.
+d axes, so the transforms, ``dx``, ``dr`` and the multipliers also take a
+stack of fields along further leading axes in one call.
 """
 
 from __future__ import annotations
@@ -43,25 +44,21 @@ def dx(grid: StripGrid, f: np.ndarray) -> np.ndarray:
 
 
 def dr(grid: StripGrid, f: np.ndarray, order: int = 1) -> np.ndarray:
-    """Vertical derivative of a strip field (4th-order finite differences)."""
-    if f.shape[0] != grid.n_r + 1:
+    """Vertical derivative (4th-order finite differences) of a strip field,
+    or of each field of a stack of them (leading field axes)."""
+    if f.ndim < grid.d + 1 or f.shape[-grid.d - 1] != grid.n_r + 1:
         raise ValueError("not a strip field")
-    out = f
+    out = f.reshape(f.shape[: -grid.d - 1] + (grid.n_r + 1, -1))
     for _ in range(order):
-        out = (grid.Dr @ out.reshape(grid.n_r + 1, -1)).reshape(f.shape)
-    return out
+        out = grid.Dr @ out
+    return out.reshape(f.shape)
 
 
 def dealias(grid: StripGrid, f: np.ndarray) -> np.ndarray:
+    """2/3-rule filter.  Every nonlinear term goes through it the same way:
+    the raw products of a field are summed, then dealiased once (the rule is
+    linear), for a whole stack of fields in one call."""
     return apply_multiplier(grid, f, grid.dealias_mask)
-
-
-def quadratic(grid: StripGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dealiased pointwise product, used for every advective nonlinearity."""
-    prod = a * b
-    if not prod.any():
-        return prod if prod.shape else np.zeros(np.broadcast(a, b).shape)
-    return dealias(grid, prod)
 
 
 # -- multipliers ---------------------------------------------------------------

@@ -317,7 +317,7 @@ def test_criterion_10_blowup_machinery():
     from stripflow.runner import measure as _measure
 
     rep = _measure(st, bath, params, 4.0, 2.0)
-    synthetic = type(rep)(**{**rep.__dict__, "taylor_min": a.minimum})
+    synthetic = type(rep)(**{**rep.__dict__, "taylor_min": a.min()})
     trig = blowup_monitor(synthetic, rep.state_norm, params)
 
     # (b) a strongly sheared layer either completes or halts cleanly

@@ -92,6 +92,10 @@ class TestConfig:
         path.write_text(BASE_CONFIG + "\nsweep.delta_tracks_mu = ture\n")
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("raw,value", [("16", 16), ("16.0", 16), ("1e2", 100)])
+    def test_integral_value_of_integer_key(self, raw, value):
+        assert parse_config_text(f"grid.n_x = {raw}")["grid.n_x"] == value
+
     def test_value_lists(self):
         cfg = ExperimentConfig.from_text("sweep.values = 1e-1, 1e-2, 1e-3")
         assert cfg["sweep.values"] == (0.1, 0.01, 0.001)
@@ -174,6 +178,13 @@ class TestCLI:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("setting", ["grid.n_x = 16.7", "run.cadence = 1.5"], ids=["n_x", "cadence"])
+    def test_fractional_integer_setting_exit_code(self, tmp_path, setting):
+        # an integer key is not truncated: 16.7 grid points is a typo
+        cfg = self._write(tmp_path, f"\n{setting}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_two_dimensional_streamfunction_run_exit_code(self, tmp_path):
         # init_from_streamfunction is d = 1 only: ValueError, exit 1
         cfg = self._write(tmp_path, "\ngrid.d = 2\ngrid.n_x = 16\ngrid.n_r = 8\ninitial.recipe = streamfunction\n")
@@ -187,7 +198,10 @@ class TestCLI:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
         assert not (tmp_path / "s").exists()
 
-    @pytest.mark.parametrize("content", [None, "0.0\n1.0\n2.0\n"], ids=["missing", "one-column"])
+    @pytest.mark.parametrize(
+        "content", [None, "0.0\n1.0\n2.0\n", "0.0 0.1\n1.0 nan\n2.0 0.0\n"],
+        ids=["missing", "one-column", "nan-sample"],
+    )
     def test_unreadable_bathymetry_file_exit_code(self, tmp_path, content):
         bottom = tmp_path / "bottom.txt"
         if content is not None:

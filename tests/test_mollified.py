@@ -4,10 +4,12 @@ import pytest
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
 from stripflow import mollified
+from stripflow.config import ExperimentConfig
 from stripflow.diagnostics import good_unknown_energy
 from stripflow.dynamics import PressureGuess, StripState, step_rk4, vorticity
 from stripflow.geometry import DiffeoFields
 from stripflow.errors import DegenerateDiffeo, InterpolationOutOfRange, NoConvergence
+from stripflow.experiments import run_single
 from stripflow.mollified import (
     MollParams,
     SlagState,
@@ -102,7 +104,7 @@ class TestSlagDynamics:
         V = np.full((1, grid.n_r + 1, grid.n_x), c)
 
         def dH(H):
-            return -params.eps * spectral.quadratic(grid, V[0], spectral.dx(grid, H)[0])
+            return -params.eps * spectral.dealias(grid, V[0] * spectral.dx(grid, H)[0])
 
         T, n = 0.5, 100
         dt = T / n
@@ -340,3 +342,25 @@ class TestRunMollHalts:
         assert traj.status == "DegenerateDiffeo"
         assert traj.times == [] and traj.energies == []
         assert traj.final.t == 0.0
+
+    def test_energy_growth_halts_with_norm_blowup(self, grid, monkeypatch):
+        # the scheme energy is a squared norm: the run halts once it exceeds
+        # norm_factor**2 (default 10**2) times its t = 0 value
+        energies = iter([2.0, 150.0, 250.0, 250.0])
+        monkeypatch.setattr(mollified, "moll_energy", lambda *args: next(energies))
+        traj = self._run(grid)
+        assert traj.status == "NormBlowup"
+        assert traj.energies == [2.0, 150.0, 250.0]
+        assert traj.halted_at == pytest.approx(2e-3)
+
+    def test_run_reads_norm_factor(self, tmp_path, monkeypatch):
+        # a mollified run takes limits.norm_factor from its configuration
+        energies = iter([1.0, 3.0, 5.0, 5.0, 5.0])
+        monkeypatch.setattr(mollified, "moll_energy", lambda *args: next(energies))
+        cfg = ExperimentConfig.from_text(
+            "scheme.kind = mollified\ngrid.n_x = 32\ngrid.n_r = 8\ninitial.eta0_amplitude = 0.05\n"
+            "run.T = 0.004\nrun.dt = 0.001\nrun.cadence = 1\nlimits.norm_factor = 2\n"
+        )
+        code, summary = run_single(cfg, tmp_path)
+        assert code == 3 and summary["status"] == "NormBlowup"
+        assert summary["record"].energies == [1.0, 3.0, 5.0]

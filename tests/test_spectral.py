@@ -256,9 +256,12 @@ class TestDealias:
         f = np.cos((grid.n_x // 2 - 1) * 2 * np.pi * grid.x / grid.length)
         assert np.abs(spectral.dealias(grid, f)).max() < 1e-13
 
-    def test_quadratic_of_zero(self, grid, rng):
-        f = random_surface(grid, rng)
-        assert np.abs(spectral.quadratic(grid, f, np.zeros_like(f))).max() == 0.0
+    def test_dealias_of_zero_product(self, grid, rng):
+        # a zero stack of products keeps its shape and stays exactly zero
+        f = np.stack([random_surface(grid, rng), random_surface(grid, rng)])
+        out = spectral.dealias(grid, f * np.zeros_like(f))
+        assert out.shape == f.shape
+        assert np.abs(out).max() == 0.0
 
 
 class TestTransforms:
@@ -280,3 +283,11 @@ class TestTransforms:
         once = np.tensordot(grid.Dr, f, axes=(1, 0))
         assert np.array_equal(spectral.dr(grid, f), once)
         assert np.array_equal(spectral.dr(grid, f, order=2), np.tensordot(grid.Dr, once, axes=(1, 0)))
+
+    @pytest.mark.parametrize("n_x,n_r,d", [(64, 16, 1), (16, 12, 2)])
+    def test_dr_of_a_stack_is_dr_of_each_field(self, n_x, n_r, d, rng):
+        grid = StripGrid(n_x=n_x, n_r=n_r, d=d)
+        F = rng.standard_normal((3, n_r + 1) + grid.xshape)
+        for order in (1, 2):
+            expect = np.stack([spectral.dr(grid, f, order=order) for f in F])
+            assert np.array_equal(spectral.dr(grid, F, order=order), expect)
