@@ -141,6 +141,13 @@ class ExperimentConfig:
             problems.append("run.cfl must be positive")
         if v["run.cadence"] < 1:
             problems.append("run.cadence must be at least 1")
+        # cutoff scales and Sobolev orders the norms can take
+        problems += [f"{key} must not be negative"
+                     for key in ("scheme.iota1", "scheme.iota2", "scheme.iota3", "run.s", "run.s0") if v[key] < 0]
+        if v["limits.norm_factor"] <= 0:
+            problems.append("limits.norm_factor must be positive (a run would halt at t = 0)")
+        if v["rate.min"] > v["rate.max"]:
+            problems.append("rate.min must not exceed rate.max (no fit could pass)")
         if v["sweep.axis"] and v["sweep.axis"] not in ("mu", "iota3", "log_horizon"):
             problems.append(f"unknown sweep axis {v['sweep.axis']!r}")
         if v["sweep.axis"]:

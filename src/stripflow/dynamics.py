@@ -80,26 +80,32 @@ class Tendencies:
     dH: np.ndarray | None = None
 
 
-# pressures a PressureGuess holds: the four stages of one step plus one more
-GUESS_HISTORY = 5
+# pressures a PressureGuess holds: the four stages of each of the last two
+# steps plus one more
+GUESS_HISTORY = 9
 
 
 @dataclass
 class PressureGuess:
     """The last GUESS_HISTORY pressures solved, oldest first, carried from
     step to step by the caller that owns the time loop.  With four solves per
-    step, P[-4] - P[-5] is the increment the coming solve's RK stage added one
-    step earlier; ``initial`` adds it to P[-1]."""
+    step, d1 = P[-4] - P[-5] and d2 = P[-8] - P[-9] are the increments the
+    coming solve's RK stage added one and two steps earlier; ``initial``
+    extrapolates them linearly (Fischer 1998: guesses for successive
+    right-hand sides)."""
 
     history: deque = field(default_factory=lambda: deque(maxlen=GUESS_HISTORY))
 
     def initial(self) -> np.ndarray | None:
-        """P[-1] + (P[-4] - P[-5]); P[-1] while fewer are held, None (a cold
-        start) while none is."""
+        """P[-1] + 2 d1 - d2 (second order in the step); P[-1] + d1 while
+        fewer than nine are held, P[-1] while fewer than five are, None (a
+        cold start) while none is."""
         P = self.history
-        if len(P) < GUESS_HISTORY:
+        if len(P) < 5:
             return P[-1] if P else None
-        return P[-1] + (P[-4] - P[-5])
+        if len(P) < GUESS_HISTORY:
+            return P[-1] + (P[-4] - P[-5])
+        return P[-1] + 2.0 * (P[-4] - P[-5]) - (P[-8] - P[-9])
 
 
 @dataclass
@@ -238,11 +244,11 @@ def step_rk4(
 ) -> StripState:
     """Classical four-stage step, four pressure solves, no projection (the
     stage solves keep the divergence stationary to solver tolerance); each
-    stage's solve starts from the last pressure in ``guess`` plus the
-    increment the same stage saw one step earlier (from the previous stage's
-    pressure, and stage 1 cold, without a carried guess; see
-    ``warm_started``).  Raises CFLViolation when dt exceeds the 0.5-factor
-    stability bound."""
+    stage's solve starts from the last pressure in ``guess`` plus the linear
+    extrapolation of the increments the same stage saw one and two steps
+    earlier (from the previous stage's pressure, and stage 1 cold, without a
+    carried guess; see ``warm_started``).  Raises CFLViolation when dt
+    exceeds the 0.5-factor stability bound."""
     limit = cfl_dt(state, bathymetry, params, factor=0.5)
     if dt > limit:
         raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
@@ -264,13 +270,14 @@ def shifted(state, k, h: float):
 def warm_started(solve, guess: PressureGuess | None = None):
     """``solve(state, x0)``, tendencies whose pressure solve starts from x0,
     as an ``rk4`` right-hand side: each solve starts from the last pressure
-    solved plus the increment the same RK stage saw one step earlier
-    (``PressureGuess.initial``; Fischer 1998: guesses for successive
-    right-hand sides), and keeps its pressure in ``guess``.  A fresh guess
-    (the default) holds fewer than five pressures, so each stage starts from
-    the previous stage's pressure and stage 1 cold.  The stopping test is
-    relative to the right-hand side, so the guess changes the cost of a
-    solve, not its accuracy."""
+    solved plus the linear extrapolation of the increments the same RK stage
+    saw one and two steps earlier (``PressureGuess.initial``, which ramps up
+    from a cold start as the history fills; Fischer 1998: guesses for
+    successive right-hand sides), and keeps its pressure in ``guess``.  A
+    fresh guess (the default) holds fewer than five pressures, so each stage
+    starts from the previous stage's pressure and stage 1 cold.  The
+    stopping test is relative to the right-hand side, so the guess changes
+    the cost of a solve, not its accuracy."""
     guess = PressureGuess() if guess is None else guess
 
     def rhs(state):

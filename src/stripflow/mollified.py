@@ -113,9 +113,10 @@ def step_rk4_slag(
     guess: PressureGuess | None = None,
 ) -> SlagState:
     """One RK4 step; each stage's pressure solve starts from the last
-    pressure in ``guess`` plus the increment the same stage saw one step
-    earlier (from the previous stage's pressure, and stage 1 cold, without a
-    carried guess; see ``dynamics.warm_started``).  Raises CFLViolation when
+    pressure in ``guess`` plus the linear extrapolation of the increments
+    the same stage saw one and two steps earlier (from the previous stage's
+    pressure, and stage 1 cold, without a carried guess; see
+    ``dynamics.warm_started``).  Raises CFLViolation when
     dt exceeds the 0.5-factor stability bound, as ``dynamics.step_rk4``
     does."""
     limit = cfl_dt_slag(state, moll, bathymetry, params, factor=0.5)
@@ -171,11 +172,12 @@ def run_moll(
 ) -> RunRecord:
     """RK4 trajectory of the mollified system, recording the scheme energy;
     one ``PressureGuess`` carries the last pressures across steps, so each
-    stage's solve starts from the last pressure plus the increment the same
-    stage saw one step earlier.  The run halts with NormBlowup when the
-    energy is non-finite or exceeds norm_factor**2 times its t = 0 value (a
-    squared norm; the floor of ``diagnostics.blowup_monitor``); see
-    ``runner.march`` for the cadence and the halt policy."""
+    stage's solve starts from the last pressure plus the linear extrapolation
+    of the increments the same stage saw one and two steps earlier.  The run
+    halts with NormBlowup when the energy is non-finite or exceeds
+    norm_factor**2 times its t = 0 value (a squared norm; the floor of
+    ``diagnostics.blowup_monitor``); see ``runner.march`` for the cadence and
+    the halt policy."""
     def observe(state, rec):
         E = moll_energy(state, moll, bathymetry, params, s)
         rec.energies.append(E)

@@ -49,11 +49,14 @@ their geometric mean, so both regimes are off by the same factor of h and
 the iteration counts stay uniform in the shallow-water parameter mu, which
 the flat inverse carries as well; h^2 is exact only in the column limit and
 lets the count drift with mu.  The RK integrator
-warm-starts each stage's solve from the last pressure solved plus the
-increment the same stage added one step earlier, P[-1] + (P[-4] - P[-5])
-over the last five solves (``dynamics.PressureGuess``; from P[-1] while
-fewer are held); the stopping test stays relative to the right-hand side,
-so the accuracy does not depend on the initial guess.
+warm-starts each stage's solve from the last pressure solved plus the linear
+extrapolation of the increments the same stage added one and two steps
+earlier, P[-1] + 2 (P[-4] - P[-5]) - (P[-8] - P[-9]) over the last nine
+solves (``dynamics.PressureGuess``; Fischer 1998: guesses for successive
+right-hand sides; from P[-1] + (P[-4] - P[-5]) while fewer than nine are
+held and from P[-1] while fewer than five are); the stopping test stays
+relative to the right-hand side, so the accuracy does not depend on the
+initial guess.
 """
 
 from __future__ import annotations

@@ -103,8 +103,8 @@ def simulate(
     """Advance to time T with fixed dt (from the initial CFL bound when not
     given); every step re-checks the stability bound, and one
     ``PressureGuess`` carries the last pressures across steps, so each
-    stage's solve starts from the last pressure plus the increment the same
-    stage saw one step earlier.  Each
+    stage's solve starts from the last pressure plus the linear extrapolation
+    of the increments the same stage saw one and two steps earlier.  Each
     observation after t = 0 projects the state first (the initial-state
     constructors project or build a rest state) and the run continues from
     the projected state, so every recorded state and ``final`` are

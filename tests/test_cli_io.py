@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +180,36 @@ class TestCLI:
         cfg = self._write(tmp_path, f"\n{setting}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("setting", [
+        "scheme.kind = mollified\nscheme.iota1 = -1", "scheme.kind = mollified\nscheme.iota2 = -1",
+        "scheme.kind = mollified\nscheme.iota3 = -1", "run.s = -3", "run.s0 = -1",
+        "limits.norm_factor = -1", "limits.norm_factor = 0", "rate.min = 5\nrate.max = 1",
+    ], ids=["iota1", "iota2", "iota3", "s", "s0", "norm_factor-negative", "norm_factor-zero", "rate-window"])
+    def test_impossible_setting_exit_code(self, tmp_path, setting):
+        # a negative cutoff raised ValueError from MollParams and a negative s
+        # from the Sobolev norm (exit 1); a negative s0 ran on unchecked; a
+        # non-positive norm_factor halted every run at t = 0 (exit 3); an
+        # empty rate window was accepted, although no sweep fit could pass
+        cfg = self._write(tmp_path, f"\n{setting}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_cutoff_sweep_exit_code(self, tmp_path):
+        # the first member's ValueError escaped _member and took down the
+        # worker pool with a traceback (exit 1)
+        extra = "\nscheme.iota1 = -1\nsweep.axis = iota3\nsweep.values = 1e-1, 1e-2, 1e-3\n"
+        cfg, out = self._write(tmp_path, extra), tmp_path / "s"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stripflow.cli", "sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "scheme.iota1 must not be negative" in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("setting", ["grid.n_x = 16.7", "run.cadence = 1.5"], ids=["n_x", "cadence"])
     def test_fractional_integer_setting_exit_code(self, tmp_path, setting):

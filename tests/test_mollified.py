@@ -133,15 +133,17 @@ class TestSlagDynamics:
         assert np.abs(div[1:-1]).max() < 1e-10
 
     def test_carried_guess_matches_cold_steps(self, grid):
-        # stage 1 of step 2 starts from the last-stage pressure of step 1, and
-        # from step 2 stage 2 on every stage adds the increment the same stage
-        # saw one step earlier (stage 1 first at step 3); every solve stops on
-        # the same relative residual
+        # the guess ramps up as the history fills: stage 1 of step 2 starts
+        # from the last-stage pressure of step 1, stage 2 of step 2 adds the
+        # increment its stage saw one step earlier (stage 1 first at step 3),
+        # and stage 2 of step 3 extrapolates the increments of the two steps
+        # before (stage 1 first at step 4); every solve stops on the same
+        # relative residual
         params = PhysParams(eps=0.25, beta=0.25, mu=0.1)
         bath = Bathymetry.cosine(grid, 0.2)
         cold = warm = from_strip_state(wave_state(grid), bath, params)
         moll, dt, guess = MollParams(0.1, 0.1, 0.01), 2e-3, PressureGuess()
-        for _ in range(3):
+        for _ in range(4):
             cold = step_rk4_slag(cold, dt, moll, bath, params)
             warm = step_rk4_slag(warm, dt, moll, bath, params, guess)
         for name in ("V", "w", "rho", "H", "eta0"):
@@ -162,6 +164,25 @@ class TestSlagDynamics:
         iterations = count_solve_iterations(monkeypatch)
         step_rk4_slag(slag, dt, moll, bath, params, last)
         step_rk4_slag(slag, dt, moll, bath, params, guess)
+        assert len(iterations) == 8
+        assert sum(iterations[4:]) < sum(iterations[:4])
+
+    def test_second_order_increment_cuts_iterations(self, grid, monkeypatch):
+        # step 4 from the full history (each stage extrapolates the increments
+        # it added one and two steps earlier) against step 4 from the last
+        # five pressures (each stage adds the increment of one step earlier)
+        params = PhysParams(eps=0.25, beta=0.25, mu=0.1)
+        bath = Bathymetry.cosine(grid, 0.2)
+        slag = from_strip_state(wave_state(grid), bath, params)
+        moll, dt, guess = MollParams(0.1, 0.1, 0.01), 2e-3, PressureGuess()
+        for _ in range(3):
+            slag = step_rk4_slag(slag, dt, moll, bath, params, guess)
+        full, first = PressureGuess(), PressureGuess()
+        full.history.extend(guess.history)
+        first.history.extend(list(guess.history)[-5:])
+        iterations = count_solve_iterations(monkeypatch)
+        step_rk4_slag(slag, dt, moll, bath, params, first)
+        step_rk4_slag(slag, dt, moll, bath, params, full)
         assert len(iterations) == 8
         assert sum(iterations[4:]) < sum(iterations[:4])
 

@@ -548,14 +548,16 @@ class TestHotPath:
         assert np.abs(warm.P - cold.P).max() <= 1e-8 * np.abs(cold.P).max()
 
     def test_carried_guess_matches_cold_steps(self, grid, params, rng):
-        # stage 1 of step 2 starts from the last-stage pressure of step 1, and
-        # from step 2 stage 2 on every stage adds the increment the same stage
-        # saw one step earlier (stage 1 first at step 3); every solve stops on
-        # the same relative residual
+        # the guess ramps up as the history fills: stage 1 of step 2 starts
+        # from the last-stage pressure of step 1, stage 2 of step 2 adds the
+        # increment its stage saw one step earlier (stage 1 first at step 3),
+        # and stage 2 of step 3 extrapolates the increments of the two steps
+        # before (stage 1 first at step 4); every solve stops on the same
+        # relative residual
         bath = Bathymetry.cosine(grid, 0.2)
         cold = warm = _sheared_state(grid, rng)
         dt, guess = 2e-3, PressureGuess()
-        for _ in range(3):
+        for _ in range(4):
             cold = step_rk4(cold, dt, bath, params)
             warm = step_rk4(warm, dt, bath, params, guess)
         for name in ("V", "w", "rho", "eta0"):
@@ -584,6 +586,23 @@ class TestHotPath:
         iterations = count_solve_iterations(monkeypatch)
         step_rk4(state, dt, bath, params, last)
         step_rk4(state, dt, bath, params, guess)
+        assert len(iterations) == 8
+        assert sum(iterations[4:]) < sum(iterations[:4])
+
+    def test_second_order_increment_cuts_iterations(self, grid, params, rng, monkeypatch):
+        # step 4 from the full history (each stage extrapolates the increments
+        # it added one and two steps earlier) against step 4 from the last
+        # five pressures (each stage adds the increment of one step earlier)
+        bath = Bathymetry.cosine(grid, 0.2)
+        state, dt, guess = _sheared_state(grid, rng), 2e-3, PressureGuess()
+        for _ in range(3):
+            state = step_rk4(state, dt, bath, params, guess)
+        full, first = PressureGuess(), PressureGuess()
+        full.history.extend(guess.history)
+        first.history.extend(list(guess.history)[-5:])
+        iterations = count_solve_iterations(monkeypatch)
+        step_rk4(state, dt, bath, params, first)
+        step_rk4(state, dt, bath, params, full)
         assert len(iterations) == 8
         assert sum(iterations[4:]) < sum(iterations[:4])
 
