@@ -143,7 +143,9 @@ class ExperimentConfig:
             problems.append("run.cadence must be at least 1")
         # cutoff scales and Sobolev orders the norms can take
         problems += [f"{key} must not be negative"
-                     for key in ("scheme.iota1", "scheme.iota2", "scheme.iota3", "run.s", "run.s0") if v[key] < 0]
+                     for key in ("scheme.iota1", "scheme.iota2", "scheme.iota3", "run.s0") if v[key] < 0]
+        if v["run.s"] < 1:
+            problems.append("run.s must be at least 1 (the vorticity is measured in H^(s-1))")
         if v["limits.norm_factor"] <= 0:
             problems.append("limits.norm_factor must be positive (a run would halt at t = 0)")
         if v["rate.min"] > v["rate.max"]:

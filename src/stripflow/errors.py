@@ -33,6 +33,10 @@ class NoConvergence(StripflowError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
 
 
+class TooManySteps(StripflowError):
+    """The march to the final time needs more steps than a run may take."""
+
+
 class CFLViolation(StripflowError):
     """Requested time step exceeds the advective/wave stability bound."""
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import spectral
 from .diagnostics import good_unknown_energy, vorticity_norm
@@ -197,12 +196,52 @@ def run_moll(
 CLAMP_TOL = 1e-3
 
 
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point derivative at an end node, 0 where its sign
+    differs from the end slope m0 and 3 m0 where it exceeds that thrice
+    across a change of slope sign (Moler, *Numerical Computing with MATLAB*,
+    sec. 3.6)."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    d = np.where(np.sign(d) != np.sign(m0), 0.0, d)
+    return np.where((np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0)), 3.0 * m0, d)
+
+
+def monotone_cubic(z: np.ndarray, F: np.ndarray, zt: np.ndarray) -> np.ndarray:
+    """Monotone piecewise cubic (Fritsch & Carlson, 1980) of the samples F
+    (levels, fields, columns) at the strictly increasing heights z (levels,
+    columns), evaluated at the heights zt (levels, columns) inside each
+    column's range; every column and field at once.  The node derivatives
+    are the weighted harmonic mean of the neighbouring slopes, 0 where they
+    change sign or one vanishes, and ``_end_slope`` at the two ends (the
+    PCHIP rule of Fritsch & Butland, 1984)."""
+    h = np.diff(z, axis=0)[:, None]
+    m = np.diff(F, axis=0) / h
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = (w1 + w2) / (w1 / m[:-1] + w2 / m[1:])
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.concatenate([
+        _end_slope(h[0], h[1], m[0], m[1])[None],
+        np.where(flat, 0.0, mean),
+        _end_slope(h[-1], h[-2], m[-1], m[-2])[None],
+    ])
+    # per interval, the Hermite cubic in powers of the offset from its left node
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    coef = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], F[:-1]])
+    # interval i holds z[i] <= zt < z[i + 1]; the top node closes the last one
+    i = np.clip((z[None] <= zt[:, None]).sum(axis=1) - 1, 0, len(z) - 2)
+    c = np.take_along_axis(coef, i[None, :, None], axis=1)
+    s = (zt - np.take_along_axis(z, i, axis=0))[:, None]
+    return ((c[0] * s + c[1]) * s + c[2]) * s + c[3]
+
+
 def slag_to_sigma(state: SlagState, bathymetry: Bathymetry, params: PhysParams) -> StripState:
     """Resample (V, w, rho) from the transported vertical map onto the
-    production sigma levels (monotone cubic per column, spectral in x is not
-    needed because both maps share the horizontal nodes).  Target levels may
-    exceed the source column by up to CLAMP_TOL (the mollified surface trace
-    and the transported map decouple at the cutoff scale); they are clamped.
+    production sigma levels (``monotone_cubic`` per column, spectral in x is
+    not needed because both maps share the horizontal nodes).  Target levels
+    may exceed the source column by up to CLAMP_TOL (the mollified surface
+    trace and the transported map decouple at the cutoff scale); they are
+    clamped.
     """
     grid = bathymetry.grid
     if grid.d != 1:
@@ -211,21 +250,22 @@ def slag_to_sigma(state: SlagState, bathymetry: Bathymetry, params: PhysParams) 
     r = grid.r_column(grid.r)
     z_source = r + state.H
     tol = CLAMP_TOL * (1.0 + np.abs(z_source).max())
-    fields = [state.V[0], state.w, state.rho]
-    out = [np.empty_like(f) for f in fields]
-    for j in range(grid.n_x):
-        zs = z_source[:, j]
-        zt = z_target[:, j]
-        if np.any(np.diff(zs) <= 0):
+    lo, hi = z_source.min(axis=0), z_source.max(axis=0)
+    degenerate = ~(np.diff(z_source, axis=0) > 0).all(axis=0)
+    outside = (z_target.min(axis=0) < lo - tol) | (z_target.max(axis=0) > hi + tol)
+    bad = np.flatnonzero(degenerate | outside)
+    if bad.size:  # the first bad column decides, as a column-by-column scan would
+        j = bad[0]
+        if degenerate[j]:
             raise DegenerateDiffeo("source column not strictly increasing")
-        if zt.min() < zs.min() - tol or zt.max() > zs.max() + tol:
-            raise InterpolationOutOfRange(
-                f"target [{zt.min():.6f}, {zt.max():.6f}] vs source [{zs.min():.6f}, {zs.max():.6f}]"
-            )
-        ztc = np.clip(zt, zs.min(), zs.max())
-        for f, o in zip(fields, out):
-            o[:, j] = PchipInterpolator(zs, f[:, j])(ztc)
-    return StripState(out[0][None], out[1], out[2], state.eta0.copy(), state.t)
+        zt = z_target[:, j]
+        raise InterpolationOutOfRange(
+            f"target [{zt.min():.6f}, {zt.max():.6f}] vs source [{lo[j]:.6f}, {hi[j]:.6f}]"
+        )
+    F = np.stack([state.V[0], state.w, state.rho], axis=1)
+    out = monotone_cubic(z_source, F, np.clip(z_target, lo, hi))
+    V, w, rho = np.ascontiguousarray(out.transpose(1, 0, 2))
+    return StripState(V[None], w, rho, state.eta0.copy(), state.t)
 
 
 def terminal_distance(

@@ -65,7 +65,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import spectral
 from .errors import InsufficientHistory, NoConvergence
@@ -302,7 +301,8 @@ def gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, tol: float, maxiter: in
             if abs(g[j]) <= tol:
                 break
             V[j] = w / hn
-        y = solve_triangular(R[:j, :j], g[:j], check_finite=False)
+        # R is upper triangular, so LU never pivots: this is back-substitution
+        y = np.linalg.solve(R[:j, :j], g[:j])
         x += psolve(y @ V[:j])
         r = b - matvec(x)
         res = float(np.linalg.norm(r))

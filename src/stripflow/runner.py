@@ -13,7 +13,7 @@ import numpy as np
 from . import shallow
 from .diagnostics import EnergyReport, blowup_monitor, energy
 from .dynamics import PressureGuess, StripState, cfl_dt, project_divergence_free, solve_state_pressure, step_rk4
-from .errors import StripflowError
+from .errors import StripflowError, TooManySteps
 from .geometry import Bathymetry, PhysParams, build_diffeo
 from .pressure import taylor_coefficient
 from .shallow import SWState
@@ -40,6 +40,11 @@ class RunRecord:
         return max((abs(m - means[0]) for m in means), default=0.0)
 
 
+# the longest march a run may take: a million steps of the smallest grid
+# (16 x 8, at rest, 1.5 ms a step on a 2-core x86 box) take 25 minutes
+MAX_STEPS = 10**6
+
+
 def march(state, T: float, dt: float, cadence: int, step, observe) -> RunRecord:
     """Advance a copy of ``state`` to T in equal steps no longer than dt.
 
@@ -50,9 +55,13 @@ def march(state, T: float, dt: float, cadence: int, step, observe) -> RunRecord:
     status other than Continue, or a package error in a step or an
     observation, ends the run with that status; ``halted_at`` is the time of
     the last state reached (the start of a failed step, or the state whose
-    observation failed or flagged)."""
+    observation failed or flagged).  Raises TooManySteps, before any step,
+    when the march needs more than MAX_STEPS steps."""
     t0 = time.perf_counter()
-    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    steps = np.ceil(T / dt - 1e-12)
+    if not steps <= MAX_STEPS:  # a NaN step count too
+        raise TooManySteps(f"T = {T:.3e} at dt = {dt:.3e} needs {steps:.3e} steps, more than {MAX_STEPS}")
+    n_steps = max(1, int(steps))
     dt = T / n_steps
     rec = RunRecord(status="Continue", dt=dt, n_steps=n_steps)
     state = state.copy()

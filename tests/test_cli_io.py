@@ -8,6 +8,7 @@ import pytest
 
 from stripflow import Bathymetry, PhysParams, StripGrid
 from stripflow.cli import main
+from stripflow import config
 from stripflow.config import ExperimentConfig, parse_config_text
 from stripflow.dynamics import StripState
 from stripflow.errors import ConfigError, NoConvergence
@@ -39,6 +40,17 @@ run.T = 0.05
 run.cadence = 5
 output.format = npz
 """
+
+SMALL_GRID = "\ngrid.n_x = 16\ngrid.n_r = 8\n"
+
+# every numeric key at 0, -1 and 1e300; the grid sizes at 0, -1 and 7, so
+# that no case allocates a large grid
+HOSTILE = [
+    (key, value)
+    for key, default in config._DEFAULTS.items()
+    if isinstance(default, (int, float)) and not isinstance(default, bool)
+    for value in (("0", "-1", "7") if key in ("grid.n_x", "grid.n_r") else ("0", "-1", "1e300"))
+]
 
 
 class TestConfig:
@@ -210,6 +222,44 @@ class TestCLI:
         assert "Traceback" not in proc.stderr
         assert "scheme.iota1 must not be negative" in proc.stderr
         assert not out.exists()
+
+    def test_zero_sobolev_order_exit_code(self, tmp_path, capsys):
+        # run.s = 0 passed validate, then the H^(s-1) vorticity norm raised
+        # "ValueError: k must be >= 0" (exit 1)
+        cfg = self._write(tmp_path, "\nrun.s = 0\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "H^(s-1)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", HOSTILE, ids=[f"{k}={v}" for k, v in HOSTILE])
+    def test_hostile_value_exit_code(self, tmp_path, key, value):
+        # a 16 x 8 run with one hostile value ends with a documented exit code
+        # and lets no exception escape
+        cfg = self._write(tmp_path, SMALL_GRID + f"run.T = 0.02\n{key} = {value}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) in (0, 2, 3, 4)
+
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: with it blocked, the package
+        # imports, makes a direct run and resamples a transported map
+        cfg = self._write(tmp_path, SMALL_GRID)
+        script = f"""
+import sys
+sys.modules["scipy"] = None
+import stripflow.cli, stripflow.experiments
+from stripflow import Bathymetry, PhysParams, StripGrid
+from stripflow.dynamics import StripState
+from stripflow.mollified import from_strip_state, slag_to_sigma
+
+assert stripflow.cli.main(["run", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "o")!r}]) == 0
+grid = StripGrid(n_x=16, n_r=8)
+params = PhysParams(eps=0.3, beta=0.4, mu=0.01)
+bath = Bathymetry.cosine(grid, 0.2)
+slag_to_sigma(from_strip_state(StripState.rest(grid), bath, params), bath, params)
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("setting", ["grid.n_x = 16.7", "run.cadence = 1.5"], ids=["n_x", "cadence"])
     def test_fractional_integer_setting_exit_code(self, tmp_path, setting):

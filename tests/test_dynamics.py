@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
-from stripflow import pressure, spectral
+from stripflow import pressure, runner, spectral
 from stripflow.dynamics import (
     StripState,
     cfl_dt,
@@ -16,7 +16,7 @@ from stripflow.dynamics import (
     vorticity,
     warm_started,
 )
-from stripflow.errors import CFLViolation, InvalidStreamfunction
+from stripflow.errors import CFLViolation, InvalidStreamfunction, TooManySteps
 from stripflow.geometry import DiffeoFields, total_density
 from stripflow.mollified import MollParams, from_strip_state, slag_rhs
 
@@ -63,6 +63,16 @@ class TestRestState:
             state = step_rk4(state, 1e-3, bath, params)
         assert np.abs(state.V).max() < 1e-14
         assert np.abs(state.eta0).max() < 1e-14
+
+    @pytest.mark.parametrize("T", [1e300, float("nan")])
+    def test_march_beyond_step_budget_halts_before_stepping(self, grid, T):
+        # run.T = 1e300 (or params.g = 1e300, through the CFL step) marched
+        # forever; a NaN step count raised ValueError from int()
+        def step(state, dt):
+            raise AssertionError("stepped")
+
+        with pytest.raises(TooManySteps):
+            runner.march(StripState.rest(grid), T, 1e-3, 10, step, lambda st, rec: (st, "Continue"))
 
 
 class TestLinearizedDynamics:

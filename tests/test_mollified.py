@@ -278,11 +278,46 @@ class TestCoordinateChange:
             errs.append(np.abs(back - slag.V[0]).max())
         assert np.log2(errs[0] / errs[1]) > 2.5
 
+    def test_monotone_cubic_matches_pchip(self, rng):
+        # the resampler against scipy's PchipInterpolator column by column:
+        # random strictly increasing heights; random-walk samples, whose
+        # slope changes sign, with flat runs inside and at either end;
+        # targets on a node and at both clamped end levels
+        from scipy.interpolate import PchipInterpolator
+
+        n_levels, n_cols = 17, 200
+        z = np.cumsum(rng.uniform(0.01, 1.0, (n_levels, n_cols)), axis=0)
+        F = np.cumsum(rng.standard_normal((n_levels, 2, n_cols)), axis=0)
+        F[4:7] = F[4]
+        F[:2, 0] = F[0, 0]
+        F[-2:, 1] = F[-1, 1]
+        zt = np.sort(rng.uniform(z[0], z[-1], (n_levels + 4, n_cols)), axis=0)
+        zt[0], zt[5], zt[-1] = z[0], z[8], z[-1]
+        got = mollified.monotone_cubic(z, F, zt)
+        worst = 0.0
+        for j in range(n_cols):
+            for f in range(2):
+                ref = PchipInterpolator(z[:, j], F[:, f, j])(zt[:, j])
+                worst = max(worst, np.abs(got[:, f, j] - ref).max() / np.abs(ref).max())
+        assert worst <= 1e-13
+
     def test_out_of_range_detected(self, grid):
         params = PhysParams(eps=0.25, beta=0.0, mu=0.1)
         bath = Bathymetry.flat(grid)
         slag = from_strip_state(wave_state(grid), bath, params)
         slag.H = slag.H - 0.2  # shifted column no longer covers the target
+        with pytest.raises(InterpolationOutOfRange):
+            slag_to_sigma(slag, bath, params)
+
+    def test_first_bad_column_decides(self, grid):
+        # column 5 repeats a level; column 2, before it, is shifted down
+        params = PhysParams(eps=0.25, beta=0.0, mu=0.1)
+        bath = Bathymetry.flat(grid)
+        slag = from_strip_state(wave_state(grid), bath, params)
+        slag.H[3, 5] = slag.H[2, 5] + grid.r[2] - grid.r[3]
+        with pytest.raises(DegenerateDiffeo):
+            slag_to_sigma(slag, bath, params)
+        slag.H[:, 2] -= 0.2
         with pytest.raises(InterpolationOutOfRange):
             slag_to_sigma(slag, bath, params)
 
