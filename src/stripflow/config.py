@@ -162,6 +162,8 @@ class ExperimentConfig:
                 problems.append("a rate fit needs sweep values spanning at least two decades")
             if axis in ("mu", "log_horizon") and max(values, default=0.0) > 1.0:
                 problems.append(f"{axis} sweep values must not exceed 1")
+        problems += [f"{key} must be below n_x/2 in magnitude (a higher mode aliases onto the grid)"
+                     for key in ("initial.eta0_mode", "initial.psi_mode") if abs(v[key]) >= v["grid.n_x"] / 2]
         if v["grid.d"] == 2 and v["initial.recipe"] == "streamfunction":
             problems.append("streamfunction initial data is d = 1 only")
         if v["grid.d"] == 2 and v["sweep.axis"] == "iota3":

@@ -128,10 +128,12 @@ def run_single(cfg: ExperimentConfig, out_dir, verbose: bool = False) -> tuple[i
         moll = MollParams(cfg["scheme.iota1"], cfg["scheme.iota2"], cfg["scheme.iota3"])
     try:
         bath, state, sw, achieved = build_initial(cfg, params)
-        rec, rows = _march(cfg, params, cfg["run.T"], bath, state, sw, moll)
     except StripflowError as exc:
-        io.write_manifest(out / "manifest.txt", cfg.dump(), f"init-failed: {exc}")
-        return 3, {"status": f"init-failed: {exc}"}
+        return _halted_before_stepping(out, cfg, f"init-failed: {exc}")
+    try:
+        rec, rows = _march(cfg, params, cfg["run.T"], bath, state, sw, moll)
+    except StripflowError as exc:  # TooManySteps, raised before any step
+        return _halted_before_stepping(out, cfg, f"{type(exc).__name__}: {exc}")
 
     with io.ResultsWriter(out / "results.txt") as w:
         for row in rows:
@@ -151,6 +153,13 @@ def run_single(cfg: ExperimentConfig, out_dir, verbose: bool = False) -> tuple[i
     if verbose:
         print(f"[run] status={rec.status} steps={rec.n_steps} wall={rec.wall_time:.1f}s")
     return (0 if rec.status == "Continue" else 3), {"status": rec.status, "record": rec}
+
+
+def _halted_before_stepping(out: Path, cfg: ExperimentConfig, status: str) -> tuple[int, dict]:
+    """Exit 3 for a run that halted before its first step, ``status`` in its
+    manifest."""
+    io.write_manifest(out / "manifest.txt", cfg.dump(), status)
+    return 3, {"status": status}
 
 
 def _dump_solver_debug(path, state, bath, params):

@@ -162,11 +162,16 @@ class SigmaOps:
         """V . grad_phi f + w dr_phi f for each field f of the stack F
         (leading field axis), given dF = d_r F (taken once by the caller,
         which reuses it): one horizontal gradient of the whole stack, and raw
-        products, not dealiased (the caller dealiases the stack once)."""
+        products, not dealiased (the caller dealiases the stack once).  The
+        form V . grad f + c d_r f with c = w gamma - V . kappa forms the
+        vertical coefficient once for every field."""
         gx = spectral.dx(self.grid, F)
-        out = w * (self.gamma * dF)
+        c = w * self.gamma
         for i in range(self.grid.d):
-            out += V[i] * (gx[i] - self.kappa[i] * dF)
+            c -= V[i] * self.kappa[i]
+        out = c * dF
+        for i in range(self.grid.d):
+            out += V[i] * gx[i]
         return out
 
 

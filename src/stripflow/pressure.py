@@ -24,9 +24,11 @@ projection is the same closure with B = (V, w) and no metric term.
 Krylov: restarted GMRES (``gmres``), preconditioned from the right, so the
 residual it minimises is the true residual b - A x of the unpreconditioned
 rows.  Each iteration orthogonalises by classical Gram-Schmidt applied twice
-(two matrix-vector products over the basis), and the stopping test
-||b - A x|| <= rtol ||b|| is read on the true residual, recomputed with one
-matvec at the end of every restart cycle.  The preconditioner is a
+(two matrix-vector products over the basis).  A cycle keeps its
+preconditioned directions and their operator images (flexible GMRES, Saad
+1993), so it forms x and the residual b - A x from them by linearity, with
+no further preconditioner or operator apply, and the stopping test
+||b - A x|| <= rtol ||b|| is read on that residual.  The preconditioner is a
 depth-weighted inverse of the flat-strip operator
 (mu Delta_x + d_r^2)/rho_bar.  The residual is first multiplied by
 the per-node weight w = h_tot/(nu rho_bar) (sqrt(h_tot)/(nu rho_bar) on the
@@ -41,8 +43,10 @@ one product back.  The preconditioner hands the operator the spectrum of
 its output and ``EllipticProblem.apply`` takes P as a spectrum, so a
 Krylov iteration makes no inverse-then-forward transform of the same
 field; the Krylov solution is itself kept as a spectrum and transformed
-back once per solve.  The operator's last call in ``gmres`` is on the
-returned iterate, so ``solve_closure`` applies the fluxes of that call.
+back once per solve.  The operator splits into a flux half (one inverse
+transform and pointwise products) and a divergence half: ``solve_closure``
+applies the flux half of the returned spectrum, evaluated once per solve
+(kept from the residual's apply when the guess already met the tolerance).
 Locally the operator is (nu/h^2)(d_r^2 + mu h^2 Delta_x): its vertical part
 wants the weight h^2 and its horizontal part the weight 1.  The weight h is
 their geometric mean, so both regimes are off by the same factor of h and
@@ -84,8 +88,16 @@ class EllipticProblem:
     nu: np.ndarray
     source: np.ndarray
     bottom_data: np.ndarray
-    # (nu grad_phi P, nu dr_phi P) of the last ``apply``; those of P = 0 before
+    # (nu grad_phi P, nu dr_phi P) of the last ``apply``, or of the pressure
+    # ``solve_pressure`` returned after iterating; those of P = 0 before
     fluxes: tuple = field(default=(0.0, 0.0), repr=False, compare=False)
+
+    def __post_init__(self):
+        # the coefficient products every apply reads
+        ops = self.diffeo.ops
+        self.nu_kappa = self.nu * ops.kappa
+        self.nu_gamma = self.nu * ops.gamma
+        self.mu_kappa = self.mu * ops.kappa
 
     # -- coefficient matrix (divergence form), kept for diagnostics ------------
 
@@ -110,36 +122,46 @@ class EllipticProblem:
 
     # -- the composed operator --------------------------------------------------
 
-    def apply(self, P_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(interior rows mu grad_phi.Q_x + dr_phi Q_r, bottom conormal row)
-        of the pressure whose horizontal rFFT is ``P_hat``.
-
-        The composition of the module docstring: d_r P is taken on the
-        spectrum (it commutes with the horizontal transform), d_x P and d_r P
-        come back in one batched inverse transform, and the divergence of
-        Q_x in one forward and one inverse transform.  The fluxes
-        (Q_x, Q_r) of the call are kept as ``fluxes``."""
-        grid, kappa, gamma = self.diffeo.grid, self.diffeo.ops.kappa, self.diffeo.ops.gamma
+    def flux(self, P_hat: np.ndarray) -> np.ndarray:
+        """The fluxes (Q_x, Q_r) of the pressure whose horizontal rFFT is
+        ``P_hat``, stacked (components of Q_x, then Q_r): d_r P is taken on
+        the spectrum (it commutes with the horizontal transform), and d_x P
+        and d_r P come back in one batched inverse transform."""
+        grid = self.diffeo.grid
         d = grid.d
-        # the arithmetic runs in place on the two transformed stacks: fewer
-        # strip-sized temporaries for the allocator to trim and regrow
         spec = np.empty((d + 1,) + P_hat.shape, dtype=complex)
         for i, k in enumerate(grid.kvec):
             np.multiply(1j * k, P_hat, out=spec[i])
         spec[d] = spectral.dr(grid, P_hat.view(float)).view(complex)
-        grads = spectral.irfft(grid, spec)
-        Qx, Qr = grads[:d], grads[d]
-        Qx -= kappa * Qr
+        # the arithmetic runs in place on the transformed stack: fewer
+        # strip-sized temporaries for the allocator to trim and regrow
+        Q = spectral.irfft(grid, spec)
+        Qx, Qr = Q[:d], Q[d]
         Qx *= self.nu
-        Qr *= gamma
-        Qr *= self.nu
+        Qx -= self.nu_kappa * Qr
+        Qr *= self.nu_gamma
+        return Q
+
+    def apply(self, P_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(interior rows mu grad_phi.Q_x + dr_phi Q_r, bottom conormal row)
+        of the pressure whose horizontal rFFT is ``P_hat``.
+
+        The composition of the module docstring: the fluxes of ``flux``, then
+        the divergence of Q_x in one forward and one inverse transform and
+        d_r of the whole flux stack in one call.  The fluxes of the call are
+        kept as ``fluxes``."""
+        grid, gamma = self.diffeo.grid, self.diffeo.ops.gamma
+        d = grid.d
+        Q = self.flux(P_hat)
+        Qx, Qr = Q[:d], Q[d]
         Qx_hat = spectral.rfft(grid, Qx)
         for i, k in enumerate(grid.kvec):
             Qx_hat[i] *= 1j * self.mu * k
         interior = spectral.irfft(grid, Qx_hat.sum(axis=0))
-        interior += gamma * spectral.dr(grid, Qr)
+        dQ = spectral.dr(grid, Q)
+        interior += gamma * dQ[d]
         for i in range(d):
-            interior -= self.mu * kappa[i] * spectral.dr(grid, Qx[i])
+            interior -= self.mu_kappa[i] * dQ[i]
         bottom = Qr[0] - self.mu * np.sum(self.diffeo.bottom_gradient * Qx[:, 0], axis=0)
         self.fluxes = (Qx, Qr)
         return interior, bottom
@@ -173,7 +195,6 @@ def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=No
     pressure correction: (corrected B_V, corrected B_w, P, SolveInfo)."""
     info = SolveInfo(0, 0.0)
     P = solve_pressure(problem, rtol=rtol, info=info, x0=x0)
-    # the solve's last operator call was on P: its fluxes are the correction
     Qx, Qr = problem.fluxes
     return B_V - Qx, B_w - Qr / problem.mu, P, info
 
@@ -263,27 +284,31 @@ def gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, tol: float, maxiter: in
     against the basis by classical Gram-Schmidt run twice; Givens rotations
     keep the least-squares residual of the Hessenberg system, which is the
     residual of A x up to round-off.  A cycle ends at RESTART iterations,
-    at that residual <= tol, or at ``maxiter`` iterations in all; it then
-    forms x with one more M^-1 and one matvec gives the true residual, which
-    decides whether to restart.  A zero x0 costs no initial matvec.  x0 and
-    x live where M^-1 maps to (``solve_pressure``: a spectrum), so the last
-    matvec is always on the returned x."""
+    at that residual <= tol, or at ``maxiter`` iterations in all.  It keeps
+    its directions z_j = M^-1 v_j and their images A z_j (flexible GMRES,
+    Saad 1993), so it ends with x += Z y and r -= (A Z) y, no further apply:
+    r stays the true residual b - A x up to round-off, and its norm decides
+    whether to restart.  A zero x0 costs no initial matvec.  x0 and x live
+    where M^-1 maps to (``solve_pressure``: a spectrum); ``matvec`` must
+    return a fresh array on every call, as the images are kept."""
     V = np.empty((RESTART + 1, b.size))
     R = np.zeros((RESTART, RESTART))  # the Hessenberg matrix after the rotations
     cs, sn, g = np.empty(RESTART), np.empty(RESTART), np.empty(RESTART + 1)
     x = x0.copy()
-    r = b - matvec(x) if x.any() else b
+    r = b - matvec(x) if x.any() else b.copy()
     res = float(np.linalg.norm(r))
     iterations = 0
     while res > tol and iterations < maxiter:
         V[0] = r / res
         g[0] = res
+        Z, AZ = [], []  # released at every restart
         j = 0
         while j < RESTART and iterations < maxiter:
-            w = matvec(psolve(V[j]))
+            Z.append(psolve(V[j]))
+            AZ.append(matvec(Z[j]))
             basis = V[: j + 1]
-            h = basis @ w
-            w -= h @ basis
+            h = basis @ AZ[j]
+            w = AZ[j] - h @ basis
             h2 = basis @ w
             w -= h2 @ basis
             h += h2
@@ -303,8 +328,9 @@ def gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, tol: float, maxiter: in
             V[j] = w / hn
         # R is upper triangular, so LU never pivots: this is back-substitution
         y = np.linalg.solve(R[:j, :j], g[:j])
-        x += psolve(y @ V[:j])
-        r = b - matvec(x)
+        for yi, z, az in zip(y, Z, AZ):
+            x += yi * z
+            r -= yi * az
         res = float(np.linalg.norm(r))
     return x, iterations, res
 
@@ -328,7 +354,6 @@ def solve_pressure(
     cap 10 sqrt(n_x^d n_r).  The problem is elliptic by construction (module docstring)."""
     grid = problem.diffeo.grid
     n, xshape = grid.n_r, grid.xshape
-    nun = int(n * np.prod(xshape))
     cap = max(60, int(10.0 * np.sqrt(np.prod(xshape) * n)))
 
     b = np.concatenate(
@@ -340,17 +365,13 @@ def solve_pressure(
             info.iterations, info.residual = 0, 0.0
         return np.zeros((n + 1,) + xshape)
 
-    # one output vector (bottom row, then the interior rows), which every
-    # matvec overwrites; the Krylov solution is a spectrum of n + 1 rows whose
-    # Dirichlet row stays zero
-    out = np.empty(nun)
-    out_rows = out.reshape((n,) + xshape)
-
+    # each matvec returns a fresh vector (bottom row, then the interior rows),
+    # since gmres keeps them; the Krylov solution is a spectrum of n + 1 rows
+    # whose Dirichlet row stays zero
     def matvec(u_hat: np.ndarray) -> np.ndarray:
         interior, bottom = problem.apply(u_hat)
-        out_rows[0] = bottom
-        out_rows[1:] = interior[1:n]
-        return out
+        interior[0] = bottom
+        return interior[:n].reshape(-1)
 
     fd = _flat_inverse(grid, problem.mu, problem.rho_bar)
     h = _as_strip(grid, problem.diffeo.h_tot)
@@ -371,6 +392,11 @@ def solve_pressure(
         raise NoConvergence(f"pressure solve stalled at residual {true_res:.2e}")
     if info is not None:
         info.iterations, info.residual = iterations, true_res
+    if iterations:
+        # without an iteration u is the guess, whose fluxes the residual's
+        # apply has kept
+        Q = problem.flux(u)
+        problem.fluxes = (Q[: grid.d], Q[grid.d])
     return spectral.irfft(grid, u)
 
 

@@ -39,8 +39,9 @@ def dx(grid: StripGrid, f: np.ndarray) -> np.ndarray:
     if not f.any():
         return np.zeros((grid.d,) + f.shape)
     F = rfft(grid, f)
-    comps = [irfft(grid, 1j * k * F) for k in grid.kvec]
-    return np.stack(comps)
+    if grid.d == 1:
+        return irfft(grid, 1j * grid.k * F)[None]
+    return np.stack([irfft(grid, 1j * k * F) for k in grid.kvec])
 
 
 def dr(grid: StripGrid, f: np.ndarray, order: int = 1) -> np.ndarray:

@@ -231,6 +231,24 @@ class TestCLI:
         assert "H^(s-1)" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_march_error_keeps_its_name(self, tmp_path):
+        # an error of the march, not of the initial data, was labelled
+        # "init-failed: T = 1.000e+300 ..."
+        cfg = self._write(tmp_path, SMALL_GRID + "run.T = 1e300\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        status = (tmp_path / "o" / "manifest.txt").read_text().splitlines()[1]
+        assert status.startswith("status = TooManySteps: T = 1.000e+300")
+
+    @pytest.mark.parametrize("setting", [
+        "initial.eta0_mode = 100", "initial.eta0_mode = -8", "initial.recipe = streamfunction\ninitial.psi_mode = 8",
+    ], ids=["eta0-100", "eta0-nyquist", "psi-nyquist"])
+    def test_aliased_initial_mode_exit_code(self, tmp_path, setting, capsys):
+        # a mode at or past n_x/2 = 8 ran with the mode aliased onto the grid
+        cfg = self._write(tmp_path, SMALL_GRID + f"run.T = 0.02\n{setting}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "aliases onto the grid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key, value", HOSTILE, ids=[f"{k}={v}" for k, v in HOSTILE])
     def test_hostile_value_exit_code(self, tmp_path, key, value):
         # a 16 x 8 run with one hostile value ends with a documented exit code
