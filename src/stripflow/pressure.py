@@ -28,7 +28,8 @@ rows.  Each iteration orthogonalises by classical Gram-Schmidt applied twice
 preconditioned directions and their operator images (flexible GMRES, Saad
 1993), so it forms x and the residual b - A x from them by linearity, with
 no further preconditioner or operator apply, and the stopping test
-||b - A x|| <= rtol ||b|| is read on that residual.  The preconditioner is a
+||b - A x|| <= rtol ||b|| is read on that residual; a restart recomputes
+b - A x with one operator apply.  The preconditioner is a
 depth-weighted inverse of the flat-strip operator
 (mu Delta_x + d_r^2)/rho_bar.  The residual is first multiplied by
 the per-node weight w = h_tot/(nu rho_bar) (sqrt(h_tot)/(nu rho_bar) on the
@@ -45,8 +46,9 @@ Krylov iteration makes no inverse-then-forward transform of the same
 field; the Krylov solution is itself kept as a spectrum and transformed
 back once per solve.  The operator splits into a flux half (one inverse
 transform and pointwise products) and a divergence half: ``solve_closure``
-applies the flux half of the returned spectrum, evaluated once per solve
-(kept from the residual's apply when the guess already met the tolerance).
+takes the solution as a spectrum and applies its flux half, evaluated once
+per solve (kept from the residual's apply when the guess already met the
+tolerance).
 Locally the operator is (nu/h^2)(d_r^2 + mu h^2 Delta_x): its vertical part
 wants the weight h^2 and its horizontal part the weight 1.  The weight h is
 their geometric mean, so both regimes are off by the same factor of h and
@@ -88,8 +90,7 @@ class EllipticProblem:
     nu: np.ndarray
     source: np.ndarray
     bottom_data: np.ndarray
-    # (nu grad_phi P, nu dr_phi P) of the last ``apply``, or of the pressure
-    # ``solve_pressure`` returned after iterating; those of P = 0 before
+    # (nu grad_phi P, nu dr_phi P) of the last ``apply``; those of P = 0 before
     fluxes: tuple = field(default=(0.0, 0.0), repr=False, compare=False)
 
     def __post_init__(self):
@@ -194,8 +195,14 @@ def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=No
     """Solve ``problem`` (from the initial guess x0, when given) and apply the
     pressure correction: (corrected B_V, corrected B_w, P, SolveInfo)."""
     info = SolveInfo(0, 0.0)
-    P = solve_pressure(problem, rtol=rtol, info=info, x0=x0)
-    Qx, Qr = problem.fluxes
+    P_hat = solve_pressure(problem, rtol=rtol, info=info, x0=x0, spectrum=True)
+    if info.iterations:
+        Q = problem.flux(P_hat)
+        Qx, Qr = Q[: problem.diffeo.grid.d], Q[-1]
+    else:
+        # P is the guess (or zero), whose fluxes the residual's apply kept
+        Qx, Qr = problem.fluxes
+    P = spectral.irfft(problem.diffeo.grid, P_hat)
     return B_V - Qx, B_w - Qr / problem.mu, P, info
 
 
@@ -287,10 +294,14 @@ def gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, tol: float, maxiter: in
     at that residual <= tol, or at ``maxiter`` iterations in all.  It keeps
     its directions z_j = M^-1 v_j and their images A z_j (flexible GMRES,
     Saad 1993), so it ends with x += Z y and r -= (A Z) y, no further apply:
-    r stays the true residual b - A x up to round-off, and its norm decides
-    whether to restart.  A zero x0 costs no initial matvec.  x0 and x live
-    where M^-1 maps to (``solve_pressure``: a spectrum); ``matvec`` must
-    return a fresh array on every call, as the images are kept."""
+    r is the true residual b - A x up to the round-off of one cycle, and its
+    norm decides whether to restart.  A restart recomputes r = b - A x with
+    one matvec, so that round-off does not carry over from cycle to cycle.
+    A zero x0 costs no initial matvec.  x0 and x live where M^-1 maps to
+    (``solve_pressure``: a spectrum).  The outputs of ``psolve`` and
+    ``matvec`` are kept until the cycle ends, so neither may return an array
+    that is overwritten before then (a row of the basis, which the identity
+    preconditioner returns, is not)."""
     V = np.empty((RESTART + 1, b.size))
     R = np.zeros((RESTART, RESTART))  # the Hessenberg matrix after the rotations
     cs, sn, g = np.empty(RESTART), np.empty(RESTART), np.empty(RESTART + 1)
@@ -332,6 +343,9 @@ def gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, tol: float, maxiter: in
             x += yi * z
             r -= yi * az
         res = float(np.linalg.norm(r))
+        if res > tol and iterations < maxiter:
+            r = b - matvec(x)
+            res = float(np.linalg.norm(r))
     return x, iterations, res
 
 
@@ -349,9 +363,12 @@ def solve_pressure(
     rtol: float = 1e-10,
     info: SolveInfo | None = None,
     x0: np.ndarray | None = None,
+    spectrum: bool = False,
 ) -> np.ndarray:
     """Solve for P with P(r=0) = 0; raises NoConvergence past the iteration
-    cap 10 sqrt(n_x^d n_r).  The problem is elliptic by construction (module docstring)."""
+    cap 10 sqrt(n_x^d n_r).  The problem is elliptic by construction (module
+    docstring).  With ``spectrum`` set, returns the horizontal rFFT of P, the
+    form the Krylov solution is kept in, instead of P."""
     grid = problem.diffeo.grid
     n, xshape = grid.n_r, grid.xshape
     cap = max(60, int(10.0 * np.sqrt(np.prod(xshape) * n)))
@@ -363,6 +380,8 @@ def solve_pressure(
     if bnorm == 0.0:
         if info is not None:
             info.iterations, info.residual = 0, 0.0
+        if spectrum:
+            return np.zeros((n + 1,) + grid.k_abs.shape, dtype=complex)
         return np.zeros((n + 1,) + xshape)
 
     # each matvec returns a fresh vector (bottom row, then the interior rows),
@@ -392,12 +411,7 @@ def solve_pressure(
         raise NoConvergence(f"pressure solve stalled at residual {true_res:.2e}")
     if info is not None:
         info.iterations, info.residual = iterations, true_res
-    if iterations:
-        # without an iteration u is the guess, whose fluxes the residual's
-        # apply has kept
-        Q = problem.flux(u)
-        problem.fluxes = (Q[: grid.d], Q[grid.d])
-    return spectral.irfft(grid, u)
+    return u if spectrum else spectral.irfft(grid, u)
 
 
 # -- Rayleigh-Taylor coefficient --------------------------------------------------

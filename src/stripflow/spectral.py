@@ -39,9 +39,10 @@ def dx(grid: StripGrid, f: np.ndarray) -> np.ndarray:
     if not f.any():
         return np.zeros((grid.d,) + f.shape)
     F = rfft(grid, f)
-    if grid.d == 1:
-        return irfft(grid, 1j * grid.k * F)[None]
-    return np.stack([irfft(grid, 1j * k * F) for k in grid.kvec])
+    spec = np.empty((grid.d,) + F.shape, dtype=complex)
+    for i, k in enumerate(grid.kvec):
+        np.multiply(1j * k, F, out=spec[i])
+    return irfft(grid, spec)
 
 
 def dr(grid: StripGrid, f: np.ndarray, order: int = 1) -> np.ndarray:

@@ -57,9 +57,9 @@ def count_solve_iterations(monkeypatch) -> list:
     iterations = []
     solve = pressure.solve_pressure
 
-    def counted_solve(problem, rtol=1e-10, info=None, x0=None):
+    def counted_solve(problem, rtol=1e-10, info=None, x0=None, **kwargs):
         info = pressure.SolveInfo(0, 0.0) if info is None else info
-        P = solve(problem, rtol=rtol, info=info, x0=x0)
+        P = solve(problem, rtol=rtol, info=info, x0=x0, **kwargs)
         iterations.append(info.iterations)
         return P
 

@@ -300,6 +300,21 @@ class TestGmres:
         assert res == pytest.approx(np.linalg.norm(b - A @ x), rel=1e-12)
         assert res <= tol
 
+    def test_restart_starts_from_the_true_residual(self, system):
+        # every cycle but the first recomputes b - A x with one more matvec
+        A, b = system
+        tol = 1e-10 * np.linalg.norm(b)
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return A @ v
+
+        x, iterations, res = pressure.gmres(matvec, lambda v: v, b, np.zeros(b.size), tol, 2000)
+        cycles = -(-iterations // pressure.RESTART)
+        assert cycles > 1
+        assert len(calls) == iterations + cycles - 1
+
     def test_iteration_cap_stops_early(self, system):
         A, b = system
         tol = 1e-10 * np.linalg.norm(b)
@@ -545,10 +560,14 @@ class TestHotPath:
             assert counts["matvec"] == info.iterations + (x0 is not None)
             assert counts["precond"] == info.iterations
 
-    def test_reported_residual_is_the_true_residual(self, params, rng):
+    @pytest.mark.parametrize("restart", [None, 4])
+    def test_reported_residual_is_the_true_residual(self, params, rng, restart, monkeypatch):
         # the residual recombined from the stored images matches a fresh
         # apply of the returned pressure, for a warm stage solve and for the
-        # cold projection at its tighter tolerance
+        # cold projection at its tighter tolerance; a short restart length
+        # makes both solves restart many times
+        if restart:
+            monkeypatch.setattr(pressure, "RESTART", restart)
         problem, k1 = _stage_problem(params, rng)
         grid = problem.diffeo.grid
         state = _sheared_state(grid, rng)
@@ -557,7 +576,7 @@ class TestHotPath:
         for prob, x0, rtol in ((problem, k1.P, 1e-10), (projection, None, PROJECT_RTOL)):
             info = SolveInfo(0, 0.0)
             P = solve_pressure(prob, rtol=rtol, info=info, x0=x0)
-            assert info.iterations > 0
+            assert info.iterations > (restart or 0)
             assert info.residual <= rtol
             assert abs(info.residual - relative_residual(prob, P)) <= 1e-12
 
