@@ -78,6 +78,8 @@ def cmd_check(args) -> int:
     rec = simulate(state, bath, params, 2e-3, dt=1e-3, cadence=2)
     div = divergence_report(rec.final, bath, params)["div_interior_linf"]
     check("observed final state is divergence-free", len(rec.times) == 2 and div < 1e-10)
+    rec = simulate(state, bath, params, 2.0, dt=1.0)
+    check("a step beyond the step limit halts at t = 0", rec.status == "CFLViolation" and rec.halted_at == 0.0)
     return 3 if failures else 0
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,7 @@ from .diagnostics import spans_two_decades
 from .errors import ConfigError
 from .geometry import Bathymetry, PhysParams
 from .grid import StripGrid
+from .runner import CFL_MAX
 
 _DEFAULTS = {
     "params.eps": 0.5,
@@ -137,8 +138,8 @@ class ExperimentConfig:
             problems.append("run.T must be positive")
         if v["run.dt"] < 0:
             problems.append("run.dt must not be negative (0 takes the CFL step)")
-        if v["run.cfl"] <= 0:
-            problems.append("run.cfl must be positive")
+        if not 0 < v["run.cfl"] <= CFL_MAX:
+            problems.append(f"run.cfl must lie in (0, {CFL_MAX}] (a larger step exceeds the stability limit)")
         if v["run.cadence"] < 1:
             problems.append("run.cadence must be at least 1")
         # cutoff scales and Sobolev orders the norms can take
@@ -186,6 +187,11 @@ class ExperimentConfig:
             self.params()
         except ValueError as exc:
             problems.append(str(exc))
+        for value in v["sweep.values"] if v["sweep.axis"] else ():
+            try:
+                self.member_params(value)
+            except ValueError as exc:
+                problems.append(f"sweep member {v['sweep.axis']} = {value:g}: {exc}")
         return problems
 
     def grid(self) -> StripGrid:
@@ -203,6 +209,18 @@ class ExperimentConfig:
             rho_bar=v["params.rho_bar"],
             c_star=v["limits.c_star"],
         )
+
+    def member_params(self, value: float) -> PhysParams:
+        """Parameters of the sweep member at axis value ``value``: mu = value
+        (and delta, when sweep.delta_tracks_mu), eps = value with mu = eps^2
+        and delta at most mu (log_horizon), or the run's own (iota3)."""
+        axis = self["sweep.axis"]
+        if axis == "mu":
+            return self.params(mu=value, delta=(value if self["sweep.delta_tracks_mu"] else None))
+        base = self.params()
+        if axis == "log_horizon":
+            return replace(base, eps=value, mu=value * value, delta=min(base.delta, value * value))
+        return base
 
     def dump(self) -> str:
         return "\n".join(f"{k} = {self.values[k]}" for k in sorted(self.values))

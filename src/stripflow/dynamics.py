@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import spectral
-from .errors import BlowUpSuspected, CFLViolation, InvalidStreamfunction
+from .errors import BlowUpSuspected, InvalidStreamfunction
 from .geometry import (
     Bathymetry,
     DiffeoFields,
@@ -229,13 +229,13 @@ def project_divergence_free(state: StripState, bathymetry: Bathymetry, params: P
     return StripState(V, w, state.rho.copy(), state.eta0.copy(), state.t)
 
 
-def cfl_dt(state: StripState, bathymetry: Bathymetry, params: PhysParams, factor: float = 0.4) -> float:
-    """Advective/gravity-wave step bound."""
+def cfl_dt(state: StripState, bathymetry: Bathymetry, params: PhysParams) -> float:
+    """Advective/gravity-wave step limit (factor-free; see ``runner.march``)."""
     grid = bathymetry.grid
     depth = water_depth(bathymetry, state.eta0, params)
     dt_x = grid.dx / wave_speed(depth, state.V, params)
     dt_r = grid.dr * depth.min() / (params.eps * float(np.abs(state.w).max()) + 1e-30)
-    return factor * min(dt_x, dt_r)
+    return min(dt_x, dt_r)
 
 
 def step_rk4(
@@ -247,11 +247,7 @@ def step_rk4(
     stage's solve starts from the last pressure in ``guess`` plus the linear
     extrapolation of the increments the same stage saw one and two steps
     earlier (from the previous stage's pressure, and stage 1 cold, without a
-    carried guess; see ``warm_started``).  Raises CFLViolation when dt
-    exceeds the 0.5-factor stability bound."""
-    limit = cfl_dt(state, bathymetry, params, factor=0.5)
-    if dt > limit:
-        raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
+    carried guess; see ``warm_started``).  ``runner.march`` checks dt."""
     return rk4(state, dt, warm_started(lambda st, x0: euler_rhs(st, bathymetry, params, x0=x0), guess))
 
 

@@ -17,7 +17,7 @@ from .dynamics import StripState, init_from_streamfunction
 from .errors import ConfigError, StripflowError
 from .geometry import Bathymetry, PhysParams
 from .grid import StripGrid
-from .mollified import MollParams, cfl_dt_slag, from_strip_state, run_moll
+from .mollified import MollParams, from_strip_state, run_moll
 from .runner import simulate
 
 
@@ -90,7 +90,7 @@ def _march(cfg: ExperimentConfig, params: PhysParams, T: float, bath: Bathymetry
     data to T with the run.* settings and collect the results rows.  ``moll``
     None runs the direct scheme (co-advancing ``sw``, if any), else the
     mollified scheme with those cutoffs; the step is ``dt``, else run.dt, else
-    the scheme's CFL step.  Returns (record, rows)."""
+    run.cfl times the scheme's step limit (``runner.march``).  Returns (record, rows)."""
     if dt is None and cfg["run.dt"] > 0:
         dt = cfg["run.dt"]
     if moll is None:
@@ -102,11 +102,8 @@ def _march(cfg: ExperimentConfig, params: PhysParams, T: float, bath: Bathymetry
         rows = [(params, t, rec.reports[i], rec.comparisons[i] if rec.comparisons else None)
                 for i, t in enumerate(rec.times)]
         return rec, rows
-    slag = from_strip_state(state, bath, params)
-    if dt is None:
-        dt = cfl_dt_slag(slag, moll, bath, params, cfg["run.cfl"])
-    rec = run_moll(slag, moll, bath, params, T, dt, s=cfg["run.s"], cadence=cfg["run.cadence"],
-                   norm_factor=cfg["limits.norm_factor"])
+    rec = run_moll(from_strip_state(state, bath, params), moll, bath, params, T, dt, cfl_factor=cfg["run.cfl"],
+                   s=cfg["run.s"], cadence=cfg["run.cadence"], norm_factor=cfg["limits.norm_factor"])
     return rec, [(params, t, None, None, E) for t, E in zip(rec.times, rec.energies)]
 
 
@@ -138,7 +135,7 @@ def run_single(cfg: ExperimentConfig, out_dir, verbose: bool = False) -> tuple[i
     with io.ResultsWriter(out / "results.txt") as w:
         for row in rows:
             w.row(*row)
-    extra = {"final_t": rec.final.t, "n_steps": rec.n_steps, "dt": rec.dt}
+    extra = {"final_t": rec.final.t, "n_steps": rec.n_steps, "dt": rec.dt, "cfl_margin": rec.cfl_margin}
     if moll is None:
         io.save_snapshot(out / ("final." + ("npz" if cfg["output.format"] == "npz" else "txt")),
                          rec.final, bath.grid, params, cfg["output.format"])
@@ -178,7 +175,7 @@ def _dump_solver_debug(path, state, bath, params):
 
 
 def _mu_member(cfg: ExperimentConfig, mu: float) -> dict:
-    params = cfg.params(mu=mu, delta=(mu if cfg["sweep.delta_tracks_mu"] else None))
+    params = cfg.member_params(mu)
     bath, state, sw, achieved = build_initial(cfg, params)
     rec, rows = _march(cfg, params, cfg["run.T"], bath, state, sw, None)
     comp = rec.comparisons[-1] if rec.comparisons else None
@@ -191,7 +188,7 @@ def _mu_member(cfg: ExperimentConfig, mu: float) -> dict:
 def _iota_member(cfg: ExperimentConfig, iota3: float) -> dict:
     """Terminal distance between the cutoff run and the zero-cutoff reference,
     both marched from one built state with the cutoff run's step."""
-    params = cfg.params()
+    params = cfg.member_params(iota3)
     T = cfg["run.T"]
     moll = MollParams(cfg["scheme.iota1"], cfg["scheme.iota2"], iota3)
     bath, state, _, _ = build_initial(cfg, params)
@@ -207,8 +204,7 @@ def _horizon(cfg: ExperimentConfig, eps: float) -> float:
 
 
 def _log_horizon_member(cfg: ExperimentConfig, eps: float) -> dict:
-    base = cfg.params()
-    params = replace(base, eps=eps, mu=eps * eps, delta=min(base.delta, eps * eps))
+    params = cfg.member_params(eps)
     bath, state, sw, _ = build_initial(cfg, params)
     rec, rows = _march(cfg, params, _horizon(cfg, eps), bath, state, sw, None)
     return {"eps": eps, "error": float("nan"), "status": rec.status, "rows": rows, "final_t": rec.final.t}

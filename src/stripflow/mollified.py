@@ -20,7 +20,7 @@ from . import spectral
 from .diagnostics import good_unknown_energy, vorticity_norm
 from .dynamics import (PressureGuess, StripState, Tendencies, kinematic_deta0, metric_motion_term, rk4, vorticity,
                        warm_started)
-from .errors import CFLViolation, DegenerateDiffeo, InterpolationOutOfRange
+from .errors import DegenerateDiffeo, InterpolationOutOfRange
 from .geometry import (Bathymetry, DiffeoFields, PhysParams, barycentric_heights, total_density, water_depth,
                        wave_speed)
 from .pressure import closure_problem, solve_closure
@@ -115,29 +115,22 @@ def step_rk4_slag(
     pressure in ``guess`` plus the linear extrapolation of the increments
     the same stage saw one and two steps earlier (from the previous stage's
     pressure, and stage 1 cold, without a carried guess; see
-    ``dynamics.warm_started``).  Raises CFLViolation when
-    dt exceeds the 0.5-factor stability bound, as ``dynamics.step_rk4``
-    does."""
-    limit = cfl_dt_slag(state, moll, bathymetry, params, factor=0.5)
-    if dt > limit:
-        raise CFLViolation(f"dt={dt:.3e} exceeds bound {limit:.3e}")
+    ``dynamics.warm_started``).  ``runner.march`` checks dt."""
     return rk4(state, dt, warm_started(lambda st, x0: slag_rhs(st, moll, bathymetry, params, x0=x0), guess))
 
 
-def cfl_dt_slag(
-    state: SlagState, moll: MollParams, bathymetry: Bathymetry, params: PhysParams, factor: float
-) -> float:
-    """Advective/gravity-wave step bound, capped when iota3 > 0 by the
-    dispersive bound 1.5/omega of the fastest resolved surface mode; both
-    scale with ``factor``, the dispersive one relative to the default 0.4."""
+def cfl_dt_slag(state: SlagState, moll: MollParams, bathymetry: Bathymetry, params: PhysParams) -> float:
+    """Advective/gravity-wave step limit, capped when iota3 > 0 by the
+    dispersive limit 3.75/omega of the fastest resolved surface mode
+    (factor-free; see ``runner.march``)."""
     grid = bathymetry.grid
     depth = water_depth(bathymetry, state.eta0, params)
-    dt = factor * grid.dx / wave_speed(depth, state.V, params)
+    dt = grid.dx / wave_speed(depth, state.V, params)
     if moll.iota3:
         kmax = 2.0 * np.pi * (grid.n_x // 3) / grid.length
         geff = params.g + moll.iota3 * np.sqrt(1.0 + kmax**2) / params.rho_bar
         omega = kmax * np.sqrt(geff * depth.max())
-        dt = min(dt, (factor / 0.4) * 1.5 / omega)
+        dt = min(dt, 3.75 / omega)
     return dt
 
 
@@ -164,7 +157,8 @@ def run_moll(
     bathymetry: Bathymetry,
     params: PhysParams,
     T: float,
-    dt: float,
+    dt: float | None = None,
+    cfl_factor: float = 0.4,
     s: float = 4.0,
     cadence: int = 10,
     norm_factor: float = 10.0,
@@ -175,8 +169,8 @@ def run_moll(
     of the increments the same stage saw one and two steps earlier.  The run
     halts with NormBlowup when the energy is non-finite or exceeds
     norm_factor**2 times its t = 0 value (a squared norm; the floor of
-    ``diagnostics.blowup_monitor``); see ``runner.march`` for the cadence and
-    the halt policy."""
+    ``diagnostics.blowup_monitor``); see ``runner.march`` for the default dt
+    (cfl_factor times ``cfl_dt_slag``), the cadence and the halt policy."""
     def observe(state, rec):
         E = moll_energy(state, moll, bathymetry, params, s)
         rec.energies.append(E)
@@ -188,7 +182,8 @@ def run_moll(
     def step(state, dt):
         return step_rk4_slag(state, dt, moll, bathymetry, params, guess)
 
-    return march(initial, T, dt, cadence, step, observe)
+    return march(initial, T, dt, cadence, step, observe,
+                 lambda st: cfl_dt_slag(st, moll, bathymetry, params), cfl_factor)
 
 
 # -- coordinate changes -----------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Time-marching driver of both integrators: advances a state in equal steps,
-observes it at t = 0, at a fixed cadence and at T, and halts with a structured
-status when an observation flags a blow-up or a step or observation raises a
-package error."""
+"""Time-marching driver of both integrators: advances a state in equal steps
+under the one step-limit rule, observes it at t = 0, at a fixed cadence and at
+T, and halts with a structured status when a step exceeds the limit, an
+observation flags a blow-up, or a step or observation raises a package error."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import numpy as np
 from . import shallow
 from .diagnostics import EnergyReport, blowup_monitor, energy
 from .dynamics import PressureGuess, StripState, cfl_dt, project_divergence_free, solve_state_pressure, step_rk4
-from .errors import StripflowError, TooManySteps
+from .errors import CFLViolation, StripflowError, TooManySteps
 from .geometry import Bathymetry, PhysParams, build_diffeo
 from .pressure import taylor_coefficient
 from .shallow import SWState
@@ -31,6 +31,7 @@ class RunRecord:
     n_steps: int = 0
     wall_time: float = 0.0
     halted_at: float | None = None
+    cfl_margin: float = 0.0
 
     @property
     def mean_eta0_drift(self) -> float:
@@ -44,10 +45,17 @@ class RunRecord:
 # (16 x 8, at rest, 1.5 ms a step on a 2-core x86 box) take 25 minutes
 MAX_STEPS = 10**6
 
+# a run's largest step in units of its scheme's step limit (Courant, Friedrichs & Lewy 1928)
+CFL_MAX = 0.5
 
-def march(state, T: float, dt: float, cadence: int, step, observe) -> RunRecord:
+
+def march(state, T: float, dt: float | None, cadence: int, step, observe, limit, cfl=None) -> RunRecord:
     """Advance a copy of ``state`` to T in equal steps no longer than dt.
 
+    ``limit(state)`` is the scheme's factor-free step limit; dt None takes
+    ``cfl`` times its initial value.  Before every step CFLViolation is raised
+    when dt exceeds CFL_MAX times the current limit; ``cfl_margin`` keeps the
+    worst ratio of dt to that bound.
     ``step(state, dt)`` returns the next state.  ``observe(state, rec)``
     records its snapshot into ``rec`` and returns ``(state, status)``, the run
     continuing from that state; it runs at t = 0, every ``cadence`` steps and
@@ -58,6 +66,8 @@ def march(state, T: float, dt: float, cadence: int, step, observe) -> RunRecord:
     observation failed or flagged).  Raises TooManySteps, before any step,
     when the march needs more than MAX_STEPS steps."""
     t0 = time.perf_counter()
+    if dt is None:
+        dt = cfl * limit(state)
     steps = np.ceil(T / dt - 1e-12)
     if not steps <= MAX_STEPS:  # a NaN step count too
         raise TooManySteps(f"T = {T:.3e} at dt = {dt:.3e} needs {steps:.3e} steps, more than {MAX_STEPS}")
@@ -68,6 +78,10 @@ def march(state, T: float, dt: float, cadence: int, step, observe) -> RunRecord:
     try:
         for k in range(n_steps + 1):
             if k > 0:
+                bound = CFL_MAX * limit(state)
+                rec.cfl_margin = max(rec.cfl_margin, dt / bound)
+                if dt > bound:
+                    raise CFLViolation(f"dt={dt:.3e} exceeds bound {bound:.3e}")
                 state = step(state, dt)
             if k % cadence == 0 or k == n_steps:
                 state, status = observe(state, rec)
@@ -109,8 +123,8 @@ def simulate(
     sw: SWState | None = None,
     norm_factor: float = 10.0,
 ) -> RunRecord:
-    """Advance to time T with fixed dt (from the initial CFL bound when not
-    given); every step re-checks the stability bound, and one
+    """Advance to time T with fixed dt (by default cfl_factor times the step
+    limit, with ``sw`` the smaller of the strip's and Saint-Venant's); one
     ``PressureGuess`` carries the last pressures across steps, so each
     stage's solve starts from the last pressure plus the linear extrapolation
     of the increments the same stage saw one and two steps earlier.  Each
@@ -121,11 +135,6 @@ def simulate(
     projection's pressure is another quantity and starts cold).  When a
     shallow-water state is supplied it is co-advanced on the same clock and
     a ComparisonReport is recorded at each observation."""
-    if dt is None:
-        dt = cfl_dt(initial, bathymetry, params, cfl_factor)
-        if sw is not None:
-            dt = min(dt, shallow.cfl_dt_sw(sw, bathymetry, params, cfl_factor))
-
     guess = PressureGuess()
 
     def step(state, dt):
@@ -134,6 +143,10 @@ def simulate(
         if sw is not None:
             sw = shallow.sw_step_rk4(sw, dt, bathymetry, params)
         return state
+
+    def limit(state):
+        bound = cfl_dt(state, bathymetry, params)
+        return bound if sw is None else min(bound, shallow.cfl_dt_sw(sw, bathymetry, params))
 
     def observe(state, rec):
         if rec.times:
@@ -149,4 +162,4 @@ def simulate(
             rec.comparisons.append(comparison)
         return state, status
 
-    return march(initial, T, dt, cadence, step, observe)
+    return march(initial, T, dt, cadence, step, observe, limit, cfl_factor)

@@ -71,9 +71,9 @@ def sw_step_rk4(sw: SWState, dt: float, bathymetry: Bathymetry, params: PhysPara
     return rk4(sw, dt, lambda st: sw_rhs(st, bathymetry, params))
 
 
-def cfl_dt_sw(sw: SWState, bathymetry: Bathymetry, params: PhysParams, factor: float = 0.4) -> float:
+def cfl_dt_sw(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> float:
     depth = water_depth(bathymetry, sw.eta, params)
-    return factor * bathymetry.grid.dx / wave_speed(depth, sw.V, params)
+    return bathymetry.grid.dx / wave_speed(depth, sw.V, params)
 
 
 def lift_sw(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> StripState:

@@ -197,12 +197,18 @@ class TestCLI:
         "scheme.kind = mollified\nscheme.iota1 = -1", "scheme.kind = mollified\nscheme.iota2 = -1",
         "scheme.kind = mollified\nscheme.iota3 = -1", "run.s = -3", "run.s0 = -1",
         "limits.norm_factor = -1", "limits.norm_factor = 0", "rate.min = 5\nrate.max = 1",
-    ], ids=["iota1", "iota2", "iota3", "s", "s0", "norm_factor-negative", "norm_factor-zero", "rate-window"])
+        SMALL_GRID + "run.T = 2\nrun.cfl = 0.6",
+        SMALL_GRID + "run.T = 2\nrun.cfl = 0.6\nscheme.kind = mollified\nscheme.iota3 = 0.1",
+        SMALL_GRID + "run.T = 2\nrun.cfl = 0.6\ninitial.recipe = well_prepared",
+    ], ids=["iota1", "iota2", "iota3", "s", "s0", "norm_factor-negative", "norm_factor-zero", "rate-window",
+            "cfl-direct", "cfl-mollified", "cfl-well-prepared"])
     def test_impossible_setting_exit_code(self, tmp_path, setting):
         # a negative cutoff raised ValueError from MollParams and a negative s
         # from the Sobolev norm (exit 1); a negative s0 ran on unchecked; a
         # non-positive norm_factor halted every run at t = 0 (exit 3); an
-        # empty rate window was accepted, although no sweep fit could pass
+        # empty rate window was accepted, although no sweep fit could pass;
+        # run.cfl above CFL_MAX halted every run with CFLViolation at its
+        # first step (exit 3)
         cfg = self._write(tmp_path, f"\n{setting}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
@@ -221,6 +227,15 @@ class TestCLI:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "scheme.iota1 must not be negative" in proc.stderr
+        assert not out.exists()
+
+    def test_sweep_member_parameters_exit_code(self, tmp_path, capsys):
+        # mu = eps^2 of the member eps = 1e-200 underflows to 0: the
+        # ValueError of PhysParams escaped _member (exit 1, a traceback)
+        extra = SMALL_GRID + "run.T = 0.02\nsweep.axis = log_horizon\nsweep.values = 0.5, 0.2, 1e-200\n"
+        cfg, out = self._write(tmp_path, extra), tmp_path / "s"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "sweep member log_horizon = 1e-200: mu must lie in (0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_sobolev_order_exit_code(self, tmp_path, capsys):
@@ -432,6 +447,18 @@ rate.max = 1.5
         assert main(["run", "--config", str(self._write(tmp_path, extra)), "--out", str(out)]) == 3
         manifest = (out / "manifest.txt").read_text().splitlines()
         assert "status = CFLViolation" in manifest and "final_t = 0.0" in manifest
+
+    @pytest.mark.parametrize("extra", ["", "\nscheme.kind = mollified\nscheme.iota3 = 0.01\n"],
+                             ids=["direct", "mollified"])
+    def test_manifest_keeps_cfl_margin(self, tmp_path, extra):
+        # the worst ratio of dt to the checked step bound, which the march
+        # computed at every step and dropped
+        out = tmp_path / "o"
+        code, result = experiments.run_single(ExperimentConfig.from_text(BASE_CONFIG + extra), out)
+        assert code == 0
+        margin = result["record"].cfl_margin
+        assert 0.0 < margin <= 1.0
+        assert f"cfl_margin = {margin}" in (out / "manifest.txt").read_text().splitlines()
 
     def test_sweep_iota3_runs_share_one_step(self, tmp_path, monkeypatch):
         # each cutoff member marches its cutoff run and its zero-cutoff

@@ -211,7 +211,7 @@ class TestSimulateHalts:
         bath = Bathymetry.cosine(grid, 0.2)
         st = StripState.rest(grid)
         st.eta0 = 0.05 * np.cos(grid.x)
-        dt = 10.0 * cfl_dt(st, bath, params, factor=0.5)
+        dt = 10.0 * 0.5 * cfl_dt(st, bath, params)
         rec = simulate(st, bath, params, 2.0 * dt, dt=dt)
         assert rec.status == "CFLViolation"
         assert rec.halted_at == 0.0

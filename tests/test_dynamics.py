@@ -16,7 +16,7 @@ from stripflow.dynamics import (
     vorticity,
     warm_started,
 )
-from stripflow.errors import CFLViolation, InvalidStreamfunction, TooManySteps
+from stripflow.errors import InvalidStreamfunction, TooManySteps
 from stripflow.geometry import DiffeoFields, total_density
 from stripflow.mollified import MollParams, from_strip_state, slag_rhs
 
@@ -72,7 +72,7 @@ class TestRestState:
             raise AssertionError("stepped")
 
         with pytest.raises(TooManySteps):
-            runner.march(StripState.rest(grid), T, 1e-3, 10, step, lambda st, rec: (st, "Continue"))
+            runner.march(StripState.rest(grid), T, 1e-3, 10, step, lambda st, rec: (st, "Continue"), lambda st: 1.0)
 
 
 class TestLinearizedDynamics:
@@ -131,7 +131,7 @@ class TestLinearizedDynamics:
         for nsteps in (16, 32):
             st = st0.copy()
             dt = period / nsteps
-            for _ in range(nsteps):  # beyond the CFL bound of step_rk4
+            for _ in range(nsteps):  # beyond the CFL bound that runner.march checks
                 st = rk4(st, dt, warm_started(lambda x, x0: euler_rhs(x, bath, params, x0=x0)))
             errs.append(np.abs(st.eta0 - st0.eta0).max())
         assert np.log2(errs[0] / errs[1]) > 3.7
@@ -564,13 +564,24 @@ class TestStreamfunctionInit:
 
 class TestStepGuards:
     def test_cfl_violation(self, grid):
+        # the march checks the step limit before every step, so a step
+        # beyond CFL_MAX times the limit is never taken
         params = PhysParams(eps=0.3, beta=0.0, mu=0.1)
         bath = Bathymetry.flat(grid)
         st = StripState.rest(grid)
         st.eta0 = 0.01 * np.cos(grid.x)
-        limit = cfl_dt(st, bath, params)
-        with pytest.raises(CFLViolation):
-            step_rk4(st, 10 * limit, bath, params)
+
+        def step(state, dt):
+            raise AssertionError("stepped beyond the limit")
+
+        def limit(state):
+            return cfl_dt(state, bath, params)
+
+        dt = 4.0 * limit(st)
+        rec = runner.march(st, 10 * dt, dt, 1, step, lambda s, rec: (s, "Continue"), limit)
+        assert rec.status == "CFLViolation"
+        assert rec.halted_at == 0.0 and rec.times == [0.0]
+        assert rec.cfl_margin == pytest.approx(4.0 / runner.CFL_MAX)
 
     def test_step_makes_four_pressure_solves(self, grid, monkeypatch):
         # one solve per RK4 stage; the drift projection is left to simulate
@@ -597,7 +608,7 @@ class TestStepGuards:
         bath = Bathymetry.cosine(grid, 0.25)
         st = StripState.rest(grid)
         st.eta0 = 0.1 * np.cos(grid.x)
-        dt = 0.5 * cfl_dt(st, bath, params)
+        dt = 0.2 * cfl_dt(st, bath, params)
         for _ in range(20):
             st = step_rk4(st, dt, bath, params)
             rep = divergence_report(st, bath, params)

@@ -382,7 +382,7 @@ class TestRunMollHalts:
         bath = Bathymetry.cosine(grid, 0.2)
         slag = from_strip_state(wave_state(grid), bath, params)
         moll = MollParams(0.0, 0.0, 0.01)
-        dt = 1.01 * cfl_dt_slag(slag, moll, bath, params, factor=0.5)
+        dt = 1.01 * 0.5 * cfl_dt_slag(slag, moll, bath, params)
         traj = run_moll(slag, moll, bath, params, 10 * dt, dt=dt, cadence=1)
         assert traj.status == "CFLViolation"
         assert traj.halted_at == 0.0 and traj.times == [0.0]

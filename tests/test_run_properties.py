@@ -33,7 +33,7 @@ def test_taylor_derivative_envelope_during_run():
     bath = Bathymetry.cosine(grid, 0.25)
     sw = sw_initial(grid, 0.08, 0.08)
     state, _ = well_prepared_init(sw, bath, params, 4.0, shear_amp=0.04, rho_amp=0.2)
-    dt = 0.5 * cfl_dt(state, bath, params)
+    dt = 0.2 * cfl_dt(state, bath, params)
     taylors, envelopes = [], []
     s0 = 2.0
     for i in range(30):
@@ -62,7 +62,7 @@ def test_irrotational_homogeneous_flow_stays_irrotational():
     bath = Bathymetry.cosine(grid, 0.2)
     state = StripState.rest(grid)
     state.eta0 = 0.08 * np.cos(grid.x)
-    dt = 0.5 * cfl_dt(state, bath, params)
+    dt = 0.2 * cfl_dt(state, bath, params)
     for _ in range(40):
         state = step_rk4(state, dt, bath, params)
     diffeo = build_diffeo(bath, state.eta0, params)
@@ -109,7 +109,7 @@ def test_simulate_projects_every_observed_state(monkeypatch):
 
     monkeypatch.setattr(runner, "measure", recording_measure)
     monkeypatch.setattr(runner, "project_divergence_free", recording_project)
-    dt = 0.5 * cfl_dt(state, bath, params)
+    dt = 0.2 * cfl_dt(state, bath, params)
     rec = simulate(state, bath, params, 5 * dt, dt=dt, cadence=2)
     assert rec.status == "Continue" and len(rec.times) == 4  # t = 0, 2 dt, 4 dt, 5 dt
     assert all(a is b for a, b in zip(observed[1:], projected))
@@ -130,7 +130,7 @@ def test_observation_pressure_starts_from_last_stage_pressure(monkeypatch):
     params = PhysParams(eps=0.3, beta=0.3, mu=1e-2, delta=1e-2)
     bath = Bathymetry.cosine(grid, 0.25)
     state, _ = well_prepared_init(sw_initial(grid, 0.08, 0.08), bath, params, 4.0, shear_amp=0.04, rho_amp=0.2)
-    dt = 0.5 * cfl_dt(state, bath, params)
+    dt = 0.2 * cfl_dt(state, bath, params)
     iterations = count_solve_iterations(monkeypatch)
     rec = simulate(state, bath, params, 4 * dt, dt=dt, cadence=2)
     # the t = 0 measure, then per observation 8 stage solves, the projection

@@ -3,7 +3,7 @@ import pytest
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
-from stripflow.dynamics import StripState, divergence_report, rk4
+from stripflow.dynamics import StripState, cfl_dt, divergence_report, rk4
 from stripflow.errors import BlowUpSuspected, DegenerateDepth, GridMismatch, PreparationFailed
 from stripflow.experiments import sw_initial
 from stripflow.geometry import water_depth
@@ -108,12 +108,26 @@ class TestSWDynamics:
         sw = sw_initial(grid, 0.08, 0.08)
         m0 = sw_mass(sw, bath, params)
         e0 = sw_energy(sw, bath, params)
-        dt = 0.5 * cfl_dt_sw(sw, bath, params)
+        dt = 0.2 * cfl_dt_sw(sw, bath, params)
         st = sw
         for _ in range(100):
             st = sw_step_rk4(st, dt, bath, params)
         assert abs(sw_mass(st, bath, params) - m0) < 1e-12
         assert abs(sw_energy(st, bath, params) - e0) / e0 < 1e-5
+
+    def test_co_step_beyond_its_limit_halts(self, grid):
+        # with dt set, the Saint-Venant co-step ran unchecked: here at 1.6
+        # times its bound, with the run reporting Continue
+        params = PhysParams(eps=0.5, beta=0.5, mu=0.01)
+        bath = Bathymetry.flat(grid)
+        state = StripState.rest(grid)
+        sw = SWState.rest(grid)
+        sw.V[0] = 2.0 * np.sin(grid.x)
+        dt = 0.4 * cfl_dt(state, bath, params)
+        assert dt == pytest.approx(1.6 * 0.5 * cfl_dt_sw(sw, bath, params))
+        rec = simulate(state, bath, params, 4 * dt, dt=dt, sw=sw)
+        assert rec.status == "CFLViolation"
+        assert rec.halted_at == 0.0
 
     def test_large_time_viability(self):
         # beta = 1, smooth data: stable to t = 1/(2 eps) at eps = 0.1
@@ -122,7 +136,7 @@ class TestSWDynamics:
         bath = Bathymetry.cosine(grid, 0.25)
         sw = sw_initial(grid, 0.1, 0.1)
         T = 1.0 / (2 * params.eps)
-        dt = 0.5 * cfl_dt_sw(sw, bath, params)
+        dt = 0.2 * cfl_dt_sw(sw, bath, params)
         n = int(np.ceil(T / dt))
         st = sw
         for _ in range(n):
