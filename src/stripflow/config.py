@@ -169,7 +169,11 @@ class ExperimentConfig:
             problems.append("streamfunction initial data is d = 1 only")
         if v["grid.d"] == 2 and v["sweep.axis"] == "iota3":
             problems.append("an iota3 sweep is d = 1 only (its distance resamples columns)")
-        if v["initial.recipe"] == "well_prepared" and v["params.delta"] > v["params.mu"]:
+        # on the parameters a run uses: a mu sweep's members take their own mu
+        # (one with delta > mu is run and excluded as PreparationFailed), and
+        # a log_horizon member's delta is at most its mu by construction
+        if (v["initial.recipe"] == "well_prepared" and v["sweep.axis"] not in ("mu", "log_horizon")
+                and v["params.delta"] > v["params.mu"]):
             problems.append(
                 "well-prepared runs require weak density variations (delta <= mu)"
             )

@@ -15,8 +15,8 @@ only where a state is observed, so the initial-state constructors and
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, fields, replace
+from itertools import count
 
 import numpy as np
 
@@ -68,8 +68,9 @@ class StripState:
 
 @dataclass
 class Tendencies:
-    """Tendencies of a strip state and the pressure they were closed with;
-    dH only for the transported map of the mollified scheme."""
+    """Tendencies of a strip state and the spectrum (horizontal rFFT) of the
+    pressure they were closed with; dH only for the transported map of the
+    mollified scheme."""
 
     dV: np.ndarray
     dw: np.ndarray
@@ -81,31 +82,79 @@ class Tendencies:
 
 
 # pressures a PressureGuess holds: the four stages of each of the last two
-# steps plus one more
-GUESS_HISTORY = 9
+# steps and three more, back to the base of a half-step stage two steps earlier
+GUESS_HISTORY = 11
+
+# The guess of a solve is P[-1] + M sum_j c_j P[-j] over the held pressures
+# (P[-1] the last, M the 2/3 dealias mask), with the weights c_1 .. c_11 of
+# one row below.  Stages 1 and 3 solve at the time of P[-1]; they add the
+# increments d1 = P[-4] - P[-5] and d2 = P[-8] - P[-9] that the same stage
+# added one and two steps earlier.  Stages 2 and 4 solve half a step past
+# P[-1] and a whole step past P[-3]; they take the base 2 P[-1] - P[-3] and
+# add the defects e1 = P[-4] - (2 P[-5] - P[-7]) and
+# e2 = P[-8] - (2 P[-9] - P[-11]) of the bases the same stage took one and
+# two steps earlier.  Each parity lists its rows by increasing reach; a solve
+# takes the last row whose reach the history holds.
+GUESS_WEIGHTS = (
+    # stages 1 and 3: P[-1]; + d1; + 2 d1 - d2
+    np.array([
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 2, -2, 0, 0, -1, 1, 0, 0],
+    ], dtype=float),
+    # stages 2 and 4: P[-1]; the base; + e1; + 2 e1 - e2
+    np.array([
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0],
+        [1, 0, -1, 1, -2, 0, 1, 0, 0, 0, 0],
+        [1, 0, -1, 2, -4, 0, 2, -1, 2, 0, -1],
+    ], dtype=float),
+)
 
 
 @dataclass
 class PressureGuess:
-    """The last GUESS_HISTORY pressures solved, oldest first, carried from
-    step to step by the caller that owns the time loop.  With four solves per
-    step, d1 = P[-4] - P[-5] and d2 = P[-8] - P[-9] are the increments the
-    coming solve's RK stage added one and two steps earlier; ``initial``
-    extrapolates them linearly (Fischer 1998: guesses for successive
-    right-hand sides)."""
+    """The spectra of the last GUESS_HISTORY pressures solved, carried from
+    step to step by the caller that owns the time loop, in a ring of
+    preallocated rows; ``initial`` makes a solve's guess from them (Fischer
+    1998: guesses for successive right-hand sides) on the strip ``grid``."""
 
-    history: deque = field(default_factory=lambda: deque(maxlen=GUESS_HISTORY))
+    grid: StripGrid
+    solves: int = 0  # pressures appended so far
+    _ring: np.ndarray | None = field(default=None, repr=False)
 
-    def initial(self) -> np.ndarray | None:
-        """P[-1] + 2 d1 - d2 (second order in the step); P[-1] + d1 while
-        fewer than nine are held, P[-1] while fewer than five are, None (a
-        cold start) while none is."""
-        P = self.history
-        if len(P) < 5:
-            return P[-1] if P else None
-        if len(P) < GUESS_HISTORY:
-            return P[-1] + (P[-4] - P[-5])
-        return P[-1] + 2.0 * (P[-4] - P[-5]) - (P[-8] - P[-9])
+    def append(self, P_hat: np.ndarray) -> None:
+        """Hold the spectrum of a solved pressure (copied)."""
+        if self._ring is None:
+            self._ring = np.zeros((GUESS_HISTORY,) + P_hat.shape, dtype=complex)
+        self._ring[self.solves % GUESS_HISTORY] = P_hat
+        self.solves += 1
+
+    @property
+    def history(self) -> tuple:
+        """The held spectra, oldest first (views, valid until the next
+        ``append``)."""
+        held = min(self.solves, GUESS_HISTORY)
+        return tuple(self._ring[(self.solves - j) % GUESS_HISTORY] for j in range(held, 0, -1))
+
+    def initial(self, half_step: bool) -> np.ndarray | None:
+        """The spectrum of P[-1] + M sum_j c_j P[-j], with the row of
+        GUESS_WEIGHTS of the solve's parity (``half_step`` for stages 2 and
+        4) that reaches furthest back within the held pressures; None (a cold
+        start) while none is held.  Only the extrapolated change is
+        band-limited: P[-1] keeps its modes above the cutoff, and extrapolating
+        those would amplify the solver's noise in them."""
+        if not self.solves:
+            return None
+        held = min(self.solves, GUESS_HISTORY)
+        c = next(row for row in GUESS_WEIGHTS[half_step][::-1] if not row[held:].any())
+        # row m of the ring holds P[-j] with j - 1 = (solves - 1 - m) mod GUESS_HISTORY
+        weights = c[(self.solves - 1 - np.arange(GUESS_HISTORY)) % GUESS_HISTORY]
+        ring = self._ring.reshape(GUESS_HISTORY, -1).view(float)
+        guess = (weights @ ring).view(complex).reshape(self._ring.shape[1:])
+        guess *= self.grid.dealias_mask
+        guess += self._ring[(self.solves - 1) % GUESS_HISTORY]
+        return guess
 
 
 @dataclass
@@ -175,7 +224,7 @@ def solve_state_pressure(
     state: StripState, diffeo: DiffeoFields, params: PhysParams, x0: np.ndarray | None = None
 ) -> np.ndarray:
     """Pressure of the given state (used standalone by the diagnostics),
-    solved from the initial guess x0, when given."""
+    solved from the spectrum x0 of an initial guess, when given."""
     problem, _ = assemble_pressure_problem(state, diffeo, params)
     return solve_pressure(problem, x0=x0)
 
@@ -183,8 +232,8 @@ def solve_state_pressure(
 def euler_rhs(
     state: StripState, bathymetry: Bathymetry, params: PhysParams, x0: np.ndarray | None = None
 ) -> Tendencies:
-    """Full tendencies; solves the pressure problem (from the initial guess
-    x0, when given) as part of the evaluation."""
+    """Full tendencies; solves the pressure problem (from the spectrum x0 of
+    an initial guess, when given) as part of the evaluation."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
     problem, aux = assemble_pressure_problem(state, diffeo, params)
     dV, dw, P, info = solve_closure(problem, aux["B_V"], aux["B_w"], x0=x0)
@@ -244,10 +293,11 @@ def step_rk4(
 ) -> StripState:
     """Classical four-stage step, four pressure solves, no projection (the
     stage solves keep the divergence stationary to solver tolerance); each
-    stage's solve starts from the last pressure in ``guess`` plus the linear
-    extrapolation of the increments the same stage saw one and two steps
-    earlier (from the previous stage's pressure, and stage 1 cold, without a
-    carried guess; see ``warm_started``).  ``runner.march`` checks dt."""
+    stage's solve starts from the pressures held in ``guess`` (stages 2 and 4
+    from the half-step base 2 P[-1] - P[-3]), extrapolated with a
+    band-limited increment (see ``warm_started``; a fresh guess without a
+    carried one, so stage 1 starts cold).  ``runner.march`` checks dt."""
+    guess = PressureGuess(bathymetry.grid) if guess is None else guess
     return rk4(state, dt, warm_started(lambda st, x0: euler_rhs(st, bathymetry, params, x0=x0), guess))
 
 
@@ -263,22 +313,21 @@ def shifted(state, k, h: float):
     return replace(state, t=state.t + h, **new)
 
 
-def warm_started(solve, guess: PressureGuess | None = None):
-    """``solve(state, x0)``, tendencies whose pressure solve starts from x0,
-    as an ``rk4`` right-hand side: each solve starts from the last pressure
-    solved plus the linear extrapolation of the increments the same RK stage
-    saw one and two steps earlier (``PressureGuess.initial``, which ramps up
-    from a cold start as the history fills; Fischer 1998: guesses for
-    successive right-hand sides), and keeps its pressure in ``guess``.  A
-    fresh guess (the default) holds fewer than five pressures, so each stage
-    starts from the previous stage's pressure and stage 1 cold.  The
-    stopping test is relative to the right-hand side, so the guess changes
-    the cost of a solve, not its accuracy."""
-    guess = PressureGuess() if guess is None else guess
+def warm_started(solve, guess: PressureGuess):
+    """``solve(state, x0)``, tendencies whose pressure solve starts from the
+    spectrum x0, as an ``rk4`` right-hand side: each solve starts from
+    ``guess.initial`` and keeps its pressure in ``guess``.  A counter of the
+    solves gives the stage parity: stages 1 and 3 extrapolate the increments
+    their stage added one and two steps earlier, stages 2 and 4, half a step
+    past the last pressure, start from the half-step base 2 P[-1] - P[-3]
+    (GUESS_WEIGHTS); the extrapolated change is restricted to the dealiased
+    band.  The stopping test is relative to the right-hand side, so the
+    guess changes the cost of a solve, not its accuracy."""
+    solves = count()
 
     def rhs(state):
-        tend = solve(state, guess.initial())
-        guess.history.append(tend.P)
+        tend = solve(state, guess.initial(half_step=next(solves) % 2 == 1))
+        guess.append(tend.P)
         return tend
 
     return rhs

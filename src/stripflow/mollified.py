@@ -69,7 +69,7 @@ def slag_rhs(
     """Mollified tendencies; the pressure is defined through the elliptic
     problem assembled, as in the production solver, so that the tendencies
     keep the discrete divergence and bottom impermeability stationary.  x0 is
-    the initial guess of the pressure solve."""
+    the spectrum of the initial guess of the pressure solve."""
     grid = bathymetry.grid
     metric = DiffeoFields.transported(grid, state.H)
     ops = metric.ops
@@ -111,11 +111,12 @@ def step_rk4_slag(
     state: SlagState, dt: float, moll: MollParams, bathymetry: Bathymetry, params: PhysParams,
     guess: PressureGuess | None = None,
 ) -> SlagState:
-    """One RK4 step; each stage's pressure solve starts from the last
-    pressure in ``guess`` plus the linear extrapolation of the increments
-    the same stage saw one and two steps earlier (from the previous stage's
-    pressure, and stage 1 cold, without a carried guess; see
-    ``dynamics.warm_started``).  ``runner.march`` checks dt."""
+    """One RK4 step; each stage's pressure solve starts from the pressures
+    held in ``guess`` (stages 2 and 4 from the half-step base
+    2 P[-1] - P[-3]), extrapolated with a band-limited increment (see
+    ``dynamics.warm_started``; a fresh guess without a carried one, so stage
+    1 starts cold).  ``runner.march`` checks dt."""
+    guess = PressureGuess(bathymetry.grid) if guess is None else guess
     return rk4(state, dt, warm_started(lambda st, x0: slag_rhs(st, moll, bathymetry, params, x0=x0), guess))
 
 
@@ -165,19 +166,19 @@ def run_moll(
 ) -> RunRecord:
     """RK4 trajectory of the mollified system, recording the scheme energy;
     one ``PressureGuess`` carries the last pressures across steps, so each
-    stage's solve starts from the last pressure plus the linear extrapolation
-    of the increments the same stage saw one and two steps earlier.  The run
-    halts with NormBlowup when the energy is non-finite or exceeds
-    norm_factor**2 times its t = 0 value (a squared norm; the floor of
-    ``diagnostics.blowup_monitor``); see ``runner.march`` for the default dt
-    (cfl_factor times ``cfl_dt_slag``), the cadence and the halt policy."""
+    stage's solve starts from their band-limited extrapolation (see
+    ``dynamics.warm_started``).  The run halts with NormBlowup when the
+    energy is non-finite or exceeds norm_factor**2 times its t = 0 value (a
+    squared norm; the floor of ``diagnostics.blowup_monitor``); see
+    ``runner.march`` for the default dt (cfl_factor times ``cfl_dt_slag``),
+    the cadence and the halt policy."""
     def observe(state, rec):
         E = moll_energy(state, moll, bathymetry, params, s)
         rec.energies.append(E)
         bound = norm_factor**2 * max(rec.energies[0], 1e-12)
         return state, ("Continue" if np.isfinite(E) and E <= bound else "NormBlowup")
 
-    guess = PressureGuess()
+    guess = PressureGuess(bathymetry.grid)
 
     def step(state, dt):
         return step_rk4_slag(state, dt, moll, bathymetry, params, guess)

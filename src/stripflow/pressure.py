@@ -43,25 +43,33 @@ one matrix product into that basis, the scale 1/(lambda - mu |k|^2) and
 one product back.  The preconditioner hands the operator the spectrum of
 its output and ``EllipticProblem.apply`` takes P as a spectrum, so a
 Krylov iteration makes no inverse-then-forward transform of the same
-field; the Krylov solution is itself kept as a spectrum and transformed
-back once per solve.  The operator splits into a flux half (one inverse
-transform and pointwise products) and a divergence half: ``solve_closure``
-takes the solution as a spectrum and applies its flux half, evaluated once
-per solve (kept from the residual's apply when the guess already met the
-tolerance).
+field; the Krylov solution is itself kept as a spectrum, and is
+transformed back only for a caller that reads P (the diagnostics).  The
+operator splits into a flux half (one inverse transform and pointwise
+products) and a divergence half: ``solve_closure`` takes the solution as a
+spectrum and applies its flux half, evaluated once per solve (kept from the
+residual's apply when the guess already met the tolerance).
 Locally the operator is (nu/h^2)(d_r^2 + mu h^2 Delta_x): its vertical part
 wants the weight h^2 and its horizontal part the weight 1.  The weight h is
 their geometric mean, so both regimes are off by the same factor of h and
 the iteration counts stay uniform in the shallow-water parameter mu, which
 the flat inverse carries as well; h^2 is exact only in the column limit and
-lets the count drift with mu.  The RK integrator
-warm-starts each stage's solve from the last pressure solved plus the linear
-extrapolation of the increments the same stage added one and two steps
-earlier, P[-1] + 2 (P[-4] - P[-5]) - (P[-8] - P[-9]) over the last nine
-solves (``dynamics.PressureGuess``; Fischer 1998: guesses for successive
-right-hand sides; from P[-1] + (P[-4] - P[-5]) while fewer than nine are
-held and from P[-1] while fewer than five are); the stopping test stays
-relative to the right-hand side, so the accuracy does not depend on the
+lets the count drift with mu.
+
+The RK integrator warm-starts each solve from the spectra of the last
+eleven pressures solved (``dynamics.PressureGuess``; Fischer 1998: guesses
+for successive right-hand sides): P[-1] + M sum_j c_j P[-j], with M the 2/3
+dealias mask.  Stages 1 and 3 solve at the time of P[-1]; they add the
+increments P[-4] - P[-5] and P[-8] - P[-9] that the same stage added one and
+two steps earlier, extrapolated to second order.  Stages 2 and 4 solve half
+a step later; they start from the base 2 P[-1] - P[-3], the linear
+extrapolation in time of the solves before them, plus the second-order
+extrapolation of the defects of the bases the same stage took one and two
+steps earlier.  Only the change is band-limited: P[-1] keeps its modes above
+the cutoff, and extrapolating those would amplify the solver's noise in them.
+The guess ramps up from a cold start as the history fills.  The pressure
+stays a spectrum from the solve to the next guess, and the stopping test
+stays relative to the right-hand side, so the accuracy does not depend on the
 initial guess.
 """
 
@@ -192,8 +200,9 @@ def closure_problem(
 
 
 def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=None):
-    """Solve ``problem`` (from the initial guess x0, when given) and apply the
-    pressure correction: (corrected B_V, corrected B_w, P, SolveInfo)."""
+    """Solve ``problem`` (from the spectrum x0 of an initial guess, when
+    given) and apply the pressure correction: (corrected B_V, corrected B_w,
+    the horizontal rFFT of P, SolveInfo)."""
     info = SolveInfo(0, 0.0)
     P_hat = solve_pressure(problem, rtol=rtol, info=info, x0=x0, spectrum=True)
     if info.iterations:
@@ -202,8 +211,7 @@ def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=No
     else:
         # P is the guess (or zero), whose fluxes the residual's apply kept
         Qx, Qr = problem.fluxes
-    P = spectral.irfft(problem.diffeo.grid, P_hat)
-    return B_V - Qx, B_w - Qr / problem.mu, P, info
+    return B_V - Qx, B_w - Qr / problem.mu, P_hat, info
 
 
 # -- preconditioner ------------------------------------------------------------
@@ -367,8 +375,10 @@ def solve_pressure(
 ) -> np.ndarray:
     """Solve for P with P(r=0) = 0; raises NoConvergence past the iteration
     cap 10 sqrt(n_x^d n_r).  The problem is elliptic by construction (module
-    docstring).  With ``spectrum`` set, returns the horizontal rFFT of P, the
-    form the Krylov solution is kept in, instead of P."""
+    docstring).  x0, when given, is the horizontal rFFT of an initial guess,
+    the form the Krylov solution is kept in (its Dirichlet row zero, as in
+    every returned spectrum).  With ``spectrum`` set, returns the horizontal
+    rFFT of P instead of P."""
     grid = problem.diffeo.grid
     n, xshape = grid.n_r, grid.xshape
     cap = max(60, int(10.0 * np.sqrt(np.prod(xshape) * n)))
@@ -400,11 +410,7 @@ def solve_pressure(
     def psolve(v: np.ndarray) -> np.ndarray:
         return _apply_flat_inverse(grid, fd, weight * v.reshape((n,) + xshape))
 
-    if x0 is None:
-        u0 = np.zeros((n + 1,) + grid.k_abs.shape, dtype=complex)
-    else:
-        u0 = spectral.rfft(grid, x0)
-        u0[n] = 0.0
+    u0 = np.zeros((n + 1,) + grid.k_abs.shape, dtype=complex) if x0 is None else x0
     u, iterations, res = gmres(matvec, psolve, b, u0, rtol * bnorm, cap)
     true_res = res / bnorm
     if true_res > 100 * rtol:

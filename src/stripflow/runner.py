@@ -103,7 +103,7 @@ def measure(
     x0: np.ndarray | None = None,
 ) -> EnergyReport:
     """One diagnostic snapshot: solves the pressure for the Taylor weight
-    (from the initial guess x0, when given)."""
+    (from the spectrum x0 of an initial guess, when given)."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
     P = solve_state_pressure(state, diffeo, params, x0)
     taylor = taylor_coefficient(P, diffeo, params)
@@ -125,17 +125,18 @@ def simulate(
 ) -> RunRecord:
     """Advance to time T with fixed dt (by default cfl_factor times the step
     limit, with ``sw`` the smaller of the strip's and Saint-Venant's); one
-    ``PressureGuess`` carries the last pressures across steps, so each
-    stage's solve starts from the last pressure plus the linear extrapolation
-    of the increments the same stage saw one and two steps earlier.  Each
-    observation after t = 0 projects the state first (the initial-state
-    constructors project or build a rest state) and the run continues from
-    the projected state, so every recorded state and ``final`` are
-    projected; its pressure solve starts from the last stage pressure (the
-    projection's pressure is another quantity and starts cold).  When a
-    shallow-water state is supplied it is co-advanced on the same clock and
-    a ComparisonReport is recorded at each observation."""
-    guess = PressureGuess()
+    ``PressureGuess`` carries the spectra of the last pressures across steps,
+    so each stage's solve starts from an extrapolation of them (stages 2 and
+    4 from the half-step base 2 P[-1] - P[-3]) whose increment is restricted
+    to the dealiased band (``dynamics.warm_started``).  Each observation
+    after t = 0 projects the state first (the initial-state constructors
+    project or build a rest state) and the run continues from the projected
+    state, so every recorded state and ``final`` are projected; its pressure
+    solve starts from the last stage pressure's spectrum (the projection's
+    pressure is another quantity and starts cold).  When a shallow-water
+    state is supplied it is co-advanced on the same clock and a
+    ComparisonReport is recorded at each observation."""
+    guess = PressureGuess(bathymetry.grid)
 
     def step(state, dt):
         nonlocal sw

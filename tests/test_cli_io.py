@@ -96,6 +96,22 @@ class TestConfig:
         cfg = ExperimentConfig.from_text(text)
         assert any("delta <= mu" in p for p in cfg.validate())
 
+    @pytest.mark.parametrize("axis,values,rejected", [
+        ("mu", "1, 0.1, 0.01", False),
+        ("log_horizon", "0.5, 0.2, 0.1", False),
+        ("iota3", "1, 0.1, 0.01", True),
+    ])
+    def test_weak_density_guard_reads_the_run_parameters(self, axis, values, rejected):
+        # the members of a mu or log_horizon sweep never use params.mu, and
+        # each of these has delta <= mu; the rule rejected the mu sweep
+        text = BASE_CONFIG + (
+            f"\ninitial.recipe = well_prepared\nparams.mu = 0.001\nparams.delta = 0.005\n"
+            f"sweep.axis = {axis}\nsweep.values = {values}\n"
+        )
+        problems = ExperimentConfig.from_text(text).validate()
+        assert any("delta <= mu" in p for p in problems) == rejected
+        assert rejected or problems == []
+
     @pytest.mark.parametrize("raw,value", [("true", True), ("On", True), ("1", True), ("no", False), ("OFF", False)])
     def test_bool_words(self, raw, value):
         assert parse_config_text(f"sweep.delta_tracks_mu = {raw}")["sweep.delta_tracks_mu"] is value

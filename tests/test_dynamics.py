@@ -4,6 +4,7 @@ import pytest
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import pressure, runner, spectral
 from stripflow.dynamics import (
+    PressureGuess,
     StripState,
     cfl_dt,
     divergence_report,
@@ -132,7 +133,7 @@ class TestLinearizedDynamics:
             st = st0.copy()
             dt = period / nsteps
             for _ in range(nsteps):  # beyond the CFL bound that runner.march checks
-                st = rk4(st, dt, warm_started(lambda x, x0: euler_rhs(x, bath, params, x0=x0)))
+                st = rk4(st, dt, warm_started(lambda x, x0: euler_rhs(x, bath, params, x0=x0), PressureGuess(grid)))
             errs.append(np.abs(st.eta0 - st0.eta0).max())
         assert np.log2(errs[0] / errs[1]) > 3.7
 
@@ -505,7 +506,7 @@ class TestVorticity:
         tend = euler_rhs(st, bath, params)
         diffeo = build_diffeo(bath, st.eta0, params)
         om = vorticity(st, diffeo, params).omega_x[None]  # a stack of one field
-        F = vorticity_source(st, tend.P, diffeo, params)
+        F = vorticity_source(st, spectral.irfft(grid, tend.P), diffeo, params)
         tcorr = params.eps * (1 + grid.r)[:, None] * tend.deta0[None, :] / diffeo.h_tot
         rhs = (
             -params.eps * spectral.dealias(grid, diffeo.ops.advect(st.V, st.w, om, spectral.dr(grid, om)))[0]

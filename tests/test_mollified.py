@@ -133,16 +133,16 @@ class TestSlagDynamics:
         assert np.abs(div[1:-1]).max() < 1e-10
 
     def test_carried_guess_matches_cold_steps(self, grid):
-        # the guess ramps up as the history fills: stage 1 of step 2 starts
-        # from the last-stage pressure of step 1, stage 2 of step 2 adds the
-        # increment its stage saw one step earlier (stage 1 first at step 3),
-        # and stage 2 of step 3 extrapolates the increments of the two steps
-        # before (stage 1 first at step 4); every solve stops on the same
-        # relative residual
+        # the guess ramps up as the history fills: stage 4 of step 1 starts
+        # from the half-step base, stage 1 of step 2 from the last-stage
+        # pressure of step 1, stage 4 of step 2 and stage 1 of step 3 add the
+        # defect or increment their stage saw one step earlier, and stage 4 of
+        # step 3 and stage 1 of step 4 extrapolate those of the two steps
+        # before; every solve stops on the same relative residual
         params = PhysParams(eps=0.25, beta=0.25, mu=0.1)
         bath = Bathymetry.cosine(grid, 0.2)
         cold = warm = from_strip_state(wave_state(grid), bath, params)
-        moll, dt, guess = MollParams(0.1, 0.1, 0.01), 2e-3, PressureGuess()
+        moll, dt, guess = MollParams(0.1, 0.1, 0.01), 2e-3, PressureGuess(grid)
         for _ in range(4):
             cold = step_rk4_slag(cold, dt, moll, bath, params)
             warm = step_rk4_slag(warm, dt, moll, bath, params, guess)
@@ -157,10 +157,10 @@ class TestSlagDynamics:
         params = PhysParams(eps=0.25, beta=0.25, mu=0.1)
         bath = Bathymetry.cosine(grid, 0.2)
         slag = from_strip_state(wave_state(grid), bath, params)
-        moll, dt, guess = MollParams(0.1, 0.1, 0.01), 2e-3, PressureGuess()
+        moll, dt, guess = MollParams(0.1, 0.1, 0.01), 2e-3, PressureGuess(grid)
         slag = step_rk4_slag(step_rk4_slag(slag, dt, moll, bath, params, guess), dt, moll, bath, params, guess)
-        last = PressureGuess()
-        last.history.append(guess.history[-1])
+        last = PressureGuess(grid)
+        last.append(guess.history[-1])
         iterations = count_solve_iterations(monkeypatch)
         step_rk4_slag(slag, dt, moll, bath, params, last)
         step_rk4_slag(slag, dt, moll, bath, params, guess)
@@ -169,17 +169,20 @@ class TestSlagDynamics:
 
     def test_second_order_increment_cuts_iterations(self, grid, monkeypatch):
         # step 4 from the full history (each stage extrapolates the increments
-        # it added one and two steps earlier) against step 4 from the last
-        # five pressures (each stage adds the increment of one step earlier)
+        # or defects it saw one and two steps earlier) against step 4 from the
+        # last five pressures (each stage adds at most those of one step
+        # earlier)
         params = PhysParams(eps=0.25, beta=0.25, mu=0.1)
         bath = Bathymetry.cosine(grid, 0.2)
         slag = from_strip_state(wave_state(grid), bath, params)
-        moll, dt, guess = MollParams(0.1, 0.1, 0.01), 2e-3, PressureGuess()
+        moll, dt, guess = MollParams(0.1, 0.1, 0.01), 2e-3, PressureGuess(grid)
         for _ in range(3):
             slag = step_rk4_slag(slag, dt, moll, bath, params, guess)
-        full, first = PressureGuess(), PressureGuess()
-        full.history.extend(guess.history)
-        first.history.extend(list(guess.history)[-5:])
+        full, first = PressureGuess(grid), PressureGuess(grid)
+        for P in guess.history:
+            full.append(P)
+        for P in guess.history[-5:]:
+            first.append(P)
         iterations = count_solve_iterations(monkeypatch)
         step_rk4_slag(slag, dt, moll, bath, params, first)
         step_rk4_slag(slag, dt, moll, bath, params, full)

@@ -516,7 +516,7 @@ class TestHotPath:
         problem, _ = assemble_pressure_problem(state, diffeo, params)
         P = solve_pressure(problem)
         info = SolveInfo(0, 0.0)
-        P2 = solve_pressure(problem, info=info, x0=P)
+        P2 = solve_pressure(problem, info=info, x0=spectral.rfft(grid, P))
         assert info.iterations <= 2
         assert np.abs(P2 - P).max() <= 1e-10 * np.abs(P).max()
 
@@ -589,18 +589,19 @@ class TestHotPath:
         warm = euler_rhs(stage, bath, params, x0=k1.P)
         assert warm.solve_info.iterations < cold.solve_info.iterations
         assert warm.solve_info.residual <= 1e-10
-        assert np.abs(warm.P - cold.P).max() <= 1e-8 * np.abs(cold.P).max()
+        warm_P, cold_P = spectral.irfft(grid, warm.P), spectral.irfft(grid, cold.P)
+        assert np.abs(warm_P - cold_P).max() <= 1e-8 * np.abs(cold_P).max()
 
     def test_carried_guess_matches_cold_steps(self, grid, params, rng):
-        # the guess ramps up as the history fills: stage 1 of step 2 starts
-        # from the last-stage pressure of step 1, stage 2 of step 2 adds the
-        # increment its stage saw one step earlier (stage 1 first at step 3),
-        # and stage 2 of step 3 extrapolates the increments of the two steps
-        # before (stage 1 first at step 4); every solve stops on the same
-        # relative residual
+        # the guess ramps up as the history fills: stage 4 of step 1 starts
+        # from the half-step base, stage 1 of step 2 from the last-stage
+        # pressure of step 1, stage 4 of step 2 and stage 1 of step 3 add the
+        # defect or increment their stage saw one step earlier, and stage 4 of
+        # step 3 and stage 1 of step 4 extrapolate those of the two steps
+        # before; every solve stops on the same relative residual
         bath = Bathymetry.cosine(grid, 0.2)
         cold = warm = _sheared_state(grid, rng)
-        dt, guess = 2e-3, PressureGuess()
+        dt, guess = 2e-3, PressureGuess(grid)
         for _ in range(4):
             cold = step_rk4(cold, dt, bath, params)
             warm = step_rk4(warm, dt, bath, params, guess)
@@ -613,7 +614,7 @@ class TestHotPath:
         state, dt = _sheared_state(grid, rng), 2e-3
         iterations = count_solve_iterations(monkeypatch)
         step_rk4(step_rk4(state, dt, bath, params), dt, bath, params)
-        guess = PressureGuess()
+        guess = PressureGuess(grid)
         step_rk4(step_rk4(state, dt, bath, params, guess), dt, bath, params, guess)
         assert len(iterations) == 16
         cold_stage1, warm_stage1 = iterations[4], iterations[12]
@@ -623,10 +624,10 @@ class TestHotPath:
         # step 3 from the carried history against step 3 from the last
         # pressure alone (each stage then starts from the previous one)
         bath = Bathymetry.cosine(grid, 0.2)
-        state, dt, guess = _sheared_state(grid, rng), 2e-3, PressureGuess()
+        state, dt, guess = _sheared_state(grid, rng), 2e-3, PressureGuess(grid)
         state = step_rk4(step_rk4(state, dt, bath, params, guess), dt, bath, params, guess)
-        last = PressureGuess()
-        last.history.append(guess.history[-1])
+        last = PressureGuess(grid)
+        last.append(guess.history[-1])
         iterations = count_solve_iterations(monkeypatch)
         step_rk4(state, dt, bath, params, last)
         step_rk4(state, dt, bath, params, guess)
@@ -635,20 +636,69 @@ class TestHotPath:
 
     def test_second_order_increment_cuts_iterations(self, grid, params, rng, monkeypatch):
         # step 4 from the full history (each stage extrapolates the increments
-        # it added one and two steps earlier) against step 4 from the last
-        # five pressures (each stage adds the increment of one step earlier)
+        # or defects it saw one and two steps earlier) against step 4 from the
+        # last five pressures (each stage adds at most those of one step
+        # earlier)
         bath = Bathymetry.cosine(grid, 0.2)
-        state, dt, guess = _sheared_state(grid, rng), 2e-3, PressureGuess()
+        state, dt, guess = _sheared_state(grid, rng), 2e-3, PressureGuess(grid)
         for _ in range(3):
             state = step_rk4(state, dt, bath, params, guess)
-        full, first = PressureGuess(), PressureGuess()
-        full.history.extend(guess.history)
-        first.history.extend(list(guess.history)[-5:])
+        full, first = PressureGuess(grid), PressureGuess(grid)
+        for P in guess.history:
+            full.append(P)
+        for P in guess.history[-5:]:
+            first.append(P)
         iterations = count_solve_iterations(monkeypatch)
         step_rk4(state, dt, bath, params, first)
         step_rk4(state, dt, bath, params, full)
         assert len(iterations) == 8
         assert sum(iterations[4:]) < sum(iterations[:4])
+
+    def test_half_step_guess_cuts_iterations(self, grid, params, rng, monkeypatch):
+        # with the stage-increment guess alone every step from the fourth on
+        # takes 9 iterations ([1, 3, 2, 3]); the half-step base of stages 2
+        # and 4 takes 6 ([1, 2, 2, 1])
+        bath = Bathymetry.cosine(grid, 0.2)
+        state, dt, guess = _sheared_state(grid, rng), 1e-2, PressureGuess(grid)
+        iterations = count_solve_iterations(monkeypatch)
+        for _ in range(8):
+            state = step_rk4(state, dt, bath, params, guess)
+        per_step = [sum(iterations[i : i + 4]) for i in range(16, 32, 4)]
+        assert max(per_step) <= 7, per_step
+
+    def test_guess_changes_only_the_dealiased_band(self, grid, rng):
+        # P[-1] keeps its modes above the 2/3 cutoff; the extrapolated change
+        # has none there
+        guess = PressureGuess(grid)
+        shape = (grid.n_r + 1,) + grid.k_abs.shape
+        high = grid.dealias_mask == 0.0
+        for _ in range(12):
+            guess.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for half_step in (False, True):
+            change = guess.initial(half_step) - guess.history[-1]
+            assert not change[..., high].any()
+            assert np.abs(change[..., ~high]).min() > 0.0
+
+    def test_guess_is_exact_for_a_cubic_in_time(self, grid, rng):
+        # a band-limited pressure cubic in time, sampled at the stage times
+        # t, t + h/2, t + h/2, t + h of each step: once the history is full,
+        # stages 1 and 3 repeat the pressure of their time and stages 2 and 4
+        # extrapolate the base's defect, which is linear in time, exactly
+        shape = (grid.n_r + 1,) + grid.k_abs.shape
+        modes = [grid.dealias_mask * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                 for _ in range(4)]
+
+        def P(t):
+            return sum(m * t**p for p, m in enumerate(modes))
+
+        guess, h = PressureGuess(grid), 0.1
+        for step in range(5):
+            for stage, offset in enumerate((0.0, 0.5, 0.5, 1.0)):
+                exact = P((step + offset) * h)
+                if step >= 3:
+                    got = guess.initial(half_step=stage % 2 == 1)
+                    assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max(), (step, stage)
+                guess.append(exact)
 
 
 class TestClosure:
@@ -684,8 +734,9 @@ class TestClosure:
         B_w = random_band_limited(problem.diffeo.grid, rng, kmax=4, amp=0.3)
         x0 = k1.P
         if guess == "converged":
-            x0 = solve_pressure(problem, rtol=1e-13)
-        dV, dw, P, info = solve_closure(problem, B_V, B_w, x0=x0)
+            x0 = solve_pressure(problem, rtol=1e-13, spectrum=True)
+        dV, dw, P_hat, info = solve_closure(problem, B_V, B_w, x0=x0)
+        P = spectral.irfft(problem.diffeo.grid, P_hat)
         assert (info.iterations == 0) == (guess == "converged")
         Q = problem.flux(spectral.rfft(problem.diffeo.grid, P))
         scale = np.abs(Q).max()
@@ -704,7 +755,8 @@ class TestClosure:
             params, bath = PhysParams(eps=0.3, beta=0.0, mu=1e-2, delta=0.2), Bathymetry.flat(grid)
         problem, aux = assemble_pressure_problem(state, build_diffeo(bath, state.eta0, params), params)
         B_V, B_w = aux["B_V"], aux["B_w"]
-        dV, dw, P, _ = solve_closure(problem, B_V, B_w)
+        dV, dw, P_hat, _ = solve_closure(problem, B_V, B_w)
+        P = spectral.irfft(grid, P_hat)
         grad_P, dr_P = problem.diffeo.ops.gradients(P)
         ref_V, ref_w = B_V - problem.nu * grad_P, B_w - problem.nu * dr_P / params.mu
         assert dV.shape == B_V.shape and dw.shape == B_w.shape
