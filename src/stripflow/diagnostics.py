@@ -1,4 +1,4 @@
-"""Energy functional, equivalence ratios, blow-up monitoring, and rate fits."""
+"""Energy functional, blow-up monitoring, and rate fits."""
 
 from __future__ import annotations
 
@@ -21,8 +21,6 @@ class EnergyReport:
     surface_term: float
     vort_norm: float
     shear_ratio: float
-    drw_norm: float
-    w_norm: float
     taylor_min: float
     mean_eta0: float
     state_norm: float
@@ -81,8 +79,6 @@ def energy(
 
     drV = [spectral.dr(grid, state.V[i]) for i in range(grid.d)]
     shear = spectral.stack_norm(grid, drV, s - 1) / sq
-    drw = spectral.field_norm(grid, spectral.dr(grid, state.w), s - 1)
-    wn = spectral.field_norm(grid, state.w, s - 1)
 
     E_s = E_low + al + surface + vnorm**2
     return EnergyReport(
@@ -92,37 +88,11 @@ def energy(
         surface_term=surface,
         vort_norm=vnorm,
         shear_ratio=shear,
-        drw_norm=drw,
-        w_norm=wn,
         taylor_min=float(taylor.min()),
         mean_eta0=float(state.eta0.mean()),
         state_norm=state_norm(state, grid, params, s),
         t=state.t,
     )
-
-
-def equivalence_checks(report: EnergyReport, reference: EnergyReport | None = None, factor: float = 4.0) -> dict:
-    """Ratio stability of the shear/vertical-derivative controls against
-    sqrt(E_s); constants are fitted at the reference snapshot, never asserted
-    against analysis constants."""
-    root = np.sqrt(max(report.E_s, 1e-300))
-    ratios = {
-        "shear": report.shear_ratio / root,
-        "drw": report.drw_norm / root,
-        "w": report.w_norm / root,
-    }
-    out = {"ratios": ratios, "ok": True, "flags": {}}
-    if reference is not None:
-        ref_root = np.sqrt(max(reference.E_s, 1e-300))
-        for key, num0 in (
-            ("shear", reference.shear_ratio / ref_root),
-            ("drw", reference.drw_norm / ref_root),
-            ("w", reference.w_norm / ref_root),
-        ):
-            ok = ratios[key] <= factor * max(num0, 1e-14)
-            out["flags"][key] = ok
-            out["ok"] = out["ok"] and ok
-    return out
 
 
 def blowup_monitor(
@@ -171,15 +141,3 @@ def fit_rate(samples) -> RateFit:
     coeffs, res = np.polyfit(np.log(mus), np.log(errs), 1, full=True)[:2]
     residual = float(res[0]) if len(res) else 0.0
     return RateFit(float(coeffs[0]), float(coeffs[1]), residual, degenerate)
-
-
-def gronwall_slope(times, energies, skip: float = 0.05) -> float:
-    """max_t log(E(t)/E(0))/t over the recorded series, ignoring the earliest
-    fraction where the quotient is noise-dominated."""
-    times = np.asarray(times, dtype=float)
-    energies = np.asarray(energies, dtype=float)
-    if energies[0] <= 0:
-        raise ValueError("needs a nonzero initial energy")
-    mask = times > skip * times[-1]
-    vals = np.log(energies[mask] / energies[0]) / times[mask]
-    return float(vals.max())

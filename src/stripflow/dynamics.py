@@ -33,13 +33,7 @@ from .geometry import (
     wave_speed,
 )
 from .grid import StripGrid
-from .pressure import (
-    EllipticProblem,
-    SolveInfo,
-    closure_problem,
-    solve_closure,
-    solve_pressure,
-)
+from .pressure import EllipticProblem, closure_problem, solve_closure, solve_pressure
 
 
 @dataclass
@@ -77,7 +71,6 @@ class Tendencies:
     drho: np.ndarray
     deta0: np.ndarray
     P: np.ndarray
-    solve_info: SolveInfo
     dH: np.ndarray | None = None
 
 
@@ -236,8 +229,8 @@ def euler_rhs(
     an initial guess, when given) as part of the evaluation."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
     problem, aux = assemble_pressure_problem(state, diffeo, params)
-    dV, dw, P, info = solve_closure(problem, aux["B_V"], aux["B_w"], x0=x0)
-    return Tendencies(dV, dw, aux["drho"], aux["deta0"], P, info)
+    dV, dw, P = solve_closure(problem, aux["B_V"], aux["B_w"], x0=x0)
+    return Tendencies(dV, dw, aux["drho"], aux["deta0"], P)
 
 
 def divergence_report(state: StripState, bathymetry: Bathymetry, params: PhysParams) -> dict:
@@ -274,7 +267,7 @@ def project_divergence_free(state: StripState, bathymetry: Bathymetry, params: P
     pressure closure with B = (V, w), solved to PROJECT_RTOL (Dirichlet top)."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
     problem = closure_problem(diffeo, params, 1.0 / total_density(state.rho, params), state.V, state.w)
-    V, w, _, _ = solve_closure(problem, state.V, state.w, rtol=PROJECT_RTOL)
+    V, w, _ = solve_closure(problem, state.V, state.w, rtol=PROJECT_RTOL)
     return StripState(V, w, state.rho.copy(), state.eta0.copy(), state.t)
 
 

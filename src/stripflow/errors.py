@@ -25,10 +25,6 @@ class InsufficientResolution(StripflowError):
     """Requested vertical derivative order exceeds stencil support."""
 
 
-class InsufficientHistory(StripflowError):
-    """Time-differencing requested with fewer than two snapshots."""
-
-
 class NoConvergence(StripflowError):
     """Iterative solver hit its iteration cap before reaching tolerance."""
 

@@ -145,8 +145,6 @@ def run_single(cfg: ExperimentConfig, out_dir, verbose: bool = False) -> tuple[i
     if achieved is not None:
         extra["well_prepared_sum"] = achieved
     io.write_manifest(out / "manifest.txt", cfg.dump(), rec.status, extra)
-    if verbose and moll is None:
-        _dump_solver_debug(out / "solver_debug.txt", rec.final, bath, params)
     if verbose:
         print(f"[run] status={rec.status} steps={rec.n_steps} wall={rec.wall_time:.1f}s")
     return (0 if rec.status == "Continue" else 3), {"status": rec.status, "record": rec}
@@ -157,21 +155,6 @@ def _halted_before_stepping(out: Path, cfg: ExperimentConfig, status: str) -> tu
     manifest."""
     io.write_manifest(out / "manifest.txt", cfg.dump(), status)
     return 3, {"status": status}
-
-
-def _dump_solver_debug(path, state, bath, params):
-    """Columnar dump of the elliptic coefficient health and solve effort."""
-    from .dynamics import assemble_pressure_problem
-    from .geometry import build_diffeo
-    from .pressure import SolveInfo, solve_pressure
-
-    diffeo = build_diffeo(bath, state.eta0, params)
-    problem, _ = assemble_pressure_problem(state, diffeo, params)
-    info = SolveInfo(0, 0.0)
-    solve_pressure(problem, info=info)
-    with open(path, "w") as fh:
-        fh.write("# t A_eigen_min iterations residual\n")
-        fh.write(f"{state.t:.6f} {problem.A_eigen_min():.6e} {info.iterations} {info.residual:.3e}\n")
 
 
 def _mu_member(cfg: ExperimentConfig, mu: float) -> dict:

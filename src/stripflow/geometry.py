@@ -42,11 +42,6 @@ class PhysParams:
     def sqrt_mu(self) -> float:
         return float(np.sqrt(self.mu))
 
-    @property
-    def growth_scale(self) -> float:
-        """eps v beta v delta/mu, the slope scale of the energy growth."""
-        return max(self.eps, self.beta, self.delta / self.mu)
-
 
 # -- bathymetry ------------------------------------------------------------------
 

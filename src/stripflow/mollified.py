@@ -103,8 +103,8 @@ def slag_rhs(
         ops, metric.h_tot, spectral.dr(grid, dH), spectral.dx(grid, dH), spectral.dr(grid, F[: d + 1])
     )
     problem = closure_problem(metric, params, nu, B[:d], B[d], metric_term)
-    dV, dw, P, info = solve_closure(problem, B[:d], B[d], x0=x0)
-    return Tendencies(dV, dw, B[d + 1], deta0, P, info, dH)
+    dV, dw, P = solve_closure(problem, B[:d], B[d], x0=x0)
+    return Tendencies(dV, dw, B[d + 1], deta0, P, dH)
 
 
 def step_rk4_slag(
@@ -129,7 +129,9 @@ def cfl_dt_slag(state: SlagState, moll: MollParams, bathymetry: Bathymetry, para
     dt = grid.dx / wave_speed(depth, state.V, params)
     if moll.iota3:
         kmax = 2.0 * np.pi * (grid.n_x // 3) / grid.length
-        geff = params.g + moll.iota3 * np.sqrt(1.0 + kmax**2) / params.rho_bar
+        # products, not powers: a float power raises OverflowError where a
+        # product becomes inf, and an infinite omega is a step limit of 0
+        geff = params.g + moll.iota3 * np.sqrt(1.0 + kmax * kmax) / params.rho_bar
         omega = kmax * np.sqrt(geff * depth.max())
         dt = min(dt, 3.75 / omega)
     return dt
@@ -175,7 +177,8 @@ def run_moll(
     def observe(state, rec):
         E = moll_energy(state, moll, bathymetry, params, s)
         rec.energies.append(E)
-        bound = norm_factor**2 * max(rec.energies[0], 1e-12)
+        # a product, not a power: inf where a float power raises OverflowError
+        bound = norm_factor * norm_factor * max(rec.energies[0], 1e-12)
         return state, ("Continue" if np.isfinite(E) and E <= bound else "NormBlowup")
 
     guess = PressureGuess(bathymetry.grid)

@@ -11,9 +11,9 @@ N_b . (mu Q_x, Q_r) imposed at r = -1.  Pointwise algebra identifies
 equivalent divergence form.  Its horizontal block nu h I and the Schur
 complement nu/h of that block are positive wherever nu > 0 and h > 0, which
 ``geometry.total_density`` and ``DiffeoFields`` enforce, so A is positive
-definite by construction and serves only the solver diagnostics.  The solve
-uses the composed form, the one that makes the prognostic tendencies preserve
-the discrete divergence.
+definite by construction and the problem elliptic; the solver never forms
+A.  It uses the composed form, the one that makes the prognostic tendencies
+preserve the discrete divergence.
 
 Every solver closes its non-pressure tendencies (B_V, B_w) the same way:
 ``closure_problem`` poses the source mu div_phi B (plus the metric motion of
@@ -81,7 +81,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import spectral
-from .errors import InsufficientHistory, NoConvergence
+from .errors import NoConvergence
 from .geometry import DiffeoFields, PhysParams
 from .grid import StripGrid
 
@@ -107,27 +107,6 @@ class EllipticProblem:
         self.nu_kappa = self.nu * ops.kappa
         self.nu_gamma = self.nu * ops.gamma
         self.mu_kappa = self.mu * ops.kappa
-
-    # -- coefficient matrix (divergence form), kept for diagnostics ------------
-
-    def A_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(horizontal block, off-diagonal column, vertical entry) of A."""
-        grid, h, grad_sum = self.diffeo.grid, self.diffeo.h_tot, self.diffeo.grad_sum
-        shape = (grid.n_r + 1,) + grid.xshape
-        alpha = np.broadcast_to(self.nu * h, shape)
-        off = -np.sqrt(self.mu) * self.nu * grad_sum
-        gs2 = np.sum(grad_sum**2, axis=0)
-        beta = self.nu * (1.0 + self.mu * gs2) / h
-        return alpha, off, np.broadcast_to(beta, shape)
-
-    def A_eigen_min(self) -> float:
-        """Nodewise minimum eigenvalue of A (d = 1: closed form; d = 2 via the
-        block structure alpha I_2 + rank-one coupling)."""
-        alpha, off, beta = self.A_blocks()
-        c2 = np.sum(off**2, axis=0)
-        half_tr = 0.5 * (alpha + beta)
-        disc = np.sqrt(0.25 * (alpha - beta) ** 2 + c2)
-        return float((half_tr - disc).min())
 
     # -- the composed operator --------------------------------------------------
 
@@ -202,7 +181,7 @@ def closure_problem(
 def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=None):
     """Solve ``problem`` (from the spectrum x0 of an initial guess, when
     given) and apply the pressure correction: (corrected B_V, corrected B_w,
-    the horizontal rFFT of P, SolveInfo)."""
+    the horizontal rFFT of P)."""
     info = SolveInfo(0, 0.0)
     P_hat = solve_pressure(problem, rtol=rtol, info=info, x0=x0, spectrum=True)
     if info.iterations:
@@ -211,7 +190,7 @@ def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=No
     else:
         # P is the guess (or zero), whose fluxes the residual's apply kept
         Qx, Qr = problem.fluxes
-    return B_V - Qx, B_w - Qr / problem.mu, P_hat, info
+    return B_V - Qx, B_w - Qr / problem.mu, P_hat
 
 
 # -- preconditioner ------------------------------------------------------------
@@ -428,13 +407,3 @@ def taylor_coefficient(P: np.ndarray, diffeo: DiffeoFields, params: PhysParams) 
     (one-sided vertical stencil)."""
     drP_top = spectral.dr(diffeo.grid, P)[-1]
     return params.g * params.rho_bar - params.eps * drP_top / diffeo.h_tot
-
-
-def taylor_time_derivative(history: list, dt: float) -> np.ndarray:
-    """Backward finite difference of the Taylor coefficient in time."""
-    if len(history) < 2:
-        raise InsufficientHistory("need at least two snapshots")
-    vals = [np.asarray(h) for h in history]
-    if len(vals) == 2:
-        return (vals[-1] - vals[-2]) / dt
-    return (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * dt)

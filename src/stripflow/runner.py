@@ -68,7 +68,8 @@ def march(state, T: float, dt: float | None, cadence: int, step, observe, limit,
     t0 = time.perf_counter()
     if dt is None:
         dt = cfl * limit(state)
-    steps = np.ceil(T / dt - 1e-12)
+    with np.errstate(divide="ignore"):  # a limit that underflowed to 0 needs inf steps
+        steps = np.ceil(T / dt - 1e-12)
     if not steps <= MAX_STEPS:  # a NaN step count too
         raise TooManySteps(f"T = {T:.3e} at dt = {dt:.3e} needs {steps:.3e} steps, more than {MAX_STEPS}")
     n_steps = max(1, int(steps))

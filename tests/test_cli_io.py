@@ -43,13 +43,23 @@ output.format = npz
 
 SMALL_GRID = "\ngrid.n_x = 16\ngrid.n_r = 8\n"
 
-# every numeric key at 0, -1 and 1e300; the grid sizes at 0, -1 and 7, so
-# that no case allocates a large grid
+# the bases a hostile value is set on: the base config (a direct run from
+# rest), the two other initial recipes and the mollified scheme
+HOSTILE_BASES = {
+    "": "",
+    "well_prepared": "initial.recipe = well_prepared\ninitial.sw_v_amplitude = 0.05\n",
+    "streamfunction": "initial.recipe = streamfunction\ninitial.psi_amplitude = 0.05\n",
+    "mollified": "scheme.kind = mollified\nscheme.iota1 = 0.05\nscheme.iota2 = 0.05\nscheme.iota3 = 0.05\n",
+}
+
+# on each base, every numeric key at 0, -1, 1e300 and 1e-300; the grid sizes
+# at 0, -1 and 7, so that no case allocates a large grid
 HOSTILE = [
-    (key, value)
+    (base, key, value)
+    for base in HOSTILE_BASES
     for key, default in config._DEFAULTS.items()
     if isinstance(default, (int, float)) and not isinstance(default, bool)
-    for value in (("0", "-1", "7") if key in ("grid.n_x", "grid.n_r") else ("0", "-1", "1e300"))
+    for value in (("0", "-1", "7") if key in ("grid.n_x", "grid.n_r") else ("0", "-1", "1e300", "1e-300"))
 ]
 
 
@@ -229,21 +239,35 @@ class TestCLI:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    def _sweep_with_two_workers(self, cfg, out):
+        """The CLI sweep of ``cfg`` into ``out`` with --jobs 2, in a fresh
+        process (a traceback of a worker pool reaches its stderr)."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-m", "stripflow.cli", "sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
     def test_negative_cutoff_sweep_exit_code(self, tmp_path):
         # the first member's ValueError escaped _member and took down the
         # worker pool with a traceback (exit 1)
         extra = "\nscheme.iota1 = -1\nsweep.axis = iota3\nsweep.values = 1e-1, 1e-2, 1e-3\n"
         cfg, out = self._write(tmp_path, extra), tmp_path / "s"
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "stripflow.cli", "sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = self._sweep_with_two_workers(cfg, out)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "scheme.iota1 must not be negative" in proc.stderr
         assert not out.exists()
+
+    def test_overflowing_norm_factor_sweep_exit_code(self, tmp_path):
+        # limits.norm_factor**2 raised OverflowError in each cutoff member,
+        # which escaped _member and took down the worker pool (exit 1)
+        extra = SMALL_GRID + "run.T = 0.02\nlimits.norm_factor = 1e300\n"
+        extra += "sweep.axis = iota3\nsweep.values = 1e-1, 1e-2, 1e-3\n"
+        proc = self._sweep_with_two_workers(self._write(tmp_path, extra), tmp_path / "s")
+        assert proc.returncode in (0, 3, 4), proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_sweep_member_parameters_exit_code(self, tmp_path, capsys):
         # mu = eps^2 of the member eps = 1e-200 underflows to 0: the
@@ -280,11 +304,13 @@ class TestCLI:
         assert "aliases onto the grid" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key, value", HOSTILE, ids=[f"{k}={v}" for k, v in HOSTILE])
-    def test_hostile_value_exit_code(self, tmp_path, key, value):
+    @pytest.mark.parametrize("base, key, value", HOSTILE,
+                             ids=["-".join(filter(None, (b, f"{k}={v}"))) for b, k, v in HOSTILE])
+    def test_hostile_value_exit_code(self, tmp_path, base, key, value):
         # a 16 x 8 run with one hostile value ends with a documented exit code
-        # and lets no exception escape
-        cfg = self._write(tmp_path, SMALL_GRID + f"run.T = 0.02\n{key} = {value}\n")
+        # and lets no exception escape; a mollified run raised OverflowError
+        # (exit 1) at limits.norm_factor = 1e300 and at grid.length = 1e-300
+        cfg = self._write(tmp_path, SMALL_GRID + f"run.T = 0.02\n{HOSTILE_BASES[base]}{key} = {value}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) in (0, 2, 3, 4)
 
     def test_runs_without_scipy(self, tmp_path):
@@ -418,7 +444,8 @@ rate.max = 1.5
         data = np.loadtxt(out / "results.txt")
         assert np.abs(data[:, 10]).max() == 0.0  # E_s column
         assert "Continue" in (out / "manifest.txt").read_text()
-        assert (out / "solver_debug.txt").exists()  # verbose coefficient dump
+        # a verbose run prints its status and writes no further file
+        assert sorted(f.name for f in out.iterdir()) == ["final.npz", "manifest.txt", "results.txt"]
 
     def test_mollified_scheme_run(self, tmp_path):
         extra = "\nscheme.kind = mollified\nscheme.iota3 = 0.01\nrun.T = 0.02\n"

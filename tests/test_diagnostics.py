@@ -3,14 +3,7 @@ import pytest
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
-from stripflow.diagnostics import (
-    blowup_monitor,
-    energy,
-    equivalence_checks,
-    fit_rate,
-    gronwall_slope,
-    state_norm,
-)
+from stripflow.diagnostics import blowup_monitor, energy, fit_rate, state_norm
 from stripflow.dynamics import StripState, cfl_dt, solve_state_pressure
 from stripflow.mollified import MollParams, from_strip_state, run_moll
 from stripflow.pressure import taylor_coefficient
@@ -19,6 +12,8 @@ from stripflow.errors import NoConvergence
 from stripflow.runner import measure, simulate
 
 from conftest import random_band_limited
+from test_acceptance import gronwall_slope
+from test_run_properties import equivalence_checks, equivalence_ratios
 
 
 def report_for(state, bath, params, s=4.0, s0=2.0):
@@ -101,8 +96,10 @@ class TestEquivalenceChecks:
     def test_rest_passes(self, grid):
         params = PhysParams(eps=0.3, beta=0.5, mu=1e-2)
         bath = Bathymetry.cosine(grid, 0.3)
-        rep, _ = report_for(StripState.rest(grid), bath, params)
-        out = equivalence_checks(rep, reference=rep)
+        st = StripState.rest(grid)
+        rep, _ = report_for(st, bath, params)
+        ratios = equivalence_ratios(grid, rep, st)
+        out = equivalence_checks(ratios, reference=ratios)
         assert out["ok"]
 
     def test_columnar_lift_has_zero_shear(self, grid):
@@ -122,7 +119,7 @@ class TestEquivalenceChecks:
         st.eta0 = 0.05 * np.cos(grid.x)
         rep, _ = report_for(st, bath, params)
         inflated = type(rep)(**{**rep.__dict__, "shear_ratio": 100.0})
-        out = equivalence_checks(inflated, reference=rep)
+        out = equivalence_checks(equivalence_ratios(grid, inflated, st), reference=equivalence_ratios(grid, rep, st))
         assert not out["ok"]
         assert not out["flags"]["shear"]
 

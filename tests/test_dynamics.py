@@ -232,7 +232,7 @@ def per_field_euler(state, bath, params):
     grad_dH = eps * rp1[None] * spectral.dx(grid, deta0)[:, None]
     metric_term = per_field_metric_term(grid, ops, diffeo.h_tot, eps * deta0, grad_dH, state)
     problem = pressure.closure_problem(diffeo, params, nu, B_V, B_w, metric_term)
-    dV, dw, _, _ = pressure.solve_closure(problem, B_V, B_w)
+    dV, dw, _ = pressure.solve_closure(problem, B_V, B_w)
     return {"dV": dV, "dw": dw, "drho": drho, "deta0": deta0}
 
 
@@ -283,7 +283,7 @@ def per_field_slag(state, moll, bath, params):
         grid, ops, metric.h_tot, spectral.dr(grid, dH), spectral.dx(grid, dH), state
     )
     problem = pressure.closure_problem(metric, params, nu, B_V, B_w, metric_term)
-    dV, dw, _, _ = pressure.solve_closure(problem, B_V, B_w)
+    dV, dw, _ = pressure.solve_closure(problem, B_V, B_w)
     return {"dV": dV, "dw": dw, "drho": drho, "deta0": deta0, "dH": dH}
 
 

@@ -7,11 +7,13 @@ from stripflow.errors import DegenerateDensity, DegenerateDepth
 from stripflow.geometry import DiffeoFields, alinhac_unknown, total_density
 from stripflow.diagnostics import fit_rate
 
+from test_acceptance import growth_scale
+
 
 class TestPhysParams:
     def test_defaults_valid(self):
         p = PhysParams()
-        assert p.growth_scale == max(p.eps, p.beta, p.delta / p.mu)
+        assert growth_scale(p) == max(p.eps, p.beta, p.delta / p.mu)
 
     @pytest.mark.parametrize(
         "kw", [dict(mu=0.0), dict(mu=1.5), dict(eps=1.2), dict(g=-1.0), dict(rho_bar=0.0)]

@@ -1,7 +1,8 @@
 """Every function, class and method in ``src/stripflow`` has a caller in the
-program or in the benchmark, so code that only the tests reach does not
-settle in ``src/``.  A test-only identity belongs in the test module that
-checks it."""
+program or in the benchmark, and every field of its dataclasses a reader
+there, so code that only the tests reach does not settle in ``src/``, and no
+result is computed and then dropped.  A test-only identity belongs in the
+test module that checks it."""
 
 import ast
 from collections import Counter
@@ -13,22 +14,31 @@ PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # Definitions kept in src/ without a caller there, each with its reason.
 ALLOWLIST = {
-    "diagnostics.equivalence_checks": "paper diagnostic; waits to become a telemetry column (ROADMAP item 6)",
-    "pressure.taylor_time_derivative": "paper diagnostic; waits to become a telemetry column (ROADMAP item 6)",
-    "diagnostics.gronwall_slope": "energy-growth slope of criterion 7; waits for the run telemetry (ROADMAP item 6)",
-    "geometry.PhysParams.growth_scale": "slope scale of criterion 7; waits for the run telemetry (ROADMAP item 6)",
     "io.load_snapshot": "the read half of save_snapshot, for users of the snapshot files",
 }
 
+# Dataclass fields kept in src/ without an attribute read there, each with its reason.
+FIELD_ALLOWLIST = {
+    "dynamics.Tendencies.dV": 'dynamics.shifted and rk4 read it as getattr(k, "d" + f)',
+    "dynamics.Tendencies.dw": 'dynamics.shifted and rk4 read it as getattr(k, "d" + f)',
+    "shallow.SWTendencies.dV": 'dynamics.shifted and rk4 read it as getattr(k, "d" + f)',
+    "shallow.SWTendencies.deta": 'dynamics.shifted and rk4 read it as getattr(k, "d" + f)',
+    "diagnostics.EnergyReport.E_low": "a part of E_s, checked by tests/test_diagnostics.py",
+    "diagnostics.EnergyReport.alinhac_terms": "a part of E_s, checked by tests/test_diagnostics.py",
+    "diagnostics.EnergyReport.surface_term": "a part of E_s, checked by tests/test_diagnostics.py",
+    "diagnostics.EnergyReport.vort_norm": "a part of E_s, bounded uniformly in mu by criterion 3",
+}
 
-def _referenced_names() -> Counter:
-    """Every identifier that src/ and perfbench/ use: names, attributes, and
-    the dotted words of string constants (the tracer names its spans so)."""
+
+def _referenced_names(names: bool = True) -> Counter:
+    """Every identifier that src/ and perfbench/ use: names (unless ``names``
+    is false), attributes, and the dotted words of string constants (the
+    tracer names its spans so)."""
     refs = Counter()
     for path in SRC + PERFBENCH:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
-                refs[node.id] += 1
+                refs[node.id] += names
             elif isinstance(node, ast.Attribute):
                 refs[node.attr] += 1
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -61,3 +71,27 @@ def test_allowlist_is_current():
     refs = _referenced_names()
     stale = sorted(q for q in ALLOWLIST if q not in defined or refs[q.rsplit(".", 1)[1]] > 0)
     assert stale == [], f"allowlisted but gone or now called: {stale}"
+
+
+def _fields():
+    """(qualified name, bare name) of each field of a src/ dataclass."""
+    for path in SRC:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield f"{path.stem}.{node.name}.{item.target.id}", item.target.id
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    # a local variable of the same name is not a read of the field
+    refs = _referenced_names(names=False)
+    unread = sorted(q for q, name in _fields() if refs[name] == 0 and q not in FIELD_ALLOWLIST)
+    assert unread == [], f"stored and never read outside the tests (stop computing them, or allowlist): {unread}"
+
+
+def test_field_allowlist_is_current():
+    defined = {q for q, _ in _fields()}
+    refs = _referenced_names(names=False)
+    stale = sorted(q for q in FIELD_ALLOWLIST if q not in defined or refs[q.rsplit(".", 1)[1]] > 0)
+    assert stale == [], f"allowlisted but gone or now read: {stale}"

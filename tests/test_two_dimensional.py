@@ -1,4 +1,5 @@
-"""Smoke coverage of the d = 2 code paths in the operator toolbox; the
+"""Coverage of the d = 2 code paths: smoke checks of the operator toolbox,
+and steps of data constant along one axis against the d = 1 run; the
 production experiments run d = 1."""
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
-from stripflow.dynamics import StripState, euler_rhs, vorticity
+from stripflow.dynamics import PressureGuess, StripState, euler_rhs, step_rk4, vorticity
+from stripflow.experiments import sw_initial
+from stripflow.shallow import well_prepared_init
 
 
 @pytest.fixture
@@ -54,8 +57,6 @@ def test_rest_tendencies_and_vorticity(grid2):
 
 
 def test_single_mode_wave_step(grid2):
-    from stripflow.dynamics import step_rk4
-
     params = PhysParams(eps=0.0, beta=0.0, mu=0.1)
     bath = Bathymetry.flat(grid2)
     state = StripState.rest(grid2)
@@ -64,3 +65,28 @@ def test_single_mode_wave_step(grid2):
     out = step_rk4(state, 1e-2, bath, params)
     assert np.isfinite(out.V).all() and np.isfinite(out.eta0).all()
     assert np.abs(out.eta0 - state.eta0).max() > 0.0
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["varying_along_x", "varying_along_y"])
+def test_data_constant_along_one_axis_reproduce_the_d1_run(axis):
+    # data that vary along one horizontal axis only reduce the d = 2 system to
+    # the d = 1 system along that axis: 20 steps of each agree to round-off,
+    # and the velocity component across it stays exactly 0
+    g1, g2 = StripGrid(n_x=32, n_r=12), StripGrid(n_x=32, n_r=12, d=2)
+    params = PhysParams(eps=0.3, beta=0.5, mu=1e-2, delta=1e-2)
+    bath1 = Bathymetry.cosine(g1, 0.3)
+    s1, _ = well_prepared_init(sw_initial(g1, 0.05, 0.05), bath1, params, 4.0, shear_amp=0.03, rho_amp=0.2)
+
+    def lifted(f):  # broadcast a d = 1 field along the other axis
+        return np.expand_dims(f, f.ndim - axis).repeat(g2.n_x, axis=f.ndim - axis).copy()
+
+    bath2 = Bathymetry(g2, lifted(bath1.values))
+    s2 = StripState(np.zeros((2,) + lifted(s1.w).shape), lifted(s1.w), lifted(s1.rho), lifted(s1.eta0))
+    s2.V[axis] = lifted(s1.V[0])
+    guess1, guess2 = PressureGuess(g1), PressureGuess(g2)
+    for _ in range(20):
+        s1 = step_rk4(s1, 5e-3, bath1, params, guess1)
+        s2 = step_rk4(s2, 5e-3, bath2, params, guess2)
+    for got, want in ((s2.V[axis], s1.V[0]), (s2.w, s1.w), (s2.rho, s1.rho), (s2.eta0, s1.eta0)):
+        assert np.abs(got - lifted(want)).max() <= 1e-15
+    assert not s2.V[1 - axis].any()
