@@ -182,6 +182,9 @@ class ExperimentConfig:
         except ValueError as exc:
             problems.append(str(exc))
         else:
+            problems += [f"{key} = {v[key]:g} is too high for grid.n_r = {grid.n_r}: its norms would take more "
+                         f"than the {grid.n_r - 4} vertical derivatives the stencil supports"
+                         for key, k in self._vertical_derivatives().items() if k > grid.n_r - 4]
             if v["bathymetry.preset"] == "file" and v["bathymetry.path"]:
                 try:
                     Bathymetry.from_file(grid, v["bathymetry.path"])
@@ -197,6 +200,20 @@ class ExperimentConfig:
             except ValueError as exc:
                 problems.append(f"sweep member {v['sweep.axis']} = {value:g}: {exc}")
         return problems
+
+    def _vertical_derivatives(self) -> dict:
+        """Key -> the most vertical derivatives a norm of the run takes for
+        it (``spectral.sobolev_norm``): int(s) for the direct energy, the
+        comparison and the well-prepared recipe, int(s0 + 1) for E_low, and
+        int(s - 1) for the mollified vorticity.  A config that may run the
+        mollified scheme (its scheme.kind or an iota3 sweep) is held to that
+        scheme's norms, which the direct scheme's include."""
+        v = self.values
+        if not np.isfinite([v["run.s"], v["run.s0"]]).all():
+            return {}
+        if v["scheme.kind"] == "mollified" or v["sweep.axis"] == "iota3":
+            return {"run.s": int(v["run.s"] - (v["initial.recipe"] != "well_prepared"))}
+        return {"run.s": int(v["run.s"]), "run.s0": int(v["run.s0"] + 1)}
 
     def grid(self) -> StripGrid:
         v = self.values

@@ -44,12 +44,13 @@ def state_norm(state: StripState, grid, params: PhysParams, s: float) -> float:
 def good_unknown_energy(state, metric: DiffeoFields, params: PhysParams, s: float) -> float:
     """Weighted good-unknown sum
     ||sqrt(h rho) V^(s)||^2 + ||sqrt(mu h rho) w^(s)||^2 + ||sqrt(mu h) rho^(s)||^2
-    on the coordinate map ``metric``."""
+    on the coordinate map ``metric``, from the good unknowns of the stack
+    (V, w, rho)."""
     h, mu = metric.h_tot, params.mu
     rho_tot = total_density(state.rho, params)
-    terms = [(np.sqrt(h * rho_tot), V_i) for V_i in state.V]
-    terms += [(np.sqrt(mu * h * rho_tot), state.w), (np.sqrt(mu * h), state.rho)]
-    return sum(spectral.l2_strip(metric.grid, wt * alinhac_unknown(f, s, metric)) ** 2 for wt, f in terms)
+    weights = [np.sqrt(h * rho_tot)] * len(state.V) + [np.sqrt(mu * h * rho_tot), np.sqrt(mu * h)]
+    unknowns = alinhac_unknown(np.concatenate([state.V, state.w[None], state.rho[None]]), s, metric)
+    return sum(spectral.l2_strip(metric.grid, wt * f) ** 2 for wt, f in zip(weights, unknowns))
 
 
 def energy(

@@ -1,9 +1,10 @@
-"""Prognostic core: tendencies for (V, w, rho, eta0) in sigma coordinates,
-vorticity, the RK4 integrator shared by every solver, and the divergence
-projection.
+"""Prognostic core: right-hand sides for (V, w, rho, eta0) in sigma
+coordinates, vorticity, the RK4 integrator shared by every solver, and the
+divergence projection.
 
-The tendencies go through the pressure closure of ``pressure``: the
-non-pressure tendencies plus the time derivative of the metric coefficients
+A right-hand side returns the rates of change of its state as a record of the
+state's own type.  The rates go through the pressure closure of ``pressure``:
+the non-pressure rates plus the time derivative of the metric coefficients
 (known before the solve because the kinematic surface equation does not
 involve P) pose the problem, and the pressure correction keeps the discrete
 divergence and the bottom impermeability stationary, so a step makes four
@@ -33,11 +34,20 @@ from .geometry import (
     wave_speed,
 )
 from .grid import StripGrid
-from .pressure import EllipticProblem, closure_problem, solve_closure, solve_pressure
+from .pressure import EllipticProblem, closure_problem, solve_closure
 
 
 @dataclass
-class StripState:
+class Fields:
+    """Base of the states that ``rk4`` advances: array fields and a time t.
+    A right-hand side returns the rates of its state in the same type."""
+
+    def copy(self):
+        return replace(self, **{f: getattr(self, f).copy() for f in _advanced(self)})
+
+
+@dataclass
+class StripState(Fields):
     """Prognostic fields on the strip; V carries a leading component axis."""
 
     V: np.ndarray
@@ -56,23 +66,6 @@ class StripState:
             eta0=np.zeros(grid.xshape),
         )
 
-    def copy(self) -> "StripState":
-        return StripState(self.V.copy(), self.w.copy(), self.rho.copy(), self.eta0.copy(), self.t)
-
-
-@dataclass
-class Tendencies:
-    """Tendencies of a strip state and the spectrum (horizontal rFFT) of the
-    pressure they were closed with; dH only for the transported map of the
-    mollified scheme."""
-
-    dV: np.ndarray
-    dw: np.ndarray
-    drho: np.ndarray
-    deta0: np.ndarray
-    P: np.ndarray
-    dH: np.ndarray | None = None
-
 
 # pressures a PressureGuess holds: the four stages of each of the last two
 # steps and three more, back to the base of a half-step stage two steps earlier
@@ -86,8 +79,11 @@ GUESS_HISTORY = 11
 # P[-1] and a whole step past P[-3]; they take the base 2 P[-1] - P[-3] and
 # add the defects e1 = P[-4] - (2 P[-5] - P[-7]) and
 # e2 = P[-8] - (2 P[-9] - P[-11]) of the bases the same stage took one and
-# two steps earlier.  Each parity lists its rows by increasing reach; a solve
-# takes the last row whose reach the history holds.
+# two steps earlier.  Only the change is band-limited: P[-1] keeps its modes
+# above the cutoff, whose extrapolation would amplify the solver's noise there
+# (Fischer 1998: guesses for successive right-hand sides).  Each parity lists
+# its rows by increasing reach; a solve takes the last row whose reach the
+# history holds, so the guess ramps up from a cold start as the history fills.
 GUESS_WEIGHTS = (
     # stages 1 and 3: P[-1]; + d1; + 2 d1 - d2
     np.array([
@@ -107,10 +103,10 @@ GUESS_WEIGHTS = (
 
 @dataclass
 class PressureGuess:
-    """The spectra of the last GUESS_HISTORY pressures solved, carried from
-    step to step by the caller that owns the time loop, in a ring of
-    preallocated rows; ``initial`` makes a solve's guess from them (Fischer
-    1998: guesses for successive right-hand sides) on the strip ``grid``."""
+    """The spectra of the last GUESS_HISTORY pressures solved on the strip
+    ``grid``, in a ring of preallocated rows, carried from step to step by the
+    caller that owns the time loop; ``initial`` makes a solve's guess from
+    them (GUESS_WEIGHTS)."""
 
     grid: StripGrid
     solves: int = 0  # pressures appended so far
@@ -131,12 +127,9 @@ class PressureGuess:
         return tuple(self._ring[(self.solves - j) % GUESS_HISTORY] for j in range(held, 0, -1))
 
     def initial(self, half_step: bool) -> np.ndarray | None:
-        """The spectrum of P[-1] + M sum_j c_j P[-j], with the row of
-        GUESS_WEIGHTS of the solve's parity (``half_step`` for stages 2 and
-        4) that reaches furthest back within the held pressures; None (a cold
-        start) while none is held.  Only the extrapolated change is
-        band-limited: P[-1] keeps its modes above the cutoff, and extrapolating
-        those would amplify the solver's noise in them."""
+        """The spectrum of the GUESS_WEIGHTS guess of a solve of the parity
+        ``half_step`` (stages 2 and 4); None (a cold start) while no pressure
+        is held."""
         if not self.solves:
             return None
         held = min(self.solves, GUESS_HISTORY)
@@ -180,10 +173,10 @@ def metric_motion_term(ops, h, h_dot, grad_dH, dF) -> np.ndarray:
 
 def assemble_pressure_problem(
     state: StripState, diffeo: DiffeoFields, params: PhysParams
-) -> tuple[EllipticProblem, dict]:
-    """Elliptic problem for P plus the non-pressure tendencies it was built
-    from (returned so the caller completes the momentum update without
-    re-deriving them).  V, w and rho are transported as one stack."""
+) -> tuple[EllipticProblem, StripState]:
+    """Elliptic problem for P plus the rates before the pressure correction
+    that it was built from (returned so the caller corrects their V and w
+    without re-deriving them).  V, w and rho are transported as one stack."""
     grid = diffeo.grid
     ops = diffeo.ops
     d, mu, eps = grid.d, params.mu, params.eps
@@ -209,28 +202,19 @@ def assemble_pressure_problem(
     grad_dH = eps * rp1[None] * spectral.dx(grid, deta0)[:, None]
     metric_term = metric_motion_term(ops, diffeo.h_tot, eps * deta0, grad_dH, dF)
     problem = closure_problem(diffeo, params, nu, B[:d], B[d], metric_term)
-    aux = {"B_V": B[:d], "B_w": B[d], "drho": B[d + 1], "deta0": deta0}
-    return problem, aux
-
-
-def solve_state_pressure(
-    state: StripState, diffeo: DiffeoFields, params: PhysParams, x0: np.ndarray | None = None
-) -> np.ndarray:
-    """Pressure of the given state (used standalone by the diagnostics),
-    solved from the spectrum x0 of an initial guess, when given."""
-    problem, _ = assemble_pressure_problem(state, diffeo, params)
-    return solve_pressure(problem, x0=x0)
+    return problem, StripState(B[:d], B[d], B[d + 1], deta0)
 
 
 def euler_rhs(
     state: StripState, bathymetry: Bathymetry, params: PhysParams, x0: np.ndarray | None = None
-) -> Tendencies:
-    """Full tendencies; solves the pressure problem (from the spectrum x0 of
-    an initial guess, when given) as part of the evaluation."""
+) -> tuple[StripState, np.ndarray]:
+    """(rates, P_hat): the rates of ``state`` and the spectrum of the pressure
+    they were closed with, solved from the spectrum x0 of an initial guess,
+    when given."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
-    problem, aux = assemble_pressure_problem(state, diffeo, params)
-    dV, dw, P = solve_closure(problem, aux["B_V"], aux["B_w"], x0=x0)
-    return Tendencies(dV, dw, aux["drho"], aux["deta0"], P)
+    problem, rates = assemble_pressure_problem(state, diffeo, params)
+    rates.V, rates.w, P_hat = solve_closure(problem, rates.V, rates.w, x0=x0)
+    return rates, P_hat
 
 
 def divergence_report(state: StripState, bathymetry: Bathymetry, params: PhysParams) -> dict:
@@ -285,11 +269,9 @@ def step_rk4(
     guess: PressureGuess | None = None,
 ) -> StripState:
     """Classical four-stage step, four pressure solves, no projection (the
-    stage solves keep the divergence stationary to solver tolerance); each
-    stage's solve starts from the pressures held in ``guess`` (stages 2 and 4
-    from the half-step base 2 P[-1] - P[-3]), extrapolated with a
-    band-limited increment (see ``warm_started``; a fresh guess without a
-    carried one, so stage 1 starts cold).  ``runner.march`` checks dt."""
+    stage solves keep the divergence stationary to solver tolerance), each
+    warm-started from ``guess`` (``warm_started``; a fresh guess without a
+    carried one).  ``runner.march`` checks dt."""
     guess = PressureGuess(bathymetry.grid) if guess is None else guess
     return rk4(state, dt, warm_started(lambda st, x0: euler_rhs(st, bathymetry, params, x0=x0), guess))
 
@@ -300,41 +282,41 @@ def _advanced(state) -> list:
 
 
 def shifted(state, k, h: float):
-    """state + h k over dataclass fields: each field f advances by the
-    tendency field df of k, and t by h."""
-    new = {f: getattr(state, f) + h * getattr(k, "d" + f) for f in _advanced(state)}
+    """state + h k over dataclass fields: each field f advances by the same
+    field of the rates k, and t by h."""
+    new = {f: getattr(state, f) + h * getattr(k, f) for f in _advanced(state)}
     return replace(state, t=state.t + h, **new)
 
 
 def warm_started(solve, guess: PressureGuess):
-    """``solve(state, x0)``, tendencies whose pressure solve starts from the
-    spectrum x0, as an ``rk4`` right-hand side: each solve starts from
-    ``guess.initial`` and keeps its pressure in ``guess``.  A counter of the
-    solves gives the stage parity: stages 1 and 3 extrapolate the increments
-    their stage added one and two steps earlier, stages 2 and 4, half a step
-    past the last pressure, start from the half-step base 2 P[-1] - P[-3]
-    (GUESS_WEIGHTS); the extrapolated change is restricted to the dealiased
-    band.  The stopping test is relative to the right-hand side, so the
-    guess changes the cost of a solve, not its accuracy."""
+    """``solve(state, x0)``, which returns (rates, P_hat) with the pressure
+    solved from the spectrum x0, as an ``rk4`` right-hand side: each solve
+    starts from ``guess.initial`` and appends its P_hat to ``guess``.  A
+    counter of the solves gives the stage parity: stages 1 and 3 extrapolate
+    the increments their stage added one and two steps earlier, stages 2 and
+    4, half a step past the last pressure, start from the half-step base
+    2 P[-1] - P[-3] (GUESS_WEIGHTS); the extrapolated change is restricted to
+    the dealiased band.  The stopping test is relative to the right-hand
+    side, so the guess changes the cost of a solve, not its accuracy."""
     solves = count()
 
     def rhs(state):
-        tend = solve(state, guess.initial(half_step=next(solves) % 2 == 1))
-        guess.append(tend.P)
-        return tend
+        rates, P_hat = solve(state, guess.initial(half_step=next(solves) % 2 == 1))
+        guess.append(P_hat)
+        return rates
 
     return rhs
 
 
 def rk4(state, dt: float, rhs):
     """Classical four-stage step of a dataclass state (see ``shifted``) with
-    tendencies ``rhs(state)``; BlowUpSuspected when a stage tendency of an
-    advanced field holds a non-finite value."""
+    rates ``rhs(state)``; BlowUpSuspected when a stage rate of an advanced
+    field holds a non-finite value."""
     names = _advanced(state)
 
     def stage(st):
         k = rhs(st)
-        if not all(np.isfinite(getattr(k, "d" + f)).all() for f in names):
+        if not all(np.isfinite(getattr(k, f)).all() for f in names):
             raise BlowUpSuspected(f"non-finite tendency at t = {st.t:.6g}")
         return k
 
@@ -343,10 +325,10 @@ def rk4(state, dt: float, rhs):
     k3 = stage(shifted(state, k2, 0.5 * dt))
     k4 = stage(shifted(state, k3, dt))
 
-    def combined(d):
-        return getattr(k1, d) + 2.0 * getattr(k2, d) + 2.0 * getattr(k3, d) + getattr(k4, d)
+    def combined(f):
+        return getattr(k1, f) + 2.0 * getattr(k2, f) + 2.0 * getattr(k3, f) + getattr(k4, f)
 
-    new = {f: getattr(state, f) + (dt / 6.0) * combined("d" + f) for f in names}
+    new = {f: getattr(state, f) + (dt / 6.0) * combined(f) for f in names}
     return replace(state, t=state.t + dt, **new)
 
 

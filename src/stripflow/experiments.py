@@ -4,6 +4,7 @@ error, 3 solver halt, 4 rate-fit failure."""
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -213,6 +214,36 @@ def _member(args) -> dict:
                 "rows": [], "final_t": 0.0}
 
 
+# the thread-count setter of each OpenBLAS build (numpy's bundled scipy-openblas first)
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread():
+    """Initializer of a sweep worker: every OpenBLAS loaded in the process
+    runs on one thread, so that N workers do not each start a thread per
+    core and oversubscribe the machine.  Does nothing where /proc/self/maps
+    cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_SETTERS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+def worker_pool(jobs: int) -> ProcessPoolExecutor:
+    """The process pool of a sweep: ``jobs`` workers, each on one BLAS thread."""
+    return ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread)
+
+
 def sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1, verbose: bool = False) -> tuple[int, dict]:
     """Run the configured axis members (parallelizable), collate terminal
     errors, fit the rate, and write the summary."""
@@ -226,7 +257,7 @@ def sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1, verbose: bool = False) 
     args = [(axis, cfg.text, v) for v in sorted(cfg["sweep.values"], reverse=True)]
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with worker_pool(jobs) as pool:
             members = list(pool.map(_member, args))
     else:
         members = [_member(a) for a in args]

@@ -242,13 +242,15 @@ def build_diffeo(bathymetry: Bathymetry, eta0: np.ndarray, params: PhysParams) -
     return DiffeoFields(grid, h_tot, grad_sum, lambda: barycentric_heights(bathymetry, eta0, params))
 
 
-def alinhac_unknown(f: np.ndarray, s: float, diffeo: DiffeoFields) -> np.ndarray:
-    """Good unknown f^(s): the dotted multiplier of order s applied to f,
+def alinhac_unknown(F: np.ndarray, s: float, diffeo: DiffeoFields) -> np.ndarray:
+    """Good unknown f^(s) of each field f of the stack F (leading field axes,
+    or one strip field): the dotted multiplier of order s applied to f,
     corrected by the metric of ``diffeo`` so high-order derivatives commute
-    with grad_phi up to O(eps v beta) remainders."""
+    with grad_phi up to O(eps v beta) remainders.  One multiplier and one d_r
+    serve the whole stack, and the height correction is formed once."""
     grid = diffeo.grid
     correction = spectral.lambda_pow(grid, diffeo.z, s, dotted=True) / diffeo.h_tot
-    return spectral.lambda_pow(grid, f, s, dotted=True) - correction * spectral.dr(grid, f)
+    return spectral.lambda_pow(grid, F, s, dotted=True) - correction * spectral.dr(grid, F)
 
 
 def total_density(rho: np.ndarray, params: PhysParams) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import spectral
 from .diagnostics import good_unknown_energy, vorticity_norm
-from .dynamics import (PressureGuess, StripState, Tendencies, kinematic_deta0, metric_motion_term, rk4, vorticity,
+from .dynamics import (Fields, PressureGuess, StripState, kinematic_deta0, metric_motion_term, rk4, vorticity,
                        warm_started)
 from .errors import DegenerateDiffeo, InterpolationOutOfRange
 from .geometry import (Bathymetry, DiffeoFields, PhysParams, barycentric_heights, total_density, water_depth,
@@ -39,7 +39,7 @@ class MollParams:
 
 
 @dataclass
-class SlagState:
+class SlagState(Fields):
     """(V, w, rho) on the strip, the vertical deformation H, and the surface."""
 
     V: np.ndarray
@@ -48,11 +48,6 @@ class SlagState:
     H: np.ndarray
     eta0: np.ndarray
     t: float = 0.0
-
-    def copy(self) -> "SlagState":
-        return SlagState(
-            self.V.copy(), self.w.copy(), self.rho.copy(), self.H.copy(), self.eta0.copy(), self.t
-        )
 
 
 def from_strip_state(state: StripState, bathymetry: Bathymetry, params: PhysParams) -> SlagState:
@@ -65,11 +60,12 @@ def from_strip_state(state: StripState, bathymetry: Bathymetry, params: PhysPara
 def slag_rhs(
     state: SlagState, moll: MollParams, bathymetry: Bathymetry, params: PhysParams,
     x0: np.ndarray | None = None,
-) -> Tendencies:
-    """Mollified tendencies; the pressure is defined through the elliptic
-    problem assembled, as in the production solver, so that the tendencies
-    keep the discrete divergence and bottom impermeability stationary.  x0 is
-    the spectrum of the initial guess of the pressure solve."""
+) -> tuple[SlagState, np.ndarray]:
+    """(rates, P_hat): the mollified rates of ``state`` and the spectrum of
+    their pressure, defined through the elliptic problem assembled, as in the
+    production solver, so that the rates keep the discrete divergence and
+    bottom impermeability stationary.  x0 is the spectrum of the initial
+    guess of the pressure solve."""
     grid = bathymetry.grid
     metric = DiffeoFields.transported(grid, state.H)
     ops = metric.ops
@@ -103,19 +99,17 @@ def slag_rhs(
         ops, metric.h_tot, spectral.dr(grid, dH), spectral.dx(grid, dH), spectral.dr(grid, F[: d + 1])
     )
     problem = closure_problem(metric, params, nu, B[:d], B[d], metric_term)
-    dV, dw, P = solve_closure(problem, B[:d], B[d], x0=x0)
-    return Tendencies(dV, dw, B[d + 1], deta0, P, dH)
+    dV, dw, P_hat = solve_closure(problem, B[:d], B[d], x0=x0)
+    return SlagState(dV, dw, B[d + 1], dH, deta0), P_hat
 
 
 def step_rk4_slag(
     state: SlagState, dt: float, moll: MollParams, bathymetry: Bathymetry, params: PhysParams,
     guess: PressureGuess | None = None,
 ) -> SlagState:
-    """One RK4 step; each stage's pressure solve starts from the pressures
-    held in ``guess`` (stages 2 and 4 from the half-step base
-    2 P[-1] - P[-3]), extrapolated with a band-limited increment (see
-    ``dynamics.warm_started``; a fresh guess without a carried one, so stage
-    1 starts cold).  ``runner.march`` checks dt."""
+    """One RK4 step, each stage's pressure solve warm-started from ``guess``
+    (``dynamics.warm_started``; a fresh guess without a carried one).
+    ``runner.march`` checks dt."""
     guess = PressureGuess(bathymetry.grid) if guess is None else guess
     return rk4(state, dt, warm_started(lambda st, x0: slag_rhs(st, moll, bathymetry, params, x0=x0), guess))
 
@@ -167,9 +161,8 @@ def run_moll(
     norm_factor: float = 10.0,
 ) -> RunRecord:
     """RK4 trajectory of the mollified system, recording the scheme energy;
-    one ``PressureGuess`` carries the last pressures across steps, so each
-    stage's solve starts from their band-limited extrapolation (see
-    ``dynamics.warm_started``).  The run halts with NormBlowup when the
+    one ``PressureGuess`` carries the last pressures across steps
+    (``dynamics.warm_started``).  The run halts with NormBlowup when the
     energy is non-finite or exceeds norm_factor**2 times its t = 0 value (a
     squared norm; the floor of ``diagnostics.blowup_monitor``); see
     ``runner.march`` for the default dt (cfl_factor times ``cfl_dt_slag``),

@@ -43,8 +43,7 @@ one matrix product into that basis, the scale 1/(lambda - mu |k|^2) and
 one product back.  The preconditioner hands the operator the spectrum of
 its output and ``EllipticProblem.apply`` takes P as a spectrum, so a
 Krylov iteration makes no inverse-then-forward transform of the same
-field; the Krylov solution is itself kept as a spectrum, and is
-transformed back only for a caller that reads P (the diagnostics).  The
+field; the Krylov solution is itself kept and returned as a spectrum.  The
 operator splits into a flux half (one inverse transform and pointwise
 products) and a divergence half: ``solve_closure`` takes the solution as a
 spectrum and applies its flux half, evaluated once per solve (kept from the
@@ -56,21 +55,11 @@ the iteration counts stay uniform in the shallow-water parameter mu, which
 the flat inverse carries as well; h^2 is exact only in the column limit and
 lets the count drift with mu.
 
-The RK integrator warm-starts each solve from the spectra of the last
-eleven pressures solved (``dynamics.PressureGuess``; Fischer 1998: guesses
-for successive right-hand sides): P[-1] + M sum_j c_j P[-j], with M the 2/3
-dealias mask.  Stages 1 and 3 solve at the time of P[-1]; they add the
-increments P[-4] - P[-5] and P[-8] - P[-9] that the same stage added one and
-two steps earlier, extrapolated to second order.  Stages 2 and 4 solve half
-a step later; they start from the base 2 P[-1] - P[-3], the linear
-extrapolation in time of the solves before them, plus the second-order
-extrapolation of the defects of the bases the same stage took one and two
-steps earlier.  Only the change is band-limited: P[-1] keeps its modes above
-the cutoff, and extrapolating those would amplify the solver's noise in them.
-The guess ramps up from a cold start as the history fills.  The pressure
-stays a spectrum from the solve to the next guess, and the stopping test
-stays relative to the right-hand side, so the accuracy does not depend on the
-initial guess.
+The RK integrator warm-starts each solve from an extrapolation of the
+spectra of the last pressures solved (``dynamics.GUESS_WEIGHTS`` and
+``dynamics.warm_started``).  The pressure stays a spectrum from the solve to
+the next guess, and the stopping test stays relative to the right-hand side,
+so the accuracy does not depend on the initial guess.
 """
 
 from __future__ import annotations
@@ -183,7 +172,7 @@ def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=No
     given) and apply the pressure correction: (corrected B_V, corrected B_w,
     the horizontal rFFT of P)."""
     info = SolveInfo(0, 0.0)
-    P_hat = solve_pressure(problem, rtol=rtol, info=info, x0=x0, spectrum=True)
+    P_hat = solve_pressure(problem, rtol=rtol, info=info, x0=x0)
     if info.iterations:
         Q = problem.flux(P_hat)
         Qx, Qr = Q[: problem.diffeo.grid.d], Q[-1]
@@ -350,14 +339,12 @@ def solve_pressure(
     rtol: float = 1e-10,
     info: SolveInfo | None = None,
     x0: np.ndarray | None = None,
-    spectrum: bool = False,
 ) -> np.ndarray:
-    """Solve for P with P(r=0) = 0; raises NoConvergence past the iteration
-    cap 10 sqrt(n_x^d n_r).  The problem is elliptic by construction (module
-    docstring).  x0, when given, is the horizontal rFFT of an initial guess,
-    the form the Krylov solution is kept in (its Dirichlet row zero, as in
-    every returned spectrum).  With ``spectrum`` set, returns the horizontal
-    rFFT of P instead of P."""
+    """The horizontal rFFT of P, solved with P(r=0) = 0; raises NoConvergence
+    past the iteration cap 10 sqrt(n_x^d n_r).  The problem is elliptic by
+    construction (module docstring).  x0, when given, is the horizontal rFFT
+    of an initial guess, the form the Krylov solution is kept in (its
+    Dirichlet row zero, as in every returned spectrum)."""
     grid = problem.diffeo.grid
     n, xshape = grid.n_r, grid.xshape
     cap = max(60, int(10.0 * np.sqrt(np.prod(xshape) * n)))
@@ -369,9 +356,7 @@ def solve_pressure(
     if bnorm == 0.0:
         if info is not None:
             info.iterations, info.residual = 0, 0.0
-        if spectrum:
-            return np.zeros((n + 1,) + grid.k_abs.shape, dtype=complex)
-        return np.zeros((n + 1,) + xshape)
+        return np.zeros((n + 1,) + grid.k_abs.shape, dtype=complex)
 
     # each matvec returns a fresh vector (bottom row, then the interior rows),
     # since gmres keeps them; the Krylov solution is a spectrum of n + 1 rows
@@ -396,14 +381,16 @@ def solve_pressure(
         raise NoConvergence(f"pressure solve stalled at residual {true_res:.2e}")
     if info is not None:
         info.iterations, info.residual = iterations, true_res
-    return u if spectrum else spectral.irfft(grid, u)
+    return u
 
 
 # -- Rayleigh-Taylor coefficient --------------------------------------------------
 
 
-def taylor_coefficient(P: np.ndarray, diffeo: DiffeoFields, params: PhysParams) -> np.ndarray:
+def taylor_coefficient(P_hat: np.ndarray, diffeo: DiffeoFields, params: PhysParams) -> np.ndarray:
     """The surface field a = g rho_bar - (eps/(h_bar + eps h)) d_r P at r = 0
-    (one-sided vertical stencil)."""
-    drP_top = spectral.dr(diffeo.grid, P)[-1]
+    of the pressure whose horizontal rFFT is ``P_hat`` (one-sided vertical
+    stencil, applied to the spectrum; only that row is transformed back)."""
+    grid = diffeo.grid
+    drP_top = spectral.irfft(grid, np.tensordot(grid.Dr[-1], P_hat, axes=1))
     return params.g * params.rho_bar - params.eps * drP_top / diffeo.h_tot

@@ -12,10 +12,10 @@ import numpy as np
 
 from . import shallow
 from .diagnostics import EnergyReport, blowup_monitor, energy
-from .dynamics import PressureGuess, StripState, cfl_dt, project_divergence_free, solve_state_pressure, step_rk4
+from .dynamics import PressureGuess, StripState, assemble_pressure_problem, cfl_dt, project_divergence_free, step_rk4
 from .errors import CFLViolation, StripflowError, TooManySteps
 from .geometry import Bathymetry, PhysParams, build_diffeo
-from .pressure import taylor_coefficient
+from .pressure import solve_pressure, taylor_coefficient
 from .shallow import SWState
 
 
@@ -106,8 +106,8 @@ def measure(
     """One diagnostic snapshot: solves the pressure for the Taylor weight
     (from the spectrum x0 of an initial guess, when given)."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
-    P = solve_state_pressure(state, diffeo, params, x0)
-    taylor = taylor_coefficient(P, diffeo, params)
+    problem, _ = assemble_pressure_problem(state, diffeo, params)
+    taylor = taylor_coefficient(solve_pressure(problem, x0=x0), diffeo, params)
     return energy(state, taylor, s, s0, params, diffeo)
 
 
@@ -126,17 +126,15 @@ def simulate(
 ) -> RunRecord:
     """Advance to time T with fixed dt (by default cfl_factor times the step
     limit, with ``sw`` the smaller of the strip's and Saint-Venant's); one
-    ``PressureGuess`` carries the spectra of the last pressures across steps,
-    so each stage's solve starts from an extrapolation of them (stages 2 and
-    4 from the half-step base 2 P[-1] - P[-3]) whose increment is restricted
-    to the dealiased band (``dynamics.warm_started``).  Each observation
-    after t = 0 projects the state first (the initial-state constructors
-    project or build a rest state) and the run continues from the projected
-    state, so every recorded state and ``final`` are projected; its pressure
-    solve starts from the last stage pressure's spectrum (the projection's
-    pressure is another quantity and starts cold).  When a shallow-water
-    state is supplied it is co-advanced on the same clock and a
-    ComparisonReport is recorded at each observation."""
+    ``PressureGuess`` carries the spectra of the last pressures across steps
+    (``dynamics.warm_started``).  Each observation after t = 0 projects the
+    state first (the initial-state constructors project or build a rest
+    state) and the run continues from the projected state, so every recorded
+    state and ``final`` are projected; its pressure solve starts from the
+    last stage pressure's spectrum (the projection's pressure is another
+    quantity and starts cold).  When a shallow-water state is supplied it is
+    co-advanced on the same clock and a ComparisonReport is recorded at each
+    observation."""
     guess = PressureGuess(bathymetry.grid)
 
     def step(state, dt):

@@ -8,14 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .dynamics import StripState, project_divergence_free, rk4
+from .dynamics import Fields, StripState, project_divergence_free, rk4
 from .errors import DegenerateDepth, GridMismatch, PreparationFailed
 from .geometry import Bathymetry, PhysParams, water_depth, wave_speed
 from .grid import StripGrid
 
 
 @dataclass
-class SWState:
+class SWState(Fields):
     """Surface fields of the depth-averaged system; V_sw keeps a component axis."""
 
     V: np.ndarray
@@ -25,15 +25,6 @@ class SWState:
     @classmethod
     def rest(cls, grid: StripGrid) -> "SWState":
         return cls(np.zeros((grid.d,) + grid.xshape), np.zeros(grid.xshape))
-
-    def copy(self) -> "SWState":
-        return SWState(self.V.copy(), self.eta.copy(), self.t)
-
-
-@dataclass
-class SWTendencies:
-    dV: np.ndarray
-    deta: np.ndarray
 
 
 @dataclass
@@ -53,8 +44,9 @@ class ComparisonReport:
         return self.err_V + self.err_eta
 
 
-def sw_rhs(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> SWTendencies:
-    """d_t eta = -div((1 - beta b + eps eta) V);  d_t V = -eps V.grad V - g grad eta."""
+def sw_rhs(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> SWState:
+    """The rates d_t eta = -div((1 - beta b + eps eta) V) and
+    d_t V = -eps V.grad V - g grad eta."""
     grid = bathymetry.grid
     h = water_depth(bathymetry, sw.eta, params)
     if h.min() <= 0.0:
@@ -64,7 +56,7 @@ def sw_rhs(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> SWTendenc
     gV = spectral.dx(grid, sw.V)
     adv = spectral.dealias(grid, np.sum(sw.V[:, None] * gV, axis=0))
     dV = -params.eps * adv - params.g * spectral.dx(grid, sw.eta)
-    return SWTendencies(dV, deta)
+    return SWState(dV, deta)
 
 
 def sw_step_rk4(sw: SWState, dt: float, bathymetry: Bathymetry, params: PhysParams) -> SWState:

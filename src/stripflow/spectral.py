@@ -45,15 +45,12 @@ def dx(grid: StripGrid, f: np.ndarray) -> np.ndarray:
     return irfft(grid, spec)
 
 
-def dr(grid: StripGrid, f: np.ndarray, order: int = 1) -> np.ndarray:
+def dr(grid: StripGrid, f: np.ndarray) -> np.ndarray:
     """Vertical derivative (4th-order finite differences) of a strip field,
     or of each field of a stack of them (leading field axes)."""
     if f.ndim < grid.d + 1 or f.shape[-grid.d - 1] != grid.n_r + 1:
         raise ValueError("not a strip field")
-    out = f.reshape(f.shape[: -grid.d - 1] + (grid.n_r + 1, -1))
-    for _ in range(order):
-        out = grid.Dr @ out
-    return out.reshape(f.shape)
+    return (grid.Dr @ f.reshape(f.shape[: -grid.d - 1] + (grid.n_r + 1, -1))).reshape(f.shape)
 
 
 def dealias(grid: StripGrid, f: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stripflow import Bathymetry, PhysParams, StripGrid, dynamics, pressure
+from stripflow import Bathymetry, PhysParams, StripGrid, pressure, runner
 
 
 @pytest.fixture
@@ -53,7 +53,7 @@ def random_surface(grid, rng, kmax=6, amp=1.0):
 def count_solve_iterations(monkeypatch) -> list:
     """The GMRES iterations of every pressure solve from here on, in order
     (``solve_pressure`` monkeypatched to record them where ``pressure``
-    defines it and where ``dynamics`` imports it)."""
+    defines it and where ``runner`` imports it)."""
     iterations = []
     solve = pressure.solve_pressure
 
@@ -63,6 +63,6 @@ def count_solve_iterations(monkeypatch) -> list:
         iterations.append(info.iterations)
         return P
 
-    for module in (pressure, dynamics):
+    for module in (pressure, runner):
         monkeypatch.setattr(module, "solve_pressure", counted_solve)
     return iterations

@@ -5,6 +5,7 @@ the criteria that consume it (the mass-conservation check runs over every
 accepted run recorded here).
 """
 
+import os
 import time
 from pathlib import Path
 
@@ -59,9 +60,9 @@ def growth_scale(params: PhysParams) -> float:
 
 ACCEPTED_RUNS = []  # (label, mean surface drift) pairs collected for the mass check
 
-# the headline mu-sweep, run as users run it; jobs = 1, since each sweep
-# worker's BLAS starts a thread per core and on a 2-core machine two workers
-# run slower than one
+# the headline mu-sweep, run as users run it, on up to two workers (each
+# runs BLAS on one thread, so two of them on 2 cores beat one worker)
+JOBS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 MU_SWEEP = Path(__file__).resolve().parents[1] / "configs" / "mu_sweep.cfg"
 # its columnar variant: no shear, no density, delta fixed at 0
 COLUMNAR = "\ninitial.shear_amp = 0\ninitial.rho_amp = 0\nsweep.delta_tracks_mu = false\n"
@@ -70,7 +71,7 @@ COLUMNAR = "\ninitial.shear_amp = 0\ninitial.rho_amp = 0\nsweep.delta_tracks_mu 
 @pytest.fixture(scope="module")
 def sweep_vortical(tmp_path_factory):
     t0 = time.perf_counter()
-    _, summary = sweep(ExperimentConfig.from_file(MU_SWEEP), tmp_path_factory.mktemp("mu_sweep"), jobs=1)
+    _, summary = sweep(ExperimentConfig.from_file(MU_SWEEP), tmp_path_factory.mktemp("mu_sweep"), jobs=JOBS)
     wall = time.perf_counter() - t0
     members = summary["members"]
     for m in members:
@@ -81,7 +82,7 @@ def sweep_vortical(tmp_path_factory):
 @pytest.fixture(scope="module")
 def sweep_columnar(tmp_path_factory):
     cfg = ExperimentConfig.from_text(MU_SWEEP.read_text() + COLUMNAR)
-    _, summary = sweep(cfg, tmp_path_factory.mktemp("columnar_sweep"), jobs=1)
+    _, summary = sweep(cfg, tmp_path_factory.mktemp("columnar_sweep"), jobs=JOBS)
     members = summary["members"]
     for m in members:
         ACCEPTED_RUNS.append((f"columnar sweep mu={m['mu']:g}", m["drift"]))
@@ -187,7 +188,7 @@ def test_criterion_02_pressure_manufactured_convergence():
             source=fS(X, Rm, mu), bottom_data=fbot(grid.x, mu),
         )
         info = SolveInfo(0, 0.0)
-        P = solve_pressure(problem, info=info)
+        P = spectral.irfft(grid, solve_pressure(problem, info=info))
         return spectral.l2_strip(grid, P - fP(X, Rm)), info.iterations
 
     errs = [solve_at(n_r, 1e-2)[0] for n_r in (16, 32, 64)]
@@ -317,7 +318,7 @@ def test_criterion_10_blowup_machinery():
     st.eta0 = 0.02 * np.cos(grid.x)
     diffeo = build_diffeo(bath, st.eta0, params)
     P_bad = 40.0 * np.broadcast_to(grid.r[:, None], (grid.n_r + 1,) + grid.xshape)
-    a = taylor_coefficient(P_bad, diffeo, params)
+    a = taylor_coefficient(spectral.rfft(grid, P_bad), diffeo, params)
     from stripflow.diagnostics import blowup_monitor
     from stripflow.runner import measure as _measure
 

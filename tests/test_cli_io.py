@@ -1,6 +1,8 @@
+import ctypes
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +65,38 @@ HOSTILE = [
 ]
 
 
+def _openblas_threads(delay: float) -> tuple:
+    """(pid, thread count of each OpenBLAS loaded in the process), read as
+    perfbench/run.py:_openblas reads them, after ``delay`` seconds."""
+    time.sleep(delay)
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    threads = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.restype = ctypes.c_int
+                threads.append(get())
+                break
+    return os.getpid(), threads
+
+
+def test_sweep_workers_run_one_blas_thread():
+    # two workers with a BLAS thread per core each oversubscribe the machine:
+    # a jobs = 2 sweep ran 2 to 4 times slower than jobs = 1 on 2 cores
+    _, parent_threads = _openblas_threads(0.0)
+    if not parent_threads:
+        pytest.skip("no OpenBLAS loaded")
+    with experiments.worker_pool(2) as pool:
+        reports = list(pool.map(_openblas_threads, [0.2] * 4))
+    assert len({pid for pid, _ in reports}) == 2
+    assert all(threads == [1] * len(parent_threads) for _, threads in reports)
+    assert _openblas_threads(0.0)[1] == parent_threads
+
+
 class TestConfig:
     def test_defaults_and_overrides(self):
         cfg = ExperimentConfig.from_text(BASE_CONFIG)
@@ -121,6 +155,30 @@ class TestConfig:
         problems = ExperimentConfig.from_text(text).validate()
         assert any("delta <= mu" in p for p in problems) == rejected
         assert rejected or problems == []
+
+    @pytest.mark.parametrize("extra", [
+        "run.s = 7",
+        "run.s0 = 6",
+        "run.s = 7\nscheme.kind = mollified",
+        "run.s = 5\nscheme.kind = mollified\ninitial.recipe = well_prepared",
+    ], ids=["s", "s0", "mollified-s", "mollified-well_prepared-s"])
+    def test_sobolev_order_beyond_the_vertical_stencil_exit_code(self, tmp_path, extra):
+        # on 16 x 8 a norm takes at most 4 vertical derivatives; each of these
+        # runs halted at t = 0 with InsufficientResolution (exit 3)
+        text = BASE_CONFIG + SMALL_GRID + extra + "\n"
+        key = extra.split()[0]
+        assert any(p.startswith(f"{key} = ") for p in ExperimentConfig.from_text(text).validate())
+        path = tmp_path / "high.cfg"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("extra", ["run.s = 5\nscheme.kind = mollified", "run.s0 = 3"], ids=["mollified-s", "s0"])
+    def test_sobolev_orders_the_stencil_takes_still_run(self, tmp_path, extra):
+        # the mollified scheme measures its vorticity in H^(s-1), and E_low
+        # takes int(s0 + 1) = 4 vertical derivatives
+        path = tmp_path / "edge.cfg"
+        path.write_text(BASE_CONFIG + SMALL_GRID + extra + "\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("raw,value", [("true", True), ("On", True), ("1", True), ("no", False), ("OFF", False)])
     def test_bool_words(self, raw, value):

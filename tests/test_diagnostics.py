@@ -3,10 +3,11 @@ import pytest
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
-from stripflow.diagnostics import blowup_monitor, energy, fit_rate, state_norm
-from stripflow.dynamics import StripState, cfl_dt, solve_state_pressure
+from stripflow.diagnostics import blowup_monitor, energy, fit_rate, good_unknown_energy, state_norm
+from stripflow.dynamics import StripState, assemble_pressure_problem, cfl_dt
+from stripflow.geometry import alinhac_unknown, total_density
 from stripflow.mollified import MollParams, from_strip_state, run_moll
-from stripflow.pressure import taylor_coefficient
+from stripflow.pressure import solve_pressure, taylor_coefficient
 from stripflow import runner
 from stripflow.errors import NoConvergence
 from stripflow.runner import measure, simulate
@@ -18,12 +19,38 @@ from test_run_properties import equivalence_checks, equivalence_ratios
 
 def report_for(state, bath, params, s=4.0, s0=2.0):
     diffeo = build_diffeo(bath, state.eta0, params)
-    P = solve_state_pressure(state, diffeo, params)
-    taylor = taylor_coefficient(P, diffeo, params)
+    P_hat = solve_pressure(assemble_pressure_problem(state, diffeo, params)[0])
+    taylor = taylor_coefficient(P_hat, diffeo, params)
     return energy(state, taylor, s, s0, params, diffeo), diffeo
 
 
 class TestEnergy:
+    @pytest.mark.parametrize("n_x,n_r,d", [(64, 16, 1), (16, 12, 2)])
+    def test_good_unknowns_of_the_stack_in_one_transform(self, n_x, n_r, d, rng, monkeypatch):
+        # one multiplier and one d_r of the stack (V, w, rho) and one
+        # multiplier of the heights, where each field took its own
+        # (2 (d + 2) multipliers and d + 2 d_r), with the field-by-field sum
+        grid = StripGrid(n_x=n_x, n_r=n_r, d=d)
+        params = PhysParams(eps=0.3, beta=0.4, mu=0.05, delta=0.04)
+        strip = (n_r + 1,) + grid.xshape
+        st = StripState(
+            V=0.1 * rng.standard_normal((d,) + strip), w=0.1 * rng.standard_normal(strip),
+            rho=0.1 * rng.standard_normal(strip), eta0=0.05 * rng.standard_normal(grid.xshape),
+        )
+        diffeo = build_diffeo(Bathymetry.cosine(grid, 0.2), st.eta0, params)
+        h, mu, rho_tot = diffeo.h_tot, params.mu, total_density(st.rho, params)
+        terms = [(np.sqrt(h * rho_tot), V_i) for V_i in st.V]
+        terms += [(np.sqrt(mu * h * rho_tot), st.w), (np.sqrt(mu * h), st.rho)]
+        expect = sum(spectral.l2_strip(grid, wt * alinhac_unknown(f, 3.5, diffeo)) ** 2 for wt, f in terms)
+        calls = {"lambda_pow": 0, "dr": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(spectral, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(spectral, name, counted)
+        assert good_unknown_energy(st, diffeo, params, 3.5) == expect
+        assert calls == {"lambda_pow": 2, "dr": 1}
+
     def test_rest_energy_is_zero(self, grid):
         params = PhysParams(eps=0.3, beta=0.5, mu=1e-2)
         bath = Bathymetry.cosine(grid, 0.3)
@@ -147,7 +174,7 @@ class TestBlowupMonitor:
         # surface coefficient below half its floor
         params, st, rep, diffeo = self._setup(grid)
         P = 40.0 * np.broadcast_to(grid.r[:, None], (grid.n_r + 1,) + grid.xshape)
-        a = taylor_coefficient(P, diffeo, params)
+        a = taylor_coefficient(spectral.rfft(grid, P), diffeo, params)
         bad = type(rep)(**{**rep.__dict__, "taylor_min": a.min()})
         assert a.min() < 0.5 * params.c_star
         assert blowup_monitor(bad, rep.state_norm, params) == "TaylorDegenerate"

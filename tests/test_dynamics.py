@@ -49,12 +49,12 @@ class TestRestState:
     def test_tendencies_vanish_over_topography(self, grid):
         params = PhysParams(eps=0.4, beta=0.8, mu=0.05, delta=0.3)
         bath = Bathymetry.cosine(grid, 0.3)
-        t = euler_rhs(StripState.rest(grid), bath, params)
-        assert np.abs(t.dV).max() == 0.0
-        assert np.abs(t.dw).max() == 0.0
-        assert np.abs(t.drho).max() == 0.0
-        assert np.abs(t.deta0).max() == 0.0
-        assert np.abs(t.P).max() == 0.0
+        t, P_hat = euler_rhs(StripState.rest(grid), bath, params)
+        assert np.abs(t.V).max() == 0.0
+        assert np.abs(t.w).max() == 0.0
+        assert np.abs(t.rho).max() == 0.0
+        assert np.abs(t.eta0).max() == 0.0
+        assert np.abs(P_hat).max() == 0.0
 
     def test_short_march_is_exact(self, grid):
         params = PhysParams(eps=0.3, beta=0.6, mu=0.05)
@@ -94,15 +94,15 @@ class TestLinearizedDynamics:
         cosx, sinx = np.cos(k * grid.x), np.sin(k * grid.x)
 
         def unpack(t):
-            vc = 2 * np.mean(t.dV[0] * cosx[None, :], axis=1)
-            ws = 2 * np.mean(t.dw * sinx[None, :], axis=1)
-            return np.concatenate([vc, ws, [2 * np.mean(t.deta0 * sinx)]])
+            vc = 2 * np.mean(t.V[0] * cosx[None, :], axis=1)
+            ws = 2 * np.mean(t.w * sinx[None, :], axis=1)
+            return np.concatenate([vc, ws, [2 * np.mean(t.eta0 * sinx)]])
 
         A = np.zeros((dim, dim))
         for j in range(dim):
             u = np.zeros(dim)
             u[j] = 1.0
-            A[:, j] = unpack(euler_rhs(pack(u), bath, params))
+            A[:, j] = unpack(euler_rhs(pack(u), bath, params)[0])
         return A, pack
 
     def test_dispersion_relation(self):
@@ -233,7 +233,7 @@ def per_field_euler(state, bath, params):
     metric_term = per_field_metric_term(grid, ops, diffeo.h_tot, eps * deta0, grad_dH, state)
     problem = pressure.closure_problem(diffeo, params, nu, B_V, B_w, metric_term)
     dV, dw, _ = pressure.solve_closure(problem, B_V, B_w)
-    return {"dV": dV, "dw": dw, "drho": drho, "deta0": deta0}
+    return {"V": dV, "w": dw, "rho": drho, "eta0": deta0}
 
 
 def per_field_metric_term(grid, ops, h, h_dot, grad_dH, state):
@@ -284,7 +284,7 @@ def per_field_slag(state, moll, bath, params):
     )
     problem = pressure.closure_problem(metric, params, nu, B_V, B_w, metric_term)
     dV, dw, _ = pressure.solve_closure(problem, B_V, B_w)
-    return {"dV": dV, "dw": dw, "drho": drho, "deta0": deta0, "dH": dH}
+    return {"V": dV, "w": dw, "rho": drho, "eta0": deta0, "H": dH}
 
 
 @pytest.mark.parametrize("n_x,n_r,d", [(32, 12, 1), (16, 8, 2)], ids=["d1", "d2"])
@@ -304,8 +304,8 @@ def test_stacked_transport_matches_per_field_reference(n_x, n_r, d, rng):
     slag.H = slag.H + 1e-3 * rng.standard_normal(strip)
     moll = MollParams(0.05, 0.08, 0.1)
     cases = [
-        (euler_rhs(st, bath, params), per_field_euler(st, bath, params)),
-        (slag_rhs(slag, moll, bath, params), per_field_slag(slag, moll, bath, params)),
+        (euler_rhs(st, bath, params)[0], per_field_euler(st, bath, params)),
+        (slag_rhs(slag, moll, bath, params)[0], per_field_slag(slag, moll, bath, params)),
     ]
     for tend, expect in cases:
         for name, ref in expect.items():
@@ -503,11 +503,11 @@ class TestVorticity:
         dif_m = build_diffeo(bath, minus.eta0, params)
         dom_dt = (vorticity(plus, dif_p, params).omega_x - vorticity(minus, dif_m, params).omega_x) / (2 * dt)
 
-        tend = euler_rhs(st, bath, params)
+        tend, P_hat = euler_rhs(st, bath, params)
         diffeo = build_diffeo(bath, st.eta0, params)
         om = vorticity(st, diffeo, params).omega_x[None]  # a stack of one field
-        F = vorticity_source(st, spectral.irfft(grid, tend.P), diffeo, params)
-        tcorr = params.eps * (1 + grid.r)[:, None] * tend.deta0[None, :] / diffeo.h_tot
+        F = vorticity_source(st, spectral.irfft(grid, P_hat), diffeo, params)
+        tcorr = params.eps * (1 + grid.r)[:, None] * tend.eta0[None, :] / diffeo.h_tot
         rhs = (
             -params.eps * spectral.dealias(grid, diffeo.ops.advect(st.V, st.w, om, spectral.dr(grid, om)))[0]
             + spectral.dealias(grid, tcorr * spectral.dr(grid, om[0]))

@@ -35,8 +35,8 @@ class TestSWDynamics:
         params = PhysParams(eps=0.5, beta=0.5, mu=0.1)
         bath = Bathymetry.cosine(grid, 0.3)
         t = sw_rhs(SWState.rest(grid), bath, params)
-        assert np.abs(t.dV).max() == 0.0
-        assert np.abs(t.deta).max() == 0.0
+        assert np.abs(t.V).max() == 0.0
+        assert np.abs(t.eta).max() == 0.0
 
     def test_lake_at_rest_with_constant_elevation(self, grid):
         params = PhysParams(eps=0.5, beta=0.5, mu=0.1)
@@ -44,8 +44,8 @@ class TestSWDynamics:
         sw = SWState.rest(grid)
         sw.eta = np.full(grid.xshape, 0.2)
         t = sw_rhs(sw, bath, params)
-        assert np.abs(t.dV).max() < 1e-13
-        assert np.abs(t.deta).max() < 1e-11
+        assert np.abs(t.V).max() < 1e-13
+        assert np.abs(t.eta).max() < 1e-11
 
     def test_degenerate_depth(self, grid):
         params = PhysParams(eps=1.0, beta=1.0, mu=0.1)
@@ -76,11 +76,11 @@ class TestSWDynamics:
         sw.t = 0.3
         dt = 0.01
         k1 = sw_rhs(sw, bath, params)
-        k2 = sw_rhs(SWState(sw.V + 0.5 * dt * k1.dV, sw.eta + 0.5 * dt * k1.deta), bath, params)
-        k3 = sw_rhs(SWState(sw.V + 0.5 * dt * k2.dV, sw.eta + 0.5 * dt * k2.deta), bath, params)
-        k4 = sw_rhs(SWState(sw.V + dt * k3.dV, sw.eta + dt * k3.deta), bath, params)
-        V = sw.V + (dt / 6.0) * (k1.dV + 2.0 * k2.dV + 2.0 * k3.dV + k4.dV)
-        eta = sw.eta + (dt / 6.0) * (k1.deta + 2.0 * k2.deta + 2.0 * k3.deta + k4.deta)
+        k2 = sw_rhs(SWState(sw.V + 0.5 * dt * k1.V, sw.eta + 0.5 * dt * k1.eta), bath, params)
+        k3 = sw_rhs(SWState(sw.V + 0.5 * dt * k2.V, sw.eta + 0.5 * dt * k2.eta), bath, params)
+        k4 = sw_rhs(SWState(sw.V + dt * k3.V, sw.eta + dt * k3.eta), bath, params)
+        V = sw.V + (dt / 6.0) * (k1.V + 2.0 * k2.V + 2.0 * k3.V + k4.V)
+        eta = sw.eta + (dt / 6.0) * (k1.eta + 2.0 * k2.eta + 2.0 * k3.eta + k4.eta)
 
         got = rk4(sw, dt, lambda st: sw_rhs(st, bath, params))
         assert np.abs(got.V - V).max() <= 1e-15 * np.abs(V).max()
@@ -170,7 +170,7 @@ class TestLift:
         assert rep["div_rel"] < 1e-11
         assert rep["bottom_linf"] < 1e-13
         # surface kinematic condition: the lifted w matches the sw mass flux
-        deta = sw_rhs(sw, bath, params).deta
+        deta = sw_rhs(sw, bath, params).eta
         kin = deta + params.eps * sw.V[0] * spectral.dx(grid, sw.eta)[0] - st.w[-1]
         assert np.abs(kin).max() < 1e-11
 

@@ -19,10 +19,6 @@ ALLOWLIST = {
 
 # Dataclass fields kept in src/ without an attribute read there, each with its reason.
 FIELD_ALLOWLIST = {
-    "dynamics.Tendencies.dV": 'dynamics.shifted and rk4 read it as getattr(k, "d" + f)',
-    "dynamics.Tendencies.dw": 'dynamics.shifted and rk4 read it as getattr(k, "d" + f)',
-    "shallow.SWTendencies.dV": 'dynamics.shifted and rk4 read it as getattr(k, "d" + f)',
-    "shallow.SWTendencies.deta": 'dynamics.shifted and rk4 read it as getattr(k, "d" + f)',
     "diagnostics.EnergyReport.E_low": "a part of E_s, checked by tests/test_diagnostics.py",
     "diagnostics.EnergyReport.alinhac_terms": "a part of E_s, checked by tests/test_diagnostics.py",
     "diagnostics.EnergyReport.surface_term": "a part of E_s, checked by tests/test_diagnostics.py",
