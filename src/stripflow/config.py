@@ -58,6 +58,7 @@ _DEFAULTS = {
 _PRESETS = ("flat", "cosine", "gaussian", "file")
 _RECIPES = ("rest", "streamfunction", "well_prepared")
 _SCHEMES = ("direct", "mollified")
+_FORMATS = ("npz", "text")
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
@@ -134,6 +135,8 @@ class ExperimentConfig:
             problems.append(f"unknown initial recipe {v['initial.recipe']!r}")
         if v["scheme.kind"] not in _SCHEMES:
             problems.append(f"unknown scheme {v['scheme.kind']!r}")
+        if v["output.format"] not in _FORMATS:
+            problems.append(f"unknown output.format {v['output.format']!r} (npz or text)")
         if v["run.T"] <= 0:
             problems.append("run.T must be positive")
         if v["run.dt"] < 0:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .dynamics import StripState, VorticityField, vorticity
+from .dynamics import StripState, vorticity
 from .geometry import DiffeoFields, PhysParams, alinhac_unknown, total_density
 
 
@@ -27,18 +27,11 @@ class EnergyReport:
     t: float
 
 
-def vorticity_norm(grid, vort: VorticityField, s: float) -> float:
-    if vort.omega_r is None:
-        return spectral.field_norm(grid, vort.omega_x, s)
-    comps = [vort.omega_x[0], vort.omega_x[1], vort.omega_r]
-    return spectral.stack_norm(grid, comps, s)
-
-
 def state_norm(state: StripState, grid, params: PhysParams, s: float) -> float:
     """The blow-up functional ||(V, sqrt(mu) w, sqrt(mu) rho)||_{H^s} + |eta0|_{H^s}."""
     sq = params.sqrt_mu
-    fields = [state.V[i] for i in range(grid.d)] + [sq * state.w, sq * state.rho]
-    return spectral.stack_norm(grid, fields, s) + spectral.surface_norm(grid, state.eta0, s)
+    stack = np.concatenate([state.V, sq * state.w[None], sq * state.rho[None]])
+    return spectral.sobolev_norm(grid, stack, s) + spectral.surface_norm(grid, state.eta0, s)
 
 
 def good_unknown_energy(state, metric: DiffeoFields, params: PhysParams, s: float) -> float:
@@ -71,15 +64,12 @@ def energy(
     eta_s = spectral.lambda_pow(grid, state.eta0, s, dotted=True)
     surface = spectral.l2_surface(grid, np.sqrt(np.maximum(taylor, 0.0)) * eta_s) ** 2
 
-    low_fields = [state.V[i] for i in range(grid.d)] + [sq * state.w, state.rho]
-    E_low = spectral.stack_norm(grid, low_fields, s0 + 1) ** 2
+    low = np.concatenate([state.V, sq * state.w[None], state.rho[None]])
+    E_low = spectral.sobolev_norm(grid, low, s0 + 1) ** 2
     E_low += params.g * params.rho_bar * spectral.surface_norm(grid, state.eta0, s0 + 1) ** 2
 
-    vort = vorticity(state, diffeo, params)
-    vnorm = vorticity_norm(grid, vort, s - 1)
-
-    drV = [spectral.dr(grid, state.V[i]) for i in range(grid.d)]
-    shear = spectral.stack_norm(grid, drV, s - 1) / sq
+    vnorm = spectral.sobolev_norm(grid, vorticity(state, diffeo, params), s - 1)
+    shear = spectral.sobolev_norm(grid, spectral.dr(grid, state.V), s - 1) / sq
 
     E_s = E_low + al + surface + vnorm**2
     return EnergyReport(

@@ -143,15 +143,6 @@ class PressureGuess:
         return guess
 
 
-@dataclass
-class VorticityField:
-    """Scaled curl; omega_x is scalar for d = 1, two components for d = 2;
-    omega_r only exists for d = 2."""
-
-    omega_x: np.ndarray
-    omega_r: np.ndarray | None = None
-
-
 def kinematic_deta0(
     V_top: np.ndarray, w_top: np.ndarray, grad_eta0: np.ndarray, grid: StripGrid, params: PhysParams
 ) -> np.ndarray:
@@ -335,22 +326,21 @@ def rk4(state, dt: float, rhs):
 # -- vorticity -------------------------------------------------------------------
 
 
-def vorticity(state, diffeo: DiffeoFields, params: PhysParams) -> VorticityField:
-    """Scaled curl of (V, w) in the coordinates of ``diffeo``."""
+def vorticity(state, diffeo: DiffeoFields, params: PhysParams) -> np.ndarray:
+    """Scaled curl of (V, w) in the coordinates of ``diffeo``, as a stack of
+    its components: omega_x for d = 1; omega_x (two) and omega_r for d = 2."""
     ops = diffeo.ops
     sq = params.sqrt_mu
     if diffeo.grid.d == 1:
-        om = ops.dr_phi(state.V[0]) / sq - sq * ops.grad_phi(state.w)[0]
-        return VorticityField(om)
+        return (ops.dr_phi(state.V[0]) / sq - sq * ops.grad_phi(state.w)[0])[None]
     gw = ops.grad_phi(state.w)
-    omega_x = np.stack(
+    return np.stack(
         [
             -ops.dr_phi(state.V[1]) / sq + sq * gw[1],
             ops.dr_phi(state.V[0]) / sq - sq * gw[0],
+            ops.grad_phi(state.V[1])[0] - ops.grad_phi(state.V[0])[1],
         ]
     )
-    omega_r = ops.grad_phi(state.V[1])[0] - ops.grad_phi(state.V[0])[1]
-    return VorticityField(omega_x, omega_r)
 
 
 # -- initial data ------------------------------------------------------------------

@@ -158,14 +158,20 @@ def _halted_before_stepping(out: Path, cfg: ExperimentConfig, status: str) -> tu
     return 3, {"status": status}
 
 
-def _mu_member(cfg: ExperimentConfig, mu: float) -> dict:
-    params = cfg.member_params(mu)
+def _direct_member(cfg: ExperimentConfig, value: float) -> dict:
+    """A mu or log_horizon member: the direct scheme from the configured
+    recipe, to run.T at mu = value or to the log horizon at eps = value; its
+    error is the err_total of its last comparison."""
+    axis = cfg["sweep.axis"]
+    params = cfg.member_params(value)
     bath, state, sw, achieved = build_initial(cfg, params)
-    rec, rows = _march(cfg, params, cfg["run.T"], bath, state, sw, None)
+    T = _horizon(cfg, value) if axis == "log_horizon" else cfg["run.T"]
+    rec, rows = _march(cfg, params, T, bath, state, sw, None)
     comp = rec.comparisons[-1] if rec.comparisons else None
     return {
-        "mu": mu, "error": comp.err_total if comp is not None else float("nan"),
+        _AXES[axis][1]: value, "error": comp.err_total if comp is not None else float("nan"),
         "status": rec.status, "rows": rows, "achieved": achieved, "drift": rec.mean_eta0_drift,
+        "final_t": rec.final.t,
     }
 
 
@@ -187,18 +193,11 @@ def _horizon(cfg: ExperimentConfig, eps: float) -> float:
     return cfg["run.T"] * np.log(1.0 / eps)
 
 
-def _log_horizon_member(cfg: ExperimentConfig, eps: float) -> dict:
-    params = cfg.member_params(eps)
-    bath, state, sw, _ = build_initial(cfg, params)
-    rec, rows = _march(cfg, params, _horizon(cfg, eps), bath, state, sw, None)
-    return {"eps": eps, "error": float("nan"), "status": rec.status, "rows": rows, "final_t": rec.final.t}
-
-
 # sweep axis -> (member function, key of the member's axis value)
 _AXES = {
-    "mu": (_mu_member, "mu"),
+    "mu": (_direct_member, "mu"),
     "iota3": (_iota_member, "iota3"),
-    "log_horizon": (_log_horizon_member, "eps"),
+    "log_horizon": (_direct_member, "eps"),
 }
 
 

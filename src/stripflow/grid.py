@@ -130,6 +130,3 @@ class StripGrid:
     def r_column(self, f_of_r: np.ndarray) -> np.ndarray:
         """Broadcast an (n_r+1,) profile against the horizontal axes."""
         return f_of_r.reshape((self.n_r + 1,) + (1,) * self.d)
-
-    def is_strip(self, f: np.ndarray) -> bool:
-        return f.ndim == self.d + 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .diagnostics import good_unknown_energy, vorticity_norm
+from .diagnostics import good_unknown_energy
 from .dynamics import (Fields, PressureGuess, StripState, kinematic_deta0, metric_motion_term, rk4, vorticity,
                        warm_started)
 from .errors import DegenerateDiffeo, InterpolationOutOfRange
@@ -144,7 +144,7 @@ def moll_energy(
     sym = params.g * params.rho_bar + moll.iota3 * (1.0 + grid.k_abs**2) ** 0.25
     weighted = spectral.apply_multiplier(grid, eta_s, sym)
     total += spectral.l2_surface(grid, weighted) ** 2
-    total += vorticity_norm(grid, vorticity(state, metric, params), s - 1) ** 2
+    total += spectral.sobolev_norm(grid, vorticity(state, metric, params), s - 1) ** 2
     return total
 
 

@@ -96,13 +96,11 @@ def compare(euler: StripState, sw: SWState, s: float, bathymetry: Bathymetry, pa
         raise GridMismatch("euler and shallow-water states on different grids")
     sq = params.sqrt_mu
     lifted = lift_sw(sw, bathymetry, params)
-    dV = [euler.V[i] - lifted.V[i] for i in range(grid.d)]
-    err_V = spectral.stack_norm(grid, dV, s)
+    err_V = spectral.sobolev_norm(grid, euler.V - lifted.V, s)
     err_eta = spectral.surface_norm(grid, euler.eta0 - sw.eta, s)
-    err_w = spectral.field_norm(grid, sq * (euler.w - lifted.w), s)
-    drV = [spectral.dr(grid, euler.V[i]) for i in range(grid.d)]
-    shear = spectral.stack_norm(grid, drV, s - 1) / sq
-    rho_norm = spectral.field_norm(grid, sq * euler.rho, s)
+    err_w = spectral.sobolev_norm(grid, sq * (euler.w - lifted.w), s)
+    shear = spectral.sobolev_norm(grid, spectral.dr(grid, euler.V), s - 1) / sq
+    rho_norm = spectral.sobolev_norm(grid, sq * euler.rho, s)
     hypE0 = np.sqrt(err_V**2 + err_w**2) + err_eta + rho_norm + shear
     return ComparisonReport(err_V, err_eta, err_w, shear, rho_norm, hypE0, euler.t)
 
@@ -113,11 +111,9 @@ def shear_streamfunction_profile(grid: StripGrid, amplitude: float, params: Phys
     of the flat reference column.  Scaled by mu so the well-preparedness sum
     stays O(sqrt(mu)) while the scaled vorticity remains O(amplitude)."""
     phase = np.sin(2.0 * np.pi * grid.x / grid.length)
-    rp1 = grid.r_column(grid.r + 1.0)
-    prof = 2.0 * amplitude * params.mu * rp1 * phase
     if grid.d == 2:
-        prof = prof[..., None] * np.ones(grid.n_x)
-    return prof
+        phase = phase[:, None] * np.ones(grid.n_x)
+    return 2.0 * amplitude * params.mu * grid.r_column(grid.r + 1.0) * phase
 
 
 def well_prepared_init(
@@ -146,7 +142,7 @@ def well_prepared_init(
             pattern = pattern[:, None] * np.cos(phase)[None, :]
         rfac = np.cos(0.5 * np.pi * grid.r_column(grid.r))
         raw = rfac * pattern
-        nrm = spectral.field_norm(grid, raw, s)
+        nrm = spectral.sobolev_norm(grid, raw, s)
         state.rho = rho_amp * raw / nrm
     state = project_divergence_free(state, bathymetry, params)
     achieved = compare(state, sw, s, bathymetry, params).hypE0

@@ -126,36 +126,24 @@ def surface_norm(grid: StripGrid, f: np.ndarray, s: float) -> float:
     return l2_surface(grid, lambda_pow(grid, f, s))
 
 
-def sobolev_norm(grid: StripGrid, f: np.ndarray, s: float, k: int = 0) -> float:
-    """Anisotropic norm sum_{l<=k} ||Lambda^{s-l} d_r^l f||_{L^2(S)}.
-
-    Accepts surface fields as r-independent strip fields (their vertical
-    derivatives vanish), so the same call works for both kinds.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if not grid.is_strip(f):
-        if k > 0:
-            raise ValueError("vertical derivatives of a surface field")
-        return surface_norm(grid, f, s)
+def sobolev_norm(grid: StripGrid, F: np.ndarray, s: float) -> float:
+    """Anisotropic H^s norm of a strip field, or of a stack of them along
+    leading axes: each field's sum_{l<=k} ||Lambda^{s-l} d_r^l f||_{L^2(S)}
+    with k = int(s) (0 for s < 0), then the root of the summed squares over the stack.
+    Each order transforms the whole stack in one call."""
+    lead = F.shape[: F.ndim - grid.d - 1]
+    if F.shape[len(lead) :] != (grid.n_r + 1,) + grid.xshape:
+        raise ValueError("not a strip field")
+    k = max(int(s), 0)
     if k > 0 and grid.n_r + 1 < 5 + k:
         raise InsufficientResolution(f"k={k} on {grid.n_r + 1} vertical nodes")
-    total = 0.0
-    g = f
+    w = grid.r_column(grid.r_weights)
+    norms = 0.0
     for l in range(k + 1):
-        total += l2_strip(grid, lambda_pow(grid, g, s - l))
+        g = lambda_pow(grid, F, s - l)
+        norms = norms + np.sqrt(grid.cell_volume * np.sum((w * g * g).reshape(lead + (-1,)), axis=-1))
         if l < k:
-            g = dr(grid, g)
-    return total
-
-
-def field_norm(grid: StripGrid, f: np.ndarray, s: float) -> float:
-    """H^s(S) norm (k = s) for strip fields, |.|_{H^s} for surface fields."""
-    if grid.is_strip(f):
-        return sobolev_norm(grid, f, s, int(s))
-    return surface_norm(grid, f, s)
-
-
-def stack_norm(grid: StripGrid, fields, s: float) -> float:
-    """Norm of a tuple of fields: sqrt of the sum of squared norms."""
-    return float(np.sqrt(sum(field_norm(grid, f, s) ** 2 for f in fields)))
+            F = dr(grid, F)
+    # Python floats, squared and summed in stack order: the arithmetic of a
+    # root-sum-square of separately taken norms
+    return float(np.sqrt(sum(n**2 for n in np.ravel(norms).tolist())))

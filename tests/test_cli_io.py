@@ -344,6 +344,24 @@ class TestCLI:
         assert "H^(s-1)" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_output_format_exit_code(self, tmp_path, capsys):
+        # output.format = txt marched to T, then io.save_snapshot raised
+        # ValueError (exit 1) and no manifest.txt was written
+        cfg = self._write(tmp_path, SMALL_GRID + "run.T = 0.02\noutput.format = txt\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "output.format" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_two_dimensional_well_prepared_shear_run(self, tmp_path):
+        # the d = 2 shear profile was broadcast to (n_r+1, n_r+1, n, n): every
+        # d = 2 well-prepared run with shear exited 1 with a ValueError
+        extra = ("\ngrid.d = 2\ngrid.n_x = 16\ngrid.n_r = 12\nrun.T = 0.02\ninitial.recipe = well_prepared\n"
+                 "initial.sw_v_amplitude = 0.05\ninitial.shear_amp = 0.01\ninitial.rho_amp = 0.2\n"
+                 "params.delta = 0.005\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(self._write(tmp_path, extra)), "--out", str(out)]) == 0
+        assert "status = Continue" in (out / "manifest.txt").read_text()
+
     def test_march_error_keeps_its_name(self, tmp_path):
         # an error of the march, not of the initial data, was labelled
         # "init-failed: T = 1.000e+300 ..."
@@ -647,6 +665,22 @@ sweep.values = 0.3, 0.2, 0.1
         assert code == 0
         text = (out / "horizon.txt").read_text()
         assert "Continue" in text and len(text.splitlines()) == 4
+
+    def test_log_horizon_member_error_is_its_last_comparison(self, tmp_path):
+        # a log_horizon member computed its comparisons and reported NaN
+        extra = SMALL_GRID + """
+params.beta = 1.0
+initial.recipe = well_prepared
+initial.sw_v_amplitude = 0.05
+run.T = 0.02
+sweep.axis = log_horizon
+sweep.values = 0.5, 0.2, 0.1
+"""
+        code, summary = experiments.sweep(ExperimentConfig.from_text(BASE_CONFIG + extra), tmp_path / "s")
+        assert code == 0
+        for m in summary["members"]:
+            last = m["rows"][-1][3]
+            assert m["error"] == last.err_V + last.err_eta
 
     def test_sweep_member_error_becomes_status(self, tmp_path, monkeypatch):
         # an error inside a cutoff member halts that member, not the sweep

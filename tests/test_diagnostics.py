@@ -90,12 +90,11 @@ class TestEnergy:
             st.rho = random_band_limited(grid, rng, amp=0.3)
             rep, diffeo = report_for(st, bath, params)
             from stripflow.dynamics import vorticity
-            from stripflow.diagnostics import vorticity_norm
 
             sq = params.sqrt_mu
             pack = (
-                spectral.stack_norm(grid, [st.V[0], sq * st.w, sq * st.rho], 4.0) ** 2
-                + vorticity_norm(grid, vorticity(st, diffeo, params), 3.0) ** 2
+                spectral.sobolev_norm(grid, np.stack([st.V[0], sq * st.w, sq * st.rho]), 4.0) ** 2
+                + spectral.sobolev_norm(grid, vorticity(st, diffeo, params), 3.0) ** 2
                 + spectral.surface_norm(grid, st.eta0, 4.0) ** 2
             )
             ratios.append(rep.E_s / pack)
@@ -115,7 +114,7 @@ class TestEnergy:
         st2.V[0] = st.V[0] + eps_fd * direction
         rep1, _ = report_for(st2, bath, params)
         # first-order change is bounded by the perturbation's norm scale
-        bound = 20.0 * eps_fd * spectral.field_norm(grid, direction, 4.0) * np.sqrt(rep0.E_s)
+        bound = 20.0 * eps_fd * spectral.sobolev_norm(grid, direction, 4.0) * np.sqrt(rep0.E_s)
         assert abs(rep1.E_s - rep0.E_s) < bound
 
 

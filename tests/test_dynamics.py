@@ -388,8 +388,8 @@ class TestVorticity:
         st.V[0] = 0.7
         diffeo = build_diffeo(bath, st.eta0, params)
         om = vorticity(st, diffeo, params)
-        assert np.abs(om.omega_x).max() < 1e-12
-        assert om.omega_r is None
+        assert np.abs(om).max() < 1e-12
+        assert len(om) == 1  # omega_x only: no omega_r for d = 1
 
     def test_unit_vorticity_regime(self, grid):
         # V = sqrt(mu) r v0(x), w = 0, flat: omega = v0
@@ -400,7 +400,7 @@ class TestVorticity:
         st.V[0] = np.sqrt(params.mu) * grid.r[:, None] * v0[None, :]
         diffeo = build_diffeo(bath, st.eta0, params)
         om = vorticity(st, diffeo, params)
-        assert np.allclose(om.omega_x, v0[None, :], atol=1e-12)
+        assert np.allclose(om[0], v0[None, :], atol=1e-12)
 
     def test_against_eulerian_curl_oracle(self):
         # pull back a closed-form flow and compare with the analytic curl
@@ -420,7 +420,7 @@ class TestVorticity:
             om = vorticity(st, diffeo, params)
             sq = np.sqrt(params.mu)
             expect = -np.sin(x) * np.sin(z) / sq + sq * np.sin(2 * x) * np.sin(z)
-            errs.append(np.abs(om.omega_x - expect).max())
+            errs.append(np.abs(om[0] - expect).max())
         assert np.log2(errs[0] / errs[1]) > 3.5
 
     def test_source_vanishes_without_density(self, grid, rng):
@@ -501,11 +501,11 @@ class TestVorticity:
         minus = step_rk4(st, -dt, bath, params)
         dif_p = build_diffeo(bath, plus.eta0, params)
         dif_m = build_diffeo(bath, minus.eta0, params)
-        dom_dt = (vorticity(plus, dif_p, params).omega_x - vorticity(minus, dif_m, params).omega_x) / (2 * dt)
+        dom_dt = (vorticity(plus, dif_p, params)[0] - vorticity(minus, dif_m, params)[0]) / (2 * dt)
 
         tend, P_hat = euler_rhs(st, bath, params)
         diffeo = build_diffeo(bath, st.eta0, params)
-        om = vorticity(st, diffeo, params).omega_x[None]  # a stack of one field
+        om = vorticity(st, diffeo, params)  # a stack of one field
         F = vorticity_source(st, spectral.irfft(grid, P_hat), diffeo, params)
         tcorr = params.eps * (1 + grid.r)[:, None] * tend.eta0[None, :] / diffeo.h_tot
         rhs = (

@@ -46,8 +46,8 @@ def equivalence_ratios(grid, report, state, s: float = 4.0) -> dict:
     root = np.sqrt(max(report.E_s, 1e-300))
     return {
         "shear": report.shear_ratio / root,
-        "drw": spectral.field_norm(grid, spectral.dr(grid, state.w), s - 1) / root,
-        "w": spectral.field_norm(grid, state.w, s - 1) / root,
+        "drw": spectral.sobolev_norm(grid, spectral.dr(grid, state.w), s - 1) / root,
+        "w": spectral.sobolev_norm(grid, state.w, s - 1) / root,
     }
 
 
@@ -76,8 +76,8 @@ def test_taylor_derivative_envelope_during_run():
         P_hat = solve_pressure(assemble_pressure_problem(state, diffeo, params)[0])
         taylors.append(taylor_coefficient(P_hat, diffeo, params))
         sq = params.sqrt_mu
-        pack = spectral.stack_norm(
-            grid, [state.V[0], sq * state.w, sq * state.rho], s0 + 2
+        pack = spectral.sobolev_norm(
+            grid, np.stack([state.V[0], sq * state.w, sq * state.rho]), s0 + 2
         ) + spectral.surface_norm(grid, state.eta0, s0 + 2)
         envelopes.append(params.eps * pack)
         if len(taylors) >= 2:
@@ -101,8 +101,8 @@ def test_irrotational_homogeneous_flow_stays_irrotational():
         state = step_rk4(state, dt, bath, params)
     diffeo = build_diffeo(bath, state.eta0, params)
     om = vorticity(state, diffeo, params)
-    floor = spectral.field_norm(grid, om.omega_x, 3.0)
-    drive = spectral.field_norm(grid, state.V[0], 3.0)
+    floor = spectral.sobolev_norm(grid, om, 3.0)
+    drive = spectral.sobolev_norm(grid, state.V[0], 3.0)
     assert drive > 1e-3  # the wave actually developed a flow
     assert floor < 1e-6 * max(drive, 1.0) + 1e-9
 

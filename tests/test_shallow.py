@@ -229,7 +229,7 @@ class TestWellPrepared:
 
         diffeo = build_diffeo(bath, st.eta0, params)
         om = vorticity(st, diffeo, params)
-        assert spectral.field_norm(grid, om.omega_x, 3.0) < 5.0
+        assert spectral.sobolev_norm(grid, om, 3.0) < 5.0
 
     def test_strong_density_rejected(self, grid):
         params = PhysParams(eps=0.5, beta=0.5, mu=1e-3, delta=1e-2)

@@ -146,18 +146,18 @@ class TestHarmonicExtension:
 class TestNorms:
     def test_zero(self, grid):
         z = np.zeros((grid.n_r + 1,) + grid.xshape)
-        assert spectral.sobolev_norm(grid, z, 2.0, 2) == 0.0
+        assert spectral.sobolev_norm(grid, z, 2.0) == 0.0
 
     def test_parseval_matches_quadrature(self, grid, rng):
         f = random_band_limited(grid, rng)
-        a = spectral.sobolev_norm(grid, f, 0.0, 0)
+        a = spectral.sobolev_norm(grid, f, 0.0)
         b = spectral.l2_strip(grid, f)
         assert np.isclose(a, b, rtol=1e-12)
 
     def test_r_independent_single_mode(self, grid):
         k = 3.0
         f = np.broadcast_to(np.cos(k * grid.x), (grid.n_r + 1,) + grid.xshape).copy()
-        got = spectral.sobolev_norm(grid, f, 1.0, 1)
+        got = spectral.sobolev_norm(grid, f, 1.0)
         expect = np.sqrt(1 + k**2) * spectral.l2_strip(grid, f)
         assert np.isclose(got, expect, rtol=1e-12)
 
@@ -165,7 +165,7 @@ class TestNorms:
         # independent implementation: explicit DFT sums, explicit stencils
         f = random_band_limited(grid, rng, kmax=5, r_degree=2)
         s, k = 2.0, 2
-        got = spectral.sobolev_norm(grid, f, s, k)
+        got = spectral.sobolev_norm(grid, f, s)
 
         def slow_dr(g):
             n, dr = g.shape[0] - 1, 1.0 / (g.shape[0] - 1)
@@ -204,11 +204,40 @@ class TestNorms:
                 g = slow_dr(g)
         assert np.isclose(got, total, rtol=1e-10)
 
+    def test_stack_is_the_root_sum_square_of_its_fields(self, grid, rng, monkeypatch):
+        # one lambda_pow per order l <= int(s) for the whole stack; a stack
+        # was taken as a surface field
+        F = np.stack([random_band_limited(grid, rng, kmax=6, r_degree=3) for _ in range(3)])
+        each = [spectral.sobolev_norm(grid, f, 4.0) for f in F]
+        shapes = []
+        lambda_pow = spectral.lambda_pow
+
+        def counted(grid, f, s, **kw):
+            shapes.append(f.shape)
+            return lambda_pow(grid, f, s, **kw)
+
+        monkeypatch.setattr(spectral, "lambda_pow", counted)
+        got = spectral.sobolev_norm(grid, F, 4.0)
+        assert np.isclose(got, np.sqrt(np.sum(np.square(each))), rtol=1e-14)
+        assert shapes == [F.shape] * 5
+
+    def test_surface_field_rejected(self, grid):
+        with pytest.raises(ValueError, match="not a strip field"):
+            spectral.sobolev_norm(grid, np.ones(grid.xshape), 1.0)
+
     def test_insufficient_resolution(self):
         grid = StripGrid(n_x=8, n_r=8)
         f = np.zeros((9,) + grid.xshape)
         with pytest.raises(InsufficientResolution):
-            spectral.sobolev_norm(grid, f, 8.0, 8)
+            spectral.sobolev_norm(grid, f, 8.0)
+
+
+def one_vertical_derivative_norm(grid, f, s):
+    """||f||_{H^{s,1}} = ||Lambda^s f|| + ||Lambda^(s-1) d_r f||: the
+    anisotropic norm with one vertical derivative at any s."""
+    return spectral.l2_strip(grid, spectral.lambda_pow(grid, f, s)) + spectral.l2_strip(
+        grid, spectral.lambda_pow(grid, spectral.dr(grid, f), s - 1)
+    )
 
 
 class TestTraceAndQuadrature:
@@ -219,7 +248,7 @@ class TestTraceAndQuadrature:
         for _ in range(100):
             f = random_band_limited(grid, rng, kmax=8, r_degree=3)
             num = spectral.surface_norm(grid, f[-1], s)
-            den = spectral.sobolev_norm(grid, f, s + 0.5, 1)
+            den = one_vertical_derivative_norm(grid, f, s + 0.5)
             ratios.append(num / den)
         assert max(ratios) < 2.0
 

@@ -51,9 +51,8 @@ def test_rest_tendencies_and_vorticity(grid2):
     assert np.abs(t.V).max() == 0.0
     assert np.abs(t.w).max() == 0.0
     om = vorticity(state, build_diffeo(bath, state.eta0, params), params)
-    assert om.omega_x.shape == (2, grid2.n_r + 1, 16, 16)
-    assert om.omega_r is not None
-    assert np.abs(om.omega_r).max() == 0.0
+    assert om.shape == (3, grid2.n_r + 1, 16, 16)  # omega_x (two components) and omega_r
+    assert np.abs(om[2]).max() == 0.0
 
 
 def test_single_mode_wave_step(grid2):
