@@ -86,8 +86,14 @@ def cmd_check(args) -> int:
 def cmd_rate(args) -> int:
     from .io import RESULTS_HEADER
 
-    data = np.loadtxt(args.results, ndmin=2)
-    col = RESULTS_HEADER.lstrip("#").split().index
+    columns = RESULTS_HEADER.lstrip("#").split()
+    try:
+        data = np.loadtxt(args.results, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"results file {args.results}: {exc}") from exc
+    if data.shape[1] != len(columns):
+        raise ConfigError(f"results file {args.results} needs rows of the columns {' '.join(columns)}")
+    col = columns.index
     mus = data[:, col("mu")]
     errs = data[:, col("err_V")] + data[:, col("err_eta")]
     last = {}

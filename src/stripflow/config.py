@@ -110,7 +110,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        text = Path(path).read_text()
+        """ConfigError when the file cannot be read as UTF-8 text."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path}: {exc}") from exc
         return cls(parse_config_text(text), text)
 
     @classmethod

@@ -215,7 +215,7 @@ def divergence_report(state: StripState, bathymetry: Bathymetry, params: PhysPar
     at O(dr^4) per unit time and is reported separately."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
     grid = diffeo.grid
-    div = diffeo.ops.div_phi(state.V, state.w)
+    div = diffeo.ops.div_phi(np.concatenate([state.V, state.w[None]]))
     bottom = state.w[0] - np.sum(diffeo.bottom_gradient * state.V[:, 0], axis=0)
     scale = spectral.l2_strip(grid, state.V[0]) + spectral.l2_strip(
         grid, np.sqrt(params.mu) * state.w
@@ -328,19 +328,14 @@ def rk4(state, dt: float, rhs):
 
 def vorticity(state, diffeo: DiffeoFields, params: PhysParams) -> np.ndarray:
     """Scaled curl of (V, w) in the coordinates of ``diffeo``, as a stack of
-    its components: omega_x for d = 1; omega_x (two) and omega_r for d = 2."""
-    ops = diffeo.ops
-    sq = params.sqrt_mu
-    if diffeo.grid.d == 1:
-        return (ops.dr_phi(state.V[0]) / sq - sq * ops.grad_phi(state.w)[0])[None]
-    gw = ops.grad_phi(state.w)
-    return np.stack(
-        [
-            -ops.dr_phi(state.V[1]) / sq + sq * gw[1],
-            ops.dr_phi(state.V[0]) / sq - sq * gw[0],
-            ops.grad_phi(state.V[1])[0] - ops.grad_phi(state.V[0])[1],
-        ]
-    )
+    its components: omega_x for d = 1; omega_x (two) and omega_r for d = 2,
+    from one ``gradients`` G of the stack (V_1 .. V_d, w): G[j, i] is
+    derivative j (grad_phi components, then dr_phi) of field i."""
+    grid, sq = diffeo.grid, params.sqrt_mu
+    G = diffeo.ops.gradients(spectral.rfft(grid, np.concatenate([state.V, state.w[None]])))
+    if grid.d == 1:
+        return (G[1, 0] / sq - sq * G[0, 1])[None]
+    return np.stack([-G[2, 1] / sq + sq * G[1, 2], G[2, 0] / sq - sq * G[0, 2], G[0, 1] - G[1, 0]])
 
 
 # -- initial data ------------------------------------------------------------------

@@ -255,8 +255,8 @@ def sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1, verbose: bool = False) 
     key = _AXES[axis][1]
     args = [(axis, cfg.text, v) for v in sorted(cfg["sweep.values"], reverse=True)]
 
-    if jobs > 1:
-        with worker_pool(jobs) as pool:
+    if jobs > 1:  # no more workers than members: the pool forks them all at once
+        with worker_pool(min(jobs, len(args))) as pool:
             members = list(pool.map(_member, args))
     else:
         members = [_member(a) for a in args]

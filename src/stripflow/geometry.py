@@ -135,23 +135,37 @@ class SigmaOps:
     kappa: np.ndarray
     gamma: np.ndarray
 
-    def grad_phi(self, f: np.ndarray) -> np.ndarray:
-        return spectral.dx(self.grid, f) - self.kappa * spectral.dr(self.grid, f)
+    def gradients(self, F_hat: np.ndarray) -> np.ndarray:
+        """(grad_phi f, dr_phi f) of each field f whose horizontal rFFT is
+        ``F_hat`` (a strip field or a stack of them), as d + 1 leading rows:
+        d_r is taken on the spectrum (it commutes with the horizontal
+        transform), and all rows come back in one inverse transform."""
+        grid, d = self.grid, self.grid.d
+        spec = np.empty((d + 1,) + F_hat.shape, dtype=complex)
+        for i, k in enumerate(grid.kvec):
+            np.multiply(1j * k, F_hat, out=spec[i])
+        spec[d] = spectral.dr(grid, F_hat.view(float)).view(complex)
+        G = spectral.irfft(grid, spec)
+        for i in range(d):
+            G[i] -= self.kappa[i] * G[d]
+        G[d] *= self.gamma
+        return G
 
-    def dr_phi(self, f: np.ndarray) -> np.ndarray:
-        return self.gamma * spectral.dr(self.grid, f)
-
-    def div_phi(self, F_x: np.ndarray, F_r: np.ndarray) -> np.ndarray:
-        """grad_phi . F_x + dr_phi F_r."""
-        out = self.gamma * spectral.dr(self.grid, F_r)
-        for i in range(self.grid.d):
-            out = out + spectral.dx(self.grid, F_x[i])[i] - self.kappa[i] * spectral.dr(self.grid, F_x[i])
+    def div_phi(self, F: np.ndarray) -> np.ndarray:
+        """grad_phi . F_x + dr_phi F_r of the d + 1 rows F = (F_x, F_r),
+        stacked as ``gradients`` stacks them: the horizontal divergence in one
+        forward and one inverse transform, d_r of the stack in one call, and
+        the metric applied in place."""
+        grid, d = self.grid, self.grid.d
+        # one expression: the spectrum is freed before d_r allocates its stack
+        out = spectral.irfft(grid, sum(1j * k * f for k, f in zip(grid.kvec, spectral.rfft(grid, F[:d]))))
+        dF = spectral.dr(grid, F)
+        dF[:d] *= self.kappa
+        dF[d] *= self.gamma
+        out += dF[d]
+        for i in range(d):
+            out -= dF[i]
         return out
-
-    def gradients(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(grad_phi f, dr_phi f) from one d_r f."""
-        df = spectral.dr(self.grid, f)
-        return spectral.dx(self.grid, f) - self.kappa * df, self.gamma * df
 
     def advect(self, V: np.ndarray, w: np.ndarray, F: np.ndarray, dF: np.ndarray) -> np.ndarray:
         """V . grad_phi f + w dr_phi f for each field f of the stack F

@@ -88,9 +88,9 @@ def slag_rhs(
     B = spectral.dealias(grid, B)
     if moll.iota3:  # the dispersive term, outside the dealias
         ext = spectral.harmonic_extension(grid, spectral.lambda_pow(grid, state.eta0, 1.0))
-        grad_ext, dr_ext = ops.gradients(ext)
-        B[:d] += moll.iota3 * nu * J(grad_ext, moll.iota2)
-        B[d] += moll.iota3 * nu * J(dr_ext, moll.iota2) / mu
+        G = ops.gradients(spectral.rfft(grid, ext))
+        B[:d] += moll.iota3 * nu * J(G[:d], moll.iota2)
+        B[d] += moll.iota3 * nu * J(G[d], moll.iota2) / mu
     dH = B[d + 2] + eps * w2
     deta0 = kinematic_deta0(V2[:, -1], w2[-1], grad_eta0, grid, params)
 

@@ -44,10 +44,12 @@ one product back.  The preconditioner hands the operator the spectrum of
 its output and ``EllipticProblem.apply`` takes P as a spectrum, so a
 Krylov iteration makes no inverse-then-forward transform of the same
 field; the Krylov solution is itself kept and returned as a spectrum.  The
-operator splits into a flux half (one inverse transform and pointwise
-products) and a divergence half: ``solve_closure`` takes the solution as a
-spectrum and applies its flux half, evaluated once per solve (kept from the
-residual's apply when the guess already met the tolerance).
+operator composes the sigma-map calculus of ``geometry.SigmaOps``: a flux
+half, nu times ``gradients`` of the spectrum (one inverse transform), and a
+divergence half, ``div_phi`` of the correction.  ``solve_closure`` takes
+the solution as a spectrum and applies its flux half, evaluated once per
+solve (the correction kept from the residual's apply when the guess already
+met the tolerance).
 Locally the operator is (nu/h^2)(d_r^2 + mu h^2 Delta_x): its vertical part
 wants the weight h^2 and its horizontal part the weight 1.  The weight h is
 their geometric mean, so both regimes are off by the same factor of h and
@@ -87,60 +89,32 @@ class EllipticProblem:
     nu: np.ndarray
     source: np.ndarray
     bottom_data: np.ndarray
-    # (nu grad_phi P, nu dr_phi P) of the last ``apply``; those of P = 0 before
-    fluxes: tuple = field(default=(0.0, 0.0), repr=False, compare=False)
-
-    def __post_init__(self):
-        # the coefficient products every apply reads
-        ops = self.diffeo.ops
-        self.nu_kappa = self.nu * ops.kappa
-        self.nu_gamma = self.nu * ops.gamma
-        self.mu_kappa = self.mu * ops.kappa
+    # (nu grad_phi P, nu dr_phi P / mu) of the last ``apply``; that of P = 0 before
+    correction: tuple = field(default=(0.0, 0.0), repr=False, compare=False)
 
     # -- the composed operator --------------------------------------------------
 
     def flux(self, P_hat: np.ndarray) -> np.ndarray:
         """The fluxes (Q_x, Q_r) of the pressure whose horizontal rFFT is
-        ``P_hat``, stacked (components of Q_x, then Q_r): d_r P is taken on
-        the spectrum (it commutes with the horizontal transform), and d_x P
-        and d_r P come back in one batched inverse transform."""
-        grid = self.diffeo.grid
-        d = grid.d
-        spec = np.empty((d + 1,) + P_hat.shape, dtype=complex)
-        for i, k in enumerate(grid.kvec):
-            np.multiply(1j * k, P_hat, out=spec[i])
-        spec[d] = spectral.dr(grid, P_hat.view(float)).view(complex)
-        # the arithmetic runs in place on the transformed stack: fewer
-        # strip-sized temporaries for the allocator to trim and regrow
-        Q = spectral.irfft(grid, spec)
-        Qx, Qr = Q[:d], Q[d]
-        Qx *= self.nu
-        Qx -= self.nu_kappa * Qr
-        Qr *= self.nu_gamma
+        ``P_hat``, stacked (components of Q_x, then Q_r): nu times
+        ``SigmaOps.gradients``, scaled in place."""
+        Q = self.diffeo.ops.gradients(P_hat)
+        Q *= self.nu
         return Q
 
     def apply(self, P_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(interior rows mu grad_phi.Q_x + dr_phi Q_r, bottom conormal row)
-        of the pressure whose horizontal rFFT is ``P_hat``.
-
-        The composition of the module docstring: the fluxes of ``flux``, then
-        the divergence of Q_x in one forward and one inverse transform and
-        d_r of the whole flux stack in one call.  The fluxes of the call are
-        kept as ``fluxes``."""
-        grid, gamma = self.diffeo.grid, self.diffeo.ops.gamma
-        d = grid.d
-        Q = self.flux(P_hat)
-        Qx, Qr = Q[:d], Q[d]
-        Qx_hat = spectral.rfft(grid, Qx)
-        for i, k in enumerate(grid.kvec):
-            Qx_hat[i] *= 1j * self.mu * k
-        interior = spectral.irfft(grid, Qx_hat.sum(axis=0))
-        dQ = spectral.dr(grid, Q)
-        interior += gamma * dQ[d]
-        for i in range(d):
-            interior -= self.mu_kappa[i] * dQ[i]
-        bottom = Qr[0] - self.mu * np.sum(self.diffeo.bottom_gradient * Qx[:, 0], axis=0)
-        self.fluxes = (Qx, Qr)
+        of the pressure whose horizontal rFFT is ``P_hat``: the rows
+        ``closure_problem`` poses for the correction C = (Q_x, Q_r / mu) that
+        ``solve_closure`` subtracts, mu div_phi C and mu (C_w - grad b . C_V)
+        at the bottom.  The correction of the call is kept as ``correction``."""
+        d = self.diffeo.grid.d
+        C = self.flux(P_hat)
+        C[d] /= self.mu
+        interior = self.diffeo.ops.div_phi(C)
+        interior *= self.mu
+        bottom = self.mu * (C[d, 0] - np.sum(self.diffeo.bottom_gradient * C[:d, 0], axis=0))
+        self.correction = (C[:d], C[d])
         return interior, bottom
 
 
@@ -157,12 +131,13 @@ def closure_problem(
     at the bottom; ``metric_term`` is the time derivative of the metric
     coefficients of a moving map acting on the current velocity."""
     bottom = B_w[0] - np.sum(diffeo.bottom_gradient * B_V[:, 0], axis=0)
+    B = np.concatenate([B_V, np.broadcast_to(B_w, B_V.shape[1:])[None]])
     return EllipticProblem(
         diffeo=diffeo,
         mu=params.mu,
         rho_bar=params.rho_bar,
         nu=_as_strip(diffeo.grid, nu),
-        source=params.mu * (diffeo.ops.div_phi(B_V, B_w) + metric_term),
+        source=params.mu * (diffeo.ops.div_phi(B) + metric_term),
         bottom_data=params.mu * bottom,
     )
 
@@ -175,11 +150,11 @@ def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=No
     P_hat = solve_pressure(problem, rtol=rtol, info=info, x0=x0)
     if info.iterations:
         Q = problem.flux(P_hat)
-        Qx, Qr = Q[: problem.diffeo.grid.d], Q[-1]
+        C_V, C_w = Q[: problem.diffeo.grid.d], Q[-1] / problem.mu
     else:
-        # P is the guess (or zero), whose fluxes the residual's apply kept
-        Qx, Qr = problem.fluxes
-    return B_V - Qx, B_w - Qr / problem.mu, P_hat
+        # P is the guess (or zero), whose correction the residual's apply kept
+        C_V, C_w = problem.correction
+    return B_V - C_V, B_w - C_w, P_hat
 
 
 # -- preconditioner ------------------------------------------------------------

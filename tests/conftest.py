@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stripflow import Bathymetry, PhysParams, StripGrid, pressure, runner
+from stripflow import Bathymetry, PhysParams, StripGrid, pressure, runner, spectral
 
 
 @pytest.fixture
@@ -48,6 +48,13 @@ def random_surface(grid, rng, kmax=6, amp=1.0):
         a, b = rng.standard_normal(2) / (1 + k**2)
         f += a * np.cos(k * grid.x) + b * np.sin(k * grid.x)
     return amp * f
+
+
+def sigma_gradients(ops, f):
+    """(grad_phi f, dr_phi f) of a strip field f, from ``ops.gradients`` of
+    its spectrum."""
+    G = ops.gradients(spectral.rfft(ops.grid, f))
+    return G[:-1], G[-1]
 
 
 def count_solve_iterations(monkeypatch) -> list:

@@ -287,6 +287,13 @@ def test_criterion_08_mollified_consistency():
     )
 
 
+def physical_sigma_gradients(grid, ops, f):
+    """(grad_phi f, dr_phi f) from ``spectral.dx`` and ``spectral.dr`` in
+    physical space: a reference independent of ``SigmaOps``."""
+    df = spectral.dr(grid, f)
+    return spectral.dx(grid, f) - ops.kappa * df, ops.gamma * df
+
+
 def test_criterion_09_good_unknown_commutator():
     grid = StripGrid(n_x=64, n_r=32)
     s = 4.0
@@ -298,10 +305,11 @@ def test_criterion_09_good_unknown_commutator():
     for t in (1e-1, 1e-2, 1e-3, 1e-4):
         params = PhysParams(eps=t, beta=t, mu=0.1)
         d = build_diffeo(Bathymetry(grid, bshape), e0shape, params)
-        gx, gr = d.ops.grad_phi(f), d.ops.dr_phi(f)
+        gx, gr = physical_sigma_gradients(grid, d.ops, f)
         fs = alinhac_unknown(f, s, d)
-        rx = spectral.lambda_pow(grid, gx[0], s, dotted=True) - d.ops.grad_phi(fs)[0]
-        rr = spectral.lambda_pow(grid, gr, s, dotted=True) - d.ops.dr_phi(fs)
+        gxs, grs = physical_sigma_gradients(grid, d.ops, fs)
+        rx = spectral.lambda_pow(grid, gx[0], s, dotted=True) - gxs[0]
+        rr = spectral.lambda_pow(grid, gr, s, dotted=True) - grs
         resid = np.sqrt(spectral.l2_strip(grid, rx) ** 2 + spectral.l2_strip(grid, rr) ** 2)
         samples.append((t, resid))
     fit = fit_rate(samples)

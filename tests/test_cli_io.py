@@ -12,6 +12,7 @@ from stripflow import Bathymetry, PhysParams, StripGrid
 from stripflow.cli import main
 from stripflow import config
 from stripflow.config import ExperimentConfig, parse_config_text
+from stripflow.diagnostics import fit_rate
 from stripflow.dynamics import StripState
 from stripflow.errors import ConfigError, NoConvergence
 from stripflow import experiments
@@ -22,6 +23,7 @@ from stripflow.io import (
     load_snapshot,
     save_snapshot,
     write_manifest,
+    write_rate_summary,
 )
 from stripflow.shallow import ComparisonReport
 
@@ -481,6 +483,30 @@ slag_to_sigma(from_strip_state(StripState.rest(grid), bath, params), bath, param
         assert main(["rate", "--results", str(path), "--window", "0.74", "0.76"]) == 0
         assert "slope = 0.7500" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"params.eps = 0.3\n\xff\xfe\n")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content", [None, "mu err\n0.1 0.2\n", "", "two_column_rates"],
+                             ids=["missing", "non_numeric", "empty", "two_column_rates"])
+    def test_unreadable_results_exit_code(self, tmp_path, capsys, content):
+        path = tmp_path / "results.txt"
+        if content == "two_column_rates":
+            samples = [(1e-1, 0.3), (1e-2, 0.1), (1e-3, 0.03)]
+            write_rate_summary(path, "mu", *zip(*samples), fit_rate(samples))
+        elif content is not None:
+            path.write_text(content)
+        assert main(["rate", "--results", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_sweep_small(self, tmp_path):
         extra = """
 initial.recipe = well_prepared
@@ -722,6 +748,36 @@ sweep.values = 0.5, 0.2, 0.1
             cfg = self._write(tmp_path, f"\nsweep.axis = mu\nsweep.values = {values}\n")
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"), "--jobs", "2"]) == 2
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("jobs", [2, 4, 64])
+    def test_sweep_pool_has_at_most_one_worker_per_member(self, tmp_path, monkeypatch, jobs):
+        # the fork start method starts every worker of the pool at once, so
+        # the pool is sized by the members; a fake pool records the size and
+        # maps serially, starting no process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        def member(cfg, mu):
+            return {"mu": mu, "error": mu, "status": "Continue", "rows": [], "achieved": 0.0, "drift": 0.0}
+
+        monkeypatch.setattr(experiments, "worker_pool", SerialPool)
+        monkeypatch.setitem(experiments._AXES, "mu", (member, "mu"))
+        cfg = ExperimentConfig.from_text(BASE_CONFIG + "\nsweep.axis = mu\nsweep.values = 1e-1, 1e-2, 1e-3, 1e-4\n")
+        code, summary = experiments.sweep(cfg, tmp_path / "s", jobs=jobs)
+        assert code == 0 and len(summary["members"]) == 4
+        assert sizes == [min(jobs, 4)]
 
     def test_api_calls_validate_before_running(self, tmp_path, monkeypatch):
         # the API entry points reject an invalid config themselves, before

@@ -7,6 +7,7 @@ from stripflow.errors import DegenerateDensity, DegenerateDepth
 from stripflow.geometry import DiffeoFields, alinhac_unknown, total_density
 from stripflow.diagnostics import fit_rate
 
+from conftest import sigma_gradients
 from test_acceptance import growth_scale
 
 
@@ -80,7 +81,7 @@ class TestSigmaGrad:
         grid, params, bath = flat_setup
         d = build_diffeo(bath, np.zeros(grid.xshape), params)
         f = np.sin(grid.x)[None, :] * np.cos(grid.r)[:, None]
-        gx, gr = d.ops.grad_phi(f), d.ops.dr_phi(f)
+        gx, gr = sigma_gradients(d.ops, f)
         assert np.allclose(gx[0], np.cos(grid.x)[None, :] * np.cos(grid.r)[:, None], atol=1e-11)
         assert np.allclose(gr, -np.sin(grid.r)[:, None] * np.sin(grid.x)[None, :], atol=1e-5)
 
@@ -89,7 +90,7 @@ class TestSigmaGrad:
         bath = Bathymetry.cosine(grid, 0.3)
         d = build_diffeo(bath, 0.1 * np.cos(grid.x), params)
         f = d.z
-        gx, gr = d.ops.grad_phi(f), d.ops.dr_phi(f)
+        gx, gr = sigma_gradients(d.ops, f)
         assert np.abs(gx).max() < 1e-12
         assert np.abs(gr - 1.0).max() < 1e-12
 
@@ -103,11 +104,48 @@ class TestSigmaGrad:
             z = d.z
             x = np.broadcast_to(grid.x, z.shape)
             f = np.sin(x) * np.cos(2.0 * z)
-            gx, gr = d.ops.grad_phi(f), d.ops.dr_phi(f)
+            gx, gr = sigma_gradients(d.ops, f)
             ex = np.cos(x) * np.cos(2.0 * z)
             er = -2.0 * np.sin(x) * np.sin(2.0 * z)
             errs.append(max(np.abs(gx[0] - ex).max(), np.abs(gr - er).max()))
         assert np.log2(errs[0] / errs[1]) > 3.5
+
+    @staticmethod
+    def curved_map(n_x, n_r, d):
+        grid = StripGrid(n_x=n_x, n_r=n_r, d=d)
+        params = PhysParams(eps=0.3, beta=0.4, mu=0.04)
+        eta0 = 0.1 * np.cos(grid.x)
+        if d == 2:
+            eta0 = eta0[:, None] * np.cos(grid.x)[None, :]
+        return grid, build_diffeo(Bathymetry.cosine(grid, 0.3), eta0, params).ops
+
+    @pytest.mark.parametrize("n_x,n_r,d", [(64, 16, 1), (16, 12, 2)])
+    def test_gradients_of_a_stack_are_those_of_each_field(self, n_x, n_r, d, rng):
+        # one call on a 2-field spectrum stack: the d + 1 rows of each field
+        # equal its own call and the physical-space dx - kappa dr, gamma dr
+        grid, ops = self.curved_map(n_x, n_r, d)
+        F = spectral.dealias(grid, rng.standard_normal((2, grid.n_r + 1) + grid.xshape))
+        G = ops.gradients(spectral.rfft(grid, F))
+        assert G.shape == (d + 1, 2, grid.n_r + 1) + grid.xshape
+        for j in range(2):
+            ref = np.concatenate([
+                spectral.dx(grid, F[j]) - ops.kappa * spectral.dr(grid, F[j]),
+                (ops.gamma * spectral.dr(grid, F[j]))[None],
+            ])
+            scale = np.abs(ref).max()
+            assert np.abs(G[:, j] - ops.gradients(spectral.rfft(grid, F[j]))).max() <= 1e-13 * scale
+            assert np.abs(G[:, j] - ref).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n_x,n_r,d", [(64, 16, 1), (16, 12, 2)])
+    def test_div_phi_matches_per_component_reference(self, n_x, n_r, d, rng):
+        grid, ops = self.curved_map(n_x, n_r, d)
+        F_x = spectral.dealias(grid, rng.standard_normal((d, grid.n_r + 1) + grid.xshape))
+        F_r = spectral.dealias(grid, rng.standard_normal((grid.n_r + 1,) + grid.xshape))
+        ref = ops.gamma * spectral.dr(grid, F_r)
+        for i in range(d):
+            ref = ref + spectral.dx(grid, F_x[i])[i] - ops.kappa[i] * spectral.dr(grid, F_x[i])
+        got = ops.div_phi(np.concatenate([F_x, F_r[None]]))
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestAlinhac:
@@ -151,10 +189,10 @@ class TestAlinhac:
         for t in (1e-1, 1e-2, 1e-3, 1e-4):
             params = PhysParams(eps=t, beta=t, mu=0.1)
             d = build_diffeo(Bathymetry(grid, bshape), e0shape, params)
-            gx, gr = d.ops.grad_phi(f), d.ops.dr_phi(f)
+            gx, gr = sigma_gradients(d.ops, f)
             fs = alinhac_unknown(f, s, d)
-            rx = spectral.lambda_pow(grid, gx[0], s, dotted=True) - d.ops.grad_phi(fs)[0]
-            rr = spectral.lambda_pow(grid, gr, s, dotted=True) - d.ops.dr_phi(fs)
+            rx = spectral.lambda_pow(grid, gx[0], s, dotted=True) - sigma_gradients(d.ops, fs)[0][0]
+            rr = spectral.lambda_pow(grid, gr, s, dotted=True) - sigma_gradients(d.ops, fs)[1]
             samples.append((t, np.sqrt(spectral.l2_strip(grid, rx) ** 2 + spectral.l2_strip(grid, rr) ** 2)))
         fit = fit_rate(samples)
         assert 0.9 <= fit.slope <= 1.1

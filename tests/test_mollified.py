@@ -23,7 +23,7 @@ from stripflow.mollified import (
     terminal_distance,
 )
 
-from conftest import count_solve_iterations, random_band_limited
+from conftest import count_solve_iterations, random_band_limited, sigma_gradients
 
 
 def wave_state(grid, amp=0.05):
@@ -76,8 +76,8 @@ class TestSlagSetup:
         # d_t parts cancelling, leaves the vertical-coefficient combination
         lhs = (
             -dtH / metric.h_tot * spectral.dr(grid, f)
-            + params.eps * slag.V[0] * ops.grad_phi(f)[0]
-            + params.eps * slag.w * ops.dr_phi(f)
+            + params.eps * slag.V[0] * sigma_gradients(ops, f)[0][0]
+            + params.eps * slag.w * sigma_gradients(ops, f)[1]
         )
         rhs = params.eps * slag.V[0] * spectral.dx(grid, f)[0]
         assert np.abs(lhs - rhs).max() < 1e-12
@@ -129,7 +129,7 @@ class TestSlagDynamics:
         for _ in range(10):
             slag = step_rk4_slag(slag, dt, moll, bath, params)
         metric = DiffeoFields.transported(grid, slag.H)
-        div = metric.ops.div_phi(slag.V, slag.w)
+        div = metric.ops.div_phi(np.concatenate([slag.V, slag.w[None]]))
         assert np.abs(div[1:-1]).max() < 1e-10
 
     def test_carried_guess_matches_cold_steps(self, grid):

@@ -29,7 +29,7 @@ from stripflow.pressure import (
     taylor_coefficient,
 )
 
-from conftest import count_solve_iterations, random_band_limited
+from conftest import count_solve_iterations, random_band_limited, sigma_gradients
 from test_run_properties import InsufficientHistory, taylor_time_derivative
 
 
@@ -276,8 +276,7 @@ class TestSolve:
             diffeo = build_diffeo(bath, state.eta0, params)
             problem, _ = assemble_pressure_problem(state, diffeo, params)
             P = spectral.irfft(grid, solve_pressure(problem))
-            gx = diffeo.ops.grad_phi(P)
-            gr = diffeo.ops.dr_phi(P)
+            gx, gr = sigma_gradients(diffeo.ops, P)
             X = np.sqrt(
                 params.mu * spectral.l2_strip(grid, gx[0]) ** 2 + spectral.l2_strip(grid, gr) ** 2
             )
@@ -526,8 +525,12 @@ class TestHotPath:
         P = problem.nu * _sheared_state(grid, rng).rho
         P[-1] = 0.0
         ops = problem.diffeo.ops
-        Qx, Qr = problem.nu * ops.grad_phi(P), problem.nu * ops.dr_phi(P)
-        interior_ref = params.mu * ops.div_phi(Qx, np.zeros_like(Qr)) + ops.dr_phi(Qr)
+
+        def grad_phi(f):  # the physical-space reference, independent of SigmaOps
+            return spectral.dx(grid, f) - ops.kappa * spectral.dr(grid, f)
+
+        Qx, Qr = problem.nu * grad_phi(P), problem.nu * ops.gamma * spectral.dr(grid, P)
+        interior_ref = params.mu * sum(grad_phi(Qx[i])[i] for i in range(d)) + ops.gamma * spectral.dr(grid, Qr)
         bottom_ref = Qr[0] - params.mu * np.sum(problem.diffeo.bottom_gradient * Qx[:, 0], axis=0)
         interior, bottom = problem.apply(spectral.rfft(grid, P))
         scale = np.abs(interior_ref).max()
@@ -744,8 +747,8 @@ class TestClosure:
         problem = closure_problem(metric, params, nu, B_V, B_w)
         dV, dw, P_hat = solve_closure(problem, B_V, B_w)
         assert relative_residual(problem, spectral.irfft(grid, P_hat)) <= 1e-10
-        scale = np.abs(metric.ops.div_phi(B_V, B_w)[1:-1]).max()
-        assert np.abs(metric.ops.div_phi(dV, dw)[1:-1]).max() <= 1e-8 * scale
+        scale = np.abs(metric.ops.div_phi(np.concatenate([B_V, B_w[None]]))[1:-1]).max()
+        assert np.abs(metric.ops.div_phi(np.concatenate([dV, dw[None]]))[1:-1]).max() <= 1e-8 * scale
         bottom = dw[0] - np.sum(metric.bottom_gradient * dV[:, 0], axis=0)
         assert np.abs(bottom).max() <= 1e-8 * np.abs(B_w[0]).max()
 
@@ -784,7 +787,7 @@ class TestClosure:
         B_V, B_w = rates.V, rates.w
         dV, dw, P_hat = solve_closure(problem, B_V, B_w)
         P = spectral.irfft(grid, P_hat)
-        grad_P, dr_P = problem.diffeo.ops.gradients(P)
+        grad_P, dr_P = sigma_gradients(problem.diffeo.ops, P)
         ref_V, ref_w = B_V - problem.nu * grad_P, B_w - problem.nu * dr_P / params.mu
         assert dV.shape == B_V.shape and dw.shape == B_w.shape
         for got, ref, B in ((dV, ref_V, B_V), (dw, ref_w, B_w)):

@@ -11,6 +11,8 @@ from stripflow.dynamics import PressureGuess, StripState, euler_rhs, step_rk4, v
 from stripflow.experiments import sw_initial
 from stripflow.shallow import well_prepared_init
 
+from conftest import sigma_gradients
+
 
 @pytest.fixture
 def grid2():
@@ -37,7 +39,7 @@ def test_sigma_operators(grid2):
     diffeo = build_diffeo(bath, e0, params)
     # the height function has vanishing transformed gradient, unit vertical
     f = diffeo.z
-    gx, gr = diffeo.ops.grad_phi(f), diffeo.ops.dr_phi(f)
+    gx, gr = sigma_gradients(diffeo.ops, f)
     assert gx.shape == (2, grid2.n_r + 1, 16, 16)
     assert np.abs(gx).max() < 1e-11
     assert np.abs(gr - 1.0).max() < 1e-11
