@@ -167,13 +167,15 @@ def assemble_pressure_problem(
 ) -> tuple[EllipticProblem, StripState]:
     """Elliptic problem for P plus the rates before the pressure correction
     that it was built from (returned so the caller corrects their V and w
-    without re-deriving them).  V, w and rho are transported as one stack."""
+    without re-deriving them).  V, w and rho are transported as one stack.
+    ``diffeo`` is the ``build_diffeo`` map of ``state.eta0``, whose surface
+    gradient the kinematic and gravity terms read."""
     grid = diffeo.grid
     ops = diffeo.ops
     d, mu, eps = grid.d, params.mu, params.eps
     nu = 1.0 / total_density(state.rho, params)
 
-    grad_eta0 = spectral.dx(grid, state.eta0)
+    grad_eta0 = diffeo.surface_gradient
     deta0 = kinematic_deta0(state.V[:, -1], state.w[-1], grad_eta0, grid, params)
 
     # d_t of the coordinate map: eta has the fixed (1+r) eta0 profile.
@@ -181,18 +183,20 @@ def assemble_pressure_problem(
     tcorr = eps * (rp1 * deta0) / diffeo.h_tot
 
     # F = (V_1..V_d, w, rho); d_r F once, shared by advection, tcorr and the
-    # metric term; the forces are added raw and the stack dealiased once
+    # metric term; the forces are added raw and the stack dealiased once,
+    # its spectrum kept for the closure's source
     F = np.concatenate([state.V, state.w[None], state.rho[None]])
     dF = spectral.dr(grid, F)
     B = -eps * ops.advect(state.V, state.w, F, dF) + tcorr * dF
     B[:d] -= params.g * params.rho_bar * nu * grad_eta0[:, None]
     B[d] -= (params.g * params.delta / mu) * nu * state.rho
-    B = spectral.dealias(grid, B)
+    B_hat = spectral.dealiased_spectrum(grid, B)
+    B = spectral.irfft(grid, B_hat)
 
     # the map moves with d_t (eta_bar + eps eta) = eps (1+r) deta0
     grad_dH = eps * rp1[None] * spectral.dx(grid, deta0)[:, None]
     metric_term = metric_motion_term(ops, diffeo.h_tot, eps * deta0, grad_dH, dF)
-    problem = closure_problem(diffeo, params, nu, B[:d], B[d], metric_term)
+    problem = closure_problem(diffeo, params, nu, B[: d + 1], B_hat[:d], metric_term)
     return problem, StripState(B[:d], B[d], B[d + 1], deta0)
 
 
@@ -215,7 +219,7 @@ def divergence_report(state: StripState, bathymetry: Bathymetry, params: PhysPar
     at O(dr^4) per unit time and is reported separately."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
     grid = diffeo.grid
-    div = diffeo.ops.div_phi(np.concatenate([state.V, state.w[None]]))
+    div = diffeo.ops.div_phi(np.concatenate([state.V, state.w[None]]), spectral.rfft(grid, state.V))
     bottom = state.w[0] - np.sum(diffeo.bottom_gradient * state.V[:, 0], axis=0)
     scale = spectral.l2_strip(grid, state.V[0]) + spectral.l2_strip(
         grid, np.sqrt(params.mu) * state.w
@@ -241,7 +245,9 @@ def project_divergence_free(state: StripState, bathymetry: Bathymetry, params: P
     """Remove the discrete divergence and restore bottom impermeability: the
     pressure closure with B = (V, w), solved to PROJECT_RTOL (Dirichlet top)."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
-    problem = closure_problem(diffeo, params, 1.0 / total_density(state.rho, params), state.V, state.w)
+    B = np.concatenate([state.V, np.broadcast_to(state.w, state.V.shape[1:])[None]])  # w may be broadcast
+    problem = closure_problem(diffeo, params, 1.0 / total_density(state.rho, params), B,
+                              spectral.rfft(diffeo.grid, state.V))
     V, w, _ = solve_closure(problem, state.V, state.w, rtol=PROJECT_RTOL)
     return StripState(V, w, state.rho.copy(), state.eta0.copy(), state.t)
 

@@ -245,11 +245,14 @@ def worker_pool(jobs: int) -> ProcessPoolExecutor:
 
 def sweep(cfg: ExperimentConfig, out_dir, jobs: int = 1, verbose: bool = False) -> tuple[int, dict]:
     """Run the configured axis members (parallelizable), collate terminal
-    errors, fit the rate, and write the summary."""
+    errors, fit the rate, and write the summary; ConfigError for a ``jobs``
+    below 1."""
     _require_valid(cfg)
     axis = cfg["sweep.axis"]
     if not axis:
         raise ConfigError("sweep requires sweep.axis")
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     key = _AXES[axis][1]

@@ -151,14 +151,14 @@ class SigmaOps:
         G[d] *= self.gamma
         return G
 
-    def div_phi(self, F: np.ndarray) -> np.ndarray:
+    def div_phi(self, F: np.ndarray, Fx_hat: np.ndarray) -> np.ndarray:
         """grad_phi . F_x + dr_phi F_r of the d + 1 rows F = (F_x, F_r),
-        stacked as ``gradients`` stacks them: the horizontal divergence in one
-        forward and one inverse transform, d_r of the stack in one call, and
+        stacked as ``gradients`` stacks them, given the horizontal rFFT
+        ``Fx_hat`` of F_x, which the caller holds or takes: the horizontal
+        divergence in one inverse transform, d_r of the stack in one call, and
         the metric applied in place."""
         grid, d = self.grid, self.grid.d
-        # one expression: the spectrum is freed before d_r allocates its stack
-        out = spectral.irfft(grid, sum(1j * k * f for k, f in zip(grid.kvec, spectral.rfft(grid, F[:d]))))
+        out = spectral.irfft(grid, sum(1j * k * f for k, f in zip(grid.kvec, Fx_hat)))
         dF = spectral.dr(grid, F)
         dF[:d] *= self.kappa
         dF[d] *= self.gamma
@@ -196,15 +196,19 @@ class DiffeoFields:
     """Metric data of a map (x, r) -> (x, z) of the flat strip onto the fluid
     domain: the layer thickness h_tot = d_r z (a surface field when
     r-independent), the horizontal gradient grad_sum of z (components
-    leading), and the node heights z, computed by ``heights`` on first read
-    (only the good unknowns read them, not a time step).  ``build_diffeo``
-    fills it from the barycentric profile of the direct scheme,
-    ``transported`` from the deformation carried by the mollified scheme."""
+    leading), the node heights z, computed by ``heights`` on first read
+    (only the good unknowns read them, not a time step), and the surface
+    gradient of a barycentric map.  ``build_diffeo`` fills it from the
+    barycentric profile of the direct scheme, ``transported`` from the
+    deformation carried by the mollified scheme."""
 
     grid: StripGrid
     h_tot: np.ndarray
     grad_sum: np.ndarray
     heights: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    # grad eta0 of the surface a ``build_diffeo`` map was built from, which
+    # the rates of the direct scheme read too; None for a transported map
+    surface_gradient: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.h_tot.min() <= 0.0:
@@ -244,16 +248,17 @@ def barycentric_heights(bathymetry: Bathymetry, eta0: np.ndarray, params: PhysPa
 
 def build_diffeo(bathymetry: Bathymetry, eta0: np.ndarray, params: PhysParams) -> DiffeoFields:
     """The map (x, r) -> (x, ``barycentric_heights``); its depth
-    h_tot = 1 - beta b + eps eta0 must be positive (DegenerateDepth)."""
+    h_tot = 1 - beta b + eps eta0 must be positive (DegenerateDepth).  It
+    keeps grad eta0 as ``surface_gradient``."""
     grid = bathymetry.grid
     if eta0.shape != grid.xshape:
         raise ValueError("surface field sampled off-grid")
     r = grid.r_column(grid.r)
     gb = -params.beta * bathymetry.gradient
-    g0 = params.eps * spectral.dx(grid, eta0)
-    grad_sum = r[None] * gb[:, None] + (1.0 + r)[None] * g0[:, None]
+    grad_eta0 = spectral.dx(grid, eta0)
+    grad_sum = r[None] * gb[:, None] + (1.0 + r)[None] * (params.eps * grad_eta0)[:, None]
     h_tot = water_depth(bathymetry, eta0, params)
-    return DiffeoFields(grid, h_tot, grad_sum, lambda: barycentric_heights(bathymetry, eta0, params))
+    return DiffeoFields(grid, h_tot, grad_sum, lambda: barycentric_heights(bathymetry, eta0, params), grad_eta0)
 
 
 def alinhac_unknown(F: np.ndarray, s: float, diffeo: DiffeoFields) -> np.ndarray:

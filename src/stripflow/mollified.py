@@ -85,12 +85,15 @@ def slag_rhs(
     B = -eps * J(np.sum(V2[:, None] * gx, axis=0), moll.iota1)
     B[:d] -= g * rb * nu * J(grad_eta0, moll.iota2)[:, None]
     B[d] -= (g * params.delta / mu) * nu * state.rho
-    B = spectral.dealias(grid, B)
+    B_hat = spectral.dealiased_spectrum(grid, B)
+    B = spectral.irfft(grid, B_hat)
+    BV_hat = B_hat[:d]  # the spectrum of B_V for the closure's source
     if moll.iota3:  # the dispersive term, outside the dealias
         ext = spectral.harmonic_extension(grid, spectral.lambda_pow(grid, state.eta0, 1.0))
         G = ops.gradients(spectral.rfft(grid, ext))
         B[:d] += moll.iota3 * nu * J(G[:d], moll.iota2)
         B[d] += moll.iota3 * nu * J(G[d], moll.iota2) / mu
+        BV_hat = spectral.rfft(grid, B[:d])
     dH = B[d + 2] + eps * w2
     deta0 = kinematic_deta0(V2[:, -1], w2[-1], grad_eta0, grid, params)
 
@@ -98,7 +101,7 @@ def slag_rhs(
     metric_term = metric_motion_term(
         ops, metric.h_tot, spectral.dr(grid, dH), spectral.dx(grid, dH), spectral.dr(grid, F[: d + 1])
     )
-    problem = closure_problem(metric, params, nu, B[:d], B[d], metric_term)
+    problem = closure_problem(metric, params, nu, B[: d + 1], BV_hat, metric_term)
     dV, dw, P_hat = solve_closure(problem, B[:d], B[d], x0=x0)
     return SlagState(dV, dw, B[d + 1], dH, deta0), P_hat
 

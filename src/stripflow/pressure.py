@@ -46,10 +46,14 @@ Krylov iteration makes no inverse-then-forward transform of the same
 field; the Krylov solution is itself kept and returned as a spectrum.  The
 operator composes the sigma-map calculus of ``geometry.SigmaOps``: a flux
 half, nu times ``gradients`` of the spectrum (one inverse transform), and a
-divergence half, ``div_phi`` of the correction.  ``solve_closure`` takes
-the solution as a spectrum and applies its flux half, evaluated once per
-solve (the correction kept from the residual's apply when the guess already
-met the tolerance).
+divergence half, ``div_phi`` of the correction.  The correction is linear
+in P, so the solve forms that of its solution the way gmres forms the
+solution: the Krylov unknown carries it next to the spectrum, each apply
+writes that of its direction, and x0 + sum y_j z_j carries C(x0) + sum y_j
+C(z_j), C(x0) from the initial residual's apply (a restart's from its own).
+``solve_closure`` subtracts it with no further operator evaluation.  The
+closure's source takes the horizontal spectrum of B_V that the caller kept
+from its dealias.
 Locally the operator is (nu/h^2)(d_r^2 + mu h^2 Delta_x): its vertical part
 wants the weight h^2 and its horizontal part the weight 1.  The weight h is
 their geometric mean, so both regimes are off by the same factor of h and
@@ -89,8 +93,10 @@ class EllipticProblem:
     nu: np.ndarray
     source: np.ndarray
     bottom_data: np.ndarray
-    # (nu grad_phi P, nu dr_phi P / mu) of the last ``apply``; that of P = 0 before
-    correction: tuple = field(default=(0.0, 0.0), repr=False, compare=False)
+    # the correction C = (nu grad_phi P, nu dr_phi P / mu), stacked as
+    # ``flux`` stacks it, of the pressure of the last ``apply`` or, once
+    # ``solve_pressure`` returns, of the pressure it returns
+    correction: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     # -- the composed operator --------------------------------------------------
 
@@ -108,13 +114,13 @@ class EllipticProblem:
         ``closure_problem`` poses for the correction C = (Q_x, Q_r / mu) that
         ``solve_closure`` subtracts, mu div_phi C and mu (C_w - grad b . C_V)
         at the bottom.  The correction of the call is kept as ``correction``."""
-        d = self.diffeo.grid.d
+        grid, d = self.diffeo.grid, self.diffeo.grid.d
         C = self.flux(P_hat)
         C[d] /= self.mu
-        interior = self.diffeo.ops.div_phi(C)
+        interior = self.diffeo.ops.div_phi(C, spectral.rfft(grid, C[:d]))
         interior *= self.mu
         bottom = self.mu * (C[d, 0] - np.sum(self.diffeo.bottom_gradient * C[:d, 0], axis=0))
-        self.correction = (C[:d], C[d])
+        self.correction = C
         return interior, bottom
 
 
@@ -124,37 +130,35 @@ def _as_strip(grid: StripGrid, f) -> np.ndarray:
 
 
 def closure_problem(
-    diffeo: DiffeoFields, params: PhysParams, nu, B_V, B_w, metric_term=0.0
+    diffeo: DiffeoFields, params: PhysParams, nu, B: np.ndarray, BV_hat: np.ndarray, metric_term=0.0
 ) -> EllipticProblem:
     """Pressure problem on the coordinate map ``diffeo`` that keeps
     B_V - nu grad_phi P, B_w - nu dr_phi P / mu divergence-free and impermeable
-    at the bottom; ``metric_term`` is the time derivative of the metric
-    coefficients of a moving map acting on the current velocity."""
-    bottom = B_w[0] - np.sum(diffeo.bottom_gradient * B_V[:, 0], axis=0)
-    B = np.concatenate([B_V, np.broadcast_to(B_w, B_V.shape[1:])[None]])
+    at the bottom, for the d + 1 rows B = (B_V, B_w) stacked as
+    ``SigmaOps.div_phi`` takes them and the horizontal rFFT ``BV_hat`` of B_V
+    (the caller's, kept from its dealias where it has one);
+    ``metric_term`` is the time derivative of the metric coefficients of a
+    moving map acting on the current velocity."""
+    d = diffeo.grid.d
+    bottom = B[d, 0] - np.sum(diffeo.bottom_gradient * B[:d, 0], axis=0)
     return EllipticProblem(
         diffeo=diffeo,
         mu=params.mu,
         rho_bar=params.rho_bar,
         nu=_as_strip(diffeo.grid, nu),
-        source=params.mu * (diffeo.ops.div_phi(B) + metric_term),
+        source=params.mu * (diffeo.ops.div_phi(B, BV_hat) + metric_term),
         bottom_data=params.mu * bottom,
     )
 
 
 def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=None):
     """Solve ``problem`` (from the spectrum x0 of an initial guess, when
-    given) and apply the pressure correction: (corrected B_V, corrected B_w,
-    the horizontal rFFT of P)."""
-    info = SolveInfo(0, 0.0)
-    P_hat = solve_pressure(problem, rtol=rtol, info=info, x0=x0)
-    if info.iterations:
-        Q = problem.flux(P_hat)
-        C_V, C_w = Q[: problem.diffeo.grid.d], Q[-1] / problem.mu
-    else:
-        # P is the guess (or zero), whose correction the residual's apply kept
-        C_V, C_w = problem.correction
-    return B_V - C_V, B_w - C_w, P_hat
+    given) and apply the pressure correction that the solve formed with its
+    pressure (``solve_pressure``): (corrected B_V, corrected B_w, the
+    horizontal rFFT of P)."""
+    P_hat = solve_pressure(problem, rtol=rtol, x0=x0)
+    C = problem.correction
+    return B_V - C[:-1], B_w - C[-1], P_hat
 
 
 # -- preconditioner ------------------------------------------------------------
@@ -248,11 +252,15 @@ def gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, tol: float, maxiter: in
     r is the true residual b - A x up to the round-off of one cycle, and its
     norm decides whether to restart.  A restart recomputes r = b - A x with
     one matvec, so that round-off does not carry over from cycle to cycle.
-    A zero x0 costs no initial matvec.  x0 and x live where M^-1 maps to
-    (``solve_pressure``: a spectrum).  The outputs of ``psolve`` and
-    ``matvec`` are kept until the cycle ends, so neither may return an array
-    that is overwritten before then (a row of the basis, which the identity
-    preconditioner returns, is not)."""
+    A zero x0 costs no initial matvec.  x0 and x live where M^-1 maps to,
+    and are only copied, tested with ``any``, scaled and added
+    (``solve_pressure``: a spectrum with its pressure correction, which
+    ``matvec`` keeps in its argument; every x is x0 or a restart's x, each
+    applied, plus Z y, combined from applied directions, so it ends holding
+    its own correction with no apply of its own).  The outputs of ``psolve``
+    and ``matvec`` are kept until the cycle ends, so neither may return an
+    array that is overwritten before then (a row of the basis, which the
+    identity preconditioner returns, is not)."""
     V = np.empty((RESTART + 1, b.size))
     R = np.zeros((RESTART, RESTART))  # the Hessenberg matrix after the rotations
     cs, sn, g = np.empty(RESTART), np.empty(RESTART), np.empty(RESTART + 1)
@@ -303,6 +311,35 @@ def gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, tol: float, maxiter: in
 # -- driver ---------------------------------------------------------------------
 
 
+class _Unknown:
+    """A Krylov unknown of ``solve_pressure``: the spectrum P of a pressure
+    and its correction C, which the operator apply of P fills in (0 before).
+    gmres only copies unknowns, scales them and adds them, and C is linear
+    in P, so every unknown it forms carries its own correction."""
+
+    __slots__ = ("P", "C")
+    __array_ufunc__ = None  # a numpy scalar times an unknown calls __rmul__
+
+    def __init__(self, P: np.ndarray, C=0.0):
+        self.P, self.C = P, C
+
+    def copy(self) -> "_Unknown":
+        return _Unknown(self.P.copy(), self.C)
+
+    def any(self) -> bool:
+        return self.P.any()
+
+    def __rmul__(self, a: float) -> "_Unknown":
+        return _Unknown(a * self.P, a * self.C)
+
+    def __iadd__(self, other: "_Unknown") -> "_Unknown":
+        # in place: x holds the C of its own apply, which nothing else reads,
+        # or the float 0 of an unapplied zero x0
+        self.P += other.P
+        self.C += other.C
+        return self
+
+
 @dataclass
 class SolveInfo:
     iterations: int
@@ -319,10 +356,14 @@ def solve_pressure(
     past the iteration cap 10 sqrt(n_x^d n_r).  The problem is elliptic by
     construction (module docstring).  x0, when given, is the horizontal rFFT
     of an initial guess, the form the Krylov solution is kept in (its
-    Dirichlet row zero, as in every returned spectrum)."""
+    Dirichlet row zero, as in every returned spectrum).  The correction of
+    the returned P is left in ``problem.correction``, formed by linearity
+    from those of the operator applies."""
     grid = problem.diffeo.grid
     n, xshape = grid.n_r, grid.xshape
     cap = max(60, int(10.0 * np.sqrt(np.prod(xshape) * n)))
+    spec_shape = (n + 1,) + grid.k_abs.shape
+    corr_shape = (grid.d + 1, n + 1) + xshape
 
     b = np.concatenate(
         [problem.bottom_data[None], problem.source[1:n]], axis=0
@@ -331,13 +372,14 @@ def solve_pressure(
     if bnorm == 0.0:
         if info is not None:
             info.iterations, info.residual = 0, 0.0
-        return np.zeros((n + 1,) + grid.k_abs.shape, dtype=complex)
+        problem.correction = np.zeros(corr_shape)
+        return np.zeros(spec_shape, dtype=complex)
 
     # each matvec returns a fresh vector (bottom row, then the interior rows),
-    # since gmres keeps them; the Krylov solution is a spectrum of n + 1 rows
-    # whose Dirichlet row stays zero
-    def matvec(u_hat: np.ndarray) -> np.ndarray:
-        interior, bottom = problem.apply(u_hat)
+    # since gmres keeps them, and keeps the correction of its argument in it
+    def matvec(u: _Unknown) -> np.ndarray:
+        interior, bottom = problem.apply(u.P)
+        u.C = problem.correction
         interior[0] = bottom
         return interior[:n].reshape(-1)
 
@@ -346,17 +388,19 @@ def solve_pressure(
     weight = h[:n] / (problem.nu[:n] * problem.rho_bar)
     weight[0] = np.sqrt(h[0]) / (problem.nu[0] * problem.rho_bar)
 
-    def psolve(v: np.ndarray) -> np.ndarray:
-        return _apply_flat_inverse(grid, fd, weight * v.reshape((n,) + xshape))
+    def psolve(v: np.ndarray) -> _Unknown:
+        return _Unknown(_apply_flat_inverse(grid, fd, weight * v.reshape((n,) + xshape)))
 
-    u0 = np.zeros((n + 1,) + grid.k_abs.shape, dtype=complex) if x0 is None else x0
-    u, iterations, res = gmres(matvec, psolve, b, u0, rtol * bnorm, cap)
+    P0 = np.zeros(spec_shape, dtype=complex) if x0 is None else x0
+    u, iterations, res = gmres(matvec, psolve, b, _Unknown(P0), rtol * bnorm, cap)
     true_res = res / bnorm
     if true_res > 100 * rtol:
         raise NoConvergence(f"pressure solve stalled at residual {true_res:.2e}")
     if info is not None:
         info.iterations, info.residual = iterations, true_res
-    return u
+    # a zero x0 that no cycle followed (a NaN residual) keeps the float 0
+    problem.correction = np.broadcast_to(u.C, corr_shape)
+    return u.P
 
 
 # -- Rayleigh-Taylor coefficient --------------------------------------------------

@@ -53,11 +53,17 @@ def dr(grid: StripGrid, f: np.ndarray) -> np.ndarray:
     return (grid.Dr @ f.reshape(f.shape[: -grid.d - 1] + (grid.n_r + 1, -1))).reshape(f.shape)
 
 
+def dealiased_spectrum(grid: StripGrid, f: np.ndarray) -> np.ndarray:
+    """The horizontal rFFT of ``dealias(f)``: the 2/3 rule applied to the
+    spectrum, for a caller that keeps the spectrum as well as the field."""
+    return rfft(grid, f) * grid.dealias_mask
+
+
 def dealias(grid: StripGrid, f: np.ndarray) -> np.ndarray:
     """2/3-rule filter.  Every nonlinear term goes through it the same way:
     the raw products of a field are summed, then dealiased once (the rule is
     linear), for a whole stack of fields in one call."""
-    return apply_multiplier(grid, f, grid.dealias_mask)
+    return irfft(grid, dealiased_spectrum(grid, f))
 
 
 # -- multipliers ---------------------------------------------------------------

@@ -57,6 +57,12 @@ def sigma_gradients(ops, f):
     return G[:-1], G[-1]
 
 
+def sigma_divergence(ops, F):
+    """``ops.div_phi`` of the stacked rows F = (F_x, F_r), with the
+    horizontal rFFT of F_x taken here."""
+    return ops.div_phi(F, spectral.rfft(ops.grid, F[: ops.grid.d]))
+
+
 def count_solve_iterations(monkeypatch) -> list:
     """The GMRES iterations of every pressure solve from here on, in order
     (``solve_pressure`` monkeypatched to record them where ``pressure``

@@ -779,6 +779,18 @@ sweep.values = 0.5, 0.2, 0.1
         assert code == 0 and len(summary["members"]) == 4
         assert sizes == [min(jobs, 4)]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_rejects_a_worker_count_below_one(self, tmp_path, monkeypatch, capsys, jobs):
+        # such a count was accepted and ran the members serially
+        def member(cfg, mu):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setitem(experiments._AXES, "mu", (member, "mu"))
+        cfg = self._write(tmp_path, "\nsweep.axis = mu\nsweep.values = 1e-1, 1e-2, 1e-3\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"), "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_api_calls_validate_before_running(self, tmp_path, monkeypatch):
         # the API entry points reject an invalid config themselves, before
         # any member runs or the output directory exists

@@ -21,7 +21,7 @@ from stripflow.errors import InvalidStreamfunction, TooManySteps
 from stripflow.geometry import DiffeoFields, total_density
 from stripflow.mollified import MollParams, from_strip_state, slag_rhs
 
-from conftest import random_band_limited, sigma_gradients
+from conftest import random_band_limited, sigma_divergence, sigma_gradients
 
 
 def shape(grid):
@@ -232,7 +232,9 @@ def per_field_euler(state, bath, params):
     drho = tendency(state.rho)
     grad_dH = eps * rp1[None] * spectral.dx(grid, deta0)[:, None]
     metric_term = per_field_metric_term(grid, ops, diffeo.h_tot, eps * deta0, grad_dH, state)
-    problem = pressure.closure_problem(diffeo, params, nu, B_V, B_w, metric_term)
+    problem = pressure.closure_problem(
+        diffeo, params, nu, np.concatenate([B_V, B_w[None]]), spectral.rfft(grid, B_V), metric_term
+    )
     dV, dw, _ = pressure.solve_closure(problem, B_V, B_w)
     return {"V": dV, "w": dw, "rho": drho, "eta0": deta0}
 
@@ -283,7 +285,9 @@ def per_field_slag(state, moll, bath, params):
     metric_term = per_field_metric_term(
         grid, ops, metric.h_tot, spectral.dr(grid, dH), spectral.dx(grid, dH), state
     )
-    problem = pressure.closure_problem(metric, params, nu, B_V, B_w, metric_term)
+    problem = pressure.closure_problem(
+        metric, params, nu, np.concatenate([B_V, B_w[None]]), spectral.rfft(grid, B_V), metric_term
+    )
     dV, dw, _ = pressure.solve_closure(problem, B_V, B_w)
     return {"V": dV, "w": dw, "rho": drho, "eta0": deta0, "H": dH}
 
@@ -375,7 +379,7 @@ class TestProjection:
             out = project_divergence_free(st, bath, params)
             rep = divergence_report(out, bath, params)
             assert rep["bottom_linf"] < 1e-10
-            div = build_diffeo(bath, out.eta0, params).ops.div_phi(np.concatenate([out.V, out.w[None]]))
+            div = sigma_divergence(build_diffeo(bath, out.eta0, params).ops, np.concatenate([out.V, out.w[None]]))
             assert np.abs(div[1:-1]).max() < 1e-9  # interior rows are solver-exact
             res.append(rep["div_rel"])
         assert np.log2(res[0] / res[1]) > 3.0

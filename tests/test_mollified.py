@@ -23,7 +23,7 @@ from stripflow.mollified import (
     terminal_distance,
 )
 
-from conftest import count_solve_iterations, random_band_limited, sigma_gradients
+from conftest import count_solve_iterations, random_band_limited, sigma_divergence, sigma_gradients
 
 
 def wave_state(grid, amp=0.05):
@@ -129,7 +129,7 @@ class TestSlagDynamics:
         for _ in range(10):
             slag = step_rk4_slag(slag, dt, moll, bath, params)
         metric = DiffeoFields.transported(grid, slag.H)
-        div = metric.ops.div_phi(np.concatenate([slag.V, slag.w[None]]))
+        div = sigma_divergence(metric.ops, np.concatenate([slag.V, slag.w[None]]))
         assert np.abs(div[1:-1]).max() < 1e-10
 
     def test_carried_guess_matches_cold_steps(self, grid):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -16,7 +18,7 @@ from stripflow.dynamics import (
     step_rk4,
 )
 from stripflow.errors import DegenerateDensity, NoConvergence
-from stripflow.geometry import DiffeoFields, total_density
+from stripflow.geometry import DiffeoFields, SigmaOps, total_density
 from stripflow.mollified import from_strip_state
 from stripflow.pressure import (
     EllipticProblem,
@@ -29,7 +31,7 @@ from stripflow.pressure import (
     taylor_coefficient,
 )
 
-from conftest import count_solve_iterations, random_band_limited, sigma_gradients
+from conftest import count_solve_iterations, random_band_limited, sigma_divergence, sigma_gradients
 from test_run_properties import InsufficientHistory, taylor_time_derivative
 
 
@@ -600,7 +602,8 @@ class TestHotPath:
         grid = problem.diffeo.grid
         state = _sheared_state(grid, rng)
         diffeo = build_diffeo(Bathymetry.cosine(grid, 0.2), state.eta0, params)
-        projection = closure_problem(diffeo, params, 1.0 / total_density(state.rho, params), state.V, state.w)
+        projection = closure_problem(diffeo, params, 1.0 / total_density(state.rho, params),
+                                     np.concatenate([state.V, state.w[None]]), spectral.rfft(grid, state.V))
         for prob, x0, rtol in ((problem, P1, 1e-10), (projection, None, PROJECT_RTOL)):
             info = SolveInfo(0, 0.0)
             P = spectral.irfft(grid, solve_pressure(prob, rtol=rtol, info=info, x0=x0))
@@ -744,11 +747,11 @@ class TestClosure:
         B_V = random_band_limited(grid, rng, kmax=4, amp=0.3)[None]
         B_w = random_band_limited(grid, rng, kmax=4, amp=0.3)
         nu = 1.0 / (params.rho_bar + params.eps * params.delta * state.rho)
-        problem = closure_problem(metric, params, nu, B_V, B_w)
+        problem = closure_problem(metric, params, nu, np.concatenate([B_V, B_w[None]]), spectral.rfft(grid, B_V))
         dV, dw, P_hat = solve_closure(problem, B_V, B_w)
         assert relative_residual(problem, spectral.irfft(grid, P_hat)) <= 1e-10
-        scale = np.abs(metric.ops.div_phi(np.concatenate([B_V, B_w[None]]))[1:-1]).max()
-        assert np.abs(metric.ops.div_phi(np.concatenate([dV, dw[None]]))[1:-1]).max() <= 1e-8 * scale
+        scale = np.abs(sigma_divergence(metric.ops, np.concatenate([B_V, B_w[None]]))[1:-1]).max()
+        assert np.abs(sigma_divergence(metric.ops, np.concatenate([dV, dw[None]]))[1:-1]).max() <= 1e-8 * scale
         bottom = dw[0] - np.sum(metric.bottom_gradient * dV[:, 0], axis=0)
         assert np.abs(bottom).max() <= 1e-8 * np.abs(B_w[0]).max()
 
@@ -795,3 +798,54 @@ class TestClosure:
         if kind == "rest":
             assert not P.any()
             assert np.array_equal(dV, B_V) and np.array_equal(dw, B_w)
+
+    @pytest.mark.parametrize("n_x,n_r,d", [(32, 16, 1), (16, 12, 2)])
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_correction_by_linearity_holds_across_restarts(self, params, rng, n_x, n_r, d, warm, monkeypatch):
+        # one direction per cycle: the correction of the returned pressure is
+        # the last restart's own apply plus the one direction of its cycle
+        grid = StripGrid(n_x=n_x, n_r=n_r, d=d)
+        bath = Bathymetry.cosine(grid, 0.2)
+        state = _sheared_state(grid, rng)
+        k1, P1 = euler_rhs(state, bath, params)
+        stage = shifted(state, k1, 1e-3)
+        problem, rates = assemble_pressure_problem(stage, build_diffeo(bath, stage.eta0, params), params)
+        monkeypatch.setattr(pressure, "RESTART", 1)
+        iterations = count_solve_iterations(monkeypatch)
+        dV, dw, P_hat = solve_closure(problem, rates.V, rates.w, x0=P1 if warm else None)
+        assert iterations[0] >= 2
+        Q = problem.flux(P_hat)
+        scale = np.abs(Q).max()
+        assert np.abs((rates.V - dV) - Q[:d]).max() <= 1e-12 * scale
+        assert np.abs((rates.w - dw) * params.mu - Q[d]).max() <= 1e-12 * scale
+
+    def test_warm_stage_differentiates_and_transforms_once(self, params, rng, monkeypatch):
+        # one SigmaOps.gradients per operator apply and none after the solve,
+        # whose correction comes by linearity; besides one forward transform
+        # per preconditioner and per operator apply, a stage makes 5: the
+        # surface gradient (shared by the map and the rates), the kinematic
+        # product's dealias, the transport's gradient, the dealias of B (whose
+        # spectrum the closure's source reuses) and grad d_t eta0.  A trailing
+        # flux per solve, a source that transformed B_V again and a second
+        # grad eta0 made that 5 + 2 and one gradients more.
+        grid = StripGrid(n_x=32, n_r=16)
+        bath = Bathymetry.cosine(grid, 0.2)
+        state = _sheared_state(grid, rng)
+        k1, P1 = euler_rhs(state, bath, params)
+        stage = shifted(state, k1, 1e-3)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SigmaOps, "gradients", counted("gradients", SigmaOps.gradients))
+        monkeypatch.setattr(EllipticProblem, "apply", counted("apply", EllipticProblem.apply))
+        monkeypatch.setattr(pressure, "_apply_flat_inverse", counted("precond", pressure._apply_flat_inverse))
+        monkeypatch.setattr(spectral, "rfft", counted("rfft", spectral.rfft))
+        euler_rhs(stage, bath, params, x0=P1)
+        assert calls["precond"] > 0
+        assert calls["gradients"] == calls["apply"]
+        assert calls["rfft"] == 5 + calls["precond"] + calls["apply"]

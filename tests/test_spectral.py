@@ -5,7 +5,7 @@ from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
 from stripflow.errors import InsufficientResolution
 
-from conftest import random_band_limited, random_surface, sigma_gradients
+from conftest import random_band_limited, random_surface, sigma_divergence, sigma_gradients
 
 
 def strip_integral(grid, f):
@@ -28,7 +28,7 @@ def ibp_residual(grid, F_x, F_r, g, diffeo):
     """
     ops = diffeo.ops
     h = diffeo.h_tot
-    lhs = strip_integral(grid, h * ops.div_phi(np.concatenate([F_x, F_r[None]])) * g)
+    lhs = strip_integral(grid, h * sigma_divergence(ops, np.concatenate([F_x, F_r[None]])) * g)
     grad_g, dr_g = sigma_gradients(ops, g)
     vol = strip_integral(grid, h * (np.sum(F_x * grad_g, axis=0) + F_r * dr_g))
     top = surface_integral(
