@@ -27,11 +27,15 @@ class EnergyReport:
     t: float
 
 
-def state_norm(state: StripState, grid, params: PhysParams, s: float) -> float:
-    """The blow-up functional ||(V, sqrt(mu) w, sqrt(mu) rho)||_{H^s} + |eta0|_{H^s}."""
+def state_norm(powers: np.ndarray, eta_power: np.ndarray, grid, params: PhysParams, s: float) -> float:
+    """The blow-up functional ||(V, sqrt(mu) w, sqrt(mu) rho)||_{H^s} + |eta0|_{H^s}
+    from the ``spectral.vertical_powers`` of the stack (V, w, rho) and the
+    ``spectral.surface_power`` of eta0."""
     sq = params.sqrt_mu
-    stack = np.concatenate([state.V, sq * state.w[None], sq * state.rho[None]])
-    return spectral.sobolev_norm(grid, stack, s) + spectral.surface_norm(grid, state.eta0, s)
+    scale = np.array([1.0] * grid.d + [sq, sq])
+    return spectral.root_sum_square(scale * spectral.field_norms(grid, powers, s)) + float(
+        spectral.power_norm(grid, eta_power, s)
+    )
 
 
 def good_unknown_energy(state, metric: DiffeoFields, params: PhysParams, s: float) -> float:
@@ -58,18 +62,26 @@ def energy(
     Taylor-weighted surface term (square-root weighting), the low-regularity
     block, and the vorticity norm."""
     grid = diffeo.grid
-    sq = params.sqrt_mu
+    d, sq = grid.d, params.sqrt_mu
     al = good_unknown_energy(state, diffeo, params, s)
 
     eta_s = spectral.lambda_pow(grid, state.eta0, s, dotted=True)
     surface = spectral.l2_surface(grid, np.sqrt(np.maximum(taylor, 0.0)) * eta_s) ** 2
 
-    low = np.concatenate([state.V, sq * state.w[None], state.rho[None]])
-    E_low = spectral.sobolev_norm(grid, low, s0 + 1) ** 2
-    E_low += params.g * params.rho_bar * spectral.surface_norm(grid, state.eta0, s0 + 1) ** 2
+    # one spectrum of (V, w, rho) and one of eta0 serve the norms at s0 + 1
+    # and at s, and the shear's: the H^(s-1) norm of d_r V takes the orders
+    # 1 .. top_order(s, 1) of V
+    powers = spectral.vertical_powers(
+        grid, np.concatenate([state.V, state.w[None], state.rho[None]]),
+        max(spectral.top_order(s, first=1), spectral.top_order(s0 + 1)),
+    )
+    eta_power = spectral.surface_power(grid, state.eta0)
+    low = np.array([1.0] * d + [sq, 1.0]) * spectral.field_norms(grid, powers, s0 + 1)
+    E_low = spectral.root_sum_square(low) ** 2
+    E_low += params.g * params.rho_bar * spectral.power_norm(grid, eta_power, s0 + 1) ** 2
 
     vnorm = spectral.sobolev_norm(grid, vorticity(state, diffeo, params), s - 1)
-    shear = spectral.sobolev_norm(grid, spectral.dr(grid, state.V), s - 1) / sq
+    shear = spectral.root_sum_square(spectral.field_norms(grid, powers[:, :d], s, first=1)) / sq
 
     E_s = E_low + al + surface + vnorm**2
     return EnergyReport(
@@ -81,7 +93,7 @@ def energy(
         shear_ratio=shear,
         taylor_min=float(taylor.min()),
         mean_eta0=float(state.eta0.mean()),
-        state_norm=state_norm(state, grid, params, s),
+        state_norm=state_norm(powers, eta_power, grid, params, s),
         t=state.t,
     )
 

@@ -110,6 +110,9 @@ class PressureGuess:
 
     grid: StripGrid
     solves: int = 0  # pressures appended so far
+    # the spectrum of a pressure already solved for the first solve's own
+    # problem (a run's t = 0 observation), that solve's guess
+    start: np.ndarray | None = None
     _ring: np.ndarray | None = field(default=None, repr=False)
 
     def append(self, P_hat: np.ndarray) -> None:
@@ -128,10 +131,10 @@ class PressureGuess:
 
     def initial(self, half_step: bool) -> np.ndarray | None:
         """The spectrum of the GUESS_WEIGHTS guess of a solve of the parity
-        ``half_step`` (stages 2 and 4); None (a cold start) while no pressure
-        is held."""
+        ``half_step`` (stages 2 and 4); ``start`` (None: a cold start) while
+        no pressure is held."""
         if not self.solves:
-            return None
+            return self.start
         held = min(self.solves, GUESS_HISTORY)
         c = next(row for row in GUESS_WEIGHTS[half_step][::-1] if not row[held:].any())
         # row m of the ring holds P[-j] with j - 1 = (solves - 1 - m) mod GUESS_HISTORY
@@ -139,7 +142,7 @@ class PressureGuess:
         ring = self._ring.reshape(GUESS_HISTORY, -1).view(float)
         guess = (weights @ ring).view(complex).reshape(self._ring.shape[1:])
         guess *= self.grid.dealias_mask
-        guess += self._ring[(self.solves - 1) % GUESS_HISTORY]
+        guess += self.history[-1]
         return guess
 
 
@@ -238,17 +241,31 @@ def divergence_report(state: StripState, bathymetry: Bathymetry, params: PhysPar
     }
 
 
+# The projection's right-hand side is the divergence drift of the steps, a
+# round-off-sized multiple of the velocity, so a stop relative to it alone
+# would solve that drift to round-off of itself.  The solve stops once its
+# residual is below PROJECT_RTOL ||b|| or PROJECT_VTOL mu ||(V, sqrt(mu) w)||
+# over the same rows, whichever is looser: the second is the size of the
+# source mu div(V, w) that round-off of the velocity leaves; the first is the
+# looser one where the field is genuinely divergent (the initial states).
 PROJECT_RTOL = 1e-12
+PROJECT_VTOL = 1e-14
 
 
 def project_divergence_free(state: StripState, bathymetry: Bathymetry, params: PhysParams) -> StripState:
     """Remove the discrete divergence and restore bottom impermeability: the
-    pressure closure with B = (V, w), solved to PROJECT_RTOL (Dirichlet top)."""
+    pressure closure with B = (V, w) (Dirichlet top), solved until its
+    residual is below PROJECT_RTOL relative to its right-hand side or
+    PROJECT_VTOL relative to mu times the velocity (V, sqrt(mu) w) on the
+    residual rows (the bottom and interior slabs), whichever is looser."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
     B = np.concatenate([state.V, np.broadcast_to(state.w, state.V.shape[1:])[None]])  # w may be broadcast
     problem = closure_problem(diffeo, params, 1.0 / total_density(state.rho, params), B,
                               spectral.rfft(diffeo.grid, state.V))
-    V, w, _ = solve_closure(problem, state.V, state.w, rtol=PROJECT_RTOL)
+    rows = slice(0, diffeo.grid.n_r)
+    size = np.sqrt(np.sum(B[:-1, rows] ** 2) + params.mu * np.sum(B[-1, rows] ** 2))
+    atol = PROJECT_VTOL * params.mu * size
+    V, w, _ = solve_closure(problem, state.V, state.w, rtol=PROJECT_RTOL, atol=atol)
     return StripState(V, w, state.rho.copy(), state.eta0.copy(), state.t)
 
 

@@ -99,6 +99,16 @@ class StripGrid:
         my = np.abs(self.kvec[1]) <= cut + 1e-12
         return (mx & my).astype(float)
 
+    @cached_property
+    def parseval_weights(self) -> np.ndarray:
+        """Weights on the spectral grid with sum(weights |rfft(f)|^2) equal
+        to ||f||^2_{L^2(T^d)} for a real f: the cell volume over n_x^d times
+        the half-spectrum weight along the last axis, 1 at k = 0 and at the
+        Nyquist mode (their own conjugates) and 2 elsewhere."""
+        half = np.full(self.n_x // 2 + 1, 2.0)
+        half[[0, -1]] = 1.0
+        return np.broadcast_to(half * self.cell_volume / self.n_x**self.d, self.k_abs.shape)
+
     # -- vertical structure ---------------------------------------------------
 
     @cached_property

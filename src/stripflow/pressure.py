@@ -28,7 +28,8 @@ rows.  Each iteration orthogonalises by classical Gram-Schmidt applied twice
 preconditioned directions and their operator images (flexible GMRES, Saad
 1993), so it forms x and the residual b - A x from them by linearity, with
 no further preconditioner or operator apply, and the stopping test
-||b - A x|| <= rtol ||b|| is read on that residual; a restart recomputes
+||b - A x|| <= max(rtol ||b||, atol) is read on that residual (atol is 0
+but for the projection, ``dynamics.PROJECT_VTOL``); a restart recomputes
 b - A x with one operator apply.  The preconditioner is a
 depth-weighted inverse of the flat-strip operator
 (mu Delta_x + d_r^2)/rho_bar.  The residual is first multiplied by
@@ -151,12 +152,12 @@ def closure_problem(
     )
 
 
-def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=None):
+def solve_closure(problem: EllipticProblem, B_V, B_w, rtol: float = 1e-10, x0=None, atol: float = 0.0):
     """Solve ``problem`` (from the spectrum x0 of an initial guess, when
     given) and apply the pressure correction that the solve formed with its
     pressure (``solve_pressure``): (corrected B_V, corrected B_w, the
     horizontal rFFT of P)."""
-    P_hat = solve_pressure(problem, rtol=rtol, x0=x0)
+    P_hat = solve_pressure(problem, rtol=rtol, x0=x0, atol=atol)
     C = problem.correction
     return B_V - C[:-1], B_w - C[-1], P_hat
 
@@ -351,9 +352,11 @@ def solve_pressure(
     rtol: float = 1e-10,
     info: SolveInfo | None = None,
     x0: np.ndarray | None = None,
+    atol: float = 0.0,
 ) -> np.ndarray:
-    """The horizontal rFFT of P, solved with P(r=0) = 0; raises NoConvergence
-    past the iteration cap 10 sqrt(n_x^d n_r).  The problem is elliptic by
+    """The horizontal rFFT of P, solved with P(r=0) = 0 until the residual
+    of its rows is at most max(rtol ||b||, atol); raises NoConvergence past
+    the iteration cap 10 sqrt(n_x^d n_r).  The problem is elliptic by
     construction (module docstring).  x0, when given, is the horizontal rFFT
     of an initial guess, the form the Krylov solution is kept in (its
     Dirichlet row zero, as in every returned spectrum).  The correction of
@@ -392,9 +395,10 @@ def solve_pressure(
         return _Unknown(_apply_flat_inverse(grid, fd, weight * v.reshape((n,) + xshape)))
 
     P0 = np.zeros(spec_shape, dtype=complex) if x0 is None else x0
-    u, iterations, res = gmres(matvec, psolve, b, _Unknown(P0), rtol * bnorm, cap)
+    tol = max(rtol * bnorm, atol)
+    u, iterations, res = gmres(matvec, psolve, b, _Unknown(P0), tol, cap)
     true_res = res / bnorm
-    if true_res > 100 * rtol:
+    if res > 100 * tol:
         raise NoConvergence(f"pressure solve stalled at residual {true_res:.2e}")
     if info is not None:
         info.iterations, info.residual = iterations, true_res

@@ -101,14 +101,19 @@ def march(state, T: float, dt: float | None, cadence: int, step, observe, limit,
 
 def measure(
     state: StripState, bathymetry: Bathymetry, params: PhysParams, s: float, s0: float,
-    x0: np.ndarray | None = None,
+    guess: PressureGuess | None = None,
 ) -> EnergyReport:
-    """One diagnostic snapshot: solves the pressure for the Taylor weight
-    (from the spectrum x0 of an initial guess, when given)."""
+    """One diagnostic snapshot: solves the pressure for the Taylor weight.
+    The first stage of a step from ``state`` poses the same problem, so the
+    solve starts from the guess ``guess`` makes for that stage, when given;
+    a guess that holds no pressure yet keeps the solved one as its
+    ``start``, that stage's guess."""
     diffeo = build_diffeo(bathymetry, state.eta0, params)
     problem, _ = assemble_pressure_problem(state, diffeo, params)
-    taylor = taylor_coefficient(solve_pressure(problem, x0=x0), diffeo, params)
-    return energy(state, taylor, s, s0, params, diffeo)
+    P_hat = solve_pressure(problem, x0=None if guess is None else guess.initial(half_step=False))
+    if guess is not None and not guess.solves:
+        guess.start = P_hat
+    return energy(state, taylor_coefficient(P_hat, diffeo, params), s, s0, params, diffeo)
 
 
 def simulate(
@@ -130,11 +135,13 @@ def simulate(
     (``dynamics.warm_started``).  Each observation after t = 0 projects the
     state first (the initial-state constructors project or build a rest
     state) and the run continues from the projected state, so every recorded
-    state and ``final`` are projected; its pressure solve starts from the
-    last stage pressure's spectrum (the projection's pressure is another
-    quantity and starts cold).  When a shallow-water state is supplied it is
-    co-advanced on the same clock and a ComparisonReport is recorded at each
-    observation."""
+    state and ``final`` are projected.  An observation's pressure is the one
+    the next step's first stage solves: it starts from that stage's guess,
+    and at t = 0, where no pressure is held yet, the first stage starts from
+    it (``measure``).  The projection's pressure is another quantity and
+    starts cold.  When a shallow-water state is supplied it is co-advanced
+    on the same clock and a ComparisonReport is recorded at each
+    observation, with the shear norm of the energy report."""
     guess = PressureGuess(bathymetry.grid)
 
     def step(state, dt):
@@ -151,9 +158,8 @@ def simulate(
     def observe(state, rec):
         if rec.times:
             state = project_divergence_free(state, bathymetry, params)
-        last = guess.history[-1] if guess.history else None
-        report = measure(state, bathymetry, params, s, s0, last)
-        comparison = None if sw is None else shallow.compare(state, sw, s, bathymetry, params)
+        report = measure(state, bathymetry, params, s, s0, guess)
+        comparison = None if sw is None else shallow.compare(state, sw, s, bathymetry, params, report.shear_ratio)
         initial_norm = (rec.reports[0] if rec.reports else report).state_norm
         status = blowup_monitor(report, initial_norm, params, norm_factor)
         rec.reports.append(report)

@@ -88,19 +88,26 @@ def lift_sw(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> StripSta
     return StripState(V, w, rho, sw.eta.copy(), sw.t)
 
 
-def compare(euler: StripState, sw: SWState, s: float, bathymetry: Bathymetry, params: PhysParams) -> ComparisonReport:
+def compare(
+    euler: StripState, sw: SWState, s: float, bathymetry: Bathymetry, params: PhysParams, shear: float | None = None
+) -> ComparisonReport:
     """All norms of the difference driving the convergence claim; the
-    well-preparedness sum is evaluated by the same code path."""
+    well-preparedness sum is evaluated by the same code path.  ``shear`` is
+    the shear norm of ``euler`` when the caller has taken it
+    (``EnergyReport.shear_ratio``); otherwise it is taken here."""
     grid = bathymetry.grid
     if euler.eta0.shape != sw.eta.shape:
         raise GridMismatch("euler and shallow-water states on different grids")
-    sq = params.sqrt_mu
+    d, sq = grid.d, params.sqrt_mu
     lifted = lift_sw(sw, bathymetry, params)
-    err_V = spectral.sobolev_norm(grid, euler.V - lifted.V, s)
+    # one spectrum of the stack (V - V_sw, w - w_sw, rho)
+    diff = np.concatenate([euler.V - lifted.V, (euler.w - lifted.w)[None], euler.rho[None]])
+    norms = spectral.field_norms(grid, spectral.vertical_powers(grid, diff, spectral.top_order(s)), s)
+    err_V = spectral.root_sum_square(norms[:d])
+    err_w, rho_norm = sq * float(norms[d]), sq * float(norms[d + 1])
     err_eta = spectral.surface_norm(grid, euler.eta0 - sw.eta, s)
-    err_w = spectral.sobolev_norm(grid, sq * (euler.w - lifted.w), s)
-    shear = spectral.sobolev_norm(grid, spectral.dr(grid, euler.V), s - 1) / sq
-    rho_norm = spectral.sobolev_norm(grid, sq * euler.rho, s)
+    if shear is None:
+        shear = spectral.sobolev_norm(grid, spectral.dr(grid, euler.V), s - 1) / sq
     hypE0 = np.sqrt(err_V**2 + err_w**2) + err_eta + rho_norm + shear
     return ComparisonReport(err_V, err_eta, err_w, shear, rho_norm, hypE0, euler.t)
 

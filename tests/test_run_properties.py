@@ -1,17 +1,21 @@
 """Slower property checks that need short real runs: the surface-coefficient
 time-derivative envelope, the irrotational reduction, the equivalence ratios
-monitored along a trajectory, the projection of every observed state and the
-warm start of its pressure."""
+monitored along a trajectory, the projection of every observed state, its
+stop and the warm start of its pressure, and the first stage's start from
+the t = 0 observation's pressure."""
 
 import numpy as np
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import runner, spectral
+from stripflow import dynamics
 from stripflow.dynamics import (
+    PressureGuess,
     StripState,
     assemble_pressure_problem,
     cfl_dt,
     divergence_report,
+    euler_rhs,
     project_divergence_free,
     step_rk4,
     vorticity,
@@ -165,8 +169,9 @@ def test_simulate_projects_every_observed_state(monkeypatch):
 
 def test_observation_pressure_starts_from_last_stage_pressure(monkeypatch):
     # each observation after t = 0 solves its pressure from the last stage
-    # pressure: fewer iterations than the same solve started cold, and the
-    # same energy to solver tolerance
+    # pressure, extrapolated as the guess of the next first stage, whose
+    # problem it is: fewer iterations than the same solve started cold, and
+    # the same energy to solver tolerance
     grid = StripGrid(n_x=64, n_r=16)
     params = PhysParams(eps=0.3, beta=0.3, mu=1e-2, delta=1e-2)
     bath = Bathymetry.cosine(grid, 0.25)
@@ -182,3 +187,48 @@ def test_observation_pressure_starts_from_last_stage_pressure(monkeypatch):
     cold = iterations[21]
     assert warm < cold
     assert abs(rec.reports[-1].E_s - cold_report.E_s) <= 1e-8 * cold_report.E_s
+
+
+def test_drift_projection_stops_at_the_round_off_of_the_velocity(monkeypatch):
+    # the mu = 0.1 member of the headline sweep after 25 steps: the drift the
+    # projection removes is about 2e-12 of mu ||(V, sqrt(mu) w)||, and solved
+    # to 1e-12 of itself it took 80 to 113 iterations
+    grid = StripGrid(n_x=256, n_r=48)
+    params = PhysParams(eps=0.5, beta=0.5, mu=0.1, delta=0.1)
+    bath = Bathymetry.cosine(grid, 0.3)
+    state, _ = well_prepared_init(sw_initial(grid, 0.1, 0.1), bath, params, 4.0, shear_amp=0.03, rho_amp=0.2)
+    dt, guess = 0.4 * cfl_dt(state, bath, params), PressureGuess(grid)
+    for _ in range(25):
+        state = step_rk4(state, dt, bath, params, guess)
+    assert divergence_report(state, bath, params)["div_interior_rel"] > 1e-12
+    iterations = count_solve_iterations(monkeypatch)
+    out = project_divergence_free(state, bath, params)
+    assert len(iterations) == 1 and iterations[0] <= 3
+    assert divergence_report(out, bath, params)["div_interior_rel"] < 5e-14
+
+
+def test_first_stage_starts_from_the_pressure_of_the_t0_observation(monkeypatch):
+    # the t = 0 measure solves the problem that the first stage of the first
+    # step poses again: that stage makes no iteration, and its rates are those
+    # of a cold solve to round-off
+    grid = StripGrid(n_x=64, n_r=16)
+    params = PhysParams(eps=0.3, beta=0.3, mu=1e-2, delta=1e-2)
+    bath = Bathymetry.cosine(grid, 0.25)
+    state, _ = well_prepared_init(sw_initial(grid, 0.08, 0.08), bath, params, 4.0, shear_amp=0.04, rho_amp=0.2)
+    dt = 0.2 * cfl_dt(state, bath, params)
+    stage_rates, rhs = [], dynamics.euler_rhs
+
+    def recording_rhs(*args, **kwargs):
+        rates, P_hat = rhs(*args, **kwargs)
+        stage_rates.append(rates)
+        return rates, P_hat
+
+    monkeypatch.setattr(dynamics, "euler_rhs", recording_rhs)
+    iterations = count_solve_iterations(monkeypatch)
+    rec = simulate(state, bath, params, dt, dt=dt, cadence=1)
+    assert rec.status == "Continue"
+    assert iterations[0] > 0 and iterations[1] == 0
+    cold, _ = euler_rhs(state, bath, params)
+    for f in ("V", "w", "rho", "eta0"):
+        a, b = getattr(stage_rates[0], f), getattr(cold, f)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), f

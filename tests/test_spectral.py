@@ -206,21 +206,48 @@ class TestNorms:
         assert np.isclose(got, total, rtol=1e-10)
 
     def test_stack_is_the_root_sum_square_of_its_fields(self, grid, rng, monkeypatch):
-        # one lambda_pow per order l <= int(s) for the whole stack; a stack
-        # was taken as a surface field
+        # one forward transform for the whole stack and no inverse one; a
+        # stack was taken as a surface field
         F = np.stack([random_band_limited(grid, rng, kmax=6, r_degree=3) for _ in range(3)])
         each = [spectral.sobolev_norm(grid, f, 4.0) for f in F]
-        shapes = []
-        lambda_pow = spectral.lambda_pow
+        forward, inverse = [], []
+        rfft, irfft = spectral.rfft, spectral.irfft
 
-        def counted(grid, f, s, **kw):
-            shapes.append(f.shape)
-            return lambda_pow(grid, f, s, **kw)
+        def counted_rfft(grid, f):
+            forward.append(f.shape)
+            return rfft(grid, f)
 
-        monkeypatch.setattr(spectral, "lambda_pow", counted)
+        def counted_irfft(grid, f):
+            inverse.append(f.shape)
+            return irfft(grid, f)
+
+        monkeypatch.setattr(spectral, "rfft", counted_rfft)
+        monkeypatch.setattr(spectral, "irfft", counted_irfft)
         got = spectral.sobolev_norm(grid, F, 4.0)
         assert np.isclose(got, np.sqrt(np.sum(np.square(each))), rtol=1e-14)
-        assert shapes == [F.shape] * 5
+        assert forward == [F.shape] and inverse == []
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("s", [0.0, 2.5, 4.0])
+    def test_spectrum_norms_equal_the_physical_space_norms(self, d, s):
+        # white noise fills every mode, the Nyquist modes (weight 1) among
+        # them; the reference takes each order's multiplier in physical space
+        grid = StripGrid(n_x=64 if d == 1 else 16, n_r=16, d=d)
+        noise = np.random.default_rng(7)
+        F = noise.standard_normal((2, grid.n_r + 1) + grid.xshape)
+        f = noise.standard_normal(grid.xshape)
+
+        def physical(g):
+            total = 0.0
+            for l in range(int(s) + 1):
+                total += spectral.l2_strip(grid, spectral.lambda_pow(grid, g, s - l))
+                g = spectral.dr(grid, g)
+            return total
+
+        expect = np.sqrt(sum(physical(g) ** 2 for g in F))
+        assert abs(spectral.sobolev_norm(grid, F, s) - expect) <= 1e-13 * expect
+        expect = spectral.l2_surface(grid, spectral.lambda_pow(grid, f, s))
+        assert abs(spectral.surface_norm(grid, f, s) - expect) <= 1e-13 * expect
 
     def test_surface_field_rejected(self, grid):
         with pytest.raises(ValueError, match="not a strip field"):
