@@ -124,6 +124,16 @@ class StripGrid:
         return _dr_matrix(self.n_r + 1, self.dr)
 
     @cached_property
+    def harmonic_profile(self) -> np.ndarray:
+        """cosh(|xi|(r+1))/cosh(|xi|) on the r-nodes and the spectral grid,
+        the mode-wise profile of the harmonic extension of a surface field."""
+        k = self.k_abs
+        rp = self.r.reshape((-1,) + (1,) * self.d) + 1.0
+        # the exp form, which does not overflow at large |xi|
+        num = np.exp(k * (rp - 1.0)) + np.exp(-k * (rp + 1.0))
+        return num / (1.0 + np.exp(-2.0 * k))
+
+    @cached_property
     def r_weights(self) -> np.ndarray:
         """Trapezoid quadrature weights on the r-nodes."""
         w = np.full(self.n_r + 1, self.dr)

@@ -76,7 +76,9 @@ def slag_rhs(
         return spectral.mollify(grid, f, iota) if iota else f
 
     V2, w2 = J(state.V, moll.iota2), J(state.w, moll.iota2)
-    grad_eta0 = spectral.dx(grid, state.eta0)
+    # one spectrum of eta0 serves grad eta0 and the dispersive term
+    eta0_hat = spectral.rfft(grid, state.eta0)
+    grad_eta0 = spectral.dx_of_spectrum(grid, eta0_hat)
 
     # F = (V_1..V_d, w, rho, H): -eps J1(V2 . grad J1 f) for the whole stack,
     # the forces added raw, then one dealias (J1 commutes with the mask)
@@ -89,8 +91,8 @@ def slag_rhs(
     B = spectral.irfft(grid, B_hat)
     BV_hat = B_hat[:d]  # the spectrum of B_V for the closure's source
     if moll.iota3:  # the dispersive term, outside the dealias
-        ext = spectral.harmonic_extension(grid, spectral.lambda_pow(grid, state.eta0, 1.0))
-        G = ops.gradients(spectral.rfft(grid, ext))
+        # the spectrum of the harmonic extension of (1 + |xi|^2)^(1/2) eta0
+        G = ops.gradients(grid.harmonic_profile * ((1.0 + grid.k_abs**2) ** 0.5 * eta0_hat))
         B[:d] += moll.iota3 * nu * J(G[:d], moll.iota2)
         B[d] += moll.iota3 * nu * J(G[d], moll.iota2) / mu
         BV_hat = spectral.rfft(grid, B[:d])

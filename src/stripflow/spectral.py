@@ -45,7 +45,11 @@ def dx(grid: StripGrid, f: np.ndarray) -> np.ndarray:
     """Horizontal gradient; returns a stack with a leading component axis."""
     if not f.any():
         return np.zeros((grid.d,) + f.shape)
-    F = rfft(grid, f)
+    return dx_of_spectrum(grid, rfft(grid, f))
+
+
+def dx_of_spectrum(grid: StripGrid, F: np.ndarray) -> np.ndarray:
+    """``dx`` of the field whose horizontal rFFT is F: one inverse transform."""
     spec = np.empty((grid.d,) + F.shape, dtype=complex)
     for i, k in enumerate(grid.kvec):
         np.multiply(1j * k, F, out=spec[i])
@@ -108,16 +112,9 @@ def mollify(grid: StripGrid, f: np.ndarray, iota: float) -> np.ndarray:
 
 def harmonic_extension(grid: StripGrid, eta0: np.ndarray) -> np.ndarray:
     """Extend a surface field into the strip mode-wise by
-    cosh(|xi|(r+1))/cosh(|xi|): Dirichlet at r = 0, zero Neumann at r = -1."""
-    F = rfft(grid, eta0)
-    k = grid.k_abs
-    r = grid.r
-    # cosh(k(r+1))/cosh(k) computed stably as exp-form to avoid overflow
-    rp = r.reshape((-1,) + (1,) * grid.d) + 1.0
-    num = np.exp(k * (rp - 1.0)) + np.exp(-k * (rp + 1.0))
-    den = 1.0 + np.exp(-2.0 * k)
-    profile = num / den
-    return irfft(grid, F[None, ...] * profile)
+    cosh(|xi|(r+1))/cosh(|xi|) (``StripGrid.harmonic_profile``): Dirichlet
+    at r = 0, zero Neumann at r = -1."""
+    return irfft(grid, rfft(grid, eta0)[None, ...] * grid.harmonic_profile)
 
 
 # -- norms and quadrature ------------------------------------------------------

@@ -23,7 +23,10 @@ from stripflow.mollified import (
     terminal_distance,
 )
 
-from conftest import count_solve_iterations, random_band_limited, sigma_divergence, sigma_gradients
+from stripflow.pressure import closure_problem, solve_closure
+
+from conftest import (count_solve_iterations, random_band_limited, random_surface, sigma_divergence,
+                      sigma_gradients)
 
 
 def wave_state(grid, amp=0.05):
@@ -188,6 +191,39 @@ class TestSlagDynamics:
         step_rk4_slag(slag, dt, moll, bath, params, full)
         assert len(iterations) == 8
         assert sum(iterations[4:]) < sum(iterations[:4])
+
+    def test_dispersive_term_from_one_spectrum_matches_the_extension_formula(self, grid, rng, monkeypatch):
+        # the rates at iota3 = 0.1 against the dispersive term added to the
+        # iota3 = 0 tendencies by the physical-space formula: the harmonic
+        # extension of (1 + |xi|^2)^(1/2) eta0, transformed again for its
+        # sigma-gradients, then the same closure
+        params = PhysParams(eps=0.25, beta=0.25, mu=0.1, delta=0.1)
+        bath = Bathymetry.cosine(grid, 0.2)
+        state = wave_state(grid)
+        state.eta0 = state.eta0 + random_surface(grid, rng, amp=0.01)
+        state.V[0] = random_band_limited(grid, rng, amp=0.1)
+        slag = from_strip_state(state, bath, params)
+        moll, d = MollParams(0.1, 0.1, 0.1), grid.d
+        posed = {}
+
+        def recording_closure(metric, params, nu, B, BV_hat, metric_term):
+            posed.update(metric=metric, nu=nu, B=B.copy(), metric_term=metric_term)
+            return closure_problem(metric, params, nu, B, BV_hat, metric_term)
+
+        monkeypatch.setattr(mollified, "closure_problem", recording_closure)
+        base, _ = slag_rhs(slag, MollParams(moll.iota1, moll.iota2, 0.0), bath, params)
+        B, nu, metric, metric_term = posed["B"], posed["nu"], posed["metric"], posed["metric_term"]
+        ext = spectral.harmonic_extension(grid, spectral.lambda_pow(grid, slag.eta0, 1.0))
+        G = spectral.mollify(grid, metric.ops.gradients(spectral.rfft(grid, ext)), moll.iota2)
+        B[:d] += moll.iota3 * nu * G[:d]
+        B[d] += moll.iota3 * nu * G[d] / params.mu
+        problem = closure_problem(metric, params, nu, B, spectral.rfft(grid, B[:d]), metric_term)
+        dV, dw, _ = solve_closure(problem, B[:d], B[d])
+        rates, _ = slag_rhs(slag, moll, bath, params)
+        assert np.abs(rates.V - dV).max() <= 1e-12 * np.abs(dV).max()
+        assert np.abs(rates.w - dw).max() <= 1e-12 * np.abs(dw).max()
+        for name in ("rho", "H", "eta0"):
+            assert np.array_equal(getattr(rates, name), getattr(base, name)), name
 
     def test_energy_near_conservation_small_amplitude(self, grid):
         # the dispersive surface term pairs to a total derivative: for weak
