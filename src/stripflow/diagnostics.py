@@ -38,16 +38,21 @@ def state_norm(powers: np.ndarray, eta_power: np.ndarray, grid, params: PhysPara
     )
 
 
-def good_unknown_energy(state, metric: DiffeoFields, params: PhysParams, s: float) -> float:
-    """Weighted good-unknown sum
+def scheme_energy(state, metric: DiffeoFields, params: PhysParams, s: float, weigh) -> tuple:
+    """The parts of a scheme's energy on the coordinate map ``metric``: the
+    weighted good-unknown sum
     ||sqrt(h rho) V^(s)||^2 + ||sqrt(mu h rho) w^(s)||^2 + ||sqrt(mu h) rho^(s)||^2
-    on the coordinate map ``metric``, from the good unknowns of the stack
-    (V, w, rho)."""
-    h, mu = metric.h_tot, params.mu
+    from the good unknowns of the stack (V, w, rho), the surface term
+    ||weigh(dotted Lambda^s eta0)||^2 under the scheme's surface weight
+    ``weigh``, and the H^(s-1) norm of the vorticity."""
+    grid, h, mu = metric.grid, metric.h_tot, params.mu
     rho_tot = total_density(state.rho, params)
     weights = [np.sqrt(h * rho_tot)] * len(state.V) + [np.sqrt(mu * h * rho_tot), np.sqrt(mu * h)]
     unknowns = alinhac_unknown(np.concatenate([state.V, state.w[None], state.rho[None]]), s, metric)
-    return sum(spectral.l2_strip(metric.grid, wt * f) ** 2 for wt, f in zip(weights, unknowns))
+    al = sum(spectral.l2_strip(grid, wt * f) ** 2 for wt, f in zip(weights, unknowns))
+    surface = spectral.l2_surface(grid, weigh(spectral.lambda_pow(grid, state.eta0, s, dotted=True))) ** 2
+    vnorm = spectral.sobolev_norm(grid, vorticity(state, metric, params), s - 1)
+    return al, surface, vnorm
 
 
 def energy(
@@ -58,15 +63,12 @@ def energy(
     params: PhysParams,
     diffeo: DiffeoFields,
 ) -> EnergyReport:
-    """Assemble the high-order energy: weighted good unknowns, the
-    Taylor-weighted surface term (square-root weighting), the low-regularity
-    block, and the vorticity norm."""
+    """Assemble the high-order energy: the ``scheme_energy`` parts with the
+    Taylor-weighted surface term (square-root weighting), and the
+    low-regularity block."""
     grid = diffeo.grid
     d, sq = grid.d, params.sqrt_mu
-    al = good_unknown_energy(state, diffeo, params, s)
-
-    eta_s = spectral.lambda_pow(grid, state.eta0, s, dotted=True)
-    surface = spectral.l2_surface(grid, np.sqrt(np.maximum(taylor, 0.0)) * eta_s) ** 2
+    al, surface, vnorm = scheme_energy(state, diffeo, params, s, lambda e: np.sqrt(np.maximum(taylor, 0.0)) * e)
 
     # one spectrum of (V, w, rho) and one of eta0 serve the norms at s0 + 1
     # and at s, and the shear's: the H^(s-1) norm of d_r V takes the orders
@@ -80,7 +82,6 @@ def energy(
     E_low = spectral.root_sum_square(low) ** 2
     E_low += params.g * params.rho_bar * spectral.power_norm(grid, eta_power, s0 + 1) ** 2
 
-    vnorm = spectral.sobolev_norm(grid, vorticity(state, diffeo, params), s - 1)
     shear = spectral.root_sum_square(spectral.field_norms(grid, powers[:, :d], s, first=1)) / sq
 
     E_s = E_low + al + surface + vnorm**2

@@ -181,22 +181,20 @@ def assemble_pressure_problem(
     grad_eta0 = diffeo.surface_gradient
     deta0 = kinematic_deta0(state.V[:, -1], state.w[-1], grad_eta0, grid, params)
 
-    # d_t of the coordinate map: eta has the fixed (1+r) eta0 profile.
-    rp1 = grid.r_column(grid.r + 1.0)
-    tcorr = eps * (rp1 * deta0) / diffeo.h_tot
-
-    # F = (V_1..V_d, w, rho); d_r F once, shared by advection, tcorr and the
+    # F = (V_1..V_d, w, rho); d_r F once, shared by the transport and the
     # metric term; the forces are added raw and the stack dealiased once,
-    # its spectrum kept for the closure's source
+    # its spectrum kept for the closure's source.  The map moves with
+    # d_t (eta_bar + eps eta) = eps (1+r) deta0, so the stack is transported
+    # by the vertical velocity relative to it, w - (1+r) deta0
+    rp1 = grid.r_column(grid.r + 1.0)
     F = np.concatenate([state.V, state.w[None], state.rho[None]])
     dF = spectral.dr(grid, F)
-    B = -eps * ops.advect(state.V, state.w, F, dF) + tcorr * dF
+    B = -eps * ops.advect(state.V, state.w - rp1 * deta0, F, dF)
     B[:d] -= params.g * params.rho_bar * nu * grad_eta0[:, None]
     B[d] -= (params.g * params.delta / mu) * nu * state.rho
     B_hat = spectral.dealiased_spectrum(grid, B)
     B = spectral.irfft(grid, B_hat)
 
-    # the map moves with d_t (eta_bar + eps eta) = eps (1+r) deta0
     grad_dH = eps * rp1[None] * spectral.dx(grid, deta0)[:, None]
     metric_term = metric_motion_term(ops, diffeo.h_tot, eps * deta0, grad_dH, dF)
     problem = closure_problem(diffeo, params, nu, B[: d + 1], B_hat[:d], metric_term)

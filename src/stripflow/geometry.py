@@ -170,17 +170,15 @@ class SigmaOps:
     def advect(self, V: np.ndarray, w: np.ndarray, F: np.ndarray, dF: np.ndarray) -> np.ndarray:
         """V . grad_phi f + w dr_phi f for each field f of the stack F
         (leading field axis), given dF = d_r F (taken once by the caller,
-        which reuses it): one horizontal gradient of the whole stack, and raw
-        products, not dealiased (the caller dealiases the stack once).  The
-        form V . grad f + c d_r f with c = w gamma - V . kappa forms the
-        vertical coefficient once for every field."""
-        gx = spectral.dx(self.grid, F)
+        which reuses it): the horizontal ``spectral.transport`` of the stack
+        plus c d_r f, with the vertical coefficient c = w gamma - V . kappa
+        formed once for every field; raw products, not dealiased (the caller
+        dealiases the stack once)."""
+        out = spectral.transport(self.grid, V, F)
         c = w * self.gamma
         for i in range(self.grid.d):
             c -= V[i] * self.kappa[i]
-        out = c * dF
-        for i in range(self.grid.d):
-            out += V[i] * gx[i]
+        out += c * dF
         return out
 
 

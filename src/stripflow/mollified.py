@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .diagnostics import good_unknown_energy
-from .dynamics import (Fields, PressureGuess, StripState, kinematic_deta0, metric_motion_term, rk4, vorticity,
-                       warm_started)
+from .diagnostics import scheme_energy
+from .dynamics import Fields, PressureGuess, StripState, kinematic_deta0, metric_motion_term, rk4, warm_started
 from .errors import DegenerateDiffeo, InterpolationOutOfRange
 from .geometry import (Bathymetry, DiffeoFields, PhysParams, barycentric_heights, total_density, water_depth,
                        wave_speed)
@@ -83,8 +82,7 @@ def slag_rhs(
     # F = (V_1..V_d, w, rho, H): -eps J1(V2 . grad J1 f) for the whole stack,
     # the forces added raw, then one dealias (J1 commutes with the mask)
     F = np.concatenate([state.V, state.w[None], state.rho[None], state.H[None]])
-    gx = spectral.dx(grid, J(F, moll.iota1))
-    B = -eps * J(np.sum(V2[:, None] * gx, axis=0), moll.iota1)
+    B = -eps * J(spectral.transport(grid, V2, J(F, moll.iota1)), moll.iota1)
     B[:d] -= g * rb * nu * J(grad_eta0, moll.iota2)[:, None]
     B[d] -= (g * params.delta / mu) * nu * state.rho
     B_hat = spectral.dealiased_spectrum(grid, B)
@@ -139,18 +137,16 @@ def cfl_dt_slag(state: SlagState, moll: MollParams, bathymetry: Bathymetry, para
 def moll_energy(
     state: SlagState, moll: MollParams, bathymetry: Bathymetry, params: PhysParams, s: float
 ) -> float:
-    """Scheme energy: the weighted good unknowns of the transported map, the
-    dispersive surface weight g rho_bar + iota3 * half-derivative multiplier,
-    and the vorticity norm."""
+    """Scheme energy (``diagnostics.scheme_energy`` on the transported map):
+    the weighted good unknowns, the surface under the dispersive weight
+    g rho_bar + iota3 * half-derivative multiplier, and the vorticity norm."""
     grid = bathymetry.grid
-    metric = DiffeoFields.transported(grid, state.H)
-    total = good_unknown_energy(state, metric, params, s)
-    eta_s = spectral.lambda_pow(grid, state.eta0, s, dotted=True)
     sym = params.g * params.rho_bar + moll.iota3 * (1.0 + grid.k_abs**2) ** 0.25
-    weighted = spectral.apply_multiplier(grid, eta_s, sym)
-    total += spectral.l2_surface(grid, weighted) ** 2
-    total += spectral.sobolev_norm(grid, vorticity(state, metric, params), s - 1) ** 2
-    return total
+    al, surface, vnorm = scheme_energy(
+        state, DiffeoFields.transported(grid, state.H), params, s,
+        lambda e: spectral.apply_multiplier(grid, e, sym),
+    )
+    return al + surface + vnorm**2
 
 
 def run_moll(

@@ -52,9 +52,7 @@ def sw_rhs(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> SWState:
     if h.min() <= 0.0:
         raise DegenerateDepth(f"shallow-water depth {h.min():.3e}")
     deta = -np.trace(spectral.dx(grid, spectral.dealias(grid, h * sw.V)))
-    # gV[j, i] = d_j V_i: the products V_j d_j V_i summed over j, then one dealias
-    gV = spectral.dx(grid, sw.V)
-    adv = spectral.dealias(grid, np.sum(sw.V[:, None] * gV, axis=0))
+    adv = spectral.dealias(grid, spectral.transport(grid, sw.V, sw.V))
     dV = -params.eps * adv - params.g * spectral.dx(grid, sw.eta)
     return SWState(dV, deta)
 
@@ -91,21 +89,24 @@ def lift_sw(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> StripSta
 def compare(
     euler: StripState, sw: SWState, s: float, bathymetry: Bathymetry, params: PhysParams, shear: float | None = None
 ) -> ComparisonReport:
-    """All norms of the difference driving the convergence claim; the
-    well-preparedness sum is evaluated by the same code path.  ``shear`` is
-    the shear norm of ``euler`` when the caller has taken it
-    (``EnergyReport.shear_ratio``); otherwise it is taken here."""
+    """All norms of the difference driving the convergence claim, taken on
+    the dealiased band; the well-preparedness sum is evaluated by the same
+    code path.  ``shear`` is the shear norm of ``euler`` when the caller has
+    taken it (``EnergyReport.shear_ratio``); otherwise it is taken here."""
     grid = bathymetry.grid
     if euler.eta0.shape != sw.eta.shape:
         raise GridMismatch("euler and shallow-water states on different grids")
     d, sq = grid.d, params.sqrt_mu
     lifted = lift_sw(sw, bathymetry, params)
-    # one spectrum of the stack (V - V_sw, w - w_sw, rho)
+    # the differences are measured on the dealiased band, where both systems
+    # carry their content: the 2/3 rule is a 0/1 mask of the spectrum, so it
+    # masks the powers.  One spectrum of the stack (V - V_sw, w - w_sw, rho)
+    band = grid.dealias_mask
     diff = np.concatenate([euler.V - lifted.V, (euler.w - lifted.w)[None], euler.rho[None]])
-    norms = spectral.field_norms(grid, spectral.vertical_powers(grid, diff, spectral.top_order(s)), s)
+    norms = spectral.field_norms(grid, band * spectral.vertical_powers(grid, diff, spectral.top_order(s)), s)
     err_V = spectral.root_sum_square(norms[:d])
     err_w, rho_norm = sq * float(norms[d]), sq * float(norms[d + 1])
-    err_eta = spectral.surface_norm(grid, euler.eta0 - sw.eta, s)
+    err_eta = float(spectral.power_norm(grid, band * spectral.surface_power(grid, euler.eta0 - sw.eta), s))
     if shear is None:
         shear = spectral.sobolev_norm(grid, spectral.dr(grid, euler.V), s - 1) / sq
     hypE0 = np.sqrt(err_V**2 + err_w**2) + err_eta + rho_norm + shear

@@ -1,5 +1,5 @@
-"""Fourier multipliers, mollifiers, harmonic extension, anisotropic Sobolev
-norms and quadrature on the strip.
+"""Fourier multipliers, mollifiers, the horizontal transport, anisotropic
+Sobolev norms and quadrature on the strip.
 
 All operators act slab-by-slab on strip fields (leading r-axis) and directly
 on surface fields; the horizontal transform is a real FFT over the trailing
@@ -77,6 +77,17 @@ def dealias(grid: StripGrid, f: np.ndarray) -> np.ndarray:
     return irfft(grid, dealiased_spectrum(grid, f))
 
 
+def transport(grid: StripGrid, V: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """V . grad f for each field f of the stack F (leading field axis), V
+    with a leading component axis: one ``dx`` of the whole stack and raw
+    products, not dealiased (the caller dealiases its stack once)."""
+    gx = dx(grid, F)
+    out = V[0] * gx[0]
+    for i in range(1, grid.d):
+        out += V[i] * gx[i]
+    return out
+
+
 # -- multipliers ---------------------------------------------------------------
 
 
@@ -110,13 +121,6 @@ def mollify(grid: StripGrid, f: np.ndarray, iota: float) -> np.ndarray:
     return apply_multiplier(grid, f, _bump(iota * grid.k_abs))
 
 
-def harmonic_extension(grid: StripGrid, eta0: np.ndarray) -> np.ndarray:
-    """Extend a surface field into the strip mode-wise by
-    cosh(|xi|(r+1))/cosh(|xi|) (``StripGrid.harmonic_profile``): Dirichlet
-    at r = 0, zero Neumann at r = -1."""
-    return irfft(grid, rfft(grid, eta0)[None, ...] * grid.harmonic_profile)
-
-
 # -- norms and quadrature ------------------------------------------------------
 
 
@@ -144,11 +148,6 @@ def surface_power(grid: StripGrid, f: np.ndarray) -> np.ndarray:
     field: its sum is ||f||^2_{L^2(T^d)}."""
     F = rfft(grid, f)
     return grid.parseval_weights * (F.real**2 + F.imag**2)
-
-
-def surface_norm(grid: StripGrid, f: np.ndarray, s: float) -> float:
-    """|f|_{H^s} on the torus."""
-    return float(power_norm(grid, surface_power(grid, f), s))
 
 
 def top_order(s: float, first: int = 0) -> int:

@@ -50,6 +50,19 @@ def random_surface(grid, rng, kmax=6, amp=1.0):
     return amp * f
 
 
+def harmonic_extension(grid, eta0):
+    """Extend a surface field into the strip mode-wise by
+    cosh(|xi|(r+1))/cosh(|xi|) (``StripGrid.harmonic_profile``): Dirichlet
+    at r = 0, zero Neumann at r = -1.  The reference for the dispersive term
+    of the mollified scheme, which takes the extension's spectrum directly."""
+    return spectral.irfft(grid, spectral.rfft(grid, eta0)[None, ...] * grid.harmonic_profile)
+
+
+def surface_norm(grid, f, s):
+    """|f|_{H^s} on the torus, from the ``spectral.surface_power`` of f."""
+    return float(spectral.power_norm(grid, spectral.surface_power(grid, f), s))
+
+
 def sigma_gradients(ops, f):
     """(grad_phi f, dr_phi f) of a strip field f, from ``ops.gradients`` of
     its spectrum."""

@@ -22,7 +22,7 @@ from stripflow.dynamics import (
     init_from_streamfunction,
     step_rk4,
 )
-from stripflow.experiments import sw_initial, sweep
+from stripflow.experiments import _direct_member, sw_initial, sweep
 from stripflow.geometry import alinhac_unknown
 from stripflow.mollified import (
     MollParams,
@@ -218,6 +218,17 @@ def test_criterion_03_shallow_water_rate(sweep_vortical):
         f"well-prepared mu-sweep slope {fit.slope:.3f} in [0.4, 1.1], "
         f"errors {['%.2e' % m['error'] for m in members]}, wall {wall:.0f}s < 900s",
     )
+
+
+def test_headline_error_is_grid_converged(sweep_vortical):
+    # the smallest-mu member of the headline sweep re-run at twice the
+    # horizontal resolution: the discrepancy the rate fit reads is that of
+    # the model, not of the grid
+    members, _ = sweep_vortical
+    coarse = min(members, key=lambda m: m["mu"])
+    fine = _direct_member(ExperimentConfig.from_text(MU_SWEEP.read_text() + "\ngrid.n_x = 512\n"), coarse["mu"])
+    assert fine["status"] == "Continue"
+    assert abs(fine["error"] - coarse["error"]) <= 1e-3 * coarse["error"], (coarse["error"], fine["error"])
 
 
 def test_criterion_04_columnar_sharpening(sweep_columnar):

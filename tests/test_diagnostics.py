@@ -3,7 +3,7 @@ import pytest
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
-from stripflow.diagnostics import blowup_monitor, energy, fit_rate, good_unknown_energy, state_norm
+from stripflow.diagnostics import blowup_monitor, energy, fit_rate, scheme_energy, state_norm
 from stripflow.dynamics import StripState, assemble_pressure_problem, cfl_dt
 from stripflow.geometry import alinhac_unknown, total_density
 from stripflow.mollified import MollParams, from_strip_state, run_moll
@@ -12,7 +12,7 @@ from stripflow import runner
 from stripflow.errors import NoConvergence
 from stripflow.runner import measure, simulate
 
-from conftest import random_band_limited
+from conftest import random_band_limited, surface_norm
 from test_acceptance import gronwall_slope
 from test_run_properties import equivalence_checks, equivalence_ratios
 
@@ -48,8 +48,10 @@ class TestEnergy:
                 calls[_name] += 1
                 return _f(*args, **kwargs)
             monkeypatch.setattr(spectral, name, counted)
-        assert good_unknown_energy(st, diffeo, params, 3.5) == expect
-        assert calls == {"lambda_pow": 2, "dr": 1}
+        assert scheme_energy(st, diffeo, params, 3.5, lambda e: e)[0] == expect
+        # the surface term takes one more multiplier, the vorticity one d_r
+        # for its gradients and two for its H^2.5 norm
+        assert calls == {"lambda_pow": 3, "dr": 4}
 
     def test_rest_energy_is_zero(self, grid):
         params = PhysParams(eps=0.3, beta=0.5, mu=1e-2)
@@ -95,7 +97,7 @@ class TestEnergy:
             pack = (
                 spectral.sobolev_norm(grid, np.stack([st.V[0], sq * st.w, sq * st.rho]), 4.0) ** 2
                 + spectral.sobolev_norm(grid, vorticity(st, diffeo, params), 3.0) ** 2
-                + spectral.surface_norm(grid, st.eta0, 4.0) ** 2
+                + surface_norm(grid, st.eta0, 4.0) ** 2
             )
             ratios.append(rep.E_s / pack)
         assert max(ratios) / min(ratios) < 50.0

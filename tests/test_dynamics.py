@@ -21,7 +21,7 @@ from stripflow.errors import InvalidStreamfunction, TooManySteps
 from stripflow.geometry import DiffeoFields, total_density
 from stripflow.mollified import MollParams, from_strip_state, slag_rhs
 
-from conftest import random_band_limited, sigma_divergence, sigma_gradients
+from conftest import harmonic_extension, random_band_limited, sigma_divergence, sigma_gradients
 
 
 def shape(grid):
@@ -269,7 +269,7 @@ def per_field_slag(state, moll, bath, params):
         gx = spectral.dx(grid, J(f, moll.iota1))
         return spectral.dealias(grid, -eps * J(np.sum(V2 * gx, axis=0), moll.iota1) + force)
 
-    ext = spectral.harmonic_extension(grid, spectral.lambda_pow(grid, state.eta0, 1.0))
+    ext = harmonic_extension(grid, spectral.lambda_pow(grid, state.eta0, 1.0))
     grad_ext, dr_ext = sigma_gradients(ops, ext)
     B_V = np.stack([
         momentum(state.V[i], -g * rb * nu * J(grad_eta0[i], moll.iota2))

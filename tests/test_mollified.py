@@ -5,7 +5,7 @@ from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
 from stripflow import mollified
 from stripflow.config import ExperimentConfig
-from stripflow.diagnostics import good_unknown_energy
+from stripflow.diagnostics import energy, scheme_energy
 from stripflow.dynamics import PressureGuess, StripState, step_rk4, vorticity
 from stripflow.geometry import DiffeoFields
 from stripflow.errors import DegenerateDiffeo, InterpolationOutOfRange, NoConvergence
@@ -25,8 +25,8 @@ from stripflow.mollified import (
 
 from stripflow.pressure import closure_problem, solve_closure
 
-from conftest import (count_solve_iterations, random_band_limited, random_surface, sigma_divergence,
-                      sigma_gradients)
+from conftest import (count_solve_iterations, harmonic_extension, random_band_limited, random_surface,
+                      sigma_divergence, sigma_gradients)
 
 
 def wave_state(grid, amp=0.05):
@@ -213,7 +213,7 @@ class TestSlagDynamics:
         monkeypatch.setattr(mollified, "closure_problem", recording_closure)
         base, _ = slag_rhs(slag, MollParams(moll.iota1, moll.iota2, 0.0), bath, params)
         B, nu, metric, metric_term = posed["B"], posed["nu"], posed["metric"], posed["metric_term"]
-        ext = spectral.harmonic_extension(grid, spectral.lambda_pow(grid, slag.eta0, 1.0))
+        ext = harmonic_extension(grid, spectral.lambda_pow(grid, slag.eta0, 1.0))
         G = spectral.mollify(grid, metric.ops.gradients(spectral.rfft(grid, ext)), moll.iota2)
         B[:d] += moll.iota3 * nu * G[:d]
         B[d] += moll.iota3 * nu * G[d] / params.mu
@@ -374,11 +374,18 @@ class TestSharedDiagnostics:
         slag = from_strip_state(st, bath, params)
         diffeo = build_diffeo(bath, st.eta0, params)
         metric = DiffeoFields.transported(grid, slag.H)
-        E_ref = good_unknown_energy(st, diffeo, params, 4.0)
-        assert abs(good_unknown_energy(slag, metric, params, 4.0) - E_ref) <= 1e-12 * E_ref
+        E_ref = scheme_energy(st, diffeo, params, 4.0, lambda e: e)[0]
+        assert abs(scheme_energy(slag, metric, params, 4.0, lambda e: e)[0] - E_ref) <= 1e-12 * E_ref
         om_ref = vorticity(st, diffeo, params)
         om = vorticity(slag, metric, params)
         assert np.abs(om - om_ref).max() <= 1e-12 * np.abs(om_ref).max()
+        # at g = rho_bar = 1, unit Taylor coefficient and no dispersion, both
+        # schemes weigh the surface alike, so the scheme energy is the direct
+        # energy without its low-regularity block
+        assert params.g * params.rho_bar == 1.0
+        rep = energy(st, np.ones(grid.xshape), 4.0, 2.0, params, diffeo)
+        E_moll = moll_energy(slag, MollParams(), bath, params, 4.0)
+        assert abs(E_moll - (rep.E_s - rep.E_low)) <= 1e-12 * E_moll
 
 
 class TestRunMollHalts:

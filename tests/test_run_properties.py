@@ -26,7 +26,7 @@ from stripflow.pressure import solve_pressure, taylor_coefficient
 from stripflow.runner import simulate
 from stripflow.shallow import well_prepared_init
 
-from conftest import count_solve_iterations
+from conftest import count_solve_iterations, surface_norm
 
 
 class InsufficientHistory(StripflowError):
@@ -82,7 +82,7 @@ def test_taylor_derivative_envelope_during_run():
         sq = params.sqrt_mu
         pack = spectral.sobolev_norm(
             grid, np.stack([state.V[0], sq * state.w, sq * state.rho]), s0 + 2
-        ) + spectral.surface_norm(grid, state.eta0, s0 + 2)
+        ) + surface_norm(grid, state.eta0, s0 + 2)
         envelopes.append(params.eps * pack)
         if len(taylors) >= 2:
             rate = np.abs(taylor_time_derivative(taylors[-3:], dt)).max()

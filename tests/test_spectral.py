@@ -5,7 +5,8 @@ from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
 from stripflow.errors import InsufficientResolution
 
-from conftest import random_band_limited, random_surface, sigma_divergence, sigma_gradients
+from conftest import (harmonic_extension, random_band_limited, random_surface, sigma_divergence, sigma_gradients,
+                      surface_norm)
 
 
 def strip_integral(grid, f):
@@ -97,7 +98,7 @@ class TestMollify:
         # || (J_i - J_j) f ||_{H^{s-1}} <= C |i - j| ||f||_{H^s}
         f = random_surface(grid, rng, kmax=10)
         s = 2.0
-        denom = spectral.surface_norm(grid, f, s)
+        denom = surface_norm(grid, f, s)
         iotas = np.linspace(0.05, 0.6, 8)
         ratios = []
         for i in iotas:
@@ -105,28 +106,28 @@ class TestMollify:
                 if i >= j:
                     continue
                 diff = spectral.mollify(grid, f, i) - spectral.mollify(grid, f, j)
-                ratios.append(spectral.surface_norm(grid, diff, s - 1) / (abs(i - j) * denom))
+                ratios.append(surface_norm(grid, diff, s - 1) / (abs(i - j) * denom))
         assert max(ratios) < 3.0
 
 
 class TestHarmonicExtension:
     def test_constant(self, grid):
-        out = spectral.harmonic_extension(grid, np.full(grid.xshape, 1.5))
+        out = harmonic_extension(grid, np.full(grid.xshape, 1.5))
         assert np.allclose(out, 1.5, atol=1e-13)
 
     def test_separated_mode(self, grid):
         k = 2.0
         e0 = np.cos(k * grid.x)
-        out = spectral.harmonic_extension(grid, e0)
+        out = harmonic_extension(grid, e0)
         expect = np.cosh(k * (grid.r[:, None] + 1)) / np.cosh(k) * e0[None, :]
         assert np.allclose(out, expect, atol=1e-12)
 
     def test_surface_trace_and_linearity(self, grid, rng):
         a = random_surface(grid, rng)
         b = random_surface(grid, rng)
-        ea = spectral.harmonic_extension(grid, a)
-        eb = spectral.harmonic_extension(grid, b)
-        eab = spectral.harmonic_extension(grid, 2.0 * a - 3.0 * b)
+        ea = harmonic_extension(grid, a)
+        eb = harmonic_extension(grid, b)
+        eab = harmonic_extension(grid, 2.0 * a - 3.0 * b)
         assert np.allclose(ea[-1], a, atol=1e-12)
         assert np.allclose(eab, 2.0 * ea - 3.0 * eb, atol=1e-11)
 
@@ -137,7 +138,7 @@ class TestHarmonicExtension:
         for n_r in (16, 32):
             grid = StripGrid(n_x=64, n_r=n_r)
             e0 = np.cos(2 * grid.x) + 0.5 * np.sin(3 * grid.x)
-            ext = spectral.harmonic_extension(grid, e0)
+            ext = harmonic_extension(grid, e0)
             lap = spectral.dr(grid, spectral.dr(grid, ext)) + spectral.dx(grid, spectral.dx(grid, ext)[0])[0]
             res.append(np.abs(lap[3:-3]).max())
         order = np.log2(res[0] / res[1])
@@ -247,7 +248,7 @@ class TestNorms:
         expect = np.sqrt(sum(physical(g) ** 2 for g in F))
         assert abs(spectral.sobolev_norm(grid, F, s) - expect) <= 1e-13 * expect
         expect = spectral.l2_surface(grid, spectral.lambda_pow(grid, f, s))
-        assert abs(spectral.surface_norm(grid, f, s) - expect) <= 1e-13 * expect
+        assert abs(surface_norm(grid, f, s) - expect) <= 1e-13 * expect
 
     def test_surface_field_rejected(self, grid):
         with pytest.raises(ValueError, match="not a strip field"):
@@ -275,7 +276,7 @@ class TestTraceAndQuadrature:
         ratios = []
         for _ in range(100):
             f = random_band_limited(grid, rng, kmax=8, r_degree=3)
-            num = spectral.surface_norm(grid, f[-1], s)
+            num = surface_norm(grid, f[-1], s)
             den = one_vertical_derivative_norm(grid, f, s + 0.5)
             ratios.append(num / den)
         assert max(ratios) < 2.0
@@ -349,3 +350,11 @@ class TestTransforms:
         twice = np.stack([spectral.dr(grid, spectral.dr(grid, f)) for f in F])
         assert np.array_equal(spectral.dr(grid, F), once)
         assert np.array_equal(spectral.dr(grid, spectral.dr(grid, F)), twice)
+
+    @pytest.mark.parametrize("n_x,n_r,d", [(64, 16, 1), (16, 12, 2)])
+    def test_transport_of_a_stack_is_the_per_field_product(self, n_x, n_r, d, rng):
+        grid = StripGrid(n_x=n_x, n_r=n_r, d=d)
+        V = rng.standard_normal((d, n_r + 1) + grid.xshape)
+        F = rng.standard_normal((3, n_r + 1) + grid.xshape)
+        expect = np.stack([sum(V[i] * spectral.dx(grid, f)[i] for i in range(d)) for f in F])
+        assert np.abs(spectral.transport(grid, V, F) - expect).max() <= 1e-13 * np.abs(expect).max()

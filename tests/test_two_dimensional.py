@@ -11,7 +11,7 @@ from stripflow.dynamics import PressureGuess, StripState, euler_rhs, step_rk4, v
 from stripflow.experiments import sw_initial
 from stripflow.shallow import well_prepared_init
 
-from conftest import sigma_gradients
+from conftest import harmonic_extension, sigma_gradients, surface_norm
 
 
 @pytest.fixture
@@ -25,9 +25,9 @@ def test_multipliers_and_norms(grid2):
     k2 = 1.0 + 1.0 + 4.0  # 1 + |xi|^2 for the (1,2) mode
     assert np.allclose(spectral.lambda_pow(grid2, f, 2.0), k2 * f, atol=1e-10)
     assert np.isclose(
-        spectral.surface_norm(grid2, f, 0.0), spectral.l2_surface(grid2, f), rtol=1e-12
+        surface_norm(grid2, f, 0.0), spectral.l2_surface(grid2, f), rtol=1e-12
     )
-    g = spectral.harmonic_extension(grid2, f)
+    g = harmonic_extension(grid2, f)
     assert np.allclose(g[-1], f, atol=1e-12)
 
 
