@@ -5,7 +5,6 @@ error, 3 solver halt, 4 rate-fit failure."""
 from __future__ import annotations
 
 import ctypes
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -238,8 +237,11 @@ def _one_blas_thread():
                 break
 
 
-def worker_pool(jobs: int) -> ProcessPoolExecutor:
-    """The process pool of a sweep: ``jobs`` workers, each on one BLAS thread."""
+def worker_pool(jobs: int):
+    """The process pool of a sweep: ``jobs`` workers, each on one BLAS thread
+    (imported here, so that a serial sweep loads no multiprocessing)."""
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread)
 
 

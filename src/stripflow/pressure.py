@@ -53,10 +53,13 @@ operator composes the sigma-map calculus of ``geometry.SigmaOps``: a flux
 half, nu times ``gradients`` of the spectrum (one inverse transform), and a
 divergence half, ``div_phi`` of the correction.  The correction is linear
 in P, so the solve forms that of its solution the way gmres forms the
-solution: the Krylov unknown carries it next to the spectrum, each apply
-writes that of its direction, and x0 + sum y_j z_j carries C(x0) + sum y_j
-C(z_j), C(x0) from the initial residual's apply (a restart's from its own).
+solution: a Krylov vector is one float array, the float view of the
+spectrum and then its correction, which each apply writes in place, so
+x0 + sum y_j z_j carries C(x0) + sum y_j C(z_j), C(x0) from the initial
+residual's apply (a restart's from its own; that of a zero x0 is zero).
 ``solve_closure`` subtracts it with no further operator evaluation.  The
+right-hand side is one array, ``EllipticProblem.rows``: the bottom conormal
+datum, then the interior sources, as ``apply`` returns its rows.  The
 closure's source takes the horizontal spectrum of B_V that the caller kept
 from its dealias.
 Locally the operator is (nu/h^2)(d_r^2 + mu h^2 Delta_x): its vertical part
@@ -100,15 +103,14 @@ from .grid import StripGrid
 @dataclass
 class EllipticProblem:
     """One pressure-type solve: the coordinate map, the coefficient nu, and
-    the right-hand side in composed form (scalar source + conormal bottom
-    data)."""
+    the right-hand side in composed form, the n_r rows of the unknown slabs
+    (the conormal bottom datum, then the interior sources)."""
 
     diffeo: DiffeoFields
     mu: float
     rho_bar: float
     nu: np.ndarray
-    source: np.ndarray
-    bottom_data: np.ndarray
+    rows: np.ndarray
     # the correction C = (nu grad_phi P, nu dr_phi P / mu), stacked as
     # ``flux`` stacks it, of the pressure of the last ``apply`` or, once
     # ``solve_pressure`` returns, of the pressure it returns
@@ -116,28 +118,26 @@ class EllipticProblem:
 
     # -- the composed operator --------------------------------------------------
 
-    def flux(self, P_hat: np.ndarray) -> np.ndarray:
+    def flux(self, P_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The fluxes (Q_x, Q_r) of the pressure whose horizontal rFFT is
-        ``P_hat``, stacked (components of Q_x, then Q_r): nu times
-        ``SigmaOps.gradients``, scaled in place."""
-        Q = self.diffeo.ops.gradients(P_hat)
-        Q *= self.nu
-        return Q
+        ``P_hat``, stacked (components of Q_x, then Q_r) in ``out`` when
+        given: nu times ``SigmaOps.gradients``."""
+        return np.multiply(self.diffeo.ops.gradients(P_hat), self.nu, out=out)
 
-    def apply(self, P_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(interior rows mu grad_phi.Q_x + dr_phi Q_r, bottom conormal row)
-        of the pressure whose horizontal rFFT is ``P_hat``: the rows
-        ``closure_problem`` poses for the correction C = (Q_x, Q_r / mu) that
-        ``solve_closure`` subtracts, mu div_phi C and mu (C_w - grad b . C_V)
-        at the bottom.  The correction of the call is kept as ``correction``."""
+    def apply(self, P_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The n_r rows that ``closure_problem`` poses, bottom row first, of
+        the pressure whose horizontal rFFT is ``P_hat``: for the correction
+        C = (Q_x, Q_r / mu) that ``solve_closure`` subtracts, mu (C_w - grad
+        b . C_V) at the bottom and mu div_phi C above.  The correction of the
+        call is written into ``out`` when given and kept as ``correction``."""
         grid, d = self.diffeo.grid, self.diffeo.grid.d
-        C = self.flux(P_hat)
+        C = self.flux(P_hat, out)
         C[d] /= self.mu
-        interior = self.diffeo.ops.div_phi(C, spectral.rfft(grid, C[:d]))
-        interior *= self.mu
-        bottom = self.mu * (C[d, 0] - np.sum(self.diffeo.bottom_gradient * C[:d, 0], axis=0))
+        rows = self.diffeo.ops.div_phi(C, spectral.rfft(grid, C[:d]))[: grid.n_r]
+        rows[0] = C[d, 0] - np.sum(self.diffeo.bottom_gradient * C[:d, 0], axis=0)
+        rows *= self.mu
         self.correction = C
-        return interior, bottom
+        return rows
 
 
 def _as_strip(grid: StripGrid, f) -> np.ndarray:
@@ -155,15 +155,12 @@ def closure_problem(
     (the caller's, kept from its dealias where it has one);
     ``metric_term`` is the time derivative of the metric coefficients of a
     moving map acting on the current velocity."""
-    d = diffeo.grid.d
-    bottom = B[d, 0] - np.sum(diffeo.bottom_gradient * B[:d, 0], axis=0)
+    grid = diffeo.grid
+    rows = (diffeo.ops.div_phi(B, BV_hat) + metric_term)[: grid.n_r]
+    rows[0] = B[grid.d, 0] - np.sum(diffeo.bottom_gradient * B[: grid.d, 0], axis=0)
+    rows *= params.mu
     return EllipticProblem(
-        diffeo=diffeo,
-        mu=params.mu,
-        rho_bar=params.rho_bar,
-        nu=_as_strip(diffeo.grid, nu),
-        source=params.mu * (diffeo.ops.div_phi(B, BV_hat) + metric_term),
-        bottom_data=params.mu * bottom,
+        diffeo=diffeo, mu=params.mu, rho_bar=params.rho_bar, nu=_as_strip(grid, nu), rows=rows
     )
 
 
@@ -253,12 +250,13 @@ def _flat_inverse(grid: StripGrid, mu: float, rho_bar: float) -> FastDiagonalisa
     )
 
 
-def _apply_flat_inverse(grid: StripGrid, fd: FastDiagonalisation, v: np.ndarray) -> np.ndarray:
+def _apply_flat_inverse(grid: StripGrid, fd: FastDiagonalisation, v: np.ndarray, out: np.ndarray) -> None:
     """The flat inverse of a residual v[0] (n_r rows) plus its column part
     v[1] (n_r rows, the bottom one zero) times the column share of each
-    eigenmode, as a spectrum of n_r + 1 rows whose Dirichlet row is zero:
-    one forward transform of both, then two real matrix products along r on
-    the float view and the scaling between them."""
+    eigenmode, written into the spectrum ``out`` of n_r + 1 rows, whose
+    Dirichlet row it zeroes: one forward transform of both, then two real
+    matrix products along r on the float view and the scaling between
+    them."""
     n = grid.n_r
     F = spectral.rfft(grid, v).reshape(2, n, -1).view(float)
     Y, column = fd.analysis @ F
@@ -268,11 +266,10 @@ def _apply_flat_inverse(grid: StripGrid, fd: FastDiagonalisation, v: np.ndarray)
     coupled *= fd.cross
     Y *= fd.diag
     Y += coupled
-    uh = np.zeros((n + 1,) + grid.k_abs.shape, dtype=complex)
-    U = uh.reshape(n + 1, -1).view(float)
+    U = out.reshape(n + 1, -1).view(float)
     np.matmul(fd.synthesis, Y, out=U[:n])
     U[0] += fd.bottom * F[0, 0]
-    return uh
+    U[n] = 0.0
 
 
 # -- Krylov solver ----------------------------------------------------------------
@@ -281,7 +278,7 @@ def _apply_flat_inverse(grid: StripGrid, fd: FastDiagonalisation, v: np.ndarray)
 RESTART = 40
 
 
-def gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, tol: float, maxiter: int):
+def gmres(matvec, psolve, b: np.ndarray, x: np.ndarray, tol: float, maxiter: int):
     """Right-preconditioned restarted GMRES for A x = b: (x, iterations,
     ||b - A x||).
 
@@ -295,19 +292,13 @@ def gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, tol: float, maxiter: in
     r is the true residual b - A x up to the round-off of one cycle, and its
     norm decides whether to restart.  A restart recomputes r = b - A x with
     one matvec, so that round-off does not carry over from cycle to cycle.
-    A zero x0 costs no initial matvec.  x0 and x live where M^-1 maps to,
-    and are only copied, tested with ``any``, scaled and added
-    (``solve_pressure``: a spectrum with its pressure correction, which
-    ``matvec`` keeps in its argument; every x is x0 or a restart's x, each
-    applied, plus Z y, combined from applied directions, so it ends holding
-    its own correction with no apply of its own).  The outputs of ``psolve``
-    and ``matvec`` are kept until the cycle ends, so neither may return an
-    array that is overwritten before then (a row of the basis, which the
-    identity preconditioner returns, is not)."""
+    A zero x costs no initial matvec.  x is updated in place and returned.
+    The outputs of ``psolve`` and ``matvec`` are kept until the cycle ends,
+    so neither may return an array that is overwritten before then (a row
+    of the basis, which the identity preconditioner returns, is not)."""
     V = np.empty((RESTART + 1, b.size))
     R = np.zeros((RESTART, RESTART))  # the Hessenberg matrix after the rotations
     cs, sn, g = np.empty(RESTART), np.empty(RESTART), np.empty(RESTART + 1)
-    x = x0.copy()
     r = b - matvec(x) if x.any() else b.copy()
     res = float(np.linalg.norm(r))
     iterations = 0
@@ -354,35 +345,6 @@ def gmres(matvec, psolve, b: np.ndarray, x0: np.ndarray, tol: float, maxiter: in
 # -- driver ---------------------------------------------------------------------
 
 
-class _Unknown:
-    """A Krylov unknown of ``solve_pressure``: the spectrum P of a pressure
-    and its correction C, which the operator apply of P fills in (0 before).
-    gmres only copies unknowns, scales them and adds them, and C is linear
-    in P, so every unknown it forms carries its own correction."""
-
-    __slots__ = ("P", "C")
-    __array_ufunc__ = None  # a numpy scalar times an unknown calls __rmul__
-
-    def __init__(self, P: np.ndarray, C=0.0):
-        self.P, self.C = P, C
-
-    def copy(self) -> "_Unknown":
-        return _Unknown(self.P.copy(), self.C)
-
-    def any(self) -> bool:
-        return self.P.any()
-
-    def __rmul__(self, a: float) -> "_Unknown":
-        return _Unknown(a * self.P, a * self.C)
-
-    def __iadd__(self, other: "_Unknown") -> "_Unknown":
-        # in place: x holds the C of its own apply, which nothing else reads,
-        # or the float 0 of an unapplied zero x0
-        self.P += other.P
-        self.C += other.C
-        return self
-
-
 @dataclass
 class SolveInfo:
     iterations: int
@@ -403,30 +365,38 @@ def solve_pressure(
     of an initial guess, the form the Krylov solution is kept in (its
     Dirichlet row zero, as in every returned spectrum).  The correction of
     the returned P is left in ``problem.correction``, formed by linearity
-    from those of the operator applies."""
+    from those of the operator applies; both are views of the solution's
+    Krylov vector."""
     grid = problem.diffeo.grid
     n, xshape = grid.n_r, grid.xshape
     cap = max(60, int(10.0 * np.sqrt(np.prod(xshape) * n)))
     spec_shape = (n + 1,) + grid.k_abs.shape
     corr_shape = (grid.d + 1, n + 1) + xshape
+    m = 2 * int(np.prod(spec_shape))
+    size = m + int(np.prod(corr_shape))
 
-    b = np.concatenate(
-        [problem.bottom_data[None], problem.source[1:n]], axis=0
-    ).reshape(-1)
+    # a Krylov vector: the float view of a spectrum, then its correction
+    def parts(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return u[:m].view(complex).reshape(spec_shape), u[m:].reshape(corr_shape)
+
+    b = problem.rows.reshape(-1)
     bnorm = np.linalg.norm(b)
+    x = np.empty(size)
+    P_hat, problem.correction = parts(x)
+    # zeroed also for a guess: a zero guess then makes x zero, which gmres
+    # applies to nothing, and any other x has its correction written by the
+    # apply of its initial residual
+    problem.correction[...] = 0.0
+    P_hat[...] = 0.0 if x0 is None or bnorm == 0.0 else x0
     if bnorm == 0.0:
         if info is not None:
             info.iterations, info.residual = 0, 0.0
-        problem.correction = np.zeros(corr_shape)
-        return np.zeros(spec_shape, dtype=complex)
+        return P_hat
 
-    # each matvec returns a fresh vector (bottom row, then the interior rows),
-    # since gmres keeps them, and keeps the correction of its argument in it
-    def matvec(u: _Unknown) -> np.ndarray:
-        interior, bottom = problem.apply(u.P)
-        u.C = problem.correction
-        interior[0] = bottom
-        return interior[:n].reshape(-1)
+    # each matvec returns fresh rows, since gmres keeps them, and writes the
+    # correction of its argument into it
+    def matvec(u: np.ndarray) -> np.ndarray:
+        return problem.apply(*parts(u)).reshape(-1)
 
     fd = _flat_inverse(grid, problem.mu, problem.rho_bar)
     h = _as_strip(grid, problem.diffeo.h_tot)
@@ -438,22 +408,22 @@ def solve_pressure(
     # the flat inverse adds per eigenmode times its column share
     stack = np.empty((2, n) + xshape)
 
-    def psolve(v: np.ndarray) -> _Unknown:
+    def psolve(v: np.ndarray) -> np.ndarray:
         np.multiply(weight, v.reshape((n,) + xshape), out=stack[0])
         np.multiply(excess, stack[0], out=stack[1])
-        return _Unknown(_apply_flat_inverse(grid, fd, stack))
+        z = np.empty(size)
+        _apply_flat_inverse(grid, fd, stack, parts(z)[0])
+        return z
 
-    P0 = np.zeros(spec_shape, dtype=complex) if x0 is None else x0
     tol = max(rtol * bnorm, atol)
-    u, iterations, res = gmres(matvec, psolve, b, _Unknown(P0), tol, cap)
+    _, iterations, res = gmres(matvec, psolve, b, x, tol, cap)
     true_res = res / bnorm
     if res > 100 * tol:
         raise NoConvergence(f"pressure solve stalled at residual {true_res:.2e}")
     if info is not None:
         info.iterations, info.residual = iterations, true_res
-    # a zero x0 that no cycle followed (a NaN residual) keeps the float 0
-    problem.correction = np.broadcast_to(u.C, corr_shape)
-    return u.P
+    problem.correction = parts(x)[1]
+    return P_hat
 
 
 # -- Rayleigh-Taylor coefficient --------------------------------------------------

@@ -36,15 +36,11 @@ def irfft(grid: StripGrid, F: np.ndarray) -> np.ndarray:
 
 def apply_multiplier(grid: StripGrid, f: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """Multiply each horizontal Fourier mode by ``symbol(xi)`` (real symbol)."""
-    if not f.any():
-        return np.zeros_like(f)
     return irfft(grid, rfft(grid, f) * symbol)
 
 
 def dx(grid: StripGrid, f: np.ndarray) -> np.ndarray:
     """Horizontal gradient; returns a stack with a leading component axis."""
-    if not f.any():
-        return np.zeros((grid.d,) + f.shape)
     return dx_of_spectrum(grid, rfft(grid, f))
 
 

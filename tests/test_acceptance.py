@@ -185,7 +185,7 @@ def test_criterion_02_pressure_manufactured_convergence():
         problem = EllipticProblem(
             diffeo=diffeo, mu=mu, rho_bar=1.0,
             nu=1.0 / (1.0 + eps_v * delta_v * frho(X, Rm)),
-            source=fS(X, Rm, mu), bottom_data=fbot(grid.x, mu),
+            rows=np.concatenate([fbot(grid.x, mu)[None], fS(X, Rm, mu)[1:n_r]]),
         )
         info = SolveInfo(0, 0.0)
         P = spectral.irfft(grid, solve_pressure(problem, info=info))

@@ -414,6 +414,14 @@ slag_to_sigma(from_strip_state(StripState.rest(grid), bath, params), bath, param
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_imports_without_the_process_pool(self):
+        # only a sweep with workers loads multiprocessing (experiments.worker_pool)
+        script = 'import sys; import stripflow.cli, stripflow.experiments; assert "multiprocessing" not in sys.modules'
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("setting", ["grid.n_x = 16.7", "run.cadence = 1.5"], ids=["n_x", "cadence"])
     def test_fractional_integer_setting_exit_code(self, tmp_path, setting):
         # an integer key is not truncated: 16.7 grid points is a typo
