@@ -27,32 +27,30 @@ class EnergyReport:
     t: float
 
 
-def state_norm(powers: np.ndarray, eta_power: np.ndarray, grid, params: PhysParams, s: float) -> float:
-    """The blow-up functional ||(V, sqrt(mu) w, sqrt(mu) rho)||_{H^s} + |eta0|_{H^s}
-    from the ``spectral.vertical_powers`` of the stack (V, w, rho) and the
-    ``spectral.surface_power`` of eta0."""
-    sq = params.sqrt_mu
-    scale = np.array([1.0] * grid.d + [sq, sq])
-    return spectral.root_sum_square(scale * spectral.field_norms(grid, powers, s)) + float(
-        spectral.power_norm(grid, eta_power, s)
-    )
-
-
 def scheme_energy(state, metric: DiffeoFields, params: PhysParams, s: float, weigh) -> tuple:
     """The parts of a scheme's energy on the coordinate map ``metric``: the
     weighted good-unknown sum
     ||sqrt(h rho) V^(s)||^2 + ||sqrt(mu h rho) w^(s)||^2 + ||sqrt(mu h) rho^(s)||^2
-    from the good unknowns of the stack (V, w, rho), the surface term
-    ||weigh(dotted Lambda^s eta0)||^2 under the scheme's surface weight
-    ``weigh``, and the H^(s-1) norm of the vorticity."""
+    of the stack (V, w, rho), the surface term ||weigh(dotted Lambda^s eta0)||^2
+    (``weigh`` maps its spectrum to the surface field under the scheme's
+    weight), the H^(s-1) norm of the vorticity; then the horizontal rFFTs of
+    (V, w, rho) and of eta0 that they read, for the caller's other norms."""
     grid, h, mu = metric.grid, metric.h_tot, params.mu
+    F = np.concatenate([state.V, state.w[None], state.rho[None]])
+    F_hat, eta_hat = spectral.rfft(grid, F), spectral.rfft(grid, state.eta0)
     rho_tot = total_density(state.rho, params)
     weights = [np.sqrt(h * rho_tot)] * len(state.V) + [np.sqrt(mu * h * rho_tot), np.sqrt(mu * h)]
-    unknowns = alinhac_unknown(np.concatenate([state.V, state.w[None], state.rho[None]]), s, metric)
+    unknowns = alinhac_unknown(F, F_hat, s, metric)
     al = sum(spectral.l2_strip(grid, wt * f) ** 2 for wt, f in zip(weights, unknowns))
-    surface = spectral.l2_surface(grid, weigh(spectral.lambda_pow(grid, state.eta0, s, dotted=True))) ** 2
-    vnorm = spectral.sobolev_norm(grid, vorticity(state, metric, params), s - 1)
-    return al, surface, vnorm
+    surface = spectral.l2_surface(grid, weigh(spectral.lambda_symbol(grid, s, dotted=True) * eta_hat)) ** 2
+    vnorm = spectral.sobolev_norm(grid, vorticity(F_hat, metric, params), s - 1)
+    return al, surface, vnorm, F_hat, eta_hat
+
+
+def shear_norm(grid, powers: np.ndarray, s: float, params: PhysParams) -> float:
+    """The shear ||d_r V||_{H^(s-1)} / sqrt(mu) from the ``vertical_powers``
+    of V (orders 1 .. top_order(s, 1) at least)."""
+    return spectral.root_sum_square(spectral.field_norms(grid, powers, s, first=1)) / params.sqrt_mu
 
 
 def energy(
@@ -68,22 +66,23 @@ def energy(
     low-regularity block."""
     grid = diffeo.grid
     d, sq = grid.d, params.sqrt_mu
-    al, surface, vnorm = scheme_energy(state, diffeo, params, s, lambda e: np.sqrt(np.maximum(taylor, 0.0)) * e)
-
-    # one spectrum of (V, w, rho) and one of eta0 serve the norms at s0 + 1
-    # and at s, and the shear's: the H^(s-1) norm of d_r V takes the orders
-    # 1 .. top_order(s, 1) of V
-    powers = spectral.vertical_powers(
-        grid, np.concatenate([state.V, state.w[None], state.rho[None]]),
-        max(spectral.top_order(s, first=1), spectral.top_order(s0 + 1)),
+    weight = np.sqrt(np.maximum(taylor, 0.0))
+    al, surface, vnorm, F_hat, eta_hat = scheme_energy(
+        state, diffeo, params, s, lambda E: weight * spectral.irfft(grid, E)
     )
-    eta_power = spectral.surface_power(grid, state.eta0)
+
+    # the same two spectra serve the norms at s0 + 1 and at s, and the shear's:
+    # the H^(s-1) norm of d_r V takes the orders 1 .. top_order(s, 1) of V
+    powers = spectral.vertical_powers(grid, F_hat, max(spectral.top_order(s, first=1), spectral.top_order(s0 + 1)))
+    eta_power = spectral.surface_power(grid, eta_hat)
     low = np.array([1.0] * d + [sq, 1.0]) * spectral.field_norms(grid, powers, s0 + 1)
     E_low = spectral.root_sum_square(low) ** 2
     E_low += params.g * params.rho_bar * spectral.power_norm(grid, eta_power, s0 + 1) ** 2
 
-    shear = spectral.root_sum_square(spectral.field_norms(grid, powers[:, :d], s, first=1)) / sq
-
+    # the blow-up functional ||(V, sqrt(mu) w, sqrt(mu) rho)||_{H^s} + |eta0|_{H^s}
+    scale = np.array([1.0] * d + [sq, sq])
+    norm = spectral.root_sum_square(scale * spectral.field_norms(grid, powers, s))
+    norm += float(spectral.power_norm(grid, eta_power, s))
     E_s = E_low + al + surface + vnorm**2
     return EnergyReport(
         E_s=E_s,
@@ -91,10 +90,10 @@ def energy(
         alinhac_terms=al,
         surface_term=surface,
         vort_norm=vnorm,
-        shear_ratio=shear,
+        shear_ratio=shear_norm(grid, powers[:, :d], s, params),
         taylor_min=float(taylor.min()),
         mean_eta0=float(state.eta0.mean()),
-        state_norm=state_norm(powers, eta_power, grid, params, s),
+        state_norm=norm,
         t=state.t,
     )
 

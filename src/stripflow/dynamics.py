@@ -347,13 +347,14 @@ def rk4(state, dt: float, rhs):
 # -- vorticity -------------------------------------------------------------------
 
 
-def vorticity(state, diffeo: DiffeoFields, params: PhysParams) -> np.ndarray:
+def vorticity(F_hat: np.ndarray, diffeo: DiffeoFields, params: PhysParams) -> np.ndarray:
     """Scaled curl of (V, w) in the coordinates of ``diffeo``, as a stack of
     its components: omega_x for d = 1; omega_x (two) and omega_r for d = 2,
-    from one ``gradients`` G of the stack (V_1 .. V_d, w): G[j, i] is
-    derivative j (grad_phi components, then dr_phi) of field i."""
+    from one ``gradients`` G of the first d + 1 rows (V_1 .. V_d, w) of the
+    stack whose horizontal rFFT is ``F_hat``: G[j, i] is derivative j
+    (grad_phi components, then dr_phi) of field i."""
     grid, sq = diffeo.grid, params.sqrt_mu
-    G = diffeo.ops.gradients(spectral.rfft(grid, np.concatenate([state.V, state.w[None]])))
+    G = diffeo.ops.gradients(F_hat[: grid.d + 1])
     if grid.d == 1:
         return (G[1, 0] / sq - sq * G[0, 1])[None]
     return np.stack([-G[2, 1] / sq + sq * G[1, 2], G[2, 0] / sq - sq * G[0, 2], G[0, 1] - G[1, 0]])

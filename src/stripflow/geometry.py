@@ -259,15 +259,16 @@ def build_diffeo(bathymetry: Bathymetry, eta0: np.ndarray, params: PhysParams) -
     return DiffeoFields(grid, h_tot, grad_sum, lambda: barycentric_heights(bathymetry, eta0, params), grad_eta0)
 
 
-def alinhac_unknown(F: np.ndarray, s: float, diffeo: DiffeoFields) -> np.ndarray:
+def alinhac_unknown(F: np.ndarray, F_hat: np.ndarray, s: float, diffeo: DiffeoFields) -> np.ndarray:
     """Good unknown f^(s) of each field f of the stack F (leading field axes,
-    or one strip field): the dotted multiplier of order s applied to f,
-    corrected by the metric of ``diffeo`` so high-order derivatives commute
-    with grad_phi up to O(eps v beta) remainders.  One multiplier and one d_r
-    serve the whole stack, and the height correction is formed once."""
+    or one strip field) with the horizontal rFFT ``F_hat``: the dotted
+    multiplier of order s applied to f, corrected by the metric of ``diffeo``
+    so high-order derivatives commute with grad_phi up to O(eps v beta)
+    remainders.  One inverse transform and one d_r serve the whole stack."""
     grid = diffeo.grid
     correction = spectral.lambda_pow(grid, diffeo.z, s, dotted=True) / diffeo.h_tot
-    return spectral.lambda_pow(grid, F, s, dotted=True) - correction * spectral.dr(grid, F)
+    dotted = spectral.irfft(grid, spectral.lambda_symbol(grid, s, dotted=True) * F_hat)
+    return dotted - correction * spectral.dr(grid, F)
 
 
 def total_density(rho: np.ndarray, params: PhysParams) -> np.ndarray:

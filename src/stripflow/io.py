@@ -107,11 +107,9 @@ class ResultsWriter:
             E_s = energy
         if comparison is not None:
             err_V, err_eta, err_w = comparison.err_V, comparison.err_eta, comparison.err_w
-            shear, rho_norm = comparison.shear, comparison.rho_norm
+            rho_norm = comparison.rho_norm
         if report is not None:
-            E_s, taylor = report.E_s, report.taylor_min
-            if comparison is None:
-                shear = report.shear_ratio
+            E_s, taylor, shear = report.E_s, report.taylor_min, report.shear_ratio
         cols = [
             params.mu, params.eps, params.beta, params.delta, t,
             err_V, err_eta, err_w, shear, rho_norm, E_s, taylor,

@@ -142,9 +142,8 @@ def moll_energy(
     g rho_bar + iota3 * half-derivative multiplier, and the vorticity norm."""
     grid = bathymetry.grid
     sym = params.g * params.rho_bar + moll.iota3 * (1.0 + grid.k_abs**2) ** 0.25
-    al, surface, vnorm = scheme_energy(
-        state, DiffeoFields.transported(grid, state.H), params, s,
-        lambda e: spectral.apply_multiplier(grid, e, sym),
+    al, surface, vnorm, _, _ = scheme_energy(
+        state, DiffeoFields.transported(grid, state.H), params, s, lambda E: spectral.irfft(grid, sym * E)
     )
     return al + surface + vnorm**2
 

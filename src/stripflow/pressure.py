@@ -278,7 +278,7 @@ def _apply_flat_inverse(grid: StripGrid, fd: FastDiagonalisation, v: np.ndarray,
 RESTART = 40
 
 
-def gmres(matvec, psolve, b: np.ndarray, x: np.ndarray, tol: float, maxiter: int):
+def gmres(matvec, psolve, b: np.ndarray, x: np.ndarray, zero: bool, tol: float, maxiter: int):
     """Right-preconditioned restarted GMRES for A x = b: (x, iterations,
     ||b - A x||).
 
@@ -292,14 +292,15 @@ def gmres(matvec, psolve, b: np.ndarray, x: np.ndarray, tol: float, maxiter: int
     r is the true residual b - A x up to the round-off of one cycle, and its
     norm decides whether to restart.  A restart recomputes r = b - A x with
     one matvec, so that round-off does not carry over from cycle to cycle.
-    A zero x costs no initial matvec.  x is updated in place and returned.
+    A start the caller declares ``zero`` costs no initial matvec.  x is
+    updated in place and returned.
     The outputs of ``psolve`` and ``matvec`` are kept until the cycle ends,
     so neither may return an array that is overwritten before then (a row
     of the basis, which the identity preconditioner returns, is not)."""
     V = np.empty((RESTART + 1, b.size))
     R = np.zeros((RESTART, RESTART))  # the Hessenberg matrix after the rotations
     cs, sn, g = np.empty(RESTART), np.empty(RESTART), np.empty(RESTART + 1)
-    r = b - matvec(x) if x.any() else b.copy()
+    r = b.copy() if zero else b - matvec(x)
     res = float(np.linalg.norm(r))
     iterations = 0
     while res > tol and iterations < maxiter:
@@ -383,11 +384,12 @@ def solve_pressure(
     bnorm = np.linalg.norm(b)
     x = np.empty(size)
     P_hat, problem.correction = parts(x)
-    # zeroed also for a guess: a zero guess then makes x zero, which gmres
-    # applies to nothing, and any other x has its correction written by the
-    # apply of its initial residual
-    problem.correction[...] = 0.0
     P_hat[...] = 0.0 if x0 is None or bnorm == 0.0 else x0
+    # only a zero start has its correction written here (gmres applies it to
+    # nothing); the apply of another start's initial residual writes its own
+    zero = x0 is None or not P_hat.any()
+    if zero:
+        problem.correction[...] = 0.0
     if bnorm == 0.0:
         if info is not None:
             info.iterations, info.residual = 0, 0.0
@@ -416,7 +418,7 @@ def solve_pressure(
         return z
 
     tol = max(rtol * bnorm, atol)
-    _, iterations, res = gmres(matvec, psolve, b, x, tol, cap)
+    _, iterations, res = gmres(matvec, psolve, b, x, zero, tol, cap)
     true_res = res / bnorm
     if res > 100 * tol:
         raise NoConvergence(f"pressure solve stalled at residual {true_res:.2e}")

@@ -141,7 +141,7 @@ def simulate(
     it (``measure``).  The projection's pressure is another quantity and
     starts cold.  When a shallow-water state is supplied it is co-advanced
     on the same clock and a ComparisonReport is recorded at each
-    observation, with the shear norm of the energy report."""
+    observation."""
     guess = PressureGuess(bathymetry.grid)
 
     def step(state, dt):
@@ -159,7 +159,7 @@ def simulate(
         if rec.times:
             state = project_divergence_free(state, bathymetry, params)
         report = measure(state, bathymetry, params, s, s0, guess)
-        comparison = None if sw is None else shallow.compare(state, sw, s, bathymetry, params, report.shear_ratio)
+        comparison = None if sw is None else shallow.compare(state, sw, s, bathymetry, params)
         initial_norm = (rec.reports[0] if rec.reports else report).state_norm
         status = blowup_monitor(report, initial_norm, params, norm_factor)
         rec.reports.append(report)

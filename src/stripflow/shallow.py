@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
+from .diagnostics import shear_norm
 from .dynamics import Fields, StripState, project_divergence_free, rk4
 from .errors import DegenerateDepth, GridMismatch, PreparationFailed
 from .geometry import Bathymetry, PhysParams, water_depth, wave_speed
@@ -34,9 +35,7 @@ class ComparisonReport:
     err_V: float
     err_eta: float
     err_w: float
-    shear: float
     rho_norm: float
-    hypE0: float
     t: float
 
     @property
@@ -86,13 +85,9 @@ def lift_sw(sw: SWState, bathymetry: Bathymetry, params: PhysParams) -> StripSta
     return StripState(V, w, rho, sw.eta.copy(), sw.t)
 
 
-def compare(
-    euler: StripState, sw: SWState, s: float, bathymetry: Bathymetry, params: PhysParams, shear: float | None = None
-) -> ComparisonReport:
+def compare(euler: StripState, sw: SWState, s: float, bathymetry: Bathymetry, params: PhysParams) -> ComparisonReport:
     """All norms of the difference driving the convergence claim, taken on
-    the dealiased band; the well-preparedness sum is evaluated by the same
-    code path.  ``shear`` is the shear norm of ``euler`` when the caller has
-    taken it (``EnergyReport.shear_ratio``); otherwise it is taken here."""
+    the dealiased band."""
     grid = bathymetry.grid
     if euler.eta0.shape != sw.eta.shape:
         raise GridMismatch("euler and shallow-water states on different grids")
@@ -103,14 +98,13 @@ def compare(
     # masks the powers.  One spectrum of the stack (V - V_sw, w - w_sw, rho)
     band = grid.dealias_mask
     diff = np.concatenate([euler.V - lifted.V, (euler.w - lifted.w)[None], euler.rho[None]])
-    norms = spectral.field_norms(grid, band * spectral.vertical_powers(grid, diff, spectral.top_order(s)), s)
+    powers = spectral.vertical_powers(grid, spectral.rfft(grid, diff), spectral.top_order(s))
+    norms = spectral.field_norms(grid, band * powers, s)
     err_V = spectral.root_sum_square(norms[:d])
     err_w, rho_norm = sq * float(norms[d]), sq * float(norms[d + 1])
-    err_eta = float(spectral.power_norm(grid, band * spectral.surface_power(grid, euler.eta0 - sw.eta), s))
-    if shear is None:
-        shear = spectral.sobolev_norm(grid, spectral.dr(grid, euler.V), s - 1) / sq
-    hypE0 = np.sqrt(err_V**2 + err_w**2) + err_eta + rho_norm + shear
-    return ComparisonReport(err_V, err_eta, err_w, shear, rho_norm, hypE0, euler.t)
+    eta_power = spectral.surface_power(grid, spectral.rfft(grid, euler.eta0 - sw.eta))
+    err_eta = float(spectral.power_norm(grid, band * eta_power, s))
+    return ComparisonReport(err_V, err_eta, err_w, rho_norm, euler.t)
 
 
 def shear_streamfunction_profile(grid: StripGrid, amplitude: float, params: PhysParams) -> np.ndarray:
@@ -134,7 +128,8 @@ def well_prepared_init(
 ) -> tuple[StripState, float]:
     """Columnar lift plus a mu-scaled shear and a unit-norm-scaled density
     pattern of horizontal mode 1, re-projected; verifies that the closeness
-    sum is at most sqrt(mu) and returns the achieved value."""
+    sum, ``compare``'s norms plus the shear, is at most sqrt(mu) and returns
+    the achieved value."""
     if params.delta > params.mu:
         raise PreparationFailed(
             f"weak-density regime requires delta <= mu (got {params.delta} > {params.mu})"
@@ -153,7 +148,10 @@ def well_prepared_init(
         nrm = spectral.sobolev_norm(grid, raw, s)
         state.rho = rho_amp * raw / nrm
     state = project_divergence_free(state, bathymetry, params)
-    achieved = compare(state, sw, s, bathymetry, params).hypE0
+    rep = compare(state, sw, s, bathymetry, params)
+    V_powers = spectral.vertical_powers(grid, spectral.rfft(grid, state.V), spectral.top_order(s, first=1))
+    achieved = np.sqrt(rep.err_V**2 + rep.err_w**2) + rep.err_eta + rep.rho_norm
+    achieved += shear_norm(grid, V_powers, s, params)
     if achieved > params.sqrt_mu:
         raise PreparationFailed(
             f"closeness sum {achieved:.3e} exceeds sqrt(mu) = {params.sqrt_mu:.3e}"

@@ -6,9 +6,9 @@ on surface fields; the horizontal transform is a real FFT over the trailing
 d axes, so the transforms, ``dx``, ``dr`` and the multipliers also take a
 stack of fields along further leading axes in one call.
 
-The Sobolev norms are read off the spectrum: one forward transform per field
-stack, ``dr`` applied to the spectrum (it commutes with the horizontal
-transform), and each order's L^2 norm summed from |F|^2 with the
+The Sobolev norms are read off the spectrum that the caller took once:
+``vertical_powers`` applies ``dr`` to it (it commutes with the horizontal
+transform) and sums each order's L^2 norm from |F|^2 with the
 half-spectrum Parseval weights (``StripGrid.parseval_weights``; Canuto,
 Hussaini, Quarteroni & Zang, Spectral Methods, 2006).  No inverse transform
 follows, and one field's ``vertical_powers`` serve its norms at every s.
@@ -87,13 +87,17 @@ def transport(grid: StripGrid, V: np.ndarray, F: np.ndarray) -> np.ndarray:
 # -- multipliers ---------------------------------------------------------------
 
 
-def lambda_pow(grid: StripGrid, f: np.ndarray, s: float, dotted: bool = False) -> np.ndarray:
-    """Bessel-potential multiplier (1+|xi|^2)^(s/2); the dotted variant is
-    |xi| (1+|xi|^2)^((s-1)/2), which kills the mean mode."""
-    base = (1.0 + grid.k_abs**2) ** (0.5 * s)
+def lambda_symbol(grid: StripGrid, s: float, dotted: bool = False) -> np.ndarray:
+    """Symbol of the Bessel-potential multiplier, (1+|xi|^2)^(s/2); the
+    dotted variant is |xi| (1+|xi|^2)^((s-1)/2), which kills the mean mode."""
     if dotted:
-        base = grid.k_abs * (1.0 + grid.k_abs**2) ** (0.5 * (s - 1.0))
-    return apply_multiplier(grid, f, base)
+        return grid.k_abs * (1.0 + grid.k_abs**2) ** (0.5 * (s - 1.0))
+    return (1.0 + grid.k_abs**2) ** (0.5 * s)
+
+
+def lambda_pow(grid: StripGrid, f: np.ndarray, s: float, dotted: bool = False) -> np.ndarray:
+    """The multiplier of symbol ``lambda_symbol`` applied to f."""
+    return apply_multiplier(grid, f, lambda_symbol(grid, s, dotted))
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
@@ -139,10 +143,9 @@ def power_norm(grid: StripGrid, power: np.ndarray, s: float) -> np.ndarray:
     return np.sqrt(np.sum((power * bessel).reshape(power.shape[: power.ndim - grid.d] + (-1,)), axis=-1))
 
 
-def surface_power(grid: StripGrid, f: np.ndarray) -> np.ndarray:
-    """The Parseval-weighted power of each horizontal mode of a surface
-    field: its sum is ||f||^2_{L^2(T^d)}."""
-    F = rfft(grid, f)
+def surface_power(grid: StripGrid, F: np.ndarray) -> np.ndarray:
+    """The Parseval-weighted power of each horizontal mode of the surface
+    field whose horizontal rFFT is F: its sum is ||f||^2_{L^2(T^d)}."""
     return grid.parseval_weights * (F.real**2 + F.imag**2)
 
 
@@ -152,19 +155,17 @@ def top_order(s: float, first: int = 0) -> int:
     return first + max(int(s - first), 0)
 
 
-def vertical_powers(grid: StripGrid, F: np.ndarray, k: int) -> np.ndarray:
+def vertical_powers(grid: StripGrid, G: np.ndarray, k: int) -> np.ndarray:
     """P[l] for l = 0..k: the power of each horizontal mode of d_r^l f,
     summed over r with the trapezoid weights and over the half spectrum with
-    the Parseval weights, for each field f of the strip field or stack F
-    (shape (k + 1, *stack axes, *spectral shape)); sum(P[l]) is
-    ||d_r^l f||^2_{L^2(S)}.  One forward transform of the stack, then ``dr``
-    on its spectrum."""
-    lead = F.shape[: F.ndim - grid.d - 1]
-    if F.shape[len(lead) :] != (grid.n_r + 1,) + grid.xshape:
+    the Parseval weights, for each field f of the strip field or stack whose
+    horizontal rFFT is G (shape (k + 1, *stack axes, *spectral shape));
+    sum(P[l]) is ||d_r^l f||^2_{L^2(S)}.  ``dr`` acts on the spectrum."""
+    lead = G.shape[: G.ndim - grid.d - 1]
+    if G.shape[len(lead) :] != (grid.n_r + 1,) + grid.k_abs.shape:
         raise ValueError("not a strip field")
     if k > 0 and grid.n_r + 1 < 5 + k:
         raise InsufficientResolution(f"k={k} on {grid.n_r + 1} vertical nodes")
-    G = rfft(grid, F)
     cols = lead + (grid.n_r + 1, -1)
     P = np.empty((k + 1,) + lead + grid.k_abs.shape)
     for l in range(k + 1):
@@ -195,4 +196,4 @@ def sobolev_norm(grid: StripGrid, F: np.ndarray, s: float) -> float:
     with k = int(s) (0 for s < 0), then the root of the summed squares over
     the stack.  The whole stack is transformed once and each order's norm is
     read off its spectrum (``vertical_powers``)."""
-    return root_sum_square(field_norms(grid, vertical_powers(grid, F, top_order(s)), s))
+    return root_sum_square(field_norms(grid, vertical_powers(grid, rfft(grid, F), top_order(s)), s))

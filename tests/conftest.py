@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from stripflow import Bathymetry, PhysParams, StripGrid, pressure, runner, spectral
+from stripflow.dynamics import vorticity
+from stripflow.geometry import alinhac_unknown
 
 
 @pytest.fixture
@@ -60,7 +62,19 @@ def harmonic_extension(grid, eta0):
 
 def surface_norm(grid, f, s):
     """|f|_{H^s} on the torus, from the ``spectral.surface_power`` of f."""
-    return float(spectral.power_norm(grid, spectral.surface_power(grid, f), s))
+    return float(spectral.power_norm(grid, spectral.surface_power(grid, spectral.rfft(grid, f)), s))
+
+
+def state_vorticity(state, diffeo, params):
+    """``dynamics.vorticity`` of a state, from the horizontal rFFT of its
+    (V, w)."""
+    return vorticity(spectral.rfft(diffeo.grid, np.concatenate([state.V, state.w[None]])), diffeo, params)
+
+
+def good_unknown(f, s, diffeo):
+    """``geometry.alinhac_unknown`` of a field or stack, from its own
+    horizontal rFFT."""
+    return alinhac_unknown(f, spectral.rfft(diffeo.grid, f), s, diffeo)
 
 
 def sigma_gradients(ops, f):

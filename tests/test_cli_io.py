@@ -463,7 +463,7 @@ slag_to_sigma(from_strip_state(StripState.rest(grid), bath, params), bath, param
         with ResultsWriter(path) as w:
             for mu, err in params_by_mu:
                 p = PhysParams(eps=0.3, beta=0.4, mu=mu)
-                comp = ComparisonReport(err / 2, err / 2, 0, 0, 0, 0, 1.0)
+                comp = ComparisonReport(err / 2, err / 2, 0, 0, 1.0)
                 w.row(p, 1.0, None, comp)
         code = main(["rate", "--results", str(path), "--window", "0.3", "0.7"])
         assert code == 0
@@ -474,7 +474,7 @@ slag_to_sigma(from_strip_state(StripState.rest(grid), bath, params), bath, param
         path = tmp_path / "results.txt"
         with ResultsWriter(path) as w:
             for mu in (1e-1, 1e-3):
-                w.row(PhysParams(eps=0.3, beta=0.4, mu=mu), 1.0, None, ComparisonReport(mu, mu, 0, 0, 0, 0, 1.0))
+                w.row(PhysParams(eps=0.3, beta=0.4, mu=mu), 1.0, None, ComparisonReport(mu, mu, 0, 0, 1.0))
         assert main(["rate", "--results", str(path)]) == 4
         assert "three samples" in capsys.readouterr().err
 
@@ -485,9 +485,9 @@ slag_to_sigma(from_strip_state(StripState.rest(grid), bath, params), bath, param
         with ResultsWriter(path) as w:
             for mu in (1e-1, 1e-2, 1e-3, 1e-4):
                 p = PhysParams(eps=0.3, beta=0.4, mu=mu, delta=0.5 * mu)
-                w.row(p, 0.0, None, ComparisonReport(5.0, 5.0, 7.0, 0.1, 0.2, 0.3, 1.0))
+                w.row(p, 0.0, None, ComparisonReport(5.0, 5.0, 7.0, 0.2, 1.0))
                 err = mu**0.75
-                w.row(p, 1.0, None, ComparisonReport(err, err, 3.0, 0.4, 0.5, 0.6, 1.0))
+                w.row(p, 1.0, None, ComparisonReport(err, err, 3.0, 0.5, 1.0))
         assert main(["rate", "--results", str(path), "--window", "0.74", "0.76"]) == 0
         assert "slope = 0.7500" in capsys.readouterr().out
 

@@ -3,16 +3,17 @@ import pytest
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
-from stripflow.diagnostics import blowup_monitor, energy, fit_rate, scheme_energy, state_norm
+from stripflow.diagnostics import blowup_monitor, energy, fit_rate, scheme_energy
 from stripflow.dynamics import StripState, assemble_pressure_problem, cfl_dt
-from stripflow.geometry import alinhac_unknown, total_density
-from stripflow.mollified import MollParams, from_strip_state, run_moll
+from stripflow.geometry import total_density
+from stripflow.mollified import MollParams, from_strip_state, moll_energy, run_moll
 from stripflow.pressure import solve_pressure, taylor_coefficient
 from stripflow import runner
 from stripflow.errors import NoConvergence
 from stripflow.runner import measure, simulate
+from stripflow.shallow import SWState, compare
 
-from conftest import random_band_limited, surface_norm
+from conftest import good_unknown, random_band_limited, state_vorticity, surface_norm
 from test_acceptance import gronwall_slope
 from test_run_properties import equivalence_checks, equivalence_ratios
 
@@ -24,10 +25,22 @@ def report_for(state, bath, params, s=4.0, s0=2.0):
     return energy(state, taylor, s, s0, params, diffeo), diffeo
 
 
+def count_calls(monkeypatch, names) -> dict:
+    """The number of calls of each ``spectral`` function of ``names``,
+    counted for the rest of the test."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _f=getattr(spectral, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(spectral, name, counted)
+    return calls
+
+
 class TestEnergy:
     @pytest.mark.parametrize("n_x,n_r,d", [(64, 16, 1), (16, 12, 2)])
     def test_good_unknowns_of_the_stack_in_one_transform(self, n_x, n_r, d, rng, monkeypatch):
-        # one multiplier and one d_r of the stack (V, w, rho) and one
+        # one spectrum and one d_r of the stack (V, w, rho) and one
         # multiplier of the heights, where each field took its own
         # (2 (d + 2) multipliers and d + 2 d_r), with the field-by-field sum
         grid = StripGrid(n_x=n_x, n_r=n_r, d=d)
@@ -41,17 +54,41 @@ class TestEnergy:
         h, mu, rho_tot = diffeo.h_tot, params.mu, total_density(st.rho, params)
         terms = [(np.sqrt(h * rho_tot), V_i) for V_i in st.V]
         terms += [(np.sqrt(mu * h * rho_tot), st.w), (np.sqrt(mu * h), st.rho)]
-        expect = sum(spectral.l2_strip(grid, wt * alinhac_unknown(f, 3.5, diffeo)) ** 2 for wt, f in terms)
-        calls = {"lambda_pow": 0, "dr": 0}
-        for name in calls:
-            def counted(*args, _f=getattr(spectral, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(spectral, name, counted)
-        assert scheme_energy(st, diffeo, params, 3.5, lambda e: e)[0] == expect
-        # the surface term takes one more multiplier, the vorticity one d_r
-        # for its gradients and two for its H^2.5 norm
-        assert calls == {"lambda_pow": 3, "dr": 4}
+        expect = sum(spectral.l2_strip(grid, wt * good_unknown(f, 3.5, diffeo)) ** 2 for wt, f in terms)
+        calls = count_calls(monkeypatch, ["lambda_pow", "dr"])
+        assert scheme_energy(st, diffeo, params, 3.5, lambda E: spectral.irfft(grid, E))[0] == expect
+        # the surface term multiplies the spectrum of eta0, the vorticity
+        # takes one d_r for its gradients and two for its H^2.5 norm
+        assert calls == {"lambda_pow": 1, "dr": 4}
+
+    def test_observation_transforms_each_field_once(self, grid, rng, monkeypatch):
+        # one rFFT of (V, w, rho) and one of eta0 serve every part of an
+        # energy (7 rfft + 4 irfft for the direct one, 7 + 6 for the
+        # mollified one when each part took its own); the others are the
+        # heights' multiplier, the vorticity's gradients and norm, the surface
+        # term and, for the mollified scheme, the transported map's dx(H);
+        # compare lifts the Saint-Venant state on the bathymetry gradient
+        # that build_diffeo has cached
+        params = PhysParams(eps=0.3, beta=0.4, mu=0.05, delta=0.04)
+        bath = Bathymetry.cosine(grid, 0.2)
+        st = StripState.rest(grid)
+        st.V[0], st.w, st.rho = (random_band_limited(grid, rng, amp=0.1) for _ in range(3))
+        st.eta0 = 0.05 * np.cos(grid.x)
+        diffeo = build_diffeo(bath, st.eta0, params)
+        slag = from_strip_state(st, bath, params)
+        sw = SWState(0.1 * np.cos(grid.x)[None], 0.04 * np.cos(grid.x))
+        calls = count_calls(monkeypatch, ["rfft", "irfft"])
+
+        def transforms(fn, *args):
+            calls.update(rfft=0, irfft=0)
+            fn(*args)
+            return calls["rfft"], calls["irfft"]
+
+        assert transforms(energy, st, np.ones(grid.xshape), 4.0, 2.0, params, diffeo) == (4, 4)
+        rfft, irfft = transforms(moll_energy, slag, MollParams(iota3=0.01), bath, params, 4.0)
+        assert rfft <= 5 and irfft <= 5
+        rfft, irfft = transforms(compare, st, sw, 4.0, bath, params)
+        assert rfft <= 5 and irfft <= 3
 
     def test_rest_energy_is_zero(self, grid):
         params = PhysParams(eps=0.3, beta=0.5, mu=1e-2)
@@ -91,12 +128,10 @@ class TestEnergy:
             st.w = random_band_limited(grid, rng, amp=0.3)
             st.rho = random_band_limited(grid, rng, amp=0.3)
             rep, diffeo = report_for(st, bath, params)
-            from stripflow.dynamics import vorticity
-
             sq = params.sqrt_mu
             pack = (
                 spectral.sobolev_norm(grid, np.stack([st.V[0], sq * st.w, sq * st.rho]), 4.0) ** 2
-                + spectral.sobolev_norm(grid, vorticity(st, diffeo, params), 3.0) ** 2
+                + spectral.sobolev_norm(grid, state_vorticity(st, diffeo, params), 3.0) ** 2
                 + surface_norm(grid, st.eta0, 4.0) ** 2
             )
             ratios.append(rep.E_s / pack)

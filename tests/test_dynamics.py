@@ -14,14 +14,13 @@ from stripflow.dynamics import (
     project_divergence_free,
     rk4,
     step_rk4,
-    vorticity,
     warm_started,
 )
 from stripflow.errors import InvalidStreamfunction, TooManySteps
 from stripflow.geometry import DiffeoFields, total_density
 from stripflow.mollified import MollParams, from_strip_state, slag_rhs
 
-from conftest import harmonic_extension, random_band_limited, sigma_divergence, sigma_gradients
+from conftest import harmonic_extension, random_band_limited, sigma_divergence, sigma_gradients, state_vorticity
 
 
 def shape(grid):
@@ -392,7 +391,7 @@ class TestVorticity:
         st = StripState.rest(grid)
         st.V[0] = 0.7
         diffeo = build_diffeo(bath, st.eta0, params)
-        om = vorticity(st, diffeo, params)
+        om = state_vorticity(st, diffeo, params)
         assert np.abs(om).max() < 1e-12
         assert len(om) == 1  # omega_x only: no omega_r for d = 1
 
@@ -404,7 +403,7 @@ class TestVorticity:
         v0 = np.cos(grid.x)
         st.V[0] = np.sqrt(params.mu) * grid.r[:, None] * v0[None, :]
         diffeo = build_diffeo(bath, st.eta0, params)
-        om = vorticity(st, diffeo, params)
+        om = state_vorticity(st, diffeo, params)
         assert np.allclose(om[0], v0[None, :], atol=1e-12)
 
     def test_against_eulerian_curl_oracle(self):
@@ -422,7 +421,7 @@ class TestVorticity:
             st.eta0 = e0
             st.V[0] = np.sin(x) * np.cos(z)
             st.w = 0.5 * np.cos(2 * x) * np.sin(z)
-            om = vorticity(st, diffeo, params)
+            om = state_vorticity(st, diffeo, params)
             sq = np.sqrt(params.mu)
             expect = -np.sin(x) * np.sin(z) / sq + sq * np.sin(2 * x) * np.sin(z)
             errs.append(np.abs(om[0] - expect).max())
@@ -506,11 +505,11 @@ class TestVorticity:
         minus = step_rk4(st, -dt, bath, params)
         dif_p = build_diffeo(bath, plus.eta0, params)
         dif_m = build_diffeo(bath, minus.eta0, params)
-        dom_dt = (vorticity(plus, dif_p, params)[0] - vorticity(minus, dif_m, params)[0]) / (2 * dt)
+        dom_dt = (state_vorticity(plus, dif_p, params)[0] - state_vorticity(minus, dif_m, params)[0]) / (2 * dt)
 
         tend, P_hat = euler_rhs(st, bath, params)
         diffeo = build_diffeo(bath, st.eta0, params)
-        om = vorticity(st, diffeo, params)  # a stack of one field
+        om = state_vorticity(st, diffeo, params)  # a stack of one field
         F = vorticity_source(st, spectral.irfft(grid, P_hat), diffeo, params)
         tcorr = params.eps * (1 + grid.r)[:, None] * tend.eta0[None, :] / diffeo.h_tot
         rhs = (

@@ -4,10 +4,10 @@ import pytest
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
 from stripflow.errors import DegenerateDensity, DegenerateDepth
-from stripflow.geometry import DiffeoFields, alinhac_unknown, total_density
+from stripflow.geometry import DiffeoFields, total_density
 from stripflow.diagnostics import fit_rate
 
-from conftest import sigma_gradients
+from conftest import good_unknown, sigma_gradients
 from test_acceptance import growth_scale
 
 
@@ -153,14 +153,14 @@ class TestAlinhac:
         grid, params, bath = flat_setup
         d = build_diffeo(bath, np.zeros(grid.xshape), params)
         f = np.sin(2 * grid.x)[None, :] * grid.r[:, None]
-        got = alinhac_unknown(f, 3.0, d)
+        got = good_unknown(f, 3.0, d)
         assert np.allclose(got, spectral.lambda_pow(grid, f, 3.0, dotted=True), atol=1e-12)
 
     def test_r_independent_field(self, grid, params):
         bath = Bathymetry.cosine(grid, 0.3)
         d = build_diffeo(bath, 0.1 * np.cos(grid.x), params)
         f = np.broadcast_to(np.sin(grid.x), (grid.n_r + 1,) + grid.xshape).copy()
-        got = alinhac_unknown(f, 3.0, d)
+        got = good_unknown(f, 3.0, d)
         assert np.allclose(got, spectral.lambda_pow(grid, f, 3.0, dotted=True), atol=1e-12)
 
     def test_single_mode_against_direct_assembly(self, grid):
@@ -176,7 +176,7 @@ class TestAlinhac:
         h_tot = 1.0 + params.eps * e0
         drf = np.sin(grid.x)[None, :] * np.ones_like(grid.r)[:, None]
         expect = spectral.lambda_pow(grid, f, s, dotted=True) - lam_sigma / h_tot * drf
-        assert np.allclose(alinhac_unknown(f, s, d), expect, atol=1e-11)
+        assert np.allclose(good_unknown(f, s, d), expect, atol=1e-11)
 
     def test_commutator_smallness_slope(self):
         grid = StripGrid(n_x=64, n_r=32)
@@ -190,7 +190,7 @@ class TestAlinhac:
             params = PhysParams(eps=t, beta=t, mu=0.1)
             d = build_diffeo(Bathymetry(grid, bshape), e0shape, params)
             gx, gr = sigma_gradients(d.ops, f)
-            fs = alinhac_unknown(f, s, d)
+            fs = good_unknown(f, s, d)
             rx = spectral.lambda_pow(grid, gx[0], s, dotted=True) - sigma_gradients(d.ops, fs)[0][0]
             rr = spectral.lambda_pow(grid, gr, s, dotted=True) - sigma_gradients(d.ops, fs)[1]
             samples.append((t, np.sqrt(spectral.l2_strip(grid, rx) ** 2 + spectral.l2_strip(grid, rr) ** 2)))

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from stripflow import spectral
 from stripflow import mollified
 from stripflow.config import ExperimentConfig
 from stripflow.diagnostics import energy, scheme_energy
-from stripflow.dynamics import PressureGuess, StripState, step_rk4, vorticity
+from stripflow.dynamics import PressureGuess, StripState, step_rk4
 from stripflow.geometry import DiffeoFields
 from stripflow.errors import DegenerateDiffeo, InterpolationOutOfRange, NoConvergence
 from stripflow.experiments import run_single
@@ -26,7 +28,7 @@ from stripflow.mollified import (
 from stripflow.pressure import closure_problem, solve_closure
 
 from conftest import (count_solve_iterations, harmonic_extension, random_band_limited, random_surface,
-                      sigma_divergence, sigma_gradients)
+                      sigma_divergence, sigma_gradients, state_vorticity)
 
 
 def wave_state(grid, amp=0.05):
@@ -374,10 +376,10 @@ class TestSharedDiagnostics:
         slag = from_strip_state(st, bath, params)
         diffeo = build_diffeo(bath, st.eta0, params)
         metric = DiffeoFields.transported(grid, slag.H)
-        E_ref = scheme_energy(st, diffeo, params, 4.0, lambda e: e)[0]
-        assert abs(scheme_energy(slag, metric, params, 4.0, lambda e: e)[0] - E_ref) <= 1e-12 * E_ref
-        om_ref = vorticity(st, diffeo, params)
-        om = vorticity(slag, metric, params)
+        E_ref = scheme_energy(st, diffeo, params, 4.0, partial(spectral.irfft, grid))[0]
+        assert abs(scheme_energy(slag, metric, params, 4.0, partial(spectral.irfft, grid))[0] - E_ref) <= 1e-12 * E_ref
+        om_ref = state_vorticity(st, diffeo, params)
+        om = state_vorticity(slag, metric, params)
         assert np.abs(om - om_ref).max() <= 1e-12 * np.abs(om_ref).max()
         # at g = rho_bar = 1, unit Taylor coefficient and no dispersion, both
         # schemes weigh the surface alike, so the scheme energy is the direct

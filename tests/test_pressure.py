@@ -343,8 +343,8 @@ class TestSolve:
         problem, _ = assemble_pressure_problem(state, diffeo, params)
         krylov = pressure.gmres
 
-        def two_iterations(matvec, psolve, b, x0, tol, maxiter):
-            return krylov(matvec, psolve, b, x0, tol, 2)
+        def two_iterations(matvec, psolve, b, x0, zero, tol, maxiter):
+            return krylov(matvec, psolve, b, x0, zero, tol, 2)
 
         monkeypatch.setattr(pressure, "gmres", two_iterations)
         info = SolveInfo(-1, -1.0)
@@ -369,7 +369,7 @@ class TestGmres:
     def test_restarted_solve_returns_its_true_residual(self, system):
         A, b = system
         tol = 1e-10 * np.linalg.norm(b)
-        x, iterations, res = pressure.gmres(lambda v: A @ v, lambda v: v, b, np.zeros(b.size), tol, 2000)
+        x, iterations, res = pressure.gmres(lambda v: A @ v, lambda v: v, b, np.zeros(b.size), True, tol, 2000)
         assert iterations > 3 * pressure.RESTART
         assert res == pytest.approx(np.linalg.norm(b - A @ x), rel=1e-12)
         assert res <= tol
@@ -384,7 +384,7 @@ class TestGmres:
             calls.append(1)
             return A @ v
 
-        x, iterations, res = pressure.gmres(matvec, lambda v: v, b, np.zeros(b.size), tol, 2000)
+        x, iterations, res = pressure.gmres(matvec, lambda v: v, b, np.zeros(b.size), True, tol, 2000)
         cycles = -(-iterations // pressure.RESTART)
         assert cycles > 1
         assert len(calls) == iterations + cycles - 1
@@ -392,7 +392,7 @@ class TestGmres:
     def test_iteration_cap_stops_early(self, system):
         A, b = system
         tol = 1e-10 * np.linalg.norm(b)
-        x, iterations, res = pressure.gmres(lambda v: A @ v, lambda v: v, b, np.zeros(b.size), tol, 5)
+        x, iterations, res = pressure.gmres(lambda v: A @ v, lambda v: v, b, np.zeros(b.size), True, tol, 5)
         assert iterations == 5
         assert res == pytest.approx(np.linalg.norm(b - A @ x), rel=1e-12)
         assert res > tol

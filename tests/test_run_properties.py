@@ -18,7 +18,6 @@ from stripflow.dynamics import (
     euler_rhs,
     project_divergence_free,
     step_rk4,
-    vorticity,
 )
 from stripflow.errors import StripflowError
 from stripflow.experiments import sw_initial
@@ -26,7 +25,7 @@ from stripflow.pressure import solve_pressure, taylor_coefficient
 from stripflow.runner import simulate
 from stripflow.shallow import well_prepared_init
 
-from conftest import count_solve_iterations, surface_norm
+from conftest import count_solve_iterations, state_vorticity, surface_norm
 
 
 class InsufficientHistory(StripflowError):
@@ -104,7 +103,7 @@ def test_irrotational_homogeneous_flow_stays_irrotational():
     for _ in range(40):
         state = step_rk4(state, dt, bath, params)
     diffeo = build_diffeo(bath, state.eta0, params)
-    om = vorticity(state, diffeo, params)
+    om = state_vorticity(state, diffeo, params)
     floor = spectral.sobolev_norm(grid, om, 3.0)
     drive = spectral.sobolev_norm(grid, state.V[0], 3.0)
     assert drive > 1e-3  # the wave actually developed a flow

@@ -18,6 +18,8 @@ from stripflow.shallow import (
     well_prepared_init,
 )
 
+from conftest import state_vorticity
+
 
 def sw_mass(sw, bath, params):
     return float(water_depth(bath, sw.eta, params).mean())
@@ -246,10 +248,8 @@ class TestWellPrepared:
         st, achieved = well_prepared_init(sw, bath, params, 4.0, shear_amp=0.03, rho_amp=0.2)
         assert 0.0 < achieved <= np.sqrt(params.mu)
         # scaled vorticity of the prepared state is O(1)-bounded
-        from stripflow.dynamics import vorticity
-
         diffeo = build_diffeo(bath, st.eta0, params)
-        om = vorticity(st, diffeo, params)
+        om = state_vorticity(st, diffeo, params)
         assert spectral.sobolev_norm(grid, om, 3.0) < 5.0
 
     def test_strong_density_rejected(self, grid):

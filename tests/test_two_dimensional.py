@@ -7,11 +7,11 @@ import pytest
 
 from stripflow import Bathymetry, PhysParams, StripGrid, build_diffeo
 from stripflow import spectral
-from stripflow.dynamics import PressureGuess, StripState, euler_rhs, step_rk4, vorticity
+from stripflow.dynamics import PressureGuess, StripState, euler_rhs, step_rk4
 from stripflow.experiments import sw_initial
 from stripflow.shallow import well_prepared_init
 
-from conftest import harmonic_extension, sigma_gradients, surface_norm
+from conftest import harmonic_extension, sigma_gradients, state_vorticity, surface_norm
 
 
 @pytest.fixture
@@ -52,7 +52,7 @@ def test_rest_tendencies_and_vorticity(grid2):
     t, _ = euler_rhs(state, bath, params)
     assert np.abs(t.V).max() == 0.0
     assert np.abs(t.w).max() == 0.0
-    om = vorticity(state, build_diffeo(bath, state.eta0, params), params)
+    om = state_vorticity(state, build_diffeo(bath, state.eta0, params), params)
     assert om.shape == (3, grid2.n_r + 1, 16, 16)  # omega_x (two components) and omega_r
     assert np.abs(om[2]).max() == 0.0
 
